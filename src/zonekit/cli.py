@@ -27,7 +27,8 @@ from .extensions import clifford_dimension, unprojected_coulomb_matrix, zonal_co
 from .padi import anomalous_kernel, eigenspinors, normalization_report
 from .params import PhysParams
 from .path_measure import discretized_feynman_kac, monte_carlo_feynman_kac
-from .propagators import KernelGrid, evolve, partition_function, zonal_kernel
+from .propagators import (KernelGrid, QuadratureConvergenceError, evolve, partition_function,
+                          zonal_kernel)
 from .zones import zone_basis
 
 EXIT_OK = 0
@@ -60,6 +61,10 @@ def _params(args, cfg) -> PhysParams:
     if k % 2 or k < 2:
         raise UsageError(f"invalid parameter k={k} (must be even and >= 2)")
     return PhysParams(lam=lam, k=k)
+
+
+def _sigma(args) -> complex:
+    return 1j if args.sigma == "i" else 1
 
 
 def _usage_error(msg: str) -> int:
@@ -116,10 +121,15 @@ def _fmt(x: float) -> str:
 
 def cmd_kernel(args, cfg) -> int:
     params = _params(args, cfg)
-    sigma = 1j if args.sigma == "i" else 1
+    n = len(_parse_grid(args.grid)) ** (2 * params.m)  # grid points, before building them
+    need = np.dtype(complex).itemsize * n * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise UsageError(f"kernel grid of {n} points needs {need / 1e9:.3g} GB for its "
+                         f"values, more than the {have / 1e9:.3g} GB of physical memory")
     pts = _grid_points(args.grid, params.m)
     a = None if args.a is None or args.a < 0 else args.a
-    grid = KernelGrid.sample(sigma, args.t, pts, pts, params, a=a)
+    grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
     grid.write_csv(os.path.join(_outdir(args), args.output))
     return EXIT_OK
 
@@ -151,10 +161,9 @@ def cmd_zones(args, cfg) -> int:
 
 def cmd_evolve(args, cfg) -> int:
     params = _params(args, cfg)
-    sigma = 1j if args.sigma == "i" else 1
     with open(args.state) as fh:
         f = ZonePolynomial.from_json(fh.read(), params)
-    out = evolve(f, sigma, args.t, params, include_field_term=args.field_term)
+    out = evolve(f, _sigma(args), args.t, params, include_field_term=args.field_term)
     path = os.path.join(_outdir(args), args.output)
     with open(path, "w") as fh:
         fh.write(out.to_json())
@@ -166,7 +175,7 @@ def cmd_thermo(args, cfg) -> int:
     params = _params(args, cfg)
     kappa = args.kappa if args.kappa is not None else thermo.default_kappa(params)
     h = args.h
-    sigma = 1j if args.sigma == "i" else 1
+    sigma = _sigma(args)
     Ts = _parse_grid(args.T_grid)
     rows = []
     for T in Ts:
@@ -215,7 +224,7 @@ def cmd_thermo(args, cfg) -> int:
 
 def cmd_path(args, cfg) -> int:
     params = _params(args, cfg)
-    sigma = 1j if args.sigma == "i" else 1
+    sigma = _sigma(args)
     x = np.array([complex(c) for c in args.x.split(",")])
     y = np.array([complex(c) for c in args.y.split(",")])
     target = zonal_kernel(sigma, args.a, args.T, x[None, :], y[None, :], params)[0]
@@ -425,6 +434,9 @@ def main(argv=None) -> int:
         return args.fn(args, cfg)
     except (UsageError, ValueError) as exc:
         return _usage_error(str(exc))
+    except QuadratureConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

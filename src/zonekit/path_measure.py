@@ -304,7 +304,9 @@ def monte_carlo_feynman_kac(sigma: complex, a: int, x, y, T: float, n_slices: in
     weights = chain * np.exp(-sigma * (2.0 * lam**2 * dt * action_sum + k * lam * T / 2.0)
                              - log_density)
     est = complex(np.mean(weights))
-    stderr = float(np.std(np.abs(weights - est)) / math.sqrt(n_samples))
+    # standard error of the sample mean of complex weights: the spread is the
+    # root-mean-square deviation |w - est|, not the std of its modulus
+    stderr = math.sqrt(float(np.mean(np.abs(weights - est) ** 2)) / (n_samples - 1))
     return est, stderr
 
 

@@ -7,7 +7,6 @@ points are arrays of complex coordinates with trailing axis of length k/2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -300,25 +299,28 @@ class KernelGrid:
         return cls(sigma, t, X, Y, vals, params, a)
 
     def write_csv(self, path: str) -> None:
+        """One CSV row per (X, Y) pair, every number as ``repr(float)``, CRLF lines.
+
+        Each grid point is formatted once; the file is streamed one X row at a
+        time, so memory stays at one row of text whatever the grid size.
+        """
         m = self.params.m
-        header = []
-        for j in range(m):
-            header += [f"re_z{j+1}", f"im_z{j+1}"]
-        for j in range(m):
-            header += [f"re_w{j+1}", f"im_w{j+1}"]
+        header = [f"{p}_{z}{j+1}" for z in "zw" for j in range(m) for p in ("re", "im")]
         header += ["sigma", "t", "a", "kernel_re", "kernel_im"]
         sig = "i" if self.sigma == 1j else "1"
+        a = "" if self.a is None else self.a
+
+        def coords(points):
+            return [",".join(f"{c.real!r},{c.imag!r}" for c in p)
+                    for p in np.asarray(points, dtype=complex).tolist()]
+
+        suffixes = [f"{y},{sig},{float(self.t)!r},{a}," for y in coords(self.points_Y)]
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(header)
-            for i, x in enumerate(self.points_X):
-                for jj, y in enumerate(self.points_Y):
-                    row = []
-                    for j in range(m):
-                        row += [repr(float(x[j].real)), repr(float(x[j].imag))]
-                    for j in range(m):
-                        row += [repr(float(y[j].real)), repr(float(y[j].imag))]
-                    v = self.values[i, jj]
-                    row += [sig, repr(float(self.t)), "" if self.a is None else self.a,
-                            repr(float(v.real)), repr(float(v.imag))]
-                    wr.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            if not suffixes:  # an empty Y grid has no rows, not one bare prefix per X
+                return
+            for x, row in zip(coords(self.points_X), self.values):
+                x += ","
+                fh.write(x + ("\r\n" + x).join(map("{}{},{}".format, suffixes,
+                                                   map(repr, row.real.tolist()),
+                                                   map(repr, row.imag.tolist()))) + "\r\n")

@@ -120,6 +120,28 @@ def test_usage_errors(tmp_path):
     assert main([]) == 2
 
 
+def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):
+    # k=4 squares the grid: 41^4 points, about 1.3e14 bytes of kernel values
+    assert run(tmp_path, "kernel", "--k", "4", "--sigma", "i", "--a", "1", "--t", "0.25",
+               "--grid=-2:2:0.1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel grid of 2825761 points needs 1.28e+05 GB")
+    assert not (tmp_path / "kernel.csv").exists()
+
+
+def test_quadrature_convergence_error_exits_1(tmp_path, capsys, monkeypatch):
+    import zonekit.cli as cli
+    from zonekit.propagators import QuadratureConvergenceError
+
+    def diverging(*args, **kwargs):
+        raise QuadratureConvergenceError("residual moved on order doubling")
+
+    monkeypatch.setattr(cli, "discretized_feynman_kac", diverging)
+    assert run(tmp_path, "path", "--n-slices", "1") == 1
+    err = capsys.readouterr().err
+    assert err == "error: residual moved on order doubling\n"
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "conf"
     cfg.write_text("lambda = 2.0\nk = 2\n")

@@ -194,6 +194,17 @@ def test_monte_carlo_matches_quadrature():
     assert est2 == est          # reproducible given the seed
 
 
+@pytest.mark.parametrize("sigma", [1, 1j])
+def test_monte_carlo_standard_error_matches_seed_spread(sigma):
+    # the reported error must predict how far the estimate moves between seeds
+    out = [monte_carlo_feynman_kac(sigma, 0, X0, Y0, 0.5, 6, PAR, n_samples=2000, seed=s)
+           for s in range(20)]
+    ests = np.array([e for e, _ in out])
+    spread = math.sqrt(np.sum(np.abs(ests - ests.mean()) ** 2) / (len(ests) - 1))
+    reported = np.mean([se for _, se in out])
+    assert 1 / 1.5 < spread / reported < 1.5
+
+
 def test_probability_density_nonnegative_and_laguerre_ratio():
     rng = np.random.default_rng(25)
     for _ in range(5):

@@ -240,6 +240,46 @@ def test_kernel_grid_csv_round_trip(tmp_path):
         assert complex(float(row[-2]), float(row[-1])) == pytest.approx(ref, rel=1e-15)
 
 
+def _csv_writer_bytes(grid):
+    """The grid's CSV as csv.writer writes it, one repr(float) per number."""
+    import csv as csvmod
+    import io
+    m = grid.params.m
+    buf = io.StringIO(newline="")
+    wr = csvmod.writer(buf)
+    wr.writerow([f"{p}_{z}{j+1}" for z in "zw" for j in range(m) for p in ("re", "im")]
+                + ["sigma", "t", "a", "kernel_re", "kernel_im"])
+    sig = "i" if grid.sigma == 1j else "1"
+    for i, x in enumerate(grid.points_X):
+        for jj, y in enumerate(grid.points_Y):
+            row = [repr(float(f(c))) for c in (*x, *y) for f in (np.real, np.imag)]
+            v = grid.values[i, jj]
+            wr.writerow(row + [sig, repr(float(grid.t)), "" if grid.a is None else grid.a,
+                               repr(float(v.real)), repr(float(v.imag))])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("case", ["zonal_k2", "global_k4", "edge_values"])
+def test_kernel_grid_csv_bytes(tmp_path, case):
+    if case == "zonal_k2":
+        pts = np.array([[-2.0 + 0.0j], [0.5 + 0.25j], [-0.5 - 1.0j], [0.1 + 2.0j]])
+        grid = KernelGrid.sample(1j, 0.25, pts, pts, PAR, a=1)
+    elif case == "global_k4":
+        pts = np.array([[-2.0 + 0.5j, 0.3 - 0.1j], [0.0 + 1.0j, -1.0 + 0.0j],
+                        [0.7 + 0.7j, 0.2 - 2.0j]])
+        grid = KernelGrid.sample(1, 0.3, pts, pts[:2], PAR4, a=None)
+        assert grid.a is None
+    else:
+        X = np.array([[-2.0 - 0.0j], [1e-20 + 3.0j]])
+        Y = np.array([[complex(-0.0, -0.0)], [2.0 + 1e300j], [-1e-320 + 0.1j]])
+        vals = np.array([[complex(-0.0, 1e-20), 1e-20 - 0.0j, 2.0 + 0.0j],
+                         [complex(0.0, -0.0), -2.0 + 5e-324j, 1.5e200 - 3.0j]])
+        grid = KernelGrid(1j, 1, X, Y, vals, PAR, a=3)
+    path = tmp_path / "grid.csv"
+    grid.write_csv(str(path))
+    assert path.read_bytes() == _csv_writer_bytes(grid)
+
+
 def test_df_partition_trace():
     # oscillatory-branch trace against the closed form: exact at the quarter
     # time (real decay), quadrature-tight at generic times
