@@ -100,19 +100,7 @@ class ZonePolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def prune(self, tol: float = 0.0) -> "ZonePolynomial":
-        """Drop coefficients with |c| <= tol (tol=0 keeps the algebra exact)."""
-        return ZonePolynomial(
-            {k: c for k, c in self.coefficients.items() if abs(c) > tol}, self.params)
-
     # ---- gradings -------------------------------------------------------
-
-    def zone_index(self):
-        """Common antiholomorphic total degree of all monomials, or None if mixed."""
-        idx = {sum(v for _, v in key) for key in self.coefficients}
-        if len(idx) == 1:
-            return idx.pop()
-        return None
 
     def max_degree(self) -> int:
         if not self.coefficients:

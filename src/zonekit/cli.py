@@ -27,8 +27,9 @@ from .extensions import clifford_dimension, unprojected_coulomb_matrix, zonal_co
 from .padi import anomalous_kernel, eigenspinors, normalization_report
 from .params import PhysParams
 from .path_measure import discretized_feynman_kac, monte_carlo_feynman_kac
-from .propagators import (KernelGrid, QuadratureConvergenceError, evolve, partition_function,
-                          zonal_kernel)
+from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
+                          partition_function, zonal_kernel)
+from .special import real_to_complex
 from .zones import zone_basis
 
 EXIT_OK = 0
@@ -81,19 +82,16 @@ def _outdir(args) -> str:
 def _parse_grid(text: str):
     """lo:hi:step for one real axis."""
     lo, hi, step = (float(p) for p in text.split(":"))
+    if step == 0:
+        raise UsageError(f"grid step must be nonzero, got {text!r}")
     n = int(math.floor((hi - lo) / step + 0.5)) + 1
     return np.linspace(lo, hi, n)
 
 
 def _grid_points(text: str, m: int) -> np.ndarray:
     axis = _parse_grid(text)
-    if m == 1:
-        grids = np.meshgrid(axis, axis, indexing="ij")
-        return (grids[0] + 1j * grids[1]).reshape(-1, 1)
-    axes = [axis] * (2 * m)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return pts[:, 0::2] + 1j * pts[:, 1::2]
+    grids = np.meshgrid(*[axis] * (2 * m), indexing="ij")
+    return real_to_complex(np.stack([g.ravel() for g in grids], axis=-1))
 
 
 def _parse_range(text: str):
@@ -136,12 +134,11 @@ def cmd_kernel(args, cfg) -> int:
 
 def cmd_spectrum(args, cfg) -> int:
     params = _params(args, cfg)
-    lam, k = params.lam, params.k
     rows = []
     for a in _parse_range(args.zones):
         for p in range(args.pmax + 1):
-            mu = (2 * p + k / 2) * lam
-            rows.append([a, p, _fmt(mu), _fmt(mu + 2 * k * lam * lam)])
+            rows.append([a, p, _fmt(params.zeeman_eigenvalue(p)),
+                         _fmt(params.zeeman_eigenvalue(p, field_term=True))])
     _write_csv(os.path.join(_outdir(args), args.output),
                ["zone", "p", "eigenvalue_bare", "eigenvalue_with_field_term"], rows)
     return EXIT_OK
@@ -177,27 +174,33 @@ def cmd_thermo(args, cfg) -> int:
     h = args.h
     sigma = _sigma(args)
     Ts = _parse_grid(args.T_grid)
-    rows = []
+    rows, skipped = [], 0
     for T in Ts:
         try:
             e = thermo.average_energy(sigma, T, params, kappa, h)
             c = thermo.specific_heat(sigma, T, params, kappa, h)
-        except Exception:
+        except SingularTimeError:
+            skipped += 1
             continue
         rows.append([_fmt(T), _fmt(e.real), _fmt(e.imag), _fmt(abs(e)),
                      _fmt(c.real), _fmt(c.imag), _fmt(abs(c))])
     _write_csv(os.path.join(_outdir(args), args.output),
                ["T", "energy_re", "energy_im", "energy_abs",
                 "heat_re", "heat_im", "heat_abs"], rows)
+    if skipped:
+        print(f"{args.output}: skipped {skipped} singular points", file=sys.stderr)
     if args.partition_t_grid:
-        prow = []
+        prow, skipped = [], 0
         for t in _parse_grid(args.partition_t_grid):
             try:
                 z = partition_function(sigma, args.a, t, params)
-            except Exception:
+            except SingularTimeError:
+                skipped += 1
                 continue
             prow.append([_fmt(t), _fmt(z.real), _fmt(z.imag)])
         _write_csv(os.path.join(_outdir(args), "partition.csv"), ["t", "re", "im"], prow)
+        if skipped:
+            print(f"partition.csv: skipped {skipped} singular points", file=sys.stderr)
     if args.scan:
         X = None
         if args.scan == "diagonal_density":

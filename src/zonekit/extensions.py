@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .algebra import ZonePolynomial, inner_product
+from .algebra import ZonePolynomial
 from .params import PhysParams
 from .special import gauss_laguerre
 from .zones import zone_basis, zone_pivot_degrees
@@ -95,23 +95,7 @@ def zonal_coulomb_matrix(a: int, Q: float, basis_size: int, params: PhysParams,
         raise ValueError(f"zone {a} truncation provides only {len(basis)} elements")
     basis = basis[:basis_size]
     degrees = zone_pivot_degrees(a, max_degree, params)[:basis_size]
-    lam, k = params.lam, params.k
-
-    M = np.empty((basis_size, basis_size), dtype=complex)
-    for i, fi in enumerate(basis):
-        for j in range(i, basis_size):
-            val = coulomb_inner_product(fi, basis[j], Q, order=order)
-            M[i, j] = val
-            M[j, i] = np.conj(val)
-    diag = np.array([(2 * p + k / 2) * lam + 2 * k * lam * lam for p in degrees])
-    H = np.diag(diag) + M
-    eigvals = np.linalg.eigvalsh(H)
-    return {
-        "potential": M,
-        "hamiltonian": H,
-        "eigenvalues": eigvals,
-        "multiplicity_groups": group_multiplicities(eigvals),
-    }
+    return _galerkin(basis, degrees, Q, order, params)
 
 
 def unprojected_coulomb_matrix(Q: float, max_zone: int, basis_size_per_zone: int,
@@ -123,7 +107,6 @@ def unprojected_coulomb_matrix(Q: float, max_zone: int, basis_size_per_zone: int
     """
     if params.k != 2:
         raise ValueError("k = 2 only")
-    lam, k = params.lam, params.k
     basis = []
     degrees = []
     for a in range(max_zone + 1):
@@ -131,6 +114,11 @@ def unprojected_coulomb_matrix(Q: float, max_zone: int, basis_size_per_zone: int
         vecs = zone_basis(a, md, params)[:basis_size_per_zone]
         basis.extend(vecs)
         degrees.extend(zone_pivot_degrees(a, md, params)[:basis_size_per_zone])
+    return _galerkin(basis, degrees, Q, order, params)
+
+
+def _galerkin(basis, degrees, Q: float, order: int, params: PhysParams):
+    """Coulomb matrix M over `basis`, H = field-term Zeeman spectrum + M, and its eigenvalues."""
     n = len(basis)
     M = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -138,11 +126,15 @@ def unprojected_coulomb_matrix(Q: float, max_zone: int, basis_size_per_zone: int
             val = coulomb_inner_product(basis[i], basis[j], Q, order=order)
             M[i, j] = val
             M[j, i] = np.conj(val)
-    diag = np.array([(2 * p + k / 2) * lam + 2 * k * lam * lam for p in degrees])
+    diag = np.array([params.zeeman_eigenvalue(p, field_term=True) for p in degrees])
     H = np.diag(diag) + M
     eigvals = np.linalg.eigvalsh(H)
-    return {"hamiltonian": H, "eigenvalues": eigvals,
-            "multiplicity_groups": group_multiplicities(eigvals)}
+    return {
+        "potential": M,
+        "hamiltonian": H,
+        "eigenvalues": eigvals,
+        "multiplicity_groups": group_multiplicities(eigvals),
+    }
 
 
 def group_multiplicities(eigvals: np.ndarray, tol: float = 1e-8):

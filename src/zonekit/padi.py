@@ -221,7 +221,7 @@ def normalization_report(a: int, params: PhysParams, pmax: int = 4) -> dict:
         basis = zone_basis(a, a + pmax, params)
         for vec in basis:
             p = vec.holomorphic_degree()
-            nu = (2 * p + 1) * lam
+            nu = params.zeeman_eigenvalue(p)
             mu = nu - lam if j == 1 else nu + lam
             if mu <= 1e-12:
                 continue

@@ -42,6 +42,14 @@ class PhysParams:
         """Number of complex coordinates, k/2."""
         return self.k // 2
 
+    def zeeman_eigenvalue(self, p: int, field_term: bool = False) -> float:
+        """Zeeman eigenvalue (2p + k/2) lam of degree p, plus 2 k lam^2 with the field term."""
+        lam, k = self.lam, self.k
+        mu = (2 * p + k / 2) * lam
+        if field_term:
+            mu += 2 * k * lam * lam
+        return mu
+
     def require_algebra_dim(self) -> None:
         """The exact algebra engine only handles one or two complex coordinates."""
         if self.k not in (2, 4):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .params import PhysParams
 from .propagators import QuadratureConvergenceError, _check_sigma, global_kernel, zonal_kernel
-from .special import flat_hermite_grid, gauss_legendre, real_to_complex
+from .special import flat_hermite_grid, gauss_legendre, real_to_complex, tensor_grid
 from .zones import pairing, zone_kernel
 
 
@@ -113,10 +113,7 @@ def _chain_kernel(kind: str, a: int | None, params: PhysParams):
 def _box_grid(box, order: int):
     """Tensor Gauss-Legendre grid over a rectangular box in R^k."""
     rules = [gauss_legendre(order, lo, hi) for lo, hi in box]
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wg = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-    w = np.prod(np.stack([g.ravel() for g in wg], axis=-1), axis=-1)
+    pts, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
     return real_to_complex(pts), w
 
 

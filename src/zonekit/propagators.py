@@ -8,14 +8,14 @@ points are arrays of complex coordinates with trailing axis of length k/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
 from .special import flat_hermite_grid, laguerre, multiplicity_factor, real_to_complex
-from .zones import pairing, zone_basis, zone_pivot_degrees
+from .zones import pairing, project_to_zone, zone_basis, zone_pivot_degrees
 
 SINGULAR_TIME_TOL = 1e-9
 DEFAULT_ORDER = 64
@@ -92,7 +92,7 @@ def zonal_kernel_spectral(sigma: complex, a: int, t: float, X: np.ndarray, Z: np
     zone basis and the explicit spectrum.
     """
     sigma = _check_sigma(sigma)
-    lam, k = params.lam, params.k
+    lam = params.lam
     X = np.atleast_2d(np.asarray(X, dtype=complex))
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     basis = zone_basis(a, a + pmax, params)
@@ -101,9 +101,7 @@ def zonal_kernel_spectral(sigma: complex, a: int, t: float, X: np.ndarray, Z: np
     gz = np.exp(-0.5 * lam * np.sum(np.abs(Z) ** 2, axis=-1))
     acc = np.zeros(np.broadcast(gx, gz).shape, dtype=complex)
     for vec, p in zip(basis, degrees):
-        mu = (2 * p + k / 2) * lam
-        if include_field_term:
-            mu += 2 * k * lam * lam
+        mu = params.zeeman_eigenvalue(p, include_field_term)
         acc = acc + np.exp(-sigma * t * mu) * vec.eval(X) * np.conj(vec.eval(Z))
     return acc * gx * gz
 
@@ -152,26 +150,13 @@ def partition_function_trace(sigma: complex, a: int, t: float, params: PhysParam
 # ---- zonal flow --------------------------------------------------------------
 
 
-def zone_components(f: ZonePolynomial, a: int):
-    """Coefficients of f against the orthonormal zone-a basis (degree-complete)."""
-    deg = max(f.max_degree(), a)
-    basis = zone_basis(a, deg, f.params)
-    degrees = zone_pivot_degrees(a, deg, f.params)
-    coeffs = [inner_product(f, vec) for vec in basis]
-    return basis, degrees, coeffs
-
-
 def infer_zone(f: ZonePolynomial, tol: float = 1e-9) -> int:
     """Zone index of f, or raise if f straddles several zones."""
     if f.is_zero():
         raise ValueError("cannot infer the zone of the zero state")
     nrm = norm(f)
     for a in range(f.max_degree() + 1):
-        basis, _, coeffs = zone_components(f, a)
-        recon = ZonePolynomial({}, f.params)
-        for c, vec in zip(coeffs, basis):
-            recon = recon + c * vec
-        if norm(f - recon) <= tol * nrm:
+        if norm(f - project_to_zone(f, a)) <= tol * nrm:
             return a
     raise ValueError("state does not lie in a single zone")
 
@@ -188,15 +173,13 @@ def evolve(f: ZonePolynomial, sigma: complex, t: float, params: PhysParams,
     if params != f.params:
         raise ValueError("parameter mismatch between state and request")
     a = infer_zone(f)
-    basis, degrees, coeffs = zone_components(f, a)
-    lam, k = params.lam, params.k
+    deg = f.max_degree()
     out = ZonePolynomial({}, params)
-    for c, vec, p in zip(coeffs, basis, degrees):
+    for vec, p in zip(zone_basis(a, deg, params), zone_pivot_degrees(a, deg, params)):
+        c = inner_product(f, vec)
         if c == 0:
             continue
-        mu = (2 * p + k / 2) * lam
-        if include_field_term:
-            mu += 2 * k * lam * lam
+        mu = params.zeeman_eigenvalue(p, include_field_term)
         out = out + (c * np.exp(-sigma * t * mu)) * vec
     return out
 
@@ -273,7 +256,6 @@ class KernelGrid:
     values: np.ndarray
     params: PhysParams
     a: int | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.sigma = _check_sigma(self.sigma)

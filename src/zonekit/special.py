@@ -76,9 +76,6 @@ class QuadratureRule:
         if np.any(np.asarray(self.weights) <= 0) and self.kind != "gauss-laguerre":
             raise ValueError("weights must all be positive")
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
 
 def gauss_hermite(order: int) -> QuadratureRule:
     """Rule for integrals of the form int f(x) e^{-x^2} dx over the real line."""
@@ -111,11 +108,20 @@ def hermite_grid(order: int, lam: float, dim: int):
     rule = gauss_hermite(order)
     x = rule.nodes / math.sqrt(lam)
     w = rule.weights / math.sqrt(lam)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
+    return tensor_grid([x] * dim, [w] * dim)
+
+
+def tensor_grid(nodes, weights):
+    """Product of one-dimensional rules, one (nodes, weights) pair per axis.
+
+    Returns (points, weights): `points` has shape (prod of the rule sizes,
+    number of axes), the last axis varying fastest, and each weight is the
+    product of the per-axis weights.
+    """
+    grids = np.meshgrid(*nodes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    return points, weights
+    wgrids = np.meshgrid(*weights, indexing="ij")
+    return points, np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
 
 
 def flat_hermite_grid(order: int, lam: float, dim: int):

@@ -125,8 +125,7 @@ def _eigenvalue_law():
             params = PhysParams(lam=lam, k=k)
             for a in range(3):
                 for vec in zone_basis(a, a + 3, params):
-                    p = vec.holomorphic_degree()
-                    mu = (2 * p + k / 2) * lam + 2 * k * lam * lam
+                    mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), True)
                     worst = max(worst, norm(apply_zeeman(vec, True) - mu * vec))
     return worst, 1e-11
 
@@ -927,10 +926,6 @@ def run_suite(suites=None):
 
 
 def report_to_json(report) -> str:
-    def default(o):
-        if isinstance(o, float) and (math.isnan(o) or math.isinf(o)):
-            return str(o)
-        return o
     safe = []
     for row in report:
         row = dict(row)

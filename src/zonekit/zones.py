@@ -92,11 +92,7 @@ def zone_basis(a: int, max_degree: int, params: PhysParams) -> tuple[ZonePolynom
     monomial; each is an exact eigenvector of the Zeeman operator with
     eigenvalue (2p + k/2) lam, p the pivot's holomorphic total degree.
     """
-    if a < 0:
-        raise ValueError(f"zone index must be nonnegative, got {a}")
-    if max_degree < a:
-        raise ValueError(f"max_degree={max_degree} truncates zone {a} to nothing")
-    return tuple(vec for _, vec in _zone_basis_cached(a, max_degree, params))
+    return tuple(vec for _, vec in zone_basis_with_pivots(a, max_degree, params))
 
 
 def zone_pivot_degrees(a: int, max_degree: int, params: PhysParams):

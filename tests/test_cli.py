@@ -16,16 +16,19 @@ def run(tmp_path, *argv):
     return main([*argv, "--outdir", str(tmp_path)])
 
 
-def test_spectrum_values(tmp_path):
-    assert run(tmp_path, "spectrum", "--k", "2", "--lambda", "1", "--zones", "0..3",
+@pytest.mark.parametrize("k, lam", [(2, 1.0), (4, 0.7), (2, 2.5)])
+def test_spectrum_values(tmp_path, k, lam):
+    assert run(tmp_path, "spectrum", "--k", str(k), "--lambda", str(lam), "--zones", "0..3",
                "--pmax", "5") == 0
     with open(tmp_path / "spectrum.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4 * 6
     for row in rows:
         p = int(row["p"])
-        assert float(row["eigenvalue_bare"]) == pytest.approx(2 * p + 1)
-        assert float(row["eigenvalue_with_field_term"]) == pytest.approx(2 * p + 1 + 4)
+        bare = (2 * p + k / 2) * lam
+        assert float(row["eigenvalue_bare"]) == pytest.approx(bare, rel=1e-15)
+        assert float(row["eigenvalue_with_field_term"]) == pytest.approx(
+            bare + 2 * k * lam**2, rel=1e-15)
 
 
 def test_kernel_round_trip(tmp_path):
@@ -59,6 +62,30 @@ def test_thermo_curve(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10
     assert all(float(r["heat_re"]) > 0 for r in rows)
+
+
+def test_thermo_skips_and_counts_singular_points(tmp_path, capsys, monkeypatch):
+    import zonekit.thermo as thermo
+    from zonekit.propagators import SingularTimeError
+
+    average_energy = thermo.average_energy
+
+    def resonant_at_one(sigma, T, *args):
+        if T == 1.0:
+            raise SingularTimeError(f"resonance temperature T={T}")
+        return average_energy(sigma, T, *args)
+
+    monkeypatch.setattr(thermo, "average_energy", resonant_at_one)
+    assert run(tmp_path, "thermo", "--sigma", "1", "--T-grid", "0.5:5:0.5") == 0
+    with open(tmp_path / "thermo.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["T"]) for r in rows] == [0.5 * n for n in range(1, 11) if n != 2]
+    assert capsys.readouterr().err == "thermo.csv: skipped 1 singular points\n"
+
+
+def test_thermo_nonpositive_temperature_is_usage_error(tmp_path, capsys):
+    assert run(tmp_path, "thermo", "--T-grid=0:1:0.5") == 2
+    assert capsys.readouterr().err == "error: temperature must be positive, got 0.0\n"
 
 
 def test_clifford_table(tmp_path):
@@ -117,6 +144,8 @@ def test_usage_errors(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
     assert main(["kernel", "--t", "1", "--grid", "0:1:1", "--k", "3",
                  "--outdir", str(tmp_path)]) == 2
+    assert main(["kernel", "--t", "0.25", "--grid=0:1:0", "--outdir", str(tmp_path)]) == 2
+    assert main(["thermo", "--T-grid=0:1:0", "--outdir", str(tmp_path)]) == 2
     assert main([]) == 2
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zonekit.algebra import ZonePolynomial, inner_product, norm
+from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm
 from zonekit.params import PhysParams
 from zonekit.special import flat_hermite_grid, real_to_complex
 from zonekit.zones import (kernel_basis_residual, project_to_zone, zone_basis,
@@ -13,6 +13,19 @@ from zonekit.zones import (kernel_basis_residual, project_to_zone, zone_basis,
 
 PAR = PhysParams(lam=1.0, k=2)
 PAR4 = PhysParams(lam=1.0, k=4)
+
+
+@pytest.mark.parametrize("field_term", [False, True])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("lam", [0.4, 2.5])
+def test_zeeman_eigenvalue_matches_operator(lam, k, field_term):
+    params = PhysParams(lam=lam, k=k)
+    for a in range(3):
+        for vec in zone_basis(a, a + 3, params):
+            mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), field_term)
+            image = apply_zeeman(vec, field_term)
+            assert inner_product(image, vec) == pytest.approx(mu, rel=1e-12)
+            assert norm(image - mu * vec) <= 1e-12 * mu
 
 
 def test_holomorphic_zone_norms():
