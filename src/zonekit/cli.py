@@ -26,7 +26,7 @@ from .algebra import ZonePolynomial
 from .extensions import clifford_dimension, unprojected_coulomb_matrix, zonal_coulomb_matrix
 from .padi import anomalous_kernel, eigenspinors, normalization_report
 from .params import PhysParams
-from .path_measure import discretized_feynman_kac, monte_carlo_feynman_kac
+from .path_measure import feynman_kac_sweep, monte_carlo_feynman_kac
 from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
                           partition_function, zonal_kernel)
 from .special import real_to_complex
@@ -79,11 +79,21 @@ def _outdir(args) -> str:
     return out
 
 
+def _require_memory(need_bytes: int, what: str) -> None:
+    """Refuse, before allocating, a request larger than physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need_bytes > have:
+        raise UsageError(f"{what} needs {need_bytes / 1e9:.3g} GB, more than the "
+                         f"{have / 1e9:.3g} GB of physical memory")
+
+
 def _parse_grid(text: str):
     """lo:hi:step for one real axis."""
     lo, hi, step = (float(p) for p in text.split(":"))
     if step == 0:
         raise UsageError(f"grid step must be nonzero, got {text!r}")
+    if (hi - lo) * step < 0:
+        raise UsageError(f"grid step must have the sign of hi - lo, got {text!r}")
     n = int(math.floor((hi - lo) / step + 0.5)) + 1
     return np.linspace(lo, hi, n)
 
@@ -120,11 +130,7 @@ def _fmt(x: float) -> str:
 def cmd_kernel(args, cfg) -> int:
     params = _params(args, cfg)
     n = len(_parse_grid(args.grid)) ** (2 * params.m)  # grid points, before building them
-    need = np.dtype(complex).itemsize * n * n
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise UsageError(f"kernel grid of {n} points needs {need / 1e9:.3g} GB for its "
-                         f"values, more than the {have / 1e9:.3g} GB of physical memory")
+    _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
     pts = _grid_points(args.grid, params.m)
     a = None if args.a is None or args.a < 0 else args.a
     grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
@@ -228,14 +234,24 @@ def cmd_thermo(args, cfg) -> int:
 def cmd_path(args, cfg) -> int:
     params = _params(args, cfg)
     sigma = _sigma(args)
+    quad_counts = range(1, min(args.n_slices, args.quadrature_max_slices) + 1)
+    if len(quad_counts) > 1:
+        nodes = args.order ** params.k
+        # the sweep holds three nodes x nodes complex matrices: kernel, pairing, step
+        _require_memory(3 * np.dtype(complex).itemsize * nodes * nodes,
+                        f"sliced quadrature at order {args.order} ({nodes} nodes)")
     x = np.array([complex(c) for c in args.x.split(",")])
     y = np.array([complex(c) for c in args.y.split(",")])
     target = zonal_kernel(sigma, args.a, args.T, x[None, :], y[None, :], params)[0]
+    if target == 0:
+        raise UsageError(f"target kernel underflows to 0 between x={args.x} and y={args.y}, "
+                         "so the relative error is undefined")
+    quad = feynman_kac_sweep(sigma, args.a, x, y, args.T, quad_counts, params,
+                             order=args.order) if quad_counts else []
     rows = []
     for n in range(1, args.n_slices + 1):
         if n <= args.quadrature_max_slices:
-            approx = discretized_feynman_kac(sigma, args.a, x, y, args.T, n, params,
-                                             order=args.order)
+            approx = quad[n - 1]
             method = "quadrature"
         else:
             approx, _ = monte_carlo_feynman_kac(sigma, args.a, x, y, args.T, n, params,

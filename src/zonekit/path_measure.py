@@ -203,54 +203,85 @@ def discretized_feynman_kac(sigma: complex, a: int, x, y, T: float, n_slices: in
       1/n_slices; kept for comparison runs.
 
     Evaluated by sequential Gauss-Hermite sweeps (never a full 2n-dim
-    tensor product).
+    tensor product).  This is `feynman_kac_sweep` at the one slice count
+    `n_slices`.
+    """
+    return feynman_kac_sweep(sigma, a, x, y, T, (n_slices,), params, order=order,
+                             action_mode=action_mode, check_convergence=check_convergence,
+                             tol=tol)[0]
+
+
+def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
+                      params: PhysParams, order: int = 48, action_mode: str = "split",
+                      check_convergence: bool = False, tol: float = 1e-6) -> list[complex]:
+    """`discretized_feynman_kac` at each of `slice_counts`, in the given order.
+
+    Only the scalar c = 2 sigma lam^2 T/(n+1) depends on the slice count n,
+    so the grid, the end vectors and the N x N zone-kernel and pairing
+    matrices (N = order^k nodes) are built once per quadrature order and
+    shared; each n refills one step buffer in place.  At most three N x N
+    complex arrays are live at once.  With `check_convergence` every slice
+    count is compared against the raised order.
     """
     sigma = _check_sigma(sigma)
-    if n_slices < 1:
-        raise ValueError(f"need at least one slice, got {n_slices}")
+    slice_counts = tuple(slice_counts)
+    if not slice_counts or min(slice_counts) < 1:
+        raise ValueError(f"need slice counts of at least one slice, got {slice_counts}")
     if action_mode not in ("split", "vertex"):
         raise ValueError(f"action_mode must be 'split' or 'vertex', got {action_mode!r}")
+    split = action_mode == "split"
     lam, k = params.lam, params.k
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    dt = T / (n_slices + 1)
-    c = 2.0 * sigma * lam**2 * dt
 
     def run(nq):
         pts, w = flat_hermite_grid(nq, lam, k)
         m = real_to_complex(pts)
-        if action_mode == "split":
-            f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) \
-                * np.exp(-c * pairing(np.broadcast_to(x, m.shape), m, params))
-            if n_slices > 1:
-                step = zone_kernel(a, m[:, None, :], m[None, :, :], params) \
-                    * np.exp(-c * pairing(m[:, None, :], m[None, :, :], params))
-                for _ in range(n_slices - 1):
-                    f = (w * f) @ step
-            val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params)
-                         * np.exp(-c * pairing(m, np.broadcast_to(y, m.shape), params)))
-            val *= np.exp(-sigma * k * lam * T / 2.0)
+        xs, ys = np.broadcast_to(x, m.shape), np.broadcast_to(y, m.shape)
+        ker_x, ker_y = zone_kernel(a, xs, m, params), zone_kernel(a, m, ys, params)
+        if split:
+            act_x, act_y = pairing(xs, m, params), pairing(m, ys, params)
         else:
             r2 = np.sum(np.abs(m) ** 2, axis=-1)
-            damp = np.exp(-c * r2)
-            f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) * damp
-            if n_slices > 1:
-                step = zone_kernel(a, m[:, None, :], m[None, :, :], params) * damp[None, :]
-                for _ in range(n_slices - 1):
-                    f = (w * f) @ step
-            val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params))
-            val *= np.exp(-0.5 * c * (float(np.sum(np.abs(x) ** 2))
-                                      + float(np.sum(np.abs(y) ** 2))))
-            val *= np.exp(sigma * k * lam * T / 2.0)
-        return complex(val)
+            ends2 = float(np.sum(np.abs(x) ** 2)) + float(np.sum(np.abs(y) ** 2))
+        if max(slice_counts) > 1:
+            K = zone_kernel(a, m[:, None, :], m[None, :, :], params)
+            P = pairing(m[:, None, :], m[None, :, :], params) if split else None
+            step = np.empty_like(K)
+        vals = []
+        for n in slice_counts:
+            c = 2.0 * sigma * lam**2 * (T / (n + 1))
+            if split:
+                f = ker_x * np.exp(-c * act_x)
+                if n > 1:
+                    np.multiply(-c, P, out=step)
+                    np.exp(step, out=step)
+                    np.multiply(K, step, out=step)
+            else:
+                damp = np.exp(-c * r2)
+                f = ker_x * damp
+                if n > 1:
+                    np.multiply(K, damp[None, :], out=step)
+            for _ in range(n - 1):
+                f = (w * f) @ step
+            if split:
+                val = np.sum(w * f * ker_y * np.exp(-c * act_y))
+                val *= np.exp(-sigma * k * lam * T / 2.0)
+            else:
+                val = np.sum(w * f * ker_y)
+                val *= np.exp(-0.5 * c * ends2)
+                val *= np.exp(sigma * k * lam * T / 2.0)
+            vals.append(complex(val))
+        return vals
 
-    val = run(order)
+    vals = run(order)
     if check_convergence:
-        val2 = run(order + order // 2)
-        if abs(val - val2) > tol * max(1.0, abs(val)):
-            raise QuadratureConvergenceError(
-                f"sliced integral moved from {val:.6e} to {val2:.6e} on order increase")
-    return val
+        for n, val, val2 in zip(slice_counts, vals, run(order + order // 2)):
+            if abs(val - val2) > tol * max(1.0, abs(val)):
+                raise QuadratureConvergenceError(
+                    f"sliced integral at {n} slices moved from {val:.6e} to {val2:.6e} "
+                    f"on order increase")
+    return vals
 
 
 def monte_carlo_feynman_kac(sigma: complex, a: int, x, y, T: float, n_slices: int,

@@ -654,8 +654,8 @@ def _fk():
     y = np.array([-0.3 + 0.1j])
     T = 0.5
     ref = zonal_kernel(1, 0, T, x[None, :], y[None, :], params)[0]
-    errs = [abs(path_measure.discretized_feynman_kac(1, 0, x, y, T, n, params, order=40)
-                - ref) / abs(ref) for n in (1, 2, 3, 4)]
+    errs = [abs(val - ref) / abs(ref) for val in
+            path_measure.feynman_kac_sweep(1, 0, x, y, T, (1, 2, 3, 4), params, order=40)]
     strictly = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     return (errs[-1] if strictly else 1.0), 5e-2
 

@@ -142,8 +142,11 @@ def zone_kernel(a: int, Z: np.ndarray, W: np.ndarray, params: PhysParams,
     lam = params.lam
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     W = np.atleast_2d(np.asarray(W, dtype=complex))
-    dist2 = np.sum(np.abs(Z - W) ** 2, axis=-1)
-    lag = laguerre(a, params.k / 2 - 1, lam * dist2)
+    if a == 0:
+        lag = 1.0  # L_0 = 1: zone 0 needs no distances
+    else:
+        dist2 = np.sum(np.abs(Z - W) ** 2, axis=-1)
+        lag = laguerre(a, params.k / 2 - 1, lam * dist2)
     expo = lam * pairing(Z, W, params)
     if not weighted:
         expo = expo - 0.5 * lam * (np.sum(np.abs(Z) ** 2, axis=-1)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,11 @@ def test_usage_errors(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
     assert main(["kernel", "--t", "0.25", "--grid=0:1:0", "--outdir", str(tmp_path)]) == 2
     assert main(["thermo", "--T-grid=0:1:0", "--outdir", str(tmp_path)]) == 2
+    # a step pointing away from hi
+    assert main(["kernel", "--t", "0.25", "--grid=0:1:-2", "--outdir", str(tmp_path)]) == 2
+    assert main(["thermo", "--T-grid=1:0:0.5", "--outdir", str(tmp_path)]) == 2
+    assert not (tmp_path / "kernel.csv").exists()
+    assert not (tmp_path / "thermo.csv").exists()
     assert main([]) == 2
 
 
@@ -158,6 +164,29 @@ def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "kernel.csv").exists()
 
 
+def test_oversized_path_sweep_is_refused_before_allocating(tmp_path, capsys):
+    # k=4 at order 32: 32^4 nodes, three step-sized matrices of about 1.8e13 bytes each
+    assert run(tmp_path, "path", "--k", "4", "--order", "32", "--n-slices", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 5.28e+04 GB")
+    assert not (tmp_path / "path.csv").exists()
+
+
+def test_path_with_vanishing_target_is_usage_error(tmp_path, capsys, monkeypatch):
+    import zonekit.cli as cli
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature must not run")
+
+    monkeypatch.setattr(cli, "feynman_kac_sweep", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "path", "--x", "0", "--y", "40", "--order", "8",
+                   "--n-slices", "2") == 2
+    assert capsys.readouterr().err.startswith("error: target kernel underflows to 0")
+    assert not (tmp_path / "path.csv").exists()
+
+
 def test_quadrature_convergence_error_exits_1(tmp_path, capsys, monkeypatch):
     import zonekit.cli as cli
     from zonekit.propagators import QuadratureConvergenceError
@@ -165,7 +194,7 @@ def test_quadrature_convergence_error_exits_1(tmp_path, capsys, monkeypatch):
     def diverging(*args, **kwargs):
         raise QuadratureConvergenceError("residual moved on order doubling")
 
-    monkeypatch.setattr(cli, "discretized_feynman_kac", diverging)
+    monkeypatch.setattr(cli, "feynman_kac_sweep", diverging)
     assert run(tmp_path, "path", "--n-slices", "1") == 1
     err = capsys.readouterr().err
     assert err == "error: residual moved on order doubling\n"

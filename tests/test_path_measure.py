@@ -7,7 +7,8 @@ import pytest
 
 from zonekit.params import PhysParams
 from zonekit.path_measure import (PathDiscretization, action_functional, cylinder_measure,
-                                  discretized_feynman_kac, monte_carlo_feynman_kac,
+                                  discretized_feynman_kac, feynman_kac_sweep,
+                                  monte_carlo_feynman_kac,
                                   probability_density, probability_total_mass,
                                   radon_nikodym_density, stopwatch_phase, whole_space_box)
 from zonekit.propagators import global_kernel, zonal_kernel
@@ -144,6 +145,77 @@ def test_feynman_kac_swapped_endpoints():
     ref = zonal_kernel(1j, 0, T, Y0[None, :], X0[None, :], PAR)[0]
     got = discretized_feynman_kac(1j, 0, Y0, X0, T, 4, PAR, order=40)
     assert abs(got - ref) / abs(ref) < 0.05
+
+
+def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order, action_mode):
+    # the per-slice-count evaluator as first written: every call rebuilds the
+    # grid, the end vectors and the dense step; kept as the exact reference
+    from zonekit.propagators import _check_sigma
+    from zonekit.special import flat_hermite_grid, real_to_complex
+    from zonekit.zones import pairing
+    sigma = _check_sigma(sigma)
+    lam, k = params.lam, params.k
+    dt = T / (n_slices + 1)
+    c = 2.0 * sigma * lam**2 * dt
+    pts, w = flat_hermite_grid(order, lam, k)
+    m = real_to_complex(pts)
+    if action_mode == "split":
+        f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) \
+            * np.exp(-c * pairing(np.broadcast_to(x, m.shape), m, params))
+        if n_slices > 1:
+            step = zone_kernel(a, m[:, None, :], m[None, :, :], params) \
+                * np.exp(-c * pairing(m[:, None, :], m[None, :, :], params))
+            for _ in range(n_slices - 1):
+                f = (w * f) @ step
+        val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params)
+                     * np.exp(-c * pairing(m, np.broadcast_to(y, m.shape), params)))
+        val *= np.exp(-sigma * k * lam * T / 2.0)
+    else:
+        r2 = np.sum(np.abs(m) ** 2, axis=-1)
+        damp = np.exp(-c * r2)
+        f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) * damp
+        if n_slices > 1:
+            step = zone_kernel(a, m[:, None, :], m[None, :, :], params) * damp[None, :]
+            for _ in range(n_slices - 1):
+                f = (w * f) @ step
+        val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params))
+        val *= np.exp(-0.5 * c * (float(np.sum(np.abs(x) ** 2))
+                                  + float(np.sum(np.abs(y) ** 2))))
+        val *= np.exp(sigma * k * lam * T / 2.0)
+    return complex(val)
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("k, order", [(2, 12), (4, 5)])
+@pytest.mark.parametrize("action_mode", ["split", "vertex"])
+def test_sweep_matches_per_slice_reference_exactly(action_mode, k, order, charge_sign):
+    counts = (3, 1, 4, 2)
+    x = np.array([0.35 + 0.2j, -0.1 + 0.25j][:k // 2])
+    y = np.array([-0.3 + 0.1j, 0.2 - 0.15j][:k // 2])
+    for lam in (0.4, 2.5):
+        params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+        for a in (0, 1):
+            for sigma in (1, 1j):
+                got = feynman_kac_sweep(sigma, a, x, y, 0.5, counts, params, order=order,
+                                        action_mode=action_mode)
+                ref = [_seed_feynman_kac(sigma, a, x, y, 0.5, n, params, order, action_mode)
+                       for n in counts]
+                assert got == ref
+
+
+def test_sweep_checks_every_slice_count():
+    from zonekit.propagators import QuadratureConvergenceError
+    # at order 6 the one- and two-slice values settle to 1e-8, six slices do not
+    vals = feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=6,
+                             check_convergence=True, tol=1e-7)
+    assert len(vals) == 2
+    with pytest.raises(QuadratureConvergenceError, match="at 6 slices"):
+        feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2, 6), PAR, order=6,
+                          check_convergence=True, tol=1e-7)
+    with pytest.raises(ValueError):
+        feynman_kac_sweep(1, 0, X0, Y0, 0.5, (2, 0), PAR, order=8)
+    with pytest.raises(ValueError):
+        feynman_kac_sweep(1, 0, X0, Y0, 0.5, (), PAR, order=8)
 
 
 def test_sigma_branches_share_measure_factors():

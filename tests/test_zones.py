@@ -7,8 +7,8 @@ import pytest
 
 from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm
 from zonekit.params import PhysParams
-from zonekit.special import flat_hermite_grid, real_to_complex
-from zonekit.zones import (kernel_basis_residual, project_to_zone, zone_basis,
+from zonekit.special import flat_hermite_grid, laguerre, real_to_complex
+from zonekit.zones import (kernel_basis_residual, pairing, project_to_zone, zone_basis,
                            zone_basis_with_pivots, zone_kernel)
 
 PAR = PhysParams(lam=1.0, k=2)
@@ -129,6 +129,28 @@ def test_zone_zero_kernel_is_bergman():
     ref = (lam / math.pi) * np.exp(lam * (pair - 0.5 * (np.sum(np.abs(Z) ** 2, -1)
                                                         + np.sum(np.abs(W) ** 2, -1))))
     assert np.allclose(zone_kernel(0, Z, W, PAR), ref, rtol=1e-14)
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("lam", [0.4, 2.5])
+def test_zone_zero_kernel_skips_laguerre_bit_for_bit(lam, k, weighted, charge_sign):
+    # zone 0 uses L_0 = 1 without computing distances; the explicit formula
+    # with laguerre(0, ...) must give the same bits, also when broadcasting
+    params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+    rng = np.random.default_rng(17)
+    Z = rng.uniform(-1, 1, (7, k // 2)) + 1j * rng.uniform(-1, 1, (7, k // 2))
+    W = rng.uniform(-1, 1, (5, k // 2)) + 1j * rng.uniform(-1, 1, (5, k // 2))
+    for Zb, Wb in ((Z[:5], W), (Z[:, None, :], W[None, :, :])):
+        lag = laguerre(0, k / 2 - 1, lam * np.sum(np.abs(Zb - Wb) ** 2, axis=-1))
+        expo = lam * pairing(Zb, Wb, params)
+        if not weighted:
+            expo = expo - 0.5 * lam * (np.sum(np.abs(Zb) ** 2, axis=-1)
+                                       + np.sum(np.abs(Wb) ** 2, axis=-1))
+        ref = (lam / np.pi) ** (k / 2) * lag * np.exp(expo)
+        got = zone_kernel(0, Zb, Wb, params, weighted=weighted)
+        assert np.array_equal(got, ref)
 
 
 def test_kernel_diagonal_value():
