@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -104,6 +105,15 @@ def _grid_points(text: str, m: int) -> np.ndarray:
     return real_to_complex(np.stack([g.ravel() for g in grids], axis=-1))
 
 
+def _point(text: str, params: PhysParams, flag: str) -> np.ndarray:
+    """Comma-separated complex coordinates of one point, exactly k/2 of them."""
+    pt = np.array([complex(c) for c in text.split(",")])
+    if len(pt) != params.m:
+        raise UsageError(f"{flag} needs one complex coordinate per particle, k/2 = {params.m} "
+                         f"at k={params.k}; got {len(pt)} in {text!r}")
+    return pt
+
+
 def _parse_range(text: str):
     """Either 'a..b' or a single integer."""
     if ".." in text:
@@ -180,6 +190,8 @@ def cmd_thermo(args, cfg) -> int:
     h = args.h
     sigma = _sigma(args)
     Ts = _parse_grid(args.T_grid)
+    X = _point(args.scan_point, params, "--scan-point") \
+        if args.scan == "diagonal_density" else None
     rows, skipped = [], 0
     for T in Ts:
         try:
@@ -208,9 +220,6 @@ def cmd_thermo(args, cfg) -> int:
         if skipped:
             print(f"partition.csv: skipped {skipped} singular points", file=sys.stderr)
     if args.scan:
-        X = None
-        if args.scan == "diagonal_density":
-            X = np.array([complex(c) for c in args.scan_point.split(",")])
         ext = thermo.find_period_extrema(args.scan, args.a, params, X=X,
                                          kappa=kappa, h=h)
         P = thermo.period(params) if args.scan != "energy_density" \
@@ -240,8 +249,8 @@ def cmd_path(args, cfg) -> int:
         # the sweep holds three nodes x nodes complex matrices: kernel, pairing, step
         _require_memory(3 * np.dtype(complex).itemsize * nodes * nodes,
                         f"sliced quadrature at order {args.order} ({nodes} nodes)")
-    x = np.array([complex(c) for c in args.x.split(",")])
-    y = np.array([complex(c) for c in args.y.split(",")])
+    x = _point(args.x, params, "--x")
+    y = _point(args.y, params, "--y")
     target = zonal_kernel(sigma, args.a, args.T, x[None, :], y[None, :], params)[0]
     if target == 0:
         raise UsageError(f"target kernel underflows to 0 between x={args.x} and y={args.y}, "
@@ -455,6 +464,9 @@ def main(argv=None) -> int:
         return _usage_error(str(exc))
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except BrokenExecutor as exc:   # a verify worker process died
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -25,12 +26,15 @@ from .special import flat_hermite_grid, gauss_hermite, laguerre, real_to_complex
 from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kernel
 
 CHECKS = []
+# the function each check was declared with: what a spawned worker's import runs
+_DECLARED = {}
 
 
 def check(name: str, suite: str, invariant: str, expected: str = "pass"):
     def wrap(fn):
         CHECKS.append({"name": name, "suite": suite, "invariant": invariant,
                        "expected": expected, "fn": fn})
+        _DECLARED[name] = fn
         return fn
     return wrap
 
@@ -898,31 +902,65 @@ def _coulomb_report():
 # ---- driver ---------------------------------------------------------------------
 
 
+def _run_check(name: str) -> dict:
+    """Run the check called `name` and return its report row."""
+    entry = next(e for e in CHECKS if e["name"] == name)
+    t0 = time.perf_counter()
+    try:
+        measured, tol = entry["fn"]()
+        status = "pass" if measured <= tol else "fail"
+        if entry["expected"] == "report":
+            status = "report"
+    except Exception as exc:   # noqa: BLE001 - report any failure honestly
+        measured, tol, status = float("nan"), float("nan"), f"error: {exc}"
+    return {
+        "check_name": entry["name"],
+        "suite": entry["suite"],
+        "status": status,
+        "measured": measured,
+        "tolerance": tol,
+        "expected": entry["expected"],
+        "module_invariant": entry["invariant"],
+        "seconds": round(time.perf_counter() - t0, 3),
+    }
+
+
+# checks that take a second or more (their `seconds` in a full report on a
+# 2-vCPU host): about 9 of the suite's 10.5 s; one worker starts in about 0.5 s
+_SLOW_CHECKS = frozenset({"trace_identity", "global_flow_zonal_decomposition_wk",
+                          "cylinder_total_measure", "global_feynman_divergence"})
+
+
 def run_suite(suites=None):
-    """Run the selected check suites and return the JSON-ready report."""
-    report = []
-    for entry in CHECKS:
-        if suites and entry["suite"] not in suites:
-            continue
-        t0 = time.perf_counter()
-        try:
-            measured, tol = entry["fn"]()
-            status = "pass" if measured <= tol else "fail"
-            if entry["expected"] == "report":
-                status = "report"
-        except Exception as exc:   # noqa: BLE001 - report any failure honestly
-            measured, tol, status = float("nan"), float("nan"), f"error: {exc}"
-        report.append({
-            "check_name": entry["name"],
-            "suite": entry["suite"],
-            "status": status,
-            "measured": measured,
-            "tolerance": tol,
-            "expected": entry["expected"],
-            "module_invariant": entry["invariant"],
-            "seconds": round(time.perf_counter() - t0, 3),
-        })
-    return report
+    """Run the selected check suites and return the JSON-ready report.
+
+    The checks are independent, so a selection with two or more slow checks
+    runs on a spawn process pool with one worker per usable CPU; the rows
+    keep the declaration order of CHECKS. The checks run in this process
+    instead on one usable CPU, for a selection with fewer than two slow
+    checks (starting the workers would cost more than it saves), and when a
+    selected entry's function is not the one it was declared with (a test's
+    monkeypatch, a profiler's wrapper): a spawned worker re-imports this
+    module and would run the declared function.
+    An unknown suite name raises ValueError before any check runs.
+    """
+    known = sorted({e["suite"] for e in CHECKS})
+    for suite in suites or ():
+        if suite not in known:
+            raise ValueError(f"unknown suite {suite!r} (known: {', '.join(known)})")
+    selected = [e for e in CHECKS if not suites or e["suite"] in suites]
+    names = [e["name"] for e in selected]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2 or len(_SLOW_CHECKS.intersection(names)) < 2 \
+            or any(e["fn"] is not _DECLARED[e["name"]] for e in selected):
+        return [_run_check(name) for name in names]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(len(names), cpus),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_run_check, names))
 
 
 def report_to_json(report) -> str:

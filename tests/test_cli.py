@@ -3,14 +3,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import zonekit
 from zonekit.cli import main
 from zonekit.params import PhysParams
 from zonekit.propagators import zonal_kernel
+from zonekit.verify import CHECKS
 
 
 def run(tmp_path, *argv):
@@ -140,7 +145,7 @@ def test_verify_full_reports_known_discrepancy(tmp_path):
     assert failing[0]["expected"] == "fail"
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert main(["kernel", "--t", "1", "--grid", "0:1:1", "--lambda", "-2",
                  "--outdir", str(tmp_path)]) == 2
     assert main(["kernel", "--t", "1", "--grid", "0:1:1", "--k", "3",
@@ -152,6 +157,14 @@ def test_usage_errors(tmp_path):
     assert main(["thermo", "--T-grid=1:0:0.5", "--outdir", str(tmp_path)]) == 2
     assert not (tmp_path / "kernel.csv").exists()
     assert not (tmp_path / "thermo.csv").exists()
+    # unknown suite names, alone or next to a known one (names are case-sensitive)
+    capsys.readouterr()
+    assert main(["verify", "--suite", "nosuch", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown suite 'nosuch' (known: algebra, extensions, padi, path, "
+        "propagators, special, thermo, zones)\n")
+    assert main(["verify", "--suite", "special,Zones", "--outdir", str(tmp_path)]) == 2
+    assert not (tmp_path / "verify_report.json").exists()
     assert main([]) == 2
 
 
@@ -198,6 +211,41 @@ def test_quadrature_convergence_error_exits_1(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "path", "--n-slices", "1") == 1
     err = capsys.readouterr().err
     assert err == "error: residual moved on order doubling\n"
+
+
+def test_path_point_needs_k_over_2_coordinates(tmp_path, capsys):
+    # at k=4 the default one-coordinate --x would be compared against a different kernel
+    assert run(tmp_path, "path", "--k", "4", "--order", "8", "--n-slices", "1") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --x needs one complex coordinate per particle, k/2 = 2 at k=4; got 1")
+    assert run(tmp_path, "path", "--x=0.3+0.2j,0.1", "--order", "8", "--n-slices", "1") == 2
+    assert "--x needs" in capsys.readouterr().err
+    assert run(tmp_path, "path", "--y=1,2,3", "--order", "8", "--n-slices", "1") == 2
+    assert "--y needs" in capsys.readouterr().err
+    assert not (tmp_path / "path.csv").exists()
+
+
+def test_thermo_scan_point_needs_k_over_2_coordinates(tmp_path, capsys):
+    assert run(tmp_path, "thermo", "--scan", "diagonal_density",
+               "--scan-point", "0.5,0.1") == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --scan-point needs one complex coordinate per particle, k/2 = 1 at k=2; got 2")
+    # refused before any curve is written
+    assert not (tmp_path / "thermo.csv").exists()
+
+
+def test_python_m_zonekit(tmp_path):
+    src = os.path.dirname(os.path.dirname(zonekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "zonekit", "verify", "--suite", "special",
+                           "--outdir", str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [r["check_name"] for r in report] == [
+        e["name"] for e in CHECKS if e["suite"] == "special"]
+    assert len(report) == 3
 
 
 def test_config_file_defaults(tmp_path):
