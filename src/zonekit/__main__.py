@@ -4,6 +4,6 @@ import sys
 
 from .cli import main
 
-# guarded, because spawned worker processes re-import the main module
+# guarded, so that importing this module does not run the command line
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,0 +1,137 @@
+"""Kernel chains on tensor grids from one-axis tables (internal).
+
+Every closed-form kernel in zonekit has the form
+
+    pref * L_a^(alpha)(lam |X - Y|^2)
+         * prod_r exp(A (x1^2 + x2^2) + B (y1^2 + y2^2) + C (x1 y1 + x2 y2)
+                      + D s (x2 y1 - x1 y2)),
+
+with r over the k/2 complex coordinates X_r = x1 + i x2, Y_r = y1 + i y2 and
+s the charge sign.  On a tensor grid, given as one node array per real axis
+(real and imaginary part of each coordinate adjacent, the last axis varying
+fastest as in `special.tensor_grid`), the exponential is a product of n x n
+one-axis tables and the Laguerre factor is a polynomial in one-axis squared
+distances.  So a kernel is applied to a grid function, sampled along a row or
+summed along its diagonal without ever forming the N x N kernel matrix.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from .special import laguerre, laguerre_at_zero
+
+
+class KernelForm(NamedTuple):
+    """The constants of one kernel in the form above."""
+
+    pref: complex
+    a: int
+    alpha: float
+    A: complex
+    B: complex
+    C: complex
+    D: complex
+
+
+def _laguerre_terms(form: KernelForm, lam: float, k: int):
+    """Pairs (c, m) with L_a(lam sum_i e_i) = sum c prod_i e_i^m_i over the k real axes."""
+    a, alpha = form.a, form.alpha
+    power = [laguerre_at_zero(a, alpha)]
+    for j in range(a):
+        power.append(-power[-1] * lam * (a - j) / ((j + 1) * (alpha + j + 1)))
+    for m in itertools.product(range(a + 1), repeat=k):
+        j = sum(m)
+        if j <= a:
+            multinomial = math.factorial(j) / math.prod(map(math.factorial, m))
+            yield power[j] * multinomial, m
+
+
+def _coordinate(f: np.ndarray, r: int, P, Q, R, S) -> np.ndarray:
+    """Contract complex coordinate r of f against P(x1,y1) Q(x2,y1) R(x2,y2) S(x1,y2).
+
+    One output axis is looped over, so the largest intermediate has the size
+    of f and each step is one BLAS product.
+    """
+    f = np.moveaxis(f, (2 * r, 2 * r + 1), (0, 1))
+    n1, n2, rest = f.shape[0], f.shape[1], f.shape[2:]
+    f = f.reshape(n1, n2, -1)
+    m1, m2 = P.shape[1], R.shape[1]
+    g = np.empty((m1, m2, f.shape[2]), dtype=complex)
+    for j in range(m1):
+        h = f * (P[:, j, None] * Q[None, :, j])[:, :, None]
+        t = (S.T @ h.reshape(n1, -1)).reshape(m2, n2, -1)
+        g[j] = np.einsum("ynb,ny->yb", t, R)
+    return np.moveaxis(g.reshape((m1, m2) + rest), (0, 1), (2 * r, 2 * r + 1))
+
+
+def transfer(f: np.ndarray, form: KernelForm, params, src, dst) -> np.ndarray:
+    """g(Y) = sum_X f(X) K(X, Y) for X on the tensor grid `src`, Y on `dst`.
+
+    `src` and `dst` hold one node array per real axis; `f` has the shape
+    (len(src[0]), ..., len(src[k-1])) and g the matching shape of `dst`.
+    The coordinates are applied one after another; for a > 0 each separable
+    term of the Laguerre expansion is one more pass.
+    """
+    A, B, C, D = form.A, form.B, form.C, form.D
+    s = params.charge_sign
+    tables = []
+    for r in range(params.m):
+        u1, u2 = src[2 * r][:, None], src[2 * r + 1][:, None]
+        v1, v2 = dst[2 * r][None, :], dst[2 * r + 1][None, :]
+        tables.append((np.exp(A * u1 * u1 + B * v1 * v1 + C * u1 * v1), np.exp(D * s * u2 * v1),
+                       np.exp(A * u2 * u2 + B * v2 * v2 + C * u2 * v2), np.exp(-D * s * u1 * v2),
+                       (u1 - v1) ** 2, (u2 - v2) ** 2))
+    g = 0.0
+    for c, m in _laguerre_terms(form, params.lam, params.k):
+        h = f
+        for r, (P, Q, R, S, e1, e2) in enumerate(tables):
+            h = _coordinate(h, r, P * e1 ** m[2 * r], Q, R * e2 ** m[2 * r + 1], S)
+        g = g + c * h
+    return form.pref * g
+
+
+def _outer(op, acc: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """op(acc[p, ...], table[p, j]) with j appended as a new last axis."""
+    return op(acc[..., None], table.reshape((len(table),) + (1,) * (acc.ndim - 1) + (-1,)))
+
+
+def row(form: KernelForm, params, X, dst) -> np.ndarray:
+    """K(X_i, Y) for scattered points X (rows of k/2 complex coordinates) and
+    Y on the tensor grid `dst`, as outer products of one-axis tables.
+
+    Returns shape (len(X), N), the grid flattened with its last axis fastest.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=complex))
+    A, B, C, D = form.A, form.B, form.C, form.D
+    s = params.charge_sign
+    val = np.full(len(X), form.pref, dtype=complex)
+    dist = np.zeros(len(X))
+    for r in range(params.m):
+        x1, x2 = X[:, r, None].real, X[:, r, None].imag
+        v1, v2 = dst[2 * r][None, :], dst[2 * r + 1][None, :]
+        val = _outer(np.multiply, val, np.exp(A * x1 * x1 + B * v1 * v1 + C * x1 * v1
+                                              + D * s * x2 * v1))
+        val = _outer(np.multiply, val, np.exp(A * x2 * x2 + B * v2 * v2 + C * x2 * v2
+                                              - D * s * x1 * v2))
+        if form.a:
+            dist = _outer(np.add, _outer(np.add, dist, (x1 - v1) ** 2), (x2 - v2) ** 2)
+    if form.a:
+        val *= laguerre(form.a, form.alpha, params.lam * dist)
+    return val.reshape(len(X), -1)
+
+
+def diagonal_sum(form: KernelForm, nodes, weights) -> complex:
+    """sum_X w(X) K(X, X) over the tensor grid with per-axis `nodes` and `weights`.
+
+    On the diagonal the D term vanishes and the Laguerre factor is L_a(0), so
+    the sum is pref L_a(0) prod_i sum_j w_ij exp((A + B + C) x_ij^2).
+    """
+    total = form.pref * laguerre(form.a, form.alpha, 0.0)
+    for x, w in zip(nodes, weights):
+        total = total * np.sum(w * np.exp((form.A + form.B + form.C) * x * x))
+    return complex(total)

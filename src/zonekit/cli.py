@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -464,9 +463,6 @@ def main(argv=None) -> int:
         return _usage_error(str(exc))
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except BrokenExecutor as exc:   # a verify worker process died
-        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -8,15 +8,18 @@ zone.  Radon-Nikodym densities tie the three measures together pointwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._factored import transfer
 from .params import PhysParams
-from .propagators import QuadratureConvergenceError, _check_sigma, global_kernel, zonal_kernel
-from .special import flat_hermite_grid, gauss_legendre, real_to_complex, tensor_grid
-from .zones import pairing, zone_kernel
+from .propagators import (QuadratureConvergenceError, _check_sigma, _global_form, _zonal_form,
+                          zonal_kernel)
+from .special import flat_hermite_grid, gauss_legendre, real_to_complex
+from .zones import _zone_form, pairing, zone_kernel
 
 
 @dataclass(frozen=True)
@@ -96,25 +99,27 @@ def radon_nikodym_density(kind: str, path: PathDiscretization) -> complex:
 # ---- cylinder measures ---------------------------------------------------------
 
 
-def _chain_kernel(kind: str, a: int | None, params: PhysParams):
+def _chain_form(kind: str, a: int | None, params: PhysParams):
+    """The step kernel of a cylinder chain as a function dt -> KernelForm."""
     if kind == "global_wk":
-        return lambda dt, U, V: global_kernel(1, dt, U, V, params)
+        return lambda dt: _global_form(1, dt, params)
     if kind == "global_df":
-        return lambda dt, U, V: global_kernel(1j, dt, U, V, params)
+        return lambda dt: _global_form(1j, dt, params)
     if kind == "zonal_wk":
-        return lambda dt, U, V: zonal_kernel(1, a, dt, U, V, params)
+        return lambda dt: _zonal_form(1, a, dt, params)
     if kind == "zonal_df":
-        return lambda dt, U, V: zonal_kernel(1j, a, dt, U, V, params)
+        return lambda dt: _zonal_form(1j, a, dt, params)
     if kind == "spread_amplitude":
-        return lambda dt, U, V: zone_kernel(a, U, V, params)
+        return lambda dt: _zone_form(a, params)
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def _box_grid(box, order: int):
-    """Tensor Gauss-Legendre grid over a rectangular box in R^k."""
+def _box_axes(box, order: int):
+    """Per-axis Gauss-Legendre nodes over a rectangular box in R^k, and the
+    tensor product of their weights."""
     rules = [gauss_legendre(order, lo, hi) for lo, hi in box]
-    pts, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
-    return real_to_complex(pts), w
+    return [r.nodes for r in rules], functools.reduce(np.multiply.outer,
+                                                      [r.weights for r in rules])
 
 
 def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
@@ -126,7 +131,9 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
     With every box covering the whole (numerically truncated) space this
     reproduces the closed-form kernel at horizon T; a degenerate box gives 0.
     `boxes` holds one box per interior time, each a sequence of k (lo, hi)
-    pairs of real coordinates.
+    pairs of real coordinates.  The endpoints are one-node grids, and each
+    step applies the factored kernel (`_factored.transfer`) from one tensor
+    grid to the next, so no kernel matrix is formed.
     """
     times = tuple(times)
     if len(boxes) != len(times):
@@ -136,32 +143,18 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
         raise ValueError("subdivision times must be strictly increasing inside (0, T)")
     if any(hi <= lo for box in boxes for lo, hi in box):
         return 0j
-    ker = _chain_kernel(kernel_kind, a, params)
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    form_at = _chain_form(kernel_kind, a, params)
+    # each endpoint is a grid with one node per real axis and weight 1
+    x_axes, y_axes = ([np.array([part]) for c in np.atleast_1d(np.asarray(p, dtype=complex))
+                       for part in (c.real, c.imag)] for p in (x, y))
+    ts = (0.0,) + times + (T,)
 
     def run(n):
-        ts = (0.0,) + times + (T,)
-        f = None
-        pts_prev = None
-        for j, box in enumerate(boxes):
-            pts, w = _box_grid(box, n)
-            dt = ts[j + 1] - ts[j]
-            if f is None:
-                f = ker(dt, np.broadcast_to(x, pts.shape), pts) * w
-            else:
-                # chunk the transfer step so the kernel block never exceeds ~32 MB
-                chunk = max(1, (1 << 21) // max(len(pts_prev), 1))
-                out = np.empty(len(pts), dtype=complex)
-                for lo in range(0, len(pts), chunk):
-                    blk = ker(dt, pts_prev[:, None, :], pts[None, lo:lo + chunk, :])
-                    out[lo:lo + chunk] = f @ blk
-                f = out * w
-            pts_prev = pts
-        if f is None:
-            return complex(ker(T, x[None, :], y[None, :])[0])
-        dt = T - times[-1]
-        return complex(np.sum(f * ker(dt, pts_prev, np.broadcast_to(y, pts_prev.shape))))
+        grids = [(x_axes, 1.0)] + [_box_axes(box, n) for box in boxes] + [(y_axes, 1.0)]
+        f = np.ones((1,) * params.k)
+        for (src, w), (dst, _), t1, t2 in zip(grids, grids[1:], ts, ts[1:]):
+            f = transfer(f * w, form_at(t2 - t1), params, src, dst)
+        return complex(f.ravel()[0])
 
     val = run(order)
     if check_convergence:

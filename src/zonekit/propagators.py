@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._factored import KernelForm, diagonal_sum
 from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
-from .special import flat_hermite_grid, laguerre, multiplicity_factor, real_to_complex
+from .special import (flat_hermite_grid, hermite_axis, laguerre, multiplicity_factor,
+                      real_to_complex)
 from .zones import pairing, project_to_zone, zone_basis, zone_pivot_degrees
 
 SINGULAR_TIME_TOL = 1e-9
@@ -45,20 +47,31 @@ def global_kernel(sigma: complex, t: float, X: np.ndarray, Y: np.ndarray,
     analytic continuation, singular at times where sin(lam t) vanishes.
     """
     sigma = _check_sigma(sigma)
+    form = _global_form(sigma, t, params)
+    lam = params.lam
+    X = np.atleast_2d(np.asarray(X, dtype=complex))
+    Y = np.atleast_2d(np.asarray(Y, dtype=complex))
+    dist2 = np.sum(np.abs(X - Y) ** 2, axis=-1)
+    # phase sign fixed by the spectral oracle: the long-time limit must project
+    # onto the lowest-energy (antiholomorphic) modes
+    phase = -1j * lam * np.imag(pairing(X, Y, params))
+    return form.pref * np.exp(-0.5 * lam * dist2 / np.tanh(sigma * lam * t) + phase)
+
+
+def _global_form(sigma: complex, t: float, params: PhysParams) -> KernelForm:
+    """`global_kernel` as a `KernelForm`: exponent
+    -lam coth(sigma lam t)/2 |X-Y|^2 - i lam Im(X.Ybar)."""
+    sigma = _check_sigma(sigma)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     lam, k = params.lam, params.k
     if sigma == 1j and abs(math.sin(lam * t)) < SINGULAR_TIME_TOL:
         raise SingularTimeError(f"sin(lam t) vanishes at t={t} (poles at n*pi/lam)")
-    X = np.atleast_2d(np.asarray(X, dtype=complex))
-    Y = np.atleast_2d(np.asarray(Y, dtype=complex))
     u = sigma * lam * t
     pref = (lam / (2.0 * np.pi * np.sinh(u))) ** (k / 2)
-    dist2 = np.sum(np.abs(X - Y) ** 2, axis=-1)
-    # phase sign fixed by the spectral oracle: the long-time limit must project
-    # onto the lowest-energy (antiholomorphic) modes
-    phase = -1j * lam * np.imag(pairing(X, Y, params))
-    return pref * np.exp(-0.5 * lam * dist2 / np.tanh(u) + phase)
+    coth = 1.0 / np.tanh(u)
+    return KernelForm(pref, 0, k / 2 - 1, -0.5 * lam * coth, -0.5 * lam * coth, lam * coth,
+                      -1j * lam)
 
 
 def zonal_kernel(sigma: complex, a: int, t: float, X: np.ndarray, Z: np.ndarray,
@@ -69,18 +82,27 @@ def zonal_kernel(sigma: complex, a: int, t: float, X: np.ndarray, Z: np.ndarray,
     branches (no singular times, unlike the global Dirac-Feynman kernel).
     """
     sigma = _check_sigma(sigma)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    form = _zonal_form(sigma, a, t, params)
     lam, k = params.lam, params.k
     X = np.atleast_2d(np.asarray(X, dtype=complex))
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     q = np.exp(-2.0 * sigma * lam * t)
-    pref = (lam * np.exp(-sigma * lam * t) / np.pi) ** (k / 2)
     dist2 = np.sum(np.abs(X - Z) ** 2, axis=-1)
     lag = laguerre(a, k / 2 - 1, lam * dist2)
     expo = lam * (q * pairing(X, Z, params)
                   - 0.5 * (np.sum(np.abs(X) ** 2, axis=-1) + np.sum(np.abs(Z) ** 2, axis=-1)))
-    return pref * lag * np.exp(expo)
+    return form.pref * lag * np.exp(expo)
+
+
+def _zonal_form(sigma: complex, a: int, t: float, params: PhysParams) -> KernelForm:
+    """`zonal_kernel` as a `KernelForm`: exponent lam (q X.Zbar - (|X|^2 + |Z|^2)/2)."""
+    sigma = _check_sigma(sigma)
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    lam, k = params.lam, params.k
+    q = np.exp(-2.0 * sigma * lam * t)
+    pref = (lam * np.exp(-sigma * lam * t) / np.pi) ** (k / 2)
+    return KernelForm(pref, a, k / 2 - 1, -0.5 * lam, -0.5 * lam, lam * q, 1j * lam * q)
 
 
 def zonal_kernel_spectral(sigma: complex, a: int, t: float, X: np.ndarray, Z: np.ndarray,
@@ -134,17 +156,29 @@ def partition_function(sigma: complex, a: int, t: float, params: PhysParams) -> 
 
 def partition_function_trace(sigma: complex, a: int, t: float, params: PhysParams,
                              order: int = 40) -> complex:
-    """Quadrature trace int d_sigma^(a)(t, X, X) dX, the oracle for the closed form."""
+    """Quadrature trace int d_sigma^(a)(t, X, X) dX, the oracle for the closed form.
+
+    The diagonal factors over the real axes, so the tensor Hermite sum is a
+    product of one-axis sums.  It is taken at `order` and at 2 * order, and a
+    relative move above 1e-6 raises QuadratureConvergenceError.
+    """
     sigma = _check_sigma(sigma)
     lam, k = params.lam, params.k
     q = complex(np.exp(-2.0 * sigma * lam * t))
     lam_eff = lam * (1.0 - q.real)
     if lam_eff <= 0:
         raise SingularTimeError(f"diagonal not integrable at t={t}")
-    points, weights = flat_hermite_grid(order, lam_eff, k)
-    zpts = real_to_complex(points)
-    diag = zonal_kernel(sigma, a, t, zpts, zpts, params)
-    return complex(np.sum(weights * diag))
+    form = _zonal_form(sigma, a, t, params)
+
+    def run(n):
+        x, w = hermite_axis(n, lam_eff)
+        return diagonal_sum(form, [x] * k, [w * np.exp(lam_eff * x * x)] * k)
+
+    val, val2 = run(order), run(2 * order)
+    if abs(val - val2) > 1e-6 * abs(val):
+        raise QuadratureConvergenceError(
+            f"trace moved from {val:.6e} to {val2:.6e} on order doubling")
+    return val
 
 
 # ---- zonal flow --------------------------------------------------------------

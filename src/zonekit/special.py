@@ -105,10 +105,14 @@ def hermite_grid(order: int, lam: float, dim: int):
 
         sum_i w_i f(points_i)  ~  int f(X) e^{-lam |X|^2} dX.
     """
-    rule = gauss_hermite(order)
-    x = rule.nodes / math.sqrt(lam)
-    w = rule.weights / math.sqrt(lam)
+    x, w = hermite_axis(order, lam)
     return tensor_grid([x] * dim, [w] * dim)
+
+
+def hermite_axis(order: int, lam: float):
+    """One axis (nodes, weights) of `hermite_grid`."""
+    rule = gauss_hermite(order)
+    return rule.nodes / math.sqrt(lam), rule.weights / math.sqrt(lam)
 
 
 def tensor_grid(nodes, weights):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -18,23 +17,21 @@ import numpy as np
 from . import extensions, padi, path_measure, thermo
 from .algebra import (ZonePolynomial, apply_rep, apply_zeeman, inner_product, norm,
                       to_standard)
+from ._factored import row
 from .params import PhysParams
-from .propagators import (evolve, field_term_multiplier, global_kernel, partition_function,
-                          partition_function_trace, semigroup_residual, zonal_kernel,
-                          zonal_kernel_spectral)
-from .special import flat_hermite_grid, gauss_hermite, laguerre, real_to_complex
+from .propagators import (_global_form, evolve, field_term_multiplier, global_kernel,
+                          partition_function, partition_function_trace, semigroup_residual,
+                          zonal_kernel, zonal_kernel_spectral)
+from .special import flat_hermite_grid, gauss_hermite, hermite_axis, laguerre, real_to_complex
 from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kernel
 
 CHECKS = []
-# the function each check was declared with: what a spawned worker's import runs
-_DECLARED = {}
 
 
 def check(name: str, suite: str, invariant: str, expected: str = "pass"):
     def wrap(fn):
         CHECKS.append({"name": name, "suite": suite, "invariant": invariant,
                        "expected": expected, "fn": fn})
-        _DECLARED[name] = fn
         return fn
     return wrap
 
@@ -270,10 +267,9 @@ def _decomposition_residual(k: int, sigma: complex, lam_eff: float, order: int) 
     f = comps[0] + 0.7 * comps[1]
     X = rng.uniform(-0.5, 0.5, (3, k // 2)) + 1j * rng.uniform(-0.5, 0.5, (3, k // 2))
     pts, w = flat_hermite_grid(order, lam_eff, k)
-    zpts = real_to_complex(pts)
-    psi = to_standard(f)(zpts)
-    got = np.array([np.sum(w * global_kernel(sigma, 0.4, np.broadcast_to(x, zpts.shape),
-                                             zpts, params) * psi) for x in X])
+    psi = to_standard(f)(real_to_complex(pts))
+    nodes = [hermite_axis(order, lam_eff)[0]] * k
+    got = row(_global_form(sigma, 0.4, params), params, X, nodes) @ (w * psi)
     ref = sum(to_standard(evolve(c, sigma, 0.4, params))(X)
               for c in (comps[0], 0.7 * comps[1]))
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
@@ -902,9 +898,8 @@ def _coulomb_report():
 # ---- driver ---------------------------------------------------------------------
 
 
-def _run_check(name: str) -> dict:
-    """Run the check called `name` and return its report row."""
-    entry = next(e for e in CHECKS if e["name"] == name)
+def _run_check(entry: dict) -> dict:
+    """Run one CHECKS entry and return its report row."""
     t0 = time.perf_counter()
     try:
         measured, tol = entry["fn"]()
@@ -925,42 +920,17 @@ def _run_check(name: str) -> dict:
     }
 
 
-# checks that take a second or more (their `seconds` in a full report on a
-# 2-vCPU host): about 9 of the suite's 10.5 s; one worker starts in about 0.5 s
-_SLOW_CHECKS = frozenset({"trace_identity", "global_flow_zonal_decomposition_wk",
-                          "cylinder_total_measure", "global_feynman_divergence"})
-
-
 def run_suite(suites=None):
-    """Run the selected check suites and return the JSON-ready report.
+    """Run the selected check suites, in the declaration order of CHECKS, and
+    return the JSON-ready report.
 
-    The checks are independent, so a selection with two or more slow checks
-    runs on a spawn process pool with one worker per usable CPU; the rows
-    keep the declaration order of CHECKS. The checks run in this process
-    instead on one usable CPU, for a selection with fewer than two slow
-    checks (starting the workers would cost more than it saves), and when a
-    selected entry's function is not the one it was declared with (a test's
-    monkeypatch, a profiler's wrapper): a spawned worker re-imports this
-    module and would run the declared function.
     An unknown suite name raises ValueError before any check runs.
     """
     known = sorted({e["suite"] for e in CHECKS})
     for suite in suites or ():
         if suite not in known:
             raise ValueError(f"unknown suite {suite!r} (known: {', '.join(known)})")
-    selected = [e for e in CHECKS if not suites or e["suite"] in suites]
-    names = [e["name"] for e in selected]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2 or len(_SLOW_CHECKS.intersection(names)) < 2 \
-            or any(e["fn"] is not _DECLARED[e["name"]] for e in selected):
-        return [_run_check(name) for name in names]
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(min(len(names), cpus),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_run_check, names))
+    return [_run_check(e) for e in CHECKS if not suites or e["suite"] in suites]
 
 
 def report_to_json(report) -> str:

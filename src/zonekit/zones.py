@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._factored import KernelForm
 from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
 from .special import laguerre
@@ -152,6 +153,14 @@ def zone_kernel(a: int, Z: np.ndarray, W: np.ndarray, params: PhysParams,
         expo = expo - 0.5 * lam * (np.sum(np.abs(Z) ** 2, axis=-1)
                                    + np.sum(np.abs(W) ** 2, axis=-1))
     return (lam / np.pi) ** (params.k / 2) * lag * np.exp(expo)
+
+
+def _zone_form(a: int, params: PhysParams) -> KernelForm:
+    """`zone_kernel` (standard space) as a `KernelForm`: exponent
+    lam (Z.Wbar - (|Z|^2 + |W|^2)/2)."""
+    lam = params.lam
+    return KernelForm((lam / np.pi) ** (params.k / 2), a, params.k / 2 - 1, -0.5 * lam,
+                      -0.5 * lam, lam, 1j * lam)
 
 
 def kernel_basis_residual(a: int, n_basis: int, samples_Z: np.ndarray,

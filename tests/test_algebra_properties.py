@@ -61,6 +61,15 @@ def test_zone_projections_are_idempotent_and_orthogonal(drawn):
 
 
 @PROPERTY
+@given(params_and_polys(2, max_degree=5, charge_signs=(1,)), st.integers(0, 2))
+def test_zone_projection_is_self_adjoint(drawn, a):
+    _, f, g = drawn
+    lhs = inner_product(project_to_zone(f, a), g)
+    rhs = inner_product(f, project_to_zone(g, a))
+    assert abs(lhs - rhs) <= 1e-12 * norm(f) * norm(g)
+
+
+@PROPERTY
 @given(params_and_polys(1, max_degree=6))
 def test_heisenberg_commutator(drawn):
     params, f = drawn

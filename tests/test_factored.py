@@ -1,0 +1,90 @@
+"""Factored tensor-grid kernels against dense kernel matrices built from the
+pointwise closed forms."""
+
+import functools
+
+import numpy as np
+import pytest
+
+from zonekit._factored import diagonal_sum, row, transfer
+from zonekit.params import PhysParams
+from zonekit.path_measure import _chain_form, cylinder_measure
+from zonekit.propagators import global_kernel, zonal_kernel
+from zonekit.special import gauss_legendre, real_to_complex, tensor_grid
+from zonekit.zones import zone_kernel
+
+POINTWISE = {
+    "global_wk": lambda a, dt, U, V, p: global_kernel(1, dt, U, V, p),
+    "global_df": lambda a, dt, U, V, p: global_kernel(1j, dt, U, V, p),
+    "zonal_wk": lambda a, dt, U, V, p: zonal_kernel(1, a, dt, U, V, p),
+    "zonal_df": lambda a, dt, U, V, p: zonal_kernel(1j, a, dt, U, V, p),
+    "spread_amplitude": lambda a, dt, U, V, p: zone_kernel(a, U, V, p),
+}
+CASES = [(kind, a) for kind in POINTWISE
+         for a in ((None,) if kind.startswith("global") else (0, 1, 2, 5))]
+DT = 0.3
+# nodes per real axis differ within each grid and between the two grids
+SIZES = {2: ((4, 6), (5, 3)), 4: ((3, 4, 2, 3), (2, 3, 4, 3))}
+
+
+def axes(sizes, lo, hi):
+    return [gauss_legendre(n, lo + 0.1 * i, hi - 0.2 * i).nodes for i, n in enumerate(sizes)]
+
+
+def points(nodes):
+    return real_to_complex(tensor_grid(nodes, [np.ones_like(x) for x in nodes])[0])
+
+
+def dense(kind, a, params, U, V):
+    return POINTWISE[kind](a, DT, U[:, None, :], V[None, :, :], params)
+
+
+def close(got, ref):
+    return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("lam", [0.4, 2.5])
+@pytest.mark.parametrize("kind,a", CASES)
+def test_factored_matches_dense(kind, a, lam, charge_sign, k):
+    params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+    form = _chain_form(kind, a, params)(DT)
+    src, dst = axes(SIZES[k][0], -1.6, 1.3), axes(SIZES[k][1], -1.2, 1.7)
+    U, V = points(src), points(dst)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=len(U)) + 1j * rng.normal(size=len(U))
+
+    got = transfer(f.reshape(SIZES[k][0]), form, params, src, dst)
+    assert got.shape == SIZES[k][1]
+    assert close(got.ravel(), f @ dense(kind, a, params, U, V))
+
+    X = rng.uniform(-1, 1, (3, k // 2)) + 1j * rng.uniform(-1, 1, (3, k // 2))
+    assert close(row(form, params, X, dst), dense(kind, a, params, X, V))
+
+    w = [rng.uniform(0.5, 1.5, len(x)) for x in src]
+    ref = np.sum(functools.reduce(np.multiply.outer, w).ravel()
+                 * POINTWISE[kind](a, DT, U, U, params))
+    assert abs(diagonal_sum(form, src, w) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("kind,a", [("zonal_df", 1), ("global_wk", None)])
+def test_k4_cylinder_chain_matches_dense_chain(kind, a):
+    params = PhysParams(lam=0.7, k=4, charge_sign=-1)
+    x, y = np.array([0.3 + 0.2j, -0.1 + 0.4j]), np.array([-0.4 + 0.1j, 0.2 - 0.3j])
+    boxes = [[(-2.0, 2.2), (-1.8, 2.0), (-2.1, 1.9), (-2.0, 2.0)],
+             [(-1.9, 2.0), (-2.0, 1.8), (-2.0, 2.1), (-1.7, 2.2)]]
+    times, T, order = (0.2, 0.45), 0.7, 4
+    got = cylinder_measure(kind, times, boxes, x, y, T, params, a=a, order=order)
+
+    kernel = POINTWISE[kind]
+    grids = []
+    for box in boxes:
+        rules = [gauss_legendre(order, lo, hi) for lo, hi in box]
+        pts, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+        grids.append((real_to_complex(pts), w))
+    (P1, w1), (P2, w2) = grids
+    f = kernel(a, 0.2, x[None, :], P1, params) * w1
+    f = (f @ kernel(a, 0.25, P1[:, None, :], P2[None, :, :], params)) * w2
+    ref = np.sum(f * kernel(a, 0.25, P2, y[None, :], params))
+    assert abs(got - ref) <= 1e-12 * abs(ref)

@@ -293,6 +293,15 @@ def test_df_partition_trace():
     assert abs(got - ref) < 1e-8 * abs(ref)
 
 
+@pytest.mark.parametrize("params,order", [(PAR, 32), (PAR, 64), (PAR4, 24)])
+def test_trace_raises_when_order_doubling_moves_it(params, order):
+    # the oscillatory diagonal at t = 0.3 moves by 2e-2 (k=2, order 32), 1e-4
+    # (k=2, order 64) and 0.15 (k=4, order 24) when the order is doubled
+    from zonekit.propagators import QuadratureConvergenceError
+    with pytest.raises(QuadratureConvergenceError, match="on order doubling"):
+        partition_function_trace(1j, 0, 0.3, params, order=order)
+
+
 def test_semigroup_convergence_flag():
     rng = np.random.default_rng(33)
     pairs = [(rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1),
