@@ -456,10 +456,9 @@ def main(argv=None) -> int:
     if not getattr(args, "fn", None):
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
-    cfg = _load_config(args.config)
     try:
-        return args.fn(args, cfg)
-    except (UsageError, ValueError) as exc:
+        return args.fn(args, _load_config(args.config))
+    except (UsageError, ValueError, OSError) as exc:  # OSError: a path that cannot be opened
         return _usage_error(str(exc))
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

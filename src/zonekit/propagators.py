@@ -8,6 +8,8 @@ points are arrays of complex coordinates with trailing axis of length k/2.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,8 +319,11 @@ class KernelGrid:
     def write_csv(self, path: str) -> None:
         """One CSV row per (X, Y) pair, every number as ``repr(float)``, CRLF lines.
 
-        Each grid point is formatted once; the file is streamed one X row at a
-        time, so memory stays at one row of text whatever the grid size.
+        Each grid point is formatted once and rows are streamed one X row at a
+        time.  The X rows are split into one contiguous block per usable CPU:
+        forked children write blocks 1.. to ``<path>.part<j>`` while this
+        process writes block 0 into `path`, then each part is appended in
+        order and deleted.  With one usable CPU or one X row nothing is forked.
         """
         m = self.params.m
         header = [f"{p}_{z}{j+1}" for z in "zw" for j in range(m) for p in ("re", "im")]
@@ -331,12 +336,71 @@ class KernelGrid:
                     for p in np.asarray(points, dtype=complex).tolist()]
 
         suffixes = [f"{y},{sig},{float(self.t)!r},{a}," for y in coords(self.points_Y)]
+        xs = coords(self.points_X)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             if not suffixes:  # an empty Y grid has no rows, not one bare prefix per X
                 return
-            for x, row in zip(coords(self.points_X), self.values):
-                x += ","
-                fh.write(x + ("\r\n" + x).join(map("{}{},{}".format, suffixes,
-                                                   map(repr, row.real.tolist()),
-                                                   map(repr, row.imag.tolist()))) + "\r\n")
+            n = max(1, min(_usable_cpus(), len(xs)))
+            cut = [len(xs) * j // n for j in range(n + 1)]
+            parts = [f"{path}.part{j}" for j in range(1, n)]
+            procs = []
+            fh.flush()  # a forked child must not inherit the buffered header
+            try:
+                # the children only format and write; the other threads of this
+                # process (BLAS workers) hold no lock they need
+                ctx = multiprocessing.get_context("fork")
+                for j, part in enumerate(parts, 1):
+                    proc = ctx.Process(target=_write_part, daemon=True,
+                                       args=(part, xs[cut[j]:cut[j + 1]],
+                                             self.values[cut[j]:cut[j + 1]], suffixes))
+                    proc.start()
+                    procs.append(proc)
+                _write_rows(fh, xs[:cut[1]], self.values[:cut[1]], suffixes)
+                fh.flush()
+                for proc, part in zip(procs, parts):
+                    proc.join()
+                    if proc.exitcode != 0:
+                        raise RuntimeError(f"writer of {part} exited with code {proc.exitcode}")
+                    _append(fh.fileno(), part)
+                    os.remove(part)
+            finally:
+                for proc in procs:
+                    if proc.is_alive():
+                        proc.terminate()
+                    proc.join()
+                for part in parts:
+                    if os.path.exists(part):
+                        os.remove(part)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_rows(fh, xs, values, suffixes) -> None:
+    """The CSV rows of X points `xs` (formatted) against every Y suffix."""
+    for x, row in zip(xs, values):
+        x += ","
+        fh.write(x + ("\r\n" + x).join(map("{}{},{}".format, suffixes,
+                                           map(repr, row.real.tolist()),
+                                           map(repr, row.imag.tolist()))) + "\r\n")
+
+
+def _write_part(path, xs, values, suffixes) -> None:
+    with open(path, "w", newline="") as fh:
+        _write_rows(fh, xs, values, suffixes)
+
+
+def _append(fd: int, path: str) -> None:
+    """Append the whole file `path` at the offset of `fd`, inside the kernel."""
+    with open(path, "rb") as src:
+        left = os.fstat(src.fileno()).st_size
+        while left:
+            done = os.copy_file_range(src.fileno(), fd, left)
+            if done == 0:
+                raise RuntimeError(f"{path} ended {left} bytes short while appending")
+            left -= done

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import roots_genlaguerre
@@ -96,21 +97,12 @@ def gauss_laguerre(order: int, alpha: float = 0.0) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "gauss-laguerre", order)
 
 
-def hermite_grid(order: int, lam: float, dim: int):
-    """Tensor Gauss-Hermite grid adapted to the density e^{-lam |X|^2} on R^dim.
-
-    Returns (points, weights): `points` has shape (order**dim, dim) and the
-    returned weights absorb both the Jacobian of the node rescaling and the
-    Gaussian density, so that
-
-        sum_i w_i f(points_i)  ~  int f(X) e^{-lam |X|^2} dX.
-    """
-    x, w = hermite_axis(order, lam)
-    return tensor_grid([x] * dim, [w] * dim)
-
-
 def hermite_axis(order: int, lam: float):
-    """One axis (nodes, weights) of `hermite_grid`."""
+    """Gauss-Hermite rule for the density e^{-lam x^2} on the real line.
+
+    The weights absorb the Jacobian of the node rescaling and the density, so
+    sum_i w_i f(x_i) ~ int f(x) e^{-lam x^2} dx.
+    """
     rule = gauss_hermite(order)
     return rule.nodes / math.sqrt(lam), rule.weights / math.sqrt(lam)
 
@@ -124,18 +116,20 @@ def tensor_grid(nodes, weights):
     """
     grids = np.meshgrid(*nodes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    return points, np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    return points, reduce(np.multiply.outer, weights).ravel()
 
 
 def flat_hermite_grid(order: int, lam: float, dim: int):
-    """Like `hermite_grid` but with the Gaussian divided back out of the weights.
+    """Tensor grid of `hermite_axis` on R^dim with the Gaussian divided back out.
 
-    Suitable for plain Lebesgue integrals int f(X) dX of integrands that decay
-    at least like e^{-lam |X|^2}; the weights are w_i e^{+lam |x_i|^2}.
+    Returns (points, weights), `points` of shape (order**dim, dim).  Suitable
+    for plain Lebesgue integrals int f(X) dX of integrands that decay at least
+    like e^{-lam |X|^2}; the weights are w_i e^{+lam |x_i|^2}, both factors
+    built as outer products of one-axis tables.
     """
-    points, weights = hermite_grid(order, lam, dim)
-    return points, weights * np.exp(lam * np.sum(points**2, axis=-1))
+    x, w = hermite_axis(order, lam)
+    points, weights = tensor_grid([x] * dim, [w] * dim)
+    return points, weights * np.exp(lam * reduce(np.add.outer, [x**2] * dim).ravel())
 
 
 def real_to_complex(points: np.ndarray) -> np.ndarray:

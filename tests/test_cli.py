@@ -168,6 +168,22 @@ def test_usage_errors(tmp_path, capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--t", "0.25", "--grid=0:1:1", "--output", "nodir/x.csv"],
+    ["spectrum", "--output", "nodir/x.csv"],
+    ["kernel", "--t", "0.25", "--grid=0:1:1", "--outdir", "afile"],
+    ["spectrum", "--config", "nodir/zonekit.cfg"],
+], ids=["kernel_output", "spectrum_output", "outdir_is_file", "missing_config"])
+def test_unusable_path_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ZONEKIT_OUTDIR", raising=False)
+    (tmp_path / "afile").write_text("")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+    assert sorted(os.listdir(tmp_path)) == ["afile"]
+
+
 def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):
     # k=4 squares the grid: 41^4 points, about 1.3e14 bytes of kernel values
     assert run(tmp_path, "kernel", "--k", "4", "--sigma", "i", "--a", "1", "--t", "0.25",

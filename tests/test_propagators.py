@@ -1,10 +1,14 @@
 """Closed-form propagator kernels, partition functions, spectral flow."""
 
+import errno
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from zonekit import propagators
 from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm, to_standard
 from zonekit.params import PhysParams
 from zonekit.propagators import (KernelGrid, SingularTimeError, evolve, evolve_by_convolution,
@@ -259,8 +263,19 @@ def _csv_writer_bytes(grid):
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("case", ["zonal_k2", "global_k4", "edge_values"])
-def test_kernel_grid_csv_bytes(tmp_path, case):
+def _use_cpus(monkeypatch, n):
+    """Make write_csv see `n` usable CPUs; with one, forking is an error."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    if n == 1:
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+        monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+@pytest.mark.parametrize("case", ["zonal_k2", "global_k4", "edge_values", "empty_x",
+                                  "empty_y"])
+def test_kernel_grid_csv_bytes(tmp_path, monkeypatch, case, cpus):
     if case == "zonal_k2":
         pts = np.array([[-2.0 + 0.0j], [0.5 + 0.25j], [-0.5 - 1.0j], [0.1 + 2.0j]])
         grid = KernelGrid.sample(1j, 0.25, pts, pts, PAR, a=1)
@@ -269,15 +284,54 @@ def test_kernel_grid_csv_bytes(tmp_path, case):
                         [0.7 + 0.7j, 0.2 - 2.0j]])
         grid = KernelGrid.sample(1, 0.3, pts, pts[:2], PAR4, a=None)
         assert grid.a is None
-    else:
+    elif case == "edge_values":
         X = np.array([[-2.0 - 0.0j], [1e-20 + 3.0j]])
         Y = np.array([[complex(-0.0, -0.0)], [2.0 + 1e300j], [-1e-320 + 0.1j]])
         vals = np.array([[complex(-0.0, 1e-20), 1e-20 - 0.0j, 2.0 + 0.0j],
                          [complex(0.0, -0.0), -2.0 + 5e-324j, 1.5e200 - 3.0j]])
         grid = KernelGrid(1j, 1, X, Y, vals, PAR, a=3)
+    else:
+        pts = np.array([[0.5 + 0.25j], [-0.5 - 1.0j]])
+        X, Y = (pts[:0], pts) if case == "empty_x" else (pts, pts[:0])
+        grid = KernelGrid(1j, 1, X, Y, np.empty((len(X), len(Y)), complex), PAR, a=3)
+    _use_cpus(monkeypatch, cpus)
     path = tmp_path / "grid.csv"
     grid.write_csv(str(path))
     assert path.read_bytes() == _csv_writer_bytes(grid)
+    assert os.listdir(tmp_path) == ["grid.csv"]
+    if case.startswith("empty"):
+        assert path.read_bytes().count(b"\r\n") == 1
+
+
+@pytest.mark.parametrize("fault", ["child_raises", "parent_interrupted", "append_fails"])
+def test_kernel_grid_csv_failure_leaves_no_process_or_part(tmp_path, monkeypatch, fault):
+    pts = np.array([[-2.0 + 0.0j], [0.5 + 0.25j], [-0.5 - 1.0j], [0.1 + 2.0j]])
+    grid = KernelGrid.sample(1j, 0.25, pts, pts, PAR, a=1)
+    _use_cpus(monkeypatch, 3)
+    write_rows = propagators._write_rows
+
+    def failing_rows(fh, xs, values, suffixes):
+        # blocks of 4 X rows on 3 CPUs: the parent writes row 0, children 1 and 2-3
+        if fault == "child_raises" and len(xs) == 2:
+            raise ValueError("formatting failed")
+        if fault == "parent_interrupted" and fh.name.endswith("grid.csv"):
+            raise KeyboardInterrupt
+        write_rows(fh, xs, values, suffixes)
+
+    def failing_copy(*args):
+        raise OSError(errno.EXDEV, "copy_file_range failed")
+
+    monkeypatch.setattr(propagators, "_write_rows", failing_rows)
+    if fault == "append_fails":
+        monkeypatch.setattr(os, "copy_file_range", failing_copy)
+    expected = {"child_raises": RuntimeError, "parent_interrupted": KeyboardInterrupt,
+                "append_fails": OSError}[fault]
+    with pytest.raises(expected) as info:
+        grid.write_csv(str(tmp_path / "grid.csv"))
+    if fault == "child_raises":
+        assert "exited with code 1" in str(info.value)
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["grid.csv"]
 
 
 def test_df_partition_trace():

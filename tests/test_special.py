@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zonekit.special import (QuadratureRule, gauss_hermite, gauss_laguerre, gauss_legendre,
-                             laguerre, laguerre_at_zero, multiplicity_factor)
+from zonekit.special import (QuadratureRule, flat_hermite_grid, gauss_hermite, gauss_laguerre,
+                             gauss_legendre, hermite_axis, laguerre, laguerre_at_zero,
+                             multiplicity_factor)
 
 
 def series_oracle(a, alpha, t):
@@ -109,3 +110,18 @@ def test_generalized_laguerre_rule_half_integer_moments():
         ref = math.gamma(n + 0.5)          # int u^{n-1/2} e^{-u} du
         got = float(np.sum(rule.weights * rule.nodes ** n))
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, orders", [(2, (5, 17, 64)), (4, (5, 12, 36)), (6, (5, 9))])
+@pytest.mark.parametrize("lam", [0.4, 1.0, 1.4, 2.5])
+def test_flat_hermite_grid_bits_match_pointwise_formula(dim, orders, lam):
+    # the weights as every point's product of axis weights times e^{lam |x|^2}
+    for order in orders:
+        x, w = hermite_axis(order, lam)
+        points = np.stack([g.ravel() for g in np.meshgrid(*[x] * dim, indexing="ij")], -1)
+        wcols = np.meshgrid(*[w] * dim, indexing="ij")
+        ref = (np.prod(np.stack([g.ravel() for g in wcols], axis=-1), axis=-1)
+               * np.exp(lam * np.sum(points**2, axis=-1)))
+        got_points, got = flat_hermite_grid(order, lam, dim)
+        assert np.array_equal(got_points, points)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
