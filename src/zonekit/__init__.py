@@ -1,7 +1,6 @@
 """zonekit: Zeeman-zone calculus with a desk-scale verification suite."""
 
-from .algebra import (ZonePolynomial, apply_angular_momentum, apply_rep, apply_zeeman,
-                      inner_product, norm, to_standard)
+from .algebra import ZonePolynomial, apply_rep, apply_zeeman, inner_product, norm, to_standard
 from .extensions import (clifford_dimension, symmetrize_subzone, unprojected_coulomb_matrix,
                          zonal_coulomb_matrix)
 from .padi import (SpinorField, anomalous_kernel, anomalous_zone_kernel, apply_padi,
@@ -10,8 +9,7 @@ from .padi import (SpinorField, anomalous_kernel, anomalous_zone_kernel, apply_p
 from .params import PhysParams
 from .path_measure import (PathDiscretization, action_functional, cylinder_measure,
                            discretized_feynman_kac, monte_carlo_feynman_kac,
-                           probability_density, probability_total_mass,
-                           radon_nikodym_density, stopwatch_phase)
+                           probability_total_mass, radon_nikodym_density, stopwatch_phase)
 from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
                           global_kernel, partition_function, partition_function_trace,
                           semigroup_residual, zonal_kernel, zonal_kernel_spectral)
@@ -27,14 +25,13 @@ __all__ = [
     "PhysParams", "ZonePolynomial", "SpinorField", "PathDiscretization", "KernelGrid",
     "QuadratureRule", "SingularTimeError", "QuadratureConvergenceError",
     "laguerre", "multiplicity_factor", "gauss_hermite", "gauss_legendre", "gauss_laguerre",
-    "inner_product", "norm", "to_standard", "apply_zeeman", "apply_angular_momentum",
-    "apply_rep", "zone_basis", "project_to_zone", "zone_kernel", "kernel_basis_residual",
+    "inner_product", "norm", "to_standard", "apply_zeeman", "apply_rep",
+    "zone_basis", "project_to_zone", "zone_kernel", "kernel_basis_residual",
     "global_kernel", "zonal_kernel", "zonal_kernel_spectral", "partition_function",
     "partition_function_trace", "evolve", "semigroup_residual",
     "average_energy", "specific_heat", "tension", "stable_spread", "find_period_extrema",
     "action_functional", "stopwatch_phase", "radon_nikodym_density", "cylinder_measure",
-    "discretized_feynman_kac", "monte_carlo_feynman_kac", "probability_density",
-    "probability_total_mass",
+    "discretized_feynman_kac", "monte_carlo_feynman_kac", "probability_total_mass",
     "spin_matrices", "apply_padi", "padi_square_residual", "eigenspinors",
     "anomalous_kernel", "anomalous_zone_kernel", "spinor_inner_product", "spinor_norm",
     "clifford_dimension", "symmetrize_subzone", "zonal_coulomb_matrix",

@@ -37,6 +37,10 @@ class KernelForm(NamedTuple):
     C: complex
     D: complex
 
+    def swapped(self) -> "KernelForm":
+        """The same kernel with its arguments exchanged, K'(X, Y) = K(Y, X)."""
+        return self._replace(A=self.B, B=self.A, D=-self.D)
+
 
 def _laguerre_terms(form: KernelForm, lam: float, k: int):
     """Pairs (c, m) with L_a(lam sum_i e_i) = sum c prod_i e_i^m_i over the k real axes."""

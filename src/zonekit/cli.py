@@ -221,18 +221,8 @@ def cmd_thermo(args, cfg) -> int:
     if args.scan:
         ext = thermo.find_period_extrema(args.scan, args.a, params, X=X,
                                          kappa=kappa, h=h)
-        P = thermo.period(params) if args.scan != "energy_density" \
-            else math.pi * kappa / h
-        ts = np.linspace(P * 1e-6, P * (1 - 1e-6), 512)
-        srow = []
-        for t in ts:
-            if args.scan == "partition_density":
-                val = abs(partition_function(1j, args.a, t, params)) ** 2
-            elif args.scan == "diagonal_density":
-                val = abs(thermo.diagonal_kernel(1j, args.a, t, X, params)) ** 2
-            else:
-                val = abs(thermo.average_energy_of_time(t, params, kappa, h)) ** 2
-            srow.append([_fmt(t), _fmt(val)])
+        P, _, density = thermo.period_density(args.scan, args.a, params, X, kappa, h)
+        srow = [[_fmt(t), _fmt(density(t))] for t in np.linspace(P * 1e-6, P * (1 - 1e-6), 512)]
         _write_csv(os.path.join(_outdir(args), "period_scan.csv"), ["t", "abs2"], srow)
         erow = [[_fmt(t), kind] for t, kind in ext]
         _write_csv(os.path.join(_outdir(args), "period_extrema.csv"), ["t", "kind"], erow)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._factored import transfer
+from ._factored import row, transfer
 from .params import PhysParams
 from .propagators import (QuadratureConvergenceError, _check_sigma, _global_form, _zonal_form,
                           zonal_kernel)
-from .special import flat_hermite_grid, gauss_legendre, real_to_complex
+from .special import flat_hermite_grid, gauss_legendre, hermite_axis, real_to_complex
 from .zones import _zone_form, pairing, zone_kernel
 
 
@@ -353,9 +353,7 @@ def probability_total_mass(a: int, x, T: float, params: PhysParams,
     reports alongside the conservation check.
     """
     lam, k = params.lam, params.k
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    pts, w = flat_hermite_grid(order, lam, k)
-    ypts = real_to_complex(pts)
-    vals = zonal_kernel(1j, a, T, np.broadcast_to(x, ypts.shape), ypts, params)
+    _, w = flat_hermite_grid(order, lam, k)
+    vals = row(_zonal_form(1j, a, T, params), params, x, [hermite_axis(order, lam)[0]] * k)[0]
     dens = np.pi ** (k / 2) * np.abs(vals) ** 2
     return float(np.sum(w * dens))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._factored import KernelForm, diagonal_sum
+from ._factored import KernelForm, diagonal_sum, row
 from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
 from .special import (flat_hermite_grid, hermite_axis, laguerre, multiplicity_factor,
@@ -230,18 +230,11 @@ def evolve_by_convolution(f: ZonePolynomial, sigma: complex, t: float,
     """
     from .algebra import to_standard
 
-    sigma = _check_sigma(sigma)
-    a = infer_zone(f)
+    form = _zonal_form(sigma, infer_zone(f), t, params)
     lam, k = params.lam, params.k
     points, weights = flat_hermite_grid(order, lam, k)
-    zpts = real_to_complex(points)
-    psi = to_standard(f)(zpts)
-    X = np.atleast_2d(np.asarray(X, dtype=complex))
-    out = np.empty(X.shape[0], dtype=complex)
-    for i, x in enumerate(X):
-        ker = zonal_kernel(sigma, a, t, x[None, :], zpts, params)
-        out[i] = np.sum(weights * ker * psi)
-    return out
+    psi = to_standard(f)(real_to_complex(points))
+    return row(form, params, X, [hermite_axis(order, lam)[0]] * k) @ (weights * psi)
 
 
 def semigroup_residual(sigma: complex, a: int, s: float, t: float,
@@ -254,20 +247,20 @@ def semigroup_residual(sigma: complex, a: int, s: float, t: float,
     if s <= 0 or t <= 0:
         raise ValueError("both time arguments must be positive")
     lam, k = params.lam, params.k
+    pairs = list(sample_pairs)
+    if not pairs:
+        raise ValueError("need at least one sample pair")
+    X, Y = (np.array(side, dtype=complex) for side in zip(*pairs))
+    left = _zonal_form(sigma, a, s, params)
+    right = _zonal_form(sigma, a, t, params).swapped()  # K_t(M, Y) as a row of Y
+    target = zonal_kernel(sigma, a, s + t, X, Y, params)
 
     def run(n):
-        points, weights = flat_hermite_grid(n, lam, k)
-        mpts = real_to_complex(points)
-        worst = 0.0
-        for X, Y in sample_pairs:
-            X = np.asarray(X, dtype=complex)
-            Y = np.asarray(Y, dtype=complex)
-            left = zonal_kernel(sigma, a, s, X[None, :], mpts, params)
-            right = zonal_kernel(sigma, a, t, mpts, Y[None, :], params)
-            comp = np.sum(weights * left * right)
-            target = zonal_kernel(sigma, a, s + t, X[None, :], Y[None, :], params)[0]
-            worst = max(worst, abs(comp - target))
-        return worst
+        _, weights = flat_hermite_grid(n, lam, k)
+        nodes = [hermite_axis(n, lam)[0]] * k
+        comp = np.sum(weights * row(left, params, X, nodes) * row(right, params, Y, nodes),
+                      axis=1)
+        return float(np.max(np.abs(comp - target)))
 
     res = run(order)
     if check_convergence:
@@ -275,7 +268,7 @@ def semigroup_residual(sigma: complex, a: int, s: float, t: float,
         if abs(res - res2) > tol:
             raise QuadratureConvergenceError(
                 f"residual moved from {res:.3e} to {res2:.3e} on order doubling")
-    return float(res)
+    return res
 
 
 # ---- sampled kernel grids -----------------------------------------------------
@@ -324,6 +317,7 @@ class KernelGrid:
         forked children write blocks 1.. to ``<path>.part<j>`` while this
         process writes block 0 into `path`, then each part is appended in
         order and deleted.  With one usable CPU or one X row nothing is forked.
+        An OSError in a child (a full disk, say) is raised here, as in block 0.
         """
         m = self.params.m
         header = [f"{p}_{z}{j+1}" for z in "zw" for j in range(m) for p in ("re", "im")]
@@ -344,22 +338,26 @@ class KernelGrid:
             n = max(1, min(_usable_cpus(), len(xs)))
             cut = [len(xs) * j // n for j in range(n + 1)]
             parts = [f"{path}.part{j}" for j in range(1, n)]
-            procs = []
+            procs, pipes = [], []
             fh.flush()  # a forked child must not inherit the buffered header
             try:
                 # the children only format and write; the other threads of this
                 # process (BLAS workers) hold no lock they need
                 ctx = multiprocessing.get_context("fork")
                 for j, part in enumerate(parts, 1):
+                    pipes.append(ctx.Pipe(duplex=False))
                     proc = ctx.Process(target=_write_part, daemon=True,
                                        args=(part, xs[cut[j]:cut[j + 1]],
-                                             self.values[cut[j]:cut[j + 1]], suffixes))
+                                             self.values[cut[j]:cut[j + 1]], suffixes,
+                                             pipes[-1][1]))
                     proc.start()
                     procs.append(proc)
                 _write_rows(fh, xs[:cut[1]], self.values[:cut[1]], suffixes)
                 fh.flush()
-                for proc, part in zip(procs, parts):
+                for proc, part, (error, _) in zip(procs, parts, pipes):
                     proc.join()
+                    if error.poll():  # the child sent the OSError it stopped at
+                        raise error.recv()
                     if proc.exitcode != 0:
                         raise RuntimeError(f"writer of {part} exited with code {proc.exitcode}")
                     _append(fh.fileno(), part)
@@ -369,6 +367,9 @@ class KernelGrid:
                     if proc.is_alive():
                         proc.terminate()
                     proc.join()
+                for ends in pipes:
+                    for conn in ends:
+                        conn.close()
                 for part in parts:
                     if os.path.exists(part):
                         os.remove(part)
@@ -390,9 +391,14 @@ def _write_rows(fh, xs, values, suffixes) -> None:
                                            map(repr, row.imag.tolist()))) + "\r\n")
 
 
-def _write_part(path, xs, values, suffixes) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_rows(fh, xs, values, suffixes)
+def _write_part(path, xs, values, suffixes, error) -> None:
+    """Write one block to `path` in a child; an OSError goes back through the
+    pipe end `error` for the parent to raise, not to this child's stderr."""
+    try:
+        with open(path, "w", newline="") as fh:
+            _write_rows(fh, xs, values, suffixes)
+    except OSError as exc:
+        error.send(exc)
 
 
 def _append(fd: int, path: str) -> None:

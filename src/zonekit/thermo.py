@@ -132,42 +132,38 @@ def _refine_extremum(fun, t0: float, dt: float, minimize: bool, iters: int = 60)
     return 0.5 * (lo + hi)
 
 
+def period_density(quantity: str, a: int, params: PhysParams, X: np.ndarray | None = None,
+                   kappa: float | None = None, h: float = 1.0):
+    """One period of a periodic Dirac-Feynman density: (period, poles, density of t).
+
+    quantity is one of "partition_density" (|Z_i|^2), "diagonal_density"
+    (|d_i(t,X,X)|^2, requires X), or "energy_density" (|E_i(1/T=t)|^2).
+    """
+    if quantity == "partition_density":
+        P = period(params)
+        return P, [0.0, P], lambda t: abs(partition_function(1j, a, t, params)) ** 2
+    if quantity == "diagonal_density":
+        if X is None:
+            raise ValueError("diagonal_density requires a base point X")
+        return period(params), [], lambda t: abs(diagonal_kernel(1j, a, t, X, params)) ** 2
+    if quantity == "energy_density":
+        kap = default_kappa(params) if kappa is None else kappa
+        P = math.pi * kap / h
+        return P, [0.0, P], lambda t: abs(average_energy_of_time(t, params, kap, h)) ** 2
+    raise ValueError(f"quantity {quantity!r} is not periodic in t")
+
+
 def find_period_extrema(quantity: str, a: int, params: PhysParams,
                         X: np.ndarray | None = None,
                         kappa: float | None = None, h: float = 1.0,
                         n_samples: int = 4096):
     """Locate extrema of a periodic Dirac-Feynman density over one period.
 
-    quantity is one of "partition_density" (|Z_i|^2), "diagonal_density"
-    (|d_i(t,X,X)|^2, requires X), or "energy_density" (|E_i(1/T=t)|^2).
-    Returns a list of (time, kind) with kind in {"min", "max", "pole"},
-    refined by ternary search to ~1e-12 of the period.
+    The density is chosen by `period_density`.  Returns a list of (time, kind)
+    with kind in {"min", "max", "pole"}, refined by ternary search to ~1e-12
+    of the period.
     """
-    lam = params.lam
-    if quantity == "partition_density":
-        P = math.pi / lam
-        poles = [0.0, P]
-
-        def fun(t):
-            return abs(partition_function(1j, a, t, params)) ** 2
-    elif quantity == "diagonal_density":
-        if X is None:
-            raise ValueError("diagonal_density requires a base point X")
-        P = math.pi / lam
-        poles = []
-
-        def fun(t):
-            return abs(diagonal_kernel(1j, a, t, X, params)) ** 2
-    elif quantity == "energy_density":
-        kap = default_kappa(params) if kappa is None else kappa
-        P = math.pi * kap / h
-        poles = [0.0, P]
-
-        def fun(t):
-            return abs(average_energy_of_time(t, params, kap, h)) ** 2
-    else:
-        raise ValueError(f"quantity {quantity!r} is not periodic in t")
-
+    P, poles, fun = period_density(quantity, a, params, X, kappa, h)
     eps = P * 1e-6
     ts = np.linspace(eps, P - eps, n_samples)
     vals = np.array([fun(t) for t in ts])

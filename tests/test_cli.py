@@ -14,7 +14,7 @@ import pytest
 import zonekit
 from zonekit.cli import main
 from zonekit.params import PhysParams
-from zonekit.propagators import zonal_kernel
+from zonekit.propagators import partition_function, zonal_kernel
 from zonekit.verify import CHECKS
 
 
@@ -248,6 +248,34 @@ def test_thermo_scan_point_needs_k_over_2_coordinates(tmp_path, capsys):
         "error: --scan-point needs one complex coordinate per particle, k/2 = 1 at k=2; got 2")
     # refused before any curve is written
     assert not (tmp_path / "thermo.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["partition_density", "diagonal_density", "energy_density"])
+def test_thermo_scan_of_each_density(tmp_path, kind):
+    params = PhysParams(lam=1.0, k=2)
+    X = np.array([[0.7 + 0.2j]])  # the default --scan-point
+    kappa = 2 * math.pi  # the default kappa at lam = 1
+    density, P = {
+        "partition_density": (lambda t: abs(partition_function(1j, 0, t, params)) ** 2, math.pi),
+        "diagonal_density": (lambda t: abs(zonal_kernel(1j, 0, t, X, X, params)[0]) ** 2,
+                             math.pi),
+        "energy_density": (lambda t: abs(1 + 2 / (np.exp(2j * t / kappa) - 1)) ** 2,
+                           math.pi * kappa),
+    }[kind]
+    assert run(tmp_path, "thermo", "--scan", kind, "--T-grid=0.5:1:0.5") == 0
+    with open(tmp_path / "period_scan.csv") as fh:
+        scan = [(float(r["t"]), float(r["abs2"])) for r in csv.DictReader(fh)]
+    assert len(scan) == 512
+    assert [scan[0][0], scan[-1][0]] == pytest.approx([1e-6 * P, P - 1e-6 * P])
+    for t, val in scan:
+        assert val == pytest.approx(density(t), rel=1e-9)
+    with open(tmp_path / "period_extrema.csv") as fh:
+        extrema = [(float(r["t"]), r["kind"]) for r in csv.DictReader(fh)]
+    poles = [t for t, what in extrema if what == "pole"]
+    assert poles == ([] if kind == "diagonal_density" else [0.0, pytest.approx(P)])
+    # each density is symmetric about the half period, where it is smallest
+    assert [(t, what) for t, what in extrema if what != "pole"] == \
+        [(pytest.approx(P / 2, rel=1e-6), "min")]
 
 
 def test_python_m_zonekit(tmp_path):

@@ -61,6 +61,8 @@ def test_factored_matches_dense(kind, a, lam, charge_sign, k):
 
     X = rng.uniform(-1, 1, (3, k // 2)) + 1j * rng.uniform(-1, 1, (3, k // 2))
     assert close(row(form, params, X, dst), dense(kind, a, params, X, V))
+    # the swapped form is K(Y, X), sampled along the same rows
+    assert close(row(form.swapped(), params, X, dst), dense(kind, a, params, V, X).T)
 
     w = [rng.uniform(0.5, 1.5, len(x)) for x in src]
     ref = np.sum(functools.reduce(np.multiply.outer, w).ravel()

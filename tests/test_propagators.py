@@ -180,6 +180,8 @@ def test_semigroup_residuals():
     assert semigroup_residual(1j, 0, 0.3, 0.3, pairs, PAR, order=64) < 1e-5
     with pytest.raises(ValueError):
         semigroup_residual(1, 0, -0.1, 0.3, pairs, PAR)
+    with pytest.raises(ValueError, match="at least one sample pair"):
+        semigroup_residual(1, 0, 0.3, 0.3, [], PAR)
 
 
 def test_degenerate_composition_reproduces_point_spread():
@@ -303,8 +305,9 @@ def test_kernel_grid_csv_bytes(tmp_path, monkeypatch, case, cpus):
         assert path.read_bytes().count(b"\r\n") == 1
 
 
-@pytest.mark.parametrize("fault", ["child_raises", "parent_interrupted", "append_fails"])
-def test_kernel_grid_csv_failure_leaves_no_process_or_part(tmp_path, monkeypatch, fault):
+@pytest.mark.parametrize("fault",
+                         ["child_raises", "child_oserror", "parent_interrupted", "append_fails"])
+def test_kernel_grid_csv_failure_leaves_no_process_or_part(tmp_path, monkeypatch, capfd, fault):
     pts = np.array([[-2.0 + 0.0j], [0.5 + 0.25j], [-0.5 - 1.0j], [0.1 + 2.0j]])
     grid = KernelGrid.sample(1j, 0.25, pts, pts, PAR, a=1)
     _use_cpus(monkeypatch, 3)
@@ -314,6 +317,8 @@ def test_kernel_grid_csv_failure_leaves_no_process_or_part(tmp_path, monkeypatch
         # blocks of 4 X rows on 3 CPUs: the parent writes row 0, children 1 and 2-3
         if fault == "child_raises" and len(xs) == 2:
             raise ValueError("formatting failed")
+        if fault == "child_oserror" and len(xs) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
         if fault == "parent_interrupted" and fh.name.endswith("grid.csv"):
             raise KeyboardInterrupt
         write_rows(fh, xs, values, suffixes)
@@ -324,12 +329,20 @@ def test_kernel_grid_csv_failure_leaves_no_process_or_part(tmp_path, monkeypatch
     monkeypatch.setattr(propagators, "_write_rows", failing_rows)
     if fault == "append_fails":
         monkeypatch.setattr(os, "copy_file_range", failing_copy)
-    expected = {"child_raises": RuntimeError, "parent_interrupted": KeyboardInterrupt,
-                "append_fails": OSError}[fault]
-    with pytest.raises(expected) as info:
-        grid.write_csv(str(tmp_path / "grid.csv"))
-    if fault == "child_raises":
-        assert "exited with code 1" in str(info.value)
+    if fault == "child_oserror":
+        # the child's error reaches `zonekit kernel` (a 4-point grid) as one
+        # usage-error line, and the child prints no traceback of its own
+        from zonekit.cli import main
+        assert main(["kernel", "--sigma", "i", "--a", "1", "--t", "0.25", "--grid=0:1:1",
+                     "--outdir", str(tmp_path), "--output", "grid.csv"]) == 2
+        assert capfd.readouterr().err == "error: [Errno 28] No space left on device\n"
+    else:
+        expected = {"child_raises": RuntimeError, "parent_interrupted": KeyboardInterrupt,
+                    "append_fails": OSError}[fault]
+        with pytest.raises(expected) as info:
+            grid.write_csv(str(tmp_path / "grid.csv"))
+        if fault == "child_raises":
+            assert "exited with code 1" in str(info.value)
     assert multiprocessing.active_children() == []
     assert os.listdir(tmp_path) == ["grid.csv"]
 
