@@ -235,8 +235,8 @@ def cmd_path(args, cfg) -> int:
     quad_counts = range(1, min(args.n_slices, args.quadrature_max_slices) + 1)
     if len(quad_counts) > 1:
         nodes = args.order ** params.k
-        # the sweep holds three nodes x nodes complex matrices: kernel, pairing, step
-        _require_memory(3 * np.dtype(complex).itemsize * nodes * nodes,
+        # the sweep holds two nodes x nodes complex matrices: kernel and step
+        _require_memory(2 * np.dtype(complex).itemsize * nodes * nodes,
                         f"sliced quadrature at order {args.order} ({nodes} nodes)")
     x = _point(args.x, params, "--x")
     y = _point(args.y, params, "--y")

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._factored import row, transfer
 from .params import PhysParams
-from .propagators import (QuadratureConvergenceError, _check_sigma, _global_form, _zonal_form,
-                          zonal_kernel)
+from .propagators import (QuadratureConvergenceError, _check_sigma, _global_form, _usable_cpus,
+                          _zonal_form, zonal_kernel)
 from .special import flat_hermite_grid, gauss_legendre, hermite_axis, real_to_complex
 from .zones import _zone_form, pairing, zone_kernel
 
@@ -210,11 +211,14 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     """`discretized_feynman_kac` at each of `slice_counts`, in the given order.
 
     Only the scalar c = 2 sigma lam^2 T/(n+1) depends on the slice count n,
-    so the grid, the end vectors and the N x N zone-kernel and pairing
-    matrices (N = order^k nodes) are built once per quadrature order and
-    shared; each n refills one step buffer in place.  At most three N x N
-    complex arrays are live at once.  With `check_convergence` every slice
-    count is compared against the raised order.
+    so the grid, the end vectors and the N x N zone-kernel matrix (N =
+    order^k nodes) are built once per quadrature order and shared; each n
+    refills one step buffer in place, recomputing the pairing block by block
+    instead of storing it.  Both fills run in row blocks on every usable CPU
+    (`_fill_rows`), element by element as one whole-matrix expression would,
+    so the values do not depend on the CPU count.  At most two N x N complex
+    arrays are live at once.  With `check_convergence` every slice count is
+    compared against the raised order.
     """
     sigma = _check_sigma(sigma)
     slice_counts = tuple(slice_counts)
@@ -238,23 +242,33 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
             r2 = np.sum(np.abs(m) ** 2, axis=-1)
             ends2 = float(np.sum(np.abs(x) ** 2)) + float(np.sum(np.abs(y) ** 2))
         if max(slice_counts) > 1:
-            K = zone_kernel(a, m[:, None, :], m[None, :, :], params)
-            P = pairing(m[:, None, :], m[None, :, :], params) if split else None
+            K = np.empty((len(m), len(m)), dtype=complex)
             step = np.empty_like(K)
+
+            def fill_kernel(rows):
+                K[rows] = zone_kernel(a, m[rows, None, :], m[None, :, :], params)
+
+            _fill_rows(fill_kernel, len(m))
         vals = []
         for n in slice_counts:
             c = 2.0 * sigma * lam**2 * (T / (n + 1))
             if split:
                 f = ker_x * np.exp(-c * act_x)
-                if n > 1:
-                    np.multiply(-c, P, out=step)
-                    np.exp(step, out=step)
-                    np.multiply(K, step, out=step)
+
+                def fill_step(rows):
+                    out = step[rows]
+                    np.multiply(-c, pairing(m[rows, None, :], m[None, :, :], params), out=out)
+                    np.exp(out, out=out)
+                    np.multiply(K[rows], out, out=out)
             else:
                 damp = np.exp(-c * r2)
                 f = ker_x * damp
-                if n > 1:
-                    np.multiply(K, damp[None, :], out=step)
+
+                def fill_step(rows):
+                    np.multiply(K[rows], damp[None, :], out=step[rows])
+            if n > 1:
+                _fill_rows(fill_step, len(m))
+            # the chain stays on this thread, after the fill, in one summation order
             for _ in range(n - 1):
                 f = (w * f) @ step
             if split:
@@ -275,6 +289,29 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
                     f"sliced integral at {n} slices moved from {val:.6e} to {val2:.6e} "
                     f"on order increase")
     return vals
+
+
+# elements per row block of an N x N fill: a few block-sized temporaries stay
+# in cache, and a small grid is one or a few blocks
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _fill_rows(fill, n: int) -> None:
+    """Call `fill(rows)` on contiguous row slices covering an n x n matrix.
+
+    The blocks run on one thread per usable CPU (numpy releases the GIL in
+    the element-wise work), or inline with one usable CPU or one block.
+    """
+    size = max(1, _BLOCK_ELEMENTS // n)
+    blocks = [slice(i, i + size) for i in range(0, n, size)]
+    workers = min(_usable_cpus(), len(blocks))
+    if workers <= 1:
+        for rows in blocks:
+            fill(rows)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fill, blocks):  # re-raises a block's exception here
+            pass
 
 
 def monte_carlo_feynman_kac(sigma: complex, a: int, x, y, T: float, n_slices: int,

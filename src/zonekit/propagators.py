@@ -315,9 +315,12 @@ class KernelGrid:
         Each grid point is formatted once and rows are streamed one X row at a
         time.  The X rows are split into one contiguous block per usable CPU:
         forked children write blocks 1.. to ``<path>.part<j>`` while this
-        process writes block 0 into `path`, then each part is appended in
-        order and deleted.  With one usable CPU or one X row nothing is forked.
-        An OSError in a child (a full disk, say) is raised here, as in block 0.
+        process writes the header and block 0 to ``<path>.part0``, then each
+        part is appended to part 0 in order and deleted, and part 0 is renamed
+        onto `path`.  With one usable CPU or one X row nothing is forked.  An
+        OSError in a child (a full disk, say) is raised here, as in block 0.
+        On any failure no part and no `path` is left behind (an existing
+        `path` is kept as it was).
         """
         m = self.params.m
         header = [f"{p}_{z}{j+1}" for z in "zw" for j in range(m) for p in ("re", "im")]
@@ -331,20 +334,19 @@ class KernelGrid:
 
         suffixes = [f"{y},{sig},{float(self.t)!r},{a}," for y in coords(self.points_Y)]
         xs = coords(self.points_X)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            if not suffixes:  # an empty Y grid has no rows, not one bare prefix per X
-                return
-            n = max(1, min(_usable_cpus(), len(xs)))
-            cut = [len(xs) * j // n for j in range(n + 1)]
-            parts = [f"{path}.part{j}" for j in range(1, n)]
-            procs, pipes = [], []
-            fh.flush()  # a forked child must not inherit the buffered header
-            try:
+        rows = len(xs) if suffixes else 0  # an empty Y grid has no rows, not bare X prefixes
+        n = max(1, min(_usable_cpus(), rows))
+        cut = [rows * j // n for j in range(n + 1)]
+        parts = [f"{path}.part{j}" for j in range(n)]
+        procs, pipes = [], []
+        try:
+            with open(parts[0], "w", newline="") as fh:
+                fh.write(",".join(header) + "\r\n")
+                fh.flush()  # a forked child must not inherit the buffered header
                 # the children only format and write; the other threads of this
                 # process (BLAS workers) hold no lock they need
                 ctx = multiprocessing.get_context("fork")
-                for j, part in enumerate(parts, 1):
+                for j, part in enumerate(parts[1:], 1):
                     pipes.append(ctx.Pipe(duplex=False))
                     proc = ctx.Process(target=_write_part, daemon=True,
                                        args=(part, xs[cut[j]:cut[j + 1]],
@@ -354,7 +356,7 @@ class KernelGrid:
                     procs.append(proc)
                 _write_rows(fh, xs[:cut[1]], self.values[:cut[1]], suffixes)
                 fh.flush()
-                for proc, part, (error, _) in zip(procs, parts, pipes):
+                for proc, part, (error, _) in zip(procs, parts[1:], pipes):
                     proc.join()
                     if error.poll():  # the child sent the OSError it stopped at
                         raise error.recv()
@@ -362,17 +364,18 @@ class KernelGrid:
                         raise RuntimeError(f"writer of {part} exited with code {proc.exitcode}")
                     _append(fh.fileno(), part)
                     os.remove(part)
-            finally:
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.terminate()
-                    proc.join()
-                for ends in pipes:
-                    for conn in ends:
-                        conn.close()
-                for part in parts:
-                    if os.path.exists(part):
-                        os.remove(part)
+            os.replace(parts[0], path)
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
+            for ends in pipes:
+                for conn in ends:
+                    conn.close()
+            for part in parts:
+                if os.path.exists(part):
+                    os.remove(part)
 
 
 def _usable_cpus() -> int:

@@ -194,10 +194,10 @@ def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):
 
 
 def test_oversized_path_sweep_is_refused_before_allocating(tmp_path, capsys):
-    # k=4 at order 32: 32^4 nodes, three step-sized matrices of about 1.8e13 bytes each
+    # k=4 at order 32: 32^4 nodes, two step-sized matrices of about 1.8e13 bytes each
     assert run(tmp_path, "path", "--k", "4", "--order", "32", "--n-slices", "2") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 5.28e+04 GB")
+    assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 3.52e+04 GB")
     assert not (tmp_path / "path.csv").exists()
 
 

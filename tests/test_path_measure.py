@@ -1,10 +1,12 @@
 """Cylinder measures, path action, Radon-Nikodym densities, sliced reconstruction."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import zonekit.path_measure as path_measure
 from zonekit.params import PhysParams
 from zonekit.path_measure import (PathDiscretization, action_functional, cylinder_measure,
                                   discretized_feynman_kac, feynman_kac_sweep,
@@ -201,6 +203,39 @@ def test_sweep_matches_per_slice_reference_exactly(action_mode, k, order, charge
                 ref = [_seed_feynman_kac(sigma, a, x, y, 0.5, n, params, order, action_mode)
                        for n in counts]
                 assert got == ref
+
+
+@pytest.mark.parametrize("k, order, lam", [(2, 20, 0.4), (4, 5, 2.5)])
+def test_sweep_row_block_fill_is_exact_on_any_cpu_count(monkeypatch, k, order, lam):
+    # N = 400 and 625 nodes: several row blocks, the last one short
+    n = order ** k
+    rows = path_measure._BLOCK_ELEMENTS // n
+    assert 1 < rows < n and n % rows
+    params = PhysParams(lam=lam, k=k, charge_sign=-1)
+    counts = (3, 1, 2)
+    x = np.array([0.35 + 0.2j, -0.1 + 0.25j][:k // 2])
+    y = np.array([-0.3 + 0.1j, 0.2 - 0.15j][:k // 2])
+    ref = {a: [_seed_feynman_kac(1j, a, x, y, 0.5, n, params, order, "split") for n in counts]
+           for a in (0, 1)}
+    real_pool = path_measure.ThreadPoolExecutor
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pools = []
+
+        def pool(workers):
+            # one thread per usable CPU, and none with one usable CPU
+            assert 1 < workers <= cpus
+            pools.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(path_measure, "ThreadPoolExecutor", pool)
+        for a in (0, 1):
+            assert feynman_kac_sweep(1j, a, x, y, 0.5, counts, params, order=order) == ref[a]
+        if k == 2:
+            # the raised-order pass (N = 900) fills through the same blocks
+            assert feynman_kac_sweep(1j, 1, x, y, 0.5, counts, params, order=order,
+                                     check_convergence=True) == ref[1]
+        assert bool(pools) == (cpus > 1)
 
 
 def test_sweep_checks_every_slice_count():

@@ -319,7 +319,7 @@ def test_kernel_grid_csv_failure_leaves_no_process_or_part(tmp_path, monkeypatch
             raise ValueError("formatting failed")
         if fault == "child_oserror" and len(xs) == 2:
             raise OSError(errno.ENOSPC, "No space left on device")
-        if fault == "parent_interrupted" and fh.name.endswith("grid.csv"):
+        if fault == "parent_interrupted" and np.array_equal(values, grid.values[:1]):
             raise KeyboardInterrupt
         write_rows(fh, xs, values, suffixes)
 
@@ -344,7 +344,7 @@ def test_kernel_grid_csv_failure_leaves_no_process_or_part(tmp_path, monkeypatch
         if fault == "child_raises":
             assert "exited with code 1" in str(info.value)
     assert multiprocessing.active_children() == []
-    assert os.listdir(tmp_path) == ["grid.csv"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_df_partition_trace():
