@@ -7,14 +7,12 @@ from .padi import (SpinorField, anomalous_kernel, anomalous_zone_kernel, apply_p
                    eigenspinors, padi_square_residual, spin_matrices, spinor_inner_product,
                    spinor_norm)
 from .params import PhysParams
-from .path_measure import (PathDiscretization, action_functional, cylinder_measure,
-                           discretized_feynman_kac, monte_carlo_feynman_kac,
+from .path_measure import (PathDiscretization, cylinder_measure, monte_carlo_feynman_kac,
                            probability_total_mass, radon_nikodym_density, stopwatch_phase)
 from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
                           global_kernel, partition_function, partition_function_trace,
                           semigroup_residual, zonal_kernel, zonal_kernel_spectral)
-from .special import QuadratureRule, gauss_hermite, gauss_laguerre, gauss_legendre, laguerre, \
-    multiplicity_factor
+from .special import gauss_hermite, laguerre
 from .thermo import (average_energy, find_period_extrema, specific_heat, stable_spread,
                      tension)
 from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kernel
@@ -23,15 +21,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhysParams", "ZonePolynomial", "SpinorField", "PathDiscretization", "KernelGrid",
-    "QuadratureRule", "SingularTimeError", "QuadratureConvergenceError",
-    "laguerre", "multiplicity_factor", "gauss_hermite", "gauss_legendre", "gauss_laguerre",
+    "SingularTimeError", "QuadratureConvergenceError", "laguerre", "gauss_hermite",
     "inner_product", "norm", "to_standard", "apply_zeeman", "apply_rep",
     "zone_basis", "project_to_zone", "zone_kernel", "kernel_basis_residual",
     "global_kernel", "zonal_kernel", "zonal_kernel_spectral", "partition_function",
     "partition_function_trace", "evolve", "semigroup_residual",
     "average_energy", "specific_heat", "tension", "stable_spread", "find_period_extrema",
-    "action_functional", "stopwatch_phase", "radon_nikodym_density", "cylinder_measure",
-    "discretized_feynman_kac", "monte_carlo_feynman_kac", "probability_total_mass",
+    "stopwatch_phase", "radon_nikodym_density", "cylinder_measure",
+    "monte_carlo_feynman_kac", "probability_total_mass",
     "spin_matrices", "apply_padi", "padi_square_residual", "eigenspinors",
     "anomalous_kernel", "anomalous_zone_kernel", "spinor_inner_product", "spinor_norm",
     "clifford_dimension", "symmetrize_subzone", "zonal_coulomb_matrix",

@@ -27,8 +27,8 @@ from .extensions import clifford_dimension, unprojected_coulomb_matrix, zonal_co
 from .padi import anomalous_kernel, eigenspinors, normalization_report
 from .params import PhysParams
 from .path_measure import feynman_kac_sweep, monte_carlo_feynman_kac
-from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
-                          partition_function, zonal_kernel)
+from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError,
+                          _require_memory, evolve, partition_function, zonal_kernel)
 from .special import real_to_complex
 from .zones import zone_basis
 
@@ -57,10 +57,6 @@ class UsageError(Exception):
 def _params(args, cfg) -> PhysParams:
     lam = args.lam if args.lam is not None else float(cfg.get("lambda", 1.0))
     k = args.k if args.k is not None else int(cfg.get("k", 2))
-    if lam <= 0:
-        raise UsageError(f"invalid parameter lambda={lam} (must be > 0)")
-    if k % 2 or k < 2:
-        raise UsageError(f"invalid parameter k={k} (must be even and >= 2)")
     return PhysParams(lam=lam, k=k)
 
 
@@ -77,14 +73,6 @@ def _outdir(args) -> str:
     out = args.outdir or os.environ.get("ZONEKIT_OUTDIR", ".")
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _require_memory(need_bytes: int, what: str) -> None:
-    """Refuse, before allocating, a request larger than physical memory."""
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need_bytes > have:
-        raise UsageError(f"{what} needs {need_bytes / 1e9:.3g} GB, more than the "
-                         f"{have / 1e9:.3g} GB of physical memory")
 
 
 def _parse_grid(text: str):
@@ -114,10 +102,12 @@ def _point(text: str, params: PhysParams, flag: str) -> np.ndarray:
 
 
 def _parse_range(text: str):
-    """Either 'a..b' or a single integer."""
+    """Either 'a..b' with a <= b, or a single integer."""
     if ".." in text:
-        lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
+        lo, hi = (int(p) for p in text.split(".."))
+        if hi < lo:
+            raise UsageError(f"range {text!r} is empty")
+        return range(lo, hi + 1)
     return [int(text)]
 
 
@@ -233,11 +223,6 @@ def cmd_path(args, cfg) -> int:
     params = _params(args, cfg)
     sigma = _sigma(args)
     quad_counts = range(1, min(args.n_slices, args.quadrature_max_slices) + 1)
-    if len(quad_counts) > 1:
-        nodes = args.order ** params.k
-        # the sweep holds two nodes x nodes complex matrices: kernel and step
-        _require_memory(2 * np.dtype(complex).itemsize * nodes * nodes,
-                        f"sliced quadrature at order {args.order} ({nodes} nodes)")
     x = _point(args.x, params, "--x")
     y = _point(args.y, params, "--y")
     target = zonal_kernel(sigma, args.a, args.T, x[None, :], y[None, :], params)[0]

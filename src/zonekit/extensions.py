@@ -9,7 +9,7 @@ import numpy as np
 from .algebra import ZonePolynomial
 from .params import PhysParams
 from .special import gauss_laguerre
-from .zones import zone_basis, zone_pivot_degrees
+from .zones import zone_basis
 
 # minimal module dimensions for r = 8p + s, s = 0..7, relative to the 2^{4p} factor
 _CLIFF_TABLE = (1, 2, 4, 4, 8, 8, 8, 8)
@@ -60,7 +60,7 @@ def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial,
     if par.k != 2:
         raise ValueError("the zonal Coulomb operator is built on the plane (k = 2)")
     lam = par.lam
-    rule = gauss_laguerre(order, -0.5)
+    nodes, weights = gauss_laguerre(order, -0.5)
     total = 0.0 + 0.0j
     for kf, cf in f.coefficients.items():
         (p, v), = kf
@@ -72,7 +72,7 @@ def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial,
             # int_0^inf r^{2n} (1/r) e^{-lam r^2} * 2 pi r dr
             #   = (pi / lam^{n + 1/2}) int u^{n - 1/2} e^{-u} du
             radial = math.pi / lam ** (n + 0.5) * float(
-                np.sum(rule.weights * rule.nodes ** n))
+                np.sum(weights * nodes ** n))
             total += cf * np.conj(cg) * radial
     return complex(Q * total)
 
@@ -93,9 +93,7 @@ def zonal_coulomb_matrix(a: int, Q: float, basis_size: int, params: PhysParams,
     basis = zone_basis(a, max_degree, params)
     if len(basis) < basis_size:
         raise ValueError(f"zone {a} truncation provides only {len(basis)} elements")
-    basis = basis[:basis_size]
-    degrees = zone_pivot_degrees(a, max_degree, params)[:basis_size]
-    return _galerkin(basis, degrees, Q, order, params)
+    return _galerkin(basis[:basis_size], Q, order, params)
 
 
 def unprojected_coulomb_matrix(Q: float, max_zone: int, basis_size_per_zone: int,
@@ -108,16 +106,12 @@ def unprojected_coulomb_matrix(Q: float, max_zone: int, basis_size_per_zone: int
     if params.k != 2:
         raise ValueError("k = 2 only")
     basis = []
-    degrees = []
     for a in range(max_zone + 1):
-        md = a + basis_size_per_zone - 1
-        vecs = zone_basis(a, md, params)[:basis_size_per_zone]
-        basis.extend(vecs)
-        degrees.extend(zone_pivot_degrees(a, md, params)[:basis_size_per_zone])
-    return _galerkin(basis, degrees, Q, order, params)
+        basis.extend(zone_basis(a, a + basis_size_per_zone - 1, params)[:basis_size_per_zone])
+    return _galerkin(basis, Q, order, params)
 
 
-def _galerkin(basis, degrees, Q: float, order: int, params: PhysParams):
+def _galerkin(basis, Q: float, order: int, params: PhysParams):
     """Coulomb matrix M over `basis`, H = field-term Zeeman spectrum + M, and its eigenvalues."""
     n = len(basis)
     M = np.empty((n, n), dtype=complex)
@@ -126,7 +120,8 @@ def _galerkin(basis, degrees, Q: float, order: int, params: PhysParams):
             val = coulomb_inner_product(basis[i], basis[j], Q, order=order)
             M[i, j] = val
             M[j, i] = np.conj(val)
-    diag = np.array([params.zeeman_eigenvalue(p, field_term=True) for p in degrees])
+    diag = np.array([params.zeeman_eigenvalue(vec.holomorphic_degree(), field_term=True)
+                     for vec in basis])
     H = np.diag(diag) + M
     eigvals = np.linalg.eigvalsh(H)
     return {

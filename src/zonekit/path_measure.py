@@ -17,8 +17,8 @@ import numpy as np
 
 from ._factored import row, transfer
 from .params import PhysParams
-from .propagators import (QuadratureConvergenceError, _check_sigma, _global_form, _usable_cpus,
-                          _zonal_form, zonal_kernel)
+from .propagators import (QuadratureConvergenceError, _check_sigma, _global_form,
+                          _require_memory, _usable_cpus, _zonal_form, zonal_kernel)
 from .special import flat_hermite_grid, gauss_legendre, hermite_axis, real_to_complex
 from .zones import _zone_form, pairing, zone_kernel
 
@@ -118,15 +118,13 @@ def _chain_form(kind: str, a: int | None, params: PhysParams):
 def _box_axes(box, order: int):
     """Per-axis Gauss-Legendre nodes over a rectangular box in R^k, and the
     tensor product of their weights."""
-    rules = [gauss_legendre(order, lo, hi) for lo, hi in box]
-    return [r.nodes for r in rules], functools.reduce(np.multiply.outer,
-                                                      [r.weights for r in rules])
+    nodes, weights = zip(*(gauss_legendre(order, lo, hi) for lo, hi in box))
+    return list(nodes), functools.reduce(np.multiply.outer, weights)
 
 
 def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
                      params: PhysParams, a: int | None = None,
-                     order: int = 24, check_convergence: bool = False,
-                     tol: float = 1e-6) -> complex:
+                     order: int = 24) -> complex:
     """Iterated kernel integral over rectangular boxes at the subdivision times.
 
     With every box covering the whole (numerically truncated) space this
@@ -149,21 +147,11 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
     x_axes, y_axes = ([np.array([part]) for c in np.atleast_1d(np.asarray(p, dtype=complex))
                        for part in (c.real, c.imag)] for p in (x, y))
     ts = (0.0,) + times + (T,)
-
-    def run(n):
-        grids = [(x_axes, 1.0)] + [_box_axes(box, n) for box in boxes] + [(y_axes, 1.0)]
-        f = np.ones((1,) * params.k)
-        for (src, w), (dst, _), t1, t2 in zip(grids, grids[1:], ts, ts[1:]):
-            f = transfer(f * w, form_at(t2 - t1), params, src, dst)
-        return complex(f.ravel()[0])
-
-    val = run(order)
-    if check_convergence:
-        val2 = run(2 * order)
-        if abs(val - val2) > tol * max(1.0, abs(val)):
-            raise QuadratureConvergenceError(
-                f"cylinder measure moved from {val:.6e} to {val2:.6e} on order doubling")
-    return val
+    grids = [(x_axes, 1.0)] + [_box_axes(box, order) for box in boxes] + [(y_axes, 1.0)]
+    f = np.ones((1,) * params.k)
+    for (src, w), (dst, _), t1, t2 in zip(grids, grids[1:], ts, ts[1:]):
+        f = transfer(f * w, form_at(t2 - t1), params, src, dst)
+    return complex(f.ravel()[0])
 
 
 def whole_space_box(params: PhysParams, radius: float | None = None):
@@ -217,8 +205,10 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     instead of storing it.  Both fills run in row blocks on every usable CPU
     (`_fill_rows`), element by element as one whole-matrix expression would,
     so the values do not depend on the CPU count.  At most two N x N complex
-    arrays are live at once.  With `check_convergence` every slice count is
-    compared against the raised order.
+    arrays are live at once, and a (raised) order whose two exceed physical
+    memory raises ValueError before anything is allocated.  With
+    `check_convergence` every slice count is compared against the raised
+    order.
     """
     sigma = _check_sigma(sigma)
     slice_counts = tuple(slice_counts)
@@ -230,6 +220,12 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     lam, k = params.lam, params.k
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
+    raised = order + order // 2
+    if max(slice_counts) > 1:
+        top = raised if check_convergence else order
+        nodes = top**k  # K and the step buffer: two nodes x nodes complex matrices
+        _require_memory(2 * np.dtype(complex).itemsize * nodes * nodes,
+                        f"sliced quadrature at order {top} ({nodes} nodes)")
 
     def run(nq):
         pts, w = flat_hermite_grid(nq, lam, k)
@@ -283,7 +279,7 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
 
     vals = run(order)
     if check_convergence:
-        for n, val, val2 in zip(slice_counts, vals, run(order + order // 2)):
+        for n, val, val2 in zip(slice_counts, vals, run(raised)):
             if abs(val - val2) > tol * max(1.0, abs(val)):
                 raise QuadratureConvergenceError(
                     f"sliced integral at {n} slices moved from {val:.6e} to {val2:.6e} "
@@ -326,6 +322,8 @@ def monte_carlo_feynman_kac(sigma: complex, a: int, x, y, T: float, n_slices: in
     sigma = _check_sigma(sigma)
     if n_slices < 1:
         raise ValueError(f"need at least one slice, got {n_slices}")
+    if n_samples < 2:
+        raise ValueError(f"a standard error needs at least two samples, got {n_samples}")
     lam, k = params.lam, params.k
     m = params.m
     rng = np.random.default_rng(seed)

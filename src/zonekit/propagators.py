@@ -19,11 +19,10 @@ from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
 from .special import (flat_hermite_grid, hermite_axis, laguerre, multiplicity_factor,
                       real_to_complex)
-from .zones import pairing, project_to_zone, zone_basis, zone_pivot_degrees
+from .zones import pairing, project_to_zone, zone_basis
 
 SINGULAR_TIME_TOL = 1e-9
 DEFAULT_ORDER = 64
-OSCILLATORY_ORDER = 128
 
 
 class SingularTimeError(ValueError):
@@ -120,12 +119,11 @@ def zonal_kernel_spectral(sigma: complex, a: int, t: float, X: np.ndarray, Z: np
     X = np.atleast_2d(np.asarray(X, dtype=complex))
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     basis = zone_basis(a, a + pmax, params)
-    degrees = zone_pivot_degrees(a, a + pmax, params)
     gx = np.exp(-0.5 * lam * np.sum(np.abs(X) ** 2, axis=-1))
     gz = np.exp(-0.5 * lam * np.sum(np.abs(Z) ** 2, axis=-1))
     acc = np.zeros(np.broadcast(gx, gz).shape, dtype=complex)
-    for vec, p in zip(basis, degrees):
-        mu = params.zeeman_eigenvalue(p, include_field_term)
+    for vec in basis:
+        mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), include_field_term)
         acc = acc + np.exp(-sigma * t * mu) * vec.eval(X) * np.conj(vec.eval(Z))
     return acc * gx * gz
 
@@ -211,11 +209,11 @@ def evolve(f: ZonePolynomial, sigma: complex, t: float, params: PhysParams,
     a = infer_zone(f)
     deg = f.max_degree()
     out = ZonePolynomial({}, params)
-    for vec, p in zip(zone_basis(a, deg, params), zone_pivot_degrees(a, deg, params)):
+    for vec in zone_basis(a, deg, params):
         c = inner_product(f, vec)
         if c == 0:
             continue
-        mu = params.zeeman_eigenvalue(p, include_field_term)
+        mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), include_field_term)
         out = out + (c * np.exp(-sigma * t * mu)) * vec
     return out
 
@@ -383,6 +381,14 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _require_memory(need_bytes: int, what: str) -> None:
+    """Refuse, before allocating, a request larger than physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need_bytes > have:
+        raise ValueError(f"{what} needs {need_bytes / 1e9:.3g} GB, more than the "
+                         f"{have / 1e9:.3g} GB of physical memory")
 
 
 def _write_rows(fh, xs, values, suffixes) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -62,39 +61,21 @@ def multiplicity_factor(a: int, k: int) -> int:
     return math.comb(a + k // 2 - 1, a)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """One-dimensional quadrature rule (nodes, weights, provenance tag)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str
-    order: int
-
-    def __post_init__(self) -> None:
-        if len(self.nodes) != self.order:
-            raise ValueError("node count must equal the rule order")
-        if np.any(np.asarray(self.weights) <= 0) and self.kind != "gauss-laguerre":
-            raise ValueError("weights must all be positive")
+def gauss_hermite(order: int):
+    """(nodes, weights) for integrals of the form int f(x) e^{-x^2} dx over the real line."""
+    return np.polynomial.hermite.hermgauss(order)
 
 
-def gauss_hermite(order: int) -> QuadratureRule:
-    """Rule for integrals of the form int f(x) e^{-x^2} dx over the real line."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(nodes, weights, "gauss-hermite", order)
-
-
-def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
-    """Rule for int_a^b f(x) dx."""
+def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0):
+    """(nodes, weights) for int_a^b f(x) dx."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (b - a)
-    return QuadratureRule(half * nodes + 0.5 * (a + b), half * weights, "gauss-legendre", order)
+    return half * nodes + 0.5 * (a + b), half * weights
 
 
-def gauss_laguerre(order: int, alpha: float = 0.0) -> QuadratureRule:
-    """Rule for int_0^inf f(u) u^alpha e^{-u} du."""
-    nodes, weights = roots_genlaguerre(order, alpha)
-    return QuadratureRule(nodes, weights, "gauss-laguerre", order)
+def gauss_laguerre(order: int, alpha: float = 0.0):
+    """(nodes, weights) for int_0^inf f(u) u^alpha e^{-u} du."""
+    return roots_genlaguerre(order, alpha)
 
 
 def hermite_axis(order: int, lam: float):
@@ -103,8 +84,8 @@ def hermite_axis(order: int, lam: float):
     The weights absorb the Jacobian of the node rescaling and the density, so
     sum_i w_i f(x_i) ~ int f(x) e^{-lam x^2} dx.
     """
-    rule = gauss_hermite(order)
-    return rule.nodes / math.sqrt(lam), rule.weights / math.sqrt(lam)
+    nodes, weights = gauss_hermite(order)
+    return nodes / math.sqrt(lam), weights / math.sqrt(lam)
 
 
 def tensor_grid(nodes, weights):

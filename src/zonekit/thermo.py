@@ -13,11 +13,9 @@ import math
 import numpy as np
 
 from .params import PhysParams
-from .propagators import SingularTimeError, _check_sigma, partition_function, zonal_kernel
-from .special import laguerre_at_zero
+from .propagators import (SINGULAR_TIME_TOL, SingularTimeError, _check_sigma, partition_function,
+                          zonal_kernel)
 from .zones import pairing, zone_kernel
-
-POLE_TOL = 1e-9
 
 
 def default_kappa(params: PhysParams, mu: float = 1.0) -> float:
@@ -25,27 +23,28 @@ def default_kappa(params: PhysParams, mu: float = 1.0) -> float:
     return 2.0 * math.pi * mu / params.lam
 
 
-def average_energy(sigma: complex, T: float, params: PhysParams,
-                   kappa: float, h: float) -> complex:
-    """Mean emitted-absorbed energy h + 2h e^{-2h sigma/(kappa T)} / (1 - e^{-2h sigma/(kappa T)})."""
+def _boltzmann(sigma: complex, T: float, kappa: float, h: float):
+    """(sigma, x) with x = e^{-2h sigma/(kappa T)}, for a positive T off the poles x = 1."""
     sigma = _check_sigma(sigma)
     if T <= 0:
         raise ValueError(f"temperature must be positive, got {T}")
     x = np.exp(-2.0 * h * sigma / (kappa * T))
-    if abs(1.0 - x) < POLE_TOL:
+    if abs(1.0 - x) < SINGULAR_TIME_TOL:
         raise SingularTimeError(f"resonance temperature T={T} (e^(-2h sigma/kT) = 1)")
+    return sigma, x
+
+
+def average_energy(sigma: complex, T: float, params: PhysParams,
+                   kappa: float, h: float) -> complex:
+    """Mean emitted-absorbed energy h + 2h e^{-2h sigma/(kappa T)} / (1 - e^{-2h sigma/(kappa T)})."""
+    _, x = _boltzmann(sigma, T, kappa, h)
     return complex(h + 2.0 * h * x / (1.0 - x))
 
 
 def specific_heat(sigma: complex, T: float, params: PhysParams,
                   kappa: float, h: float) -> complex:
     """Temperature derivative of the average energy (Einstein form at sigma=1)."""
-    sigma = _check_sigma(sigma)
-    if T <= 0:
-        raise ValueError(f"temperature must be positive, got {T}")
-    x = np.exp(-2.0 * h * sigma / (kappa * T))
-    if abs(1.0 - x) < POLE_TOL:
-        raise SingularTimeError(f"resonance temperature T={T}")
+    sigma, x = _boltzmann(sigma, T, kappa, h)
     return complex((2.0 * h) ** 2 * sigma * x / (kappa * T * T * (1.0 - x) ** 2))
 
 
@@ -67,15 +66,15 @@ def diagonal_kernel(sigma: complex, a: int, t: float, X: np.ndarray,
 def tension(a: int, t: float, X: np.ndarray, params: PhysParams) -> complex:
     """Time derivative of the Dirac-Feynman diagonal (tension amplitude).
 
-    Computed from the closed-form derivative; |tension|^2 is the tension
-    density.  At X = 0 the modulus is constant in t.
+    The closed-form diagonal times its logarithmic derivative
+    -i lam (k/2 + 2 lam |X|^2 q), q = e^{-2 i lam t}; |tension|^2 is the
+    tension density.  At X = 0 the modulus is constant in t.
     """
     lam, k = params.lam, params.k
     X = np.atleast_2d(np.asarray(X, dtype=complex))
     r2 = float(np.sum(np.abs(X) ** 2, axis=-1)[0])
     q = np.exp(-2j * lam * t)
-    diag = (lam / np.pi) ** (k / 2) * np.exp(-0.5j * k * lam * t) \
-        * laguerre_at_zero(a, k / 2 - 1) * np.exp(lam * (q - 1.0) * r2)
+    diag = diagonal_kernel(1j, a, t, X, params)
     return complex(diag * (-1j * lam) * (k / 2.0 + 2.0 * lam * r2 * q))
 
 

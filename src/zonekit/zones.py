@@ -96,12 +96,6 @@ def zone_basis(a: int, max_degree: int, params: PhysParams) -> tuple[ZonePolynom
     return tuple(vec for _, vec in zone_basis_with_pivots(a, max_degree, params))
 
 
-def zone_pivot_degrees(a: int, max_degree: int, params: PhysParams):
-    """Holomorphic total degree p of each basis element, aligned with `zone_basis`."""
-    return tuple(sum(p for p, _ in key)
-                 for key, _ in zone_basis_with_pivots(a, max_degree, params))
-
-
 def project_to_zone(f: ZonePolynomial, a: int) -> ZonePolynomial:
     """Exact orthogonal projection of `f` onto zone `a`."""
     deg = f.max_degree()
@@ -116,11 +110,20 @@ def project_to_zone(f: ZonePolynomial, a: int) -> ZonePolynomial:
     return out
 
 
+def _coordinate_sum(terms: np.ndarray) -> np.ndarray:
+    """np.sum(terms, axis=-1), bit for bit, added one coordinate slice at a time:
+    numpy reduces a short trailing axis one outer element at a time."""
+    s = terms[..., 0] + 0.0  # like np.sum, start from +0.0: -0.0 terms add up to +0.0
+    for j in range(1, terms.shape[-1]):
+        s += terms[..., j]
+    return s
+
+
 def pairing(Z: np.ndarray, W: np.ndarray, params: PhysParams) -> np.ndarray:
     """Complex pairing Z.Wbar = <Z,W> + i charge_sign <Z,J(W)> (coordinatewise sum)."""
     Z = np.asarray(Z, dtype=complex)
     W = np.asarray(W, dtype=complex)
-    s = np.sum(Z * np.conj(W), axis=-1)
+    s = _coordinate_sum(Z * np.conj(W))
     if params.charge_sign == -1:
         s = np.conj(s)
     return s
@@ -146,7 +149,7 @@ def zone_kernel(a: int, Z: np.ndarray, W: np.ndarray, params: PhysParams,
     if a == 0:
         lag = 1.0  # L_0 = 1: zone 0 needs no distances
     else:
-        dist2 = np.sum(np.abs(Z - W) ** 2, axis=-1)
+        dist2 = _coordinate_sum(np.abs(Z - W) ** 2)
         lag = laguerre(a, params.k / 2 - 1, lam * dist2)
     expo = lam * pairing(Z, W, params)
     if not weighted:

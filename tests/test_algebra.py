@@ -17,12 +17,12 @@ PAR4 = PhysParams(lam=1.0, k=4)
 def disk_quadrature(fun, lam, order=120, rmax=9.0):
     """Polar-coordinate oracle for int f(z) e^{-lam |z|^2} dA over the plane."""
     from zonekit.special import gauss_legendre
-    rad = gauss_legendre(order, 0.0, rmax)
-    ang = gauss_legendre(order, 0.0, 2 * math.pi)
+    rad, wrad = gauss_legendre(order, 0.0, rmax)
+    ang, wang = gauss_legendre(order, 0.0, 2 * math.pi)
     total = 0.0 + 0.0j
-    for r, wr in zip(rad.nodes, rad.weights):
-        z = r * np.exp(1j * ang.nodes)
-        total += wr * r * math.exp(-lam * r * r) * np.sum(ang.weights * fun(z))
+    for r, wr in zip(rad, wrad):
+        z = r * np.exp(1j * ang)
+        total += wr * r * math.exp(-lam * r * r) * np.sum(wang * fun(z))
     return total
 
 
@@ -84,13 +84,12 @@ def test_to_standard_gaussian_ground_state():
 def test_to_standard_norm_agreement():
     # 2D Gauss-Hermite oracle for the standard-space L2 norm
     f = ZonePolynomial.z(PAR) + 0.3 * ZonePolynomial.zbar(PAR)
-    rule = gauss_hermite(60)
-    x = rule.nodes
+    x, wx = gauss_hermite(60)
     wave = to_standard(f)
     xx, yy = np.meshgrid(x, x, indexing="ij")
     pts = (xx + 1j * yy).reshape(-1, 1)
     vals = np.abs(wave(pts)) ** 2 * np.exp(np.sum(pts.real**2 + pts.imag**2, axis=-1))
-    w2 = np.outer(rule.weights, rule.weights).ravel()
+    w2 = np.outer(wx, wx).ravel()
     std_norm2 = float(np.sum(w2 * vals))
     assert std_norm2 == pytest.approx(norm(f) ** 2, rel=1e-10)
 

@@ -166,6 +166,18 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--suite", "special,Zones", "--outdir", str(tmp_path)]) == 2
     assert not (tmp_path / "verify_report.json").exists()
     assert main([]) == 2
+    # reversed zone ranges, and a Monte Carlo row with one sample (no standard error)
+    for argv, output in ((["padi", "--zones", "3..1", "--normalization-report"],
+                          "padi_spectrum.csv"),
+                         (["spectrum", "--zones", "3..1"], "spectrum.csv"),
+                         (["path", "--n-slices", "9", "--samples", "1", "--order", "8"],
+                          "path.csv")):
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / output).exists()
+    assert not (tmp_path / "padi_normalization.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,7 +207,8 @@ def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):
 
 def test_oversized_path_sweep_is_refused_before_allocating(tmp_path, capsys):
     # k=4 at order 32: 32^4 nodes, two step-sized matrices of about 1.8e13 bytes each
-    assert run(tmp_path, "path", "--k", "4", "--order", "32", "--n-slices", "2") == 2
+    assert run(tmp_path, "path", "--k", "4", "--order", "32", "--n-slices", "2",
+               "--x=0.3+0.2j,0.1", "--y=-0.3+0.1j,0.2j") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 3.52e+04 GB")
     assert not (tmp_path / "path.csv").exists()

@@ -28,7 +28,7 @@ SIZES = {2: ((4, 6), (5, 3)), 4: ((3, 4, 2, 3), (2, 3, 4, 3))}
 
 
 def axes(sizes, lo, hi):
-    return [gauss_legendre(n, lo + 0.1 * i, hi - 0.2 * i).nodes for i, n in enumerate(sizes)]
+    return [gauss_legendre(n, lo + 0.1 * i, hi - 0.2 * i)[0] for i, n in enumerate(sizes)]
 
 
 def points(nodes):
@@ -82,8 +82,8 @@ def test_k4_cylinder_chain_matches_dense_chain(kind, a):
     kernel = POINTWISE[kind]
     grids = []
     for box in boxes:
-        rules = [gauss_legendre(order, lo, hi) for lo, hi in box]
-        pts, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+        nodes, weights = zip(*(gauss_legendre(order, lo, hi) for lo, hi in box))
+        pts, w = tensor_grid(nodes, weights)
         grids.append((real_to_complex(pts), w))
     (P1, w1), (P2, w2) = grids
     f = kernel(a, 0.2, x[None, :], P1, params) * w1

@@ -1,5 +1,6 @@
 """Cylinder measures, path action, Radon-Nikodym densities, sliced reconstruction."""
 
+import functools
 import math
 import os
 
@@ -149,24 +150,37 @@ def test_feynman_kac_swapped_endpoints():
     assert abs(got - ref) / abs(ref) < 0.05
 
 
-def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order, action_mode):
-    # the per-slice-count evaluator as first written: every call rebuilds the
-    # grid, the end vectors and the dense step; kept as the exact reference
-    from zonekit.propagators import _check_sigma
+@functools.lru_cache(maxsize=1)
+def _seed_dense(a, params, order):
+    # the grid and the dense zone-kernel and pairing matrices: they depend on
+    # neither sigma nor the slice count
     from zonekit.special import flat_hermite_grid, real_to_complex
+    from zonekit.zones import pairing
+    pts, w = flat_hermite_grid(order, params.lam, params.k)
+    m = real_to_complex(pts)
+    return (w, m, zone_kernel(a, m[:, None, :], m[None, :, :], params),
+            pairing(m[:, None, :], m[None, :, :], params))
+
+
+def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order, action_mode):
+    # the per-slice-count evaluator as first written, kept as the exact
+    # reference: every call rebuilds the end vectors and the dense step
+    # element by element, from the K and P shared per (a, params, order)
+    from zonekit.propagators import _check_sigma
     from zonekit.zones import pairing
     sigma = _check_sigma(sigma)
     lam, k = params.lam, params.k
     dt = T / (n_slices + 1)
     c = 2.0 * sigma * lam**2 * dt
-    pts, w = flat_hermite_grid(order, lam, k)
-    m = real_to_complex(pts)
+    w, m, K, P = _seed_dense(a, params, order)
     if action_mode == "split":
         f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) \
             * np.exp(-c * pairing(np.broadcast_to(x, m.shape), m, params))
         if n_slices > 1:
-            step = zone_kernel(a, m[:, None, :], m[None, :, :], params) \
-                * np.exp(-c * pairing(m[:, None, :], m[None, :, :], params))
+            # K first, as in the sweep: complex products are not bitwise
+            # commutative, and numpy runs `K * temporary` as `temporary *= K`
+            # once the temporary reaches 256 KiB
+            step = np.multiply(K, np.exp(-c * P))
             for _ in range(n_slices - 1):
                 f = (w * f) @ step
         val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params)
@@ -177,7 +191,7 @@ def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order, action_mode):
         damp = np.exp(-c * r2)
         f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) * damp
         if n_slices > 1:
-            step = zone_kernel(a, m[:, None, :], m[None, :, :], params) * damp[None, :]
+            step = K * damp[None, :]
             for _ in range(n_slices - 1):
                 f = (w * f) @ step
         val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params))
@@ -251,6 +265,10 @@ def test_sweep_checks_every_slice_count():
         feynman_kac_sweep(1, 0, X0, Y0, 0.5, (2, 0), PAR, order=8)
     with pytest.raises(ValueError):
         feynman_kac_sweep(1, 0, X0, Y0, 0.5, (), PAR, order=8)
+    # the raised order's two 48^4 x 48^4 matrices are refused before the first pass
+    with pytest.raises(ValueError, match=r"^sliced quadrature at order 48 \(5308416 nodes\)"):
+        feynman_kac_sweep(1, 0, np.zeros(2), np.zeros(2), 0.5, (1, 2), PhysParams(k=4),
+                          order=32, check_convergence=True)
 
 
 def test_sigma_branches_share_measure_factors():
