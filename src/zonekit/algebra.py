@@ -44,9 +44,8 @@ class ZonePolynomial:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def monomial(cls, degrees: Iterable[tuple[int, int]], params: PhysParams,
-                 coeff: complex = 1.0) -> "ZonePolynomial":
-        return cls({tuple(tuple(d) for d in degrees): coeff}, params)
+    def monomial(cls, degrees: Iterable[tuple[int, int]], params: PhysParams) -> "ZonePolynomial":
+        return cls({tuple(tuple(d) for d in degrees): 1.0}, params)
 
     @classmethod
     def one(cls, params: PhysParams) -> "ZonePolynomial":

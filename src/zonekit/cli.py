@@ -1,8 +1,8 @@
 """Command-line front end: kernels, spectra, curves, and the verification suite.
 
 Outputs are CSV (complex values split into _re/_im columns) or JSON reports.
-A plain-text ``key=value`` config file supplies defaults that flags override;
-the ZONEKIT_OUTDIR environment variable sets the default output directory.
+A plain-text ``key=value`` config file supplies ``lambda`` and ``k`` defaults that
+flags override; ZONEKIT_OUTDIR sets the default output directory.
 
 The library works at macroscopic units (hbar = mass = 1).  The microscopic
 operator follows from substituting lam -> lam/hbar together with rescaling
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -37,52 +38,60 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _load_config(path: str | None) -> dict:
+class UsageError(Exception):
+    pass
+
+
+# config key -> (argument it defaults, its type, its value when neither sets it)
+_CONFIG_KEYS = {"lambda": ("lam", float, 1.0), "k": ("k", int, 2)}
+
+
+def _apply_config(args) -> None:
+    """Fill --lambda and --k that were not given from the --config file, else the defaults."""
     cfg = {}
-    if path:
-        with open(path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, _, val = line.partition("=")
-                cfg[key.strip()] = val.strip()
-    return cfg
+                key = key.strip()
+                if key not in _CONFIG_KEYS:
+                    raise UsageError(f"unknown config key {key!r} in {args.config} "
+                                     f"(known: {', '.join(_CONFIG_KEYS)})")
+                cfg[key] = val.strip()
+    for key, (dest, kind, default) in _CONFIG_KEYS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, kind(cfg[key]) if key in cfg else default)
 
 
-class UsageError(Exception):
-    pass
-
-
-def _params(args, cfg) -> PhysParams:
-    lam = args.lam if args.lam is not None else float(cfg.get("lambda", 1.0))
-    k = args.k if args.k is not None else int(cfg.get("k", 2))
-    return PhysParams(lam=lam, k=k)
+def _params(args) -> PhysParams:
+    return PhysParams(lam=args.lam, k=args.k)
 
 
 def _sigma(args) -> complex:
     return 1j if args.sigma == "i" else 1
 
 
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _outdir(args) -> str:
+def _output(args, name: str | None = None) -> str:
+    """Path of an output file (default --output) in the output directory, which is created."""
     out = args.outdir or os.environ.get("ZONEKIT_OUTDIR", ".")
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, name or args.output)
 
 
 def _parse_grid(text: str):
-    """lo:hi:step for one real axis."""
+    """lo:hi:step for one real axis; the step must divide hi - lo to 1e-9 relative."""
     lo, hi, step = (float(p) for p in text.split(":"))
     if step == 0:
         raise UsageError(f"grid step must be nonzero, got {text!r}")
     if (hi - lo) * step < 0:
         raise UsageError(f"grid step must have the sign of hi - lo, got {text!r}")
-    n = int(math.floor((hi - lo) / step + 0.5)) + 1
+    steps = (hi - lo) / step
+    n = int(math.floor(steps + 0.5)) + 1
+    if abs(steps - (n - 1)) > 1e-9 * max(abs(steps), 1.0):
+        raise UsageError(f"grid step must divide hi - lo, got {text!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -111,12 +120,31 @@ def _parse_range(text: str):
     return [int(text)]
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write(args, text: str, name: str | None = None) -> None:
+    """Write one output file and print its path."""
+    path = _output(args, name)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
+        fh.write(text)
     print(path)
+
+
+def _write_csv(args, header, rows, name: str | None = None) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    _write(args, buf.getvalue(), name)
+
+
+def _write_curve(args, header, points, row, name: str | None = None) -> None:
+    """CSV of row(p) over the points, leaving out singular ones and counting them on stderr."""
+    rows, skipped = [], 0
+    for p in points:
+        try:
+            rows.append(row(p))
+        except SingularTimeError:
+            skipped += 1
+    _write_csv(args, header, rows, name)
+    if skipped:
+        print(f"{name or args.output}: skipped {skipped} singular points", file=sys.stderr)
 
 
 def _fmt(x: float) -> str:
@@ -126,101 +154,85 @@ def _fmt(x: float) -> str:
 # ---- subcommands -----------------------------------------------------------------
 
 
-def cmd_kernel(args, cfg) -> int:
-    params = _params(args, cfg)
+def cmd_kernel(args) -> int:
+    params = _params(args)
     n = len(_parse_grid(args.grid)) ** (2 * params.m)  # grid points, before building them
     _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
     pts = _grid_points(args.grid, params.m)
     a = None if args.a is None or args.a < 0 else args.a
     grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
-    grid.write_csv(os.path.join(_outdir(args), args.output))
+    grid.write_csv(_output(args))
     return EXIT_OK
 
 
-def cmd_spectrum(args, cfg) -> int:
-    params = _params(args, cfg)
+def cmd_spectrum(args) -> int:
+    params = _params(args)
     rows = []
     for a in _parse_range(args.zones):
         for p in range(args.pmax + 1):
             rows.append([a, p, _fmt(params.zeeman_eigenvalue(p)),
                          _fmt(params.zeeman_eigenvalue(p, field_term=True))])
-    _write_csv(os.path.join(_outdir(args), args.output),
-               ["zone", "p", "eigenvalue_bare", "eigenvalue_with_field_term"], rows)
+    _write_csv(args, ["zone", "p", "eigenvalue_bare", "eigenvalue_with_field_term"], rows)
     return EXIT_OK
 
 
-def cmd_zones(args, cfg) -> int:
-    params = _params(args, cfg)
+def cmd_zones(args) -> int:
+    params = _params(args)
     rows = []
     for a in _parse_range(args.zones):
         basis = zone_basis(a, args.max_degree, params)
         for i, vec in enumerate(basis):
             rows.append([a, i, vec.holomorphic_degree(), vec.to_json()])
-    _write_csv(os.path.join(_outdir(args), args.output),
-               ["zone", "index", "p", "state_json"], rows)
+    _write_csv(args, ["zone", "index", "p", "state_json"], rows)
     return EXIT_OK
 
 
-def cmd_evolve(args, cfg) -> int:
-    params = _params(args, cfg)
+def cmd_evolve(args) -> int:
+    params = _params(args)
     with open(args.state) as fh:
         f = ZonePolynomial.from_json(fh.read(), params)
     out = evolve(f, _sigma(args), args.t, params, include_field_term=args.field_term)
-    path = os.path.join(_outdir(args), args.output)
-    with open(path, "w") as fh:
-        fh.write(out.to_json())
-    print(path)
+    _write(args, out.to_json())
     return EXIT_OK
 
 
-def cmd_thermo(args, cfg) -> int:
-    params = _params(args, cfg)
+def cmd_thermo(args) -> int:
+    params = _params(args)
     kappa = args.kappa if args.kappa is not None else thermo.default_kappa(params)
     h = args.h
     sigma = _sigma(args)
     Ts = _parse_grid(args.T_grid)
+    ts = _parse_grid(args.partition_t_grid) if args.partition_t_grid else None
     X = _point(args.scan_point, params, "--scan-point") \
         if args.scan == "diagonal_density" else None
-    rows, skipped = [], 0
-    for T in Ts:
-        try:
-            e = thermo.average_energy(sigma, T, params, kappa, h)
-            c = thermo.specific_heat(sigma, T, params, kappa, h)
-        except SingularTimeError:
-            skipped += 1
-            continue
-        rows.append([_fmt(T), _fmt(e.real), _fmt(e.imag), _fmt(abs(e)),
-                     _fmt(c.real), _fmt(c.imag), _fmt(abs(c))])
-    _write_csv(os.path.join(_outdir(args), args.output),
-               ["T", "energy_re", "energy_im", "energy_abs",
-                "heat_re", "heat_im", "heat_abs"], rows)
-    if skipped:
-        print(f"{args.output}: skipped {skipped} singular points", file=sys.stderr)
-    if args.partition_t_grid:
-        prow, skipped = [], 0
-        for t in _parse_grid(args.partition_t_grid):
-            try:
-                z = partition_function(sigma, args.a, t, params)
-            except SingularTimeError:
-                skipped += 1
-                continue
-            prow.append([_fmt(t), _fmt(z.real), _fmt(z.imag)])
-        _write_csv(os.path.join(_outdir(args), "partition.csv"), ["t", "re", "im"], prow)
-        if skipped:
-            print(f"partition.csv: skipped {skipped} singular points", file=sys.stderr)
+
+    def energy_row(T):
+        e = thermo.average_energy(sigma, T, params, kappa, h)
+        c = thermo.specific_heat(sigma, T, params, kappa, h)
+        return [_fmt(T), _fmt(e.real), _fmt(e.imag), _fmt(abs(e)),
+                _fmt(c.real), _fmt(c.imag), _fmt(abs(c))]
+
+    def partition_row(t):
+        z = partition_function(sigma, args.a, t, params)
+        return [_fmt(t), _fmt(z.real), _fmt(z.imag)]
+
+    _write_curve(args, ["T", "energy_re", "energy_im", "energy_abs",
+                        "heat_re", "heat_im", "heat_abs"], Ts, energy_row)
+    if ts is not None:
+        _write_curve(args, ["t", "re", "im"], ts, partition_row, "partition.csv")
     if args.scan:
         ext = thermo.find_period_extrema(args.scan, args.a, params, X=X,
                                          kappa=kappa, h=h)
         P, _, density = thermo.period_density(args.scan, args.a, params, X, kappa, h)
         srow = [[_fmt(t), _fmt(density(t))] for t in np.linspace(P * 1e-6, P * (1 - 1e-6), 512)]
-        _write_csv(os.path.join(_outdir(args), "period_scan.csv"), ["t", "abs2"], srow)
+        _write_csv(args, ["t", "abs2"], srow, "period_scan.csv")
         erow = [[_fmt(t), kind] for t, kind in ext]
-        _write_csv(os.path.join(_outdir(args), "period_extrema.csv"), ["t", "kind"], erow)
+        _write_csv(args, ["t", "kind"], erow, "period_extrema.csv")
     return EXIT_OK
 
 
-def cmd_path(args, cfg) -> int:
-    params = _params(args, cfg)
+def cmd_path(args) -> int:
+    params = _params(args)
     sigma = _sigma(args)
     quad_counts = range(1, min(args.n_slices, args.quadrature_max_slices) + 1)
     x = _point(args.x, params, "--x")
@@ -243,18 +255,19 @@ def cmd_path(args, cfg) -> int:
         rel = abs(approx - target) / abs(target)
         rows.append([n, method, _fmt(approx.real), _fmt(approx.imag),
                      _fmt(target.real), _fmt(target.imag), _fmt(rel)])
-    _write_csv(os.path.join(_outdir(args), args.output),
-               ["n_slices", "method", "approx_re", "approx_im",
-                "target_re", "target_im", "rel_err"], rows)
+    _write_csv(args, ["n_slices", "method", "approx_re", "approx_im",
+                      "target_re", "target_im", "rel_err"], rows)
     return EXIT_OK
 
 
-def cmd_padi(args, cfg) -> int:
-    params = _params(args, cfg)
+def cmd_padi(args) -> int:
+    params = _params(args)
     if params.k != 2:
-        return _usage_error("padi requires k=2")
+        raise UsageError("padi requires k=2")
+    zones = _parse_range(args.zones)
+    pts = _grid_points(args.kernel_grid, params.m) if args.kernel_grid else None
     rows = []
-    for a in _parse_range(args.zones):
+    for a in zones:
         basis = zone_basis(a, a + args.pmax, params)
         for vec in basis:
             p = vec.holomorphic_degree()
@@ -263,12 +276,10 @@ def cmd_padi(args, cfg) -> int:
                     psi, ev = eigenspinors(vec, j, sign)
                     rows.append([a, p, j, sign, _fmt(ev),
                                  0 if psi.is_zero() else 1])
-    _write_csv(os.path.join(_outdir(args), args.output),
-               ["zone", "p", "j", "sign", "eigenvalue", "nonzero"], rows)
-    if args.kernel_grid:
-        pts = _grid_points(args.kernel_grid, params.m)
+    _write_csv(args, ["zone", "p", "j", "sign", "eigenvalue", "nonzero"], rows)
+    if pts is not None:
         krows = []
-        for a in _parse_range(args.zones):
+        for a in zones:
             for j in (1, 2):
                 vals = anomalous_kernel(a, j, pts, pts, params)
                 for idx in range(pts.shape[0]):
@@ -276,49 +287,42 @@ def cmd_padi(args, cfg) -> int:
                         v = vals[idx, ci, ci]
                         krows.append([a, j, _fmt(pts[idx, 0].real), _fmt(pts[idx, 0].imag),
                                       tag, _fmt(v.real), _fmt(v.imag)])
-        _write_csv(os.path.join(_outdir(args), "anomalous_kernel.csv"),
-                   ["zone", "j", "x_re", "x_im", "component", "re", "im"], krows)
+        _write_csv(args, ["zone", "j", "x_re", "x_im", "component", "re", "im"], krows,
+                   "anomalous_kernel.csv")
     if args.normalization_report:
-        path = os.path.join(_outdir(args), "padi_normalization.json")
-        with open(path, "w") as fh:
-            json.dump(normalization_report(_parse_range(args.zones)[0], params), fh, indent=2)
-        print(path)
+        _write(args, json.dumps(normalization_report(zones[0], params), indent=2),
+               "padi_normalization.json")
     return EXIT_OK
 
 
-def cmd_coulomb(args, cfg) -> int:
-    params = _params(args, cfg)
+def cmd_coulomb(args) -> int:
+    params = _params(args)
     out = zonal_coulomb_matrix(args.a, args.Q, args.basis_size, params)
     rows = [[i, _fmt(ev)] for i, ev in enumerate(out["eigenvalues"])]
-    _write_csv(os.path.join(_outdir(args), args.output), ["index", "eigenvalue"], rows)
+    _write_csv(args, ["index", "eigenvalue"], rows)
     mrows = [[_fmt(v), c] for v, c in out["multiplicity_groups"]]
-    _write_csv(os.path.join(_outdir(args), "coulomb_multiplicity.csv"),
-               ["eigenvalue", "multiplicity"], mrows)
+    _write_csv(args, ["eigenvalue", "multiplicity"], mrows, "coulomb_multiplicity.csv")
     if args.cross_zone:
         cz = unprojected_coulomb_matrix(args.Q, args.max_zone, args.basis_size, params)
         crows = [[_fmt(v), c] for v, c in cz["multiplicity_groups"]]
-        _write_csv(os.path.join(_outdir(args), "coulomb_cross_zone_multiplicity.csv"),
-                   ["eigenvalue", "multiplicity"], crows)
+        _write_csv(args, ["eigenvalue", "multiplicity"], crows,
+                   "coulomb_cross_zone_multiplicity.csv")
     return EXIT_OK
 
 
-def cmd_clifford(args, cfg) -> int:
+def cmd_clifford(args) -> int:
     rows = []
     for r in _parse_range(args.r):
         n_r, count = clifford_dimension(r)
         rows.append([r, n_r, count])
-    _write_csv(os.path.join(_outdir(args), args.output),
-               ["r", "n_r", "irreducible_count"], rows)
+    _write_csv(args, ["r", "n_r", "irreducible_count"], rows)
     return EXIT_OK
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args) -> int:
     suites = args.suite.split(",") if args.suite else None
     report = verify.run_suite(suites)
-    path = os.path.join(_outdir(args), args.output)
-    with open(path, "w") as fh:
-        fh.write(verify.report_to_json(report))
-    print(path)
+    _write(args, verify.report_to_json(report))
     for row in report:
         print(f"[{row['status']:>6s}] {row['suite']}/{row['check_name']}"
               f"  measured={row['measured']} tol={row['tolerance']}")
@@ -432,9 +436,11 @@ def main(argv=None) -> int:
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args, _load_config(args.config))
+        _apply_config(args)
+        return args.fn(args)
     except (UsageError, ValueError, OSError) as exc:  # OSError: a path that cannot be opened
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

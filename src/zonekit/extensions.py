@@ -48,19 +48,18 @@ def symmetrize_subzone(f: ZonePolynomial, kind: str) -> ZonePolynomial:
 # ---- zonal Coulomb operator ---------------------------------------------------
 
 
-def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial,
-                          Q: float, order: int = 80) -> complex:
+def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial, Q: float) -> complex:
     """<f, (Q/r) g> over the Gaussian density, k = 2.
 
-    The radial integrals use the substitution u = lam r^2 and a generalized
-    Gauss-Laguerre rule with exponent -1/2, which integrates the 1/r factor
-    against polynomials exactly and never places a node at r = 0.
+    The radial integrals use the substitution u = lam r^2 and an 80-node
+    generalized Gauss-Laguerre rule with exponent -1/2, which integrates the
+    1/r factor against polynomials exactly and never places a node at r = 0.
     """
     par = f.params
     if par.k != 2:
         raise ValueError("the zonal Coulomb operator is built on the plane (k = 2)")
     lam = par.lam
-    nodes, weights = gauss_laguerre(order, -0.5)
+    nodes, weights = gauss_laguerre(80, -0.5)
     total = 0.0 + 0.0j
     for kf, cf in f.coefficients.items():
         (p, v), = kf
@@ -77,8 +76,7 @@ def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial,
     return complex(Q * total)
 
 
-def zonal_coulomb_matrix(a: int, Q: float, basis_size: int, params: PhysParams,
-                         order: int = 80):
+def zonal_coulomb_matrix(a: int, Q: float, basis_size: int, params: PhysParams):
     """Galerkin matrices of the zone-compressed Coulomb interaction.
 
     Returns a dict with the potential matrix M_ij = <phi_i, (Q/r) phi_j> over
@@ -93,11 +91,11 @@ def zonal_coulomb_matrix(a: int, Q: float, basis_size: int, params: PhysParams,
     basis = zone_basis(a, max_degree, params)
     if len(basis) < basis_size:
         raise ValueError(f"zone {a} truncation provides only {len(basis)} elements")
-    return _galerkin(basis[:basis_size], Q, order, params)
+    return _galerkin(basis[:basis_size], Q, params)
 
 
 def unprojected_coulomb_matrix(Q: float, max_zone: int, basis_size_per_zone: int,
-                               params: PhysParams, order: int = 80):
+                               params: PhysParams):
     """Galerkin matrix over a cross-zone truncation (no zone projection).
 
     Exploratory contrast to the compressed operator: the Coulomb term couples
@@ -108,16 +106,16 @@ def unprojected_coulomb_matrix(Q: float, max_zone: int, basis_size_per_zone: int
     basis = []
     for a in range(max_zone + 1):
         basis.extend(zone_basis(a, a + basis_size_per_zone - 1, params)[:basis_size_per_zone])
-    return _galerkin(basis, Q, order, params)
+    return _galerkin(basis, Q, params)
 
 
-def _galerkin(basis, Q: float, order: int, params: PhysParams):
+def _galerkin(basis, Q: float, params: PhysParams):
     """Coulomb matrix M over `basis`, H = field-term Zeeman spectrum + M, and its eigenvalues."""
     n = len(basis)
     M = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            val = coulomb_inner_product(basis[i], basis[j], Q, order=order)
+            val = coulomb_inner_product(basis[i], basis[j], Q)
             M[i, j] = val
             M[j, i] = np.conj(val)
     diag = np.array([params.zeeman_eigenvalue(vec.holomorphic_degree(), field_term=True)
@@ -132,11 +130,11 @@ def _galerkin(basis, Q: float, order: int, params: PhysParams):
     }
 
 
-def group_multiplicities(eigvals: np.ndarray, tol: float = 1e-8):
-    """Group sorted eigenvalues within an absolute tolerance; report (value, count)."""
+def group_multiplicities(eigvals: np.ndarray):
+    """Group sorted eigenvalues within 1e-8 absolute; report (value, count)."""
     groups = []
     for ev in np.sort(np.asarray(eigvals).real):
-        if groups and abs(ev - groups[-1][0] / groups[-1][1]) <= tol:
+        if groups and abs(ev - groups[-1][0] / groups[-1][1]) <= 1e-8:
             s, c = groups[-1]
             groups[-1] = (s + ev, c + 1)
         else:

@@ -127,15 +127,14 @@ def padi_square_residual(phi: SpinorField, variant: str = "Z") -> float:
     return spinor_norm(sq - SpinorField(target_up, target_down))
 
 
-def eigenspinors(base: ZonePolynomial, j: int, sign: int, variant: str = "Z",
-                 tol: float = 1e-10):
-    """Eigenspinors psi_{j,+-} built from a scalar eigenfunction.
+def eigenspinors(base: ZonePolynomial, j: int, sign: int):
+    """Eigenspinors psi_{j,+-} of the bare operator PD_Z, built from a scalar eigenfunction.
 
-    `base` must be an eigenfunction of the scalar operator (validated); j=1
-    places it in the up slot, j=2 in the down slot.  Returns (SpinorField,
-    eigenvalue) with PD(psi) = sign * sqrt(mu_j) * psi and ||psi|| = 1.  The
-    zero mode (j=1 on the bottom scalar level, bare variant) returns the bare
-    spinor for sign=+1 and the zero field for sign=-1.
+    `base` must be an eigenfunction of the scalar operator (validated to
+    1e-10); j=1 places it in the up slot, j=2 in the down slot.  Returns
+    (SpinorField, eigenvalue) with PD(psi) = sign * sqrt(mu_j) * psi and
+    ||psi|| = 1.  The zero mode (j=1 on the bottom scalar level) returns the
+    bare spinor for sign=+1 and the zero field for sign=-1.
     """
     if j not in (1, 2):
         raise ValueError(f"j must be 1 or 2, got {j}")
@@ -143,8 +142,8 @@ def eigenspinors(base: ZonePolynomial, j: int, sign: int, variant: str = "Z",
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     params = base.params
     lam = params.lam
-    include = variant == "Zf"
-    hb = apply_zeeman(base, include_field_term=include)
+    tol = 1e-10
+    hb = apply_zeeman(base)
     nb = norm(base)
     if nb == 0.0:
         raise ValueError("base state is zero")
@@ -164,7 +163,7 @@ def eigenspinors(base: ZonePolynomial, j: int, sign: int, variant: str = "Z",
             return psi, 0.0
         return SpinorField.zero(params), 0.0
     root = math.sqrt(mu)
-    psi = phi_j + (sign / root) * apply_padi(phi_j, variant)
+    psi = phi_j + (sign / root) * apply_padi(phi_j)
     psi = (1.0 / spinor_norm(psi)) * psi
     return psi, sign * root
 
@@ -207,18 +206,18 @@ def anomalous_zone_kernel(a: int, X: np.ndarray, Y: np.ndarray,
     return anomalous_kernel(a, 1, X, Y, params) + anomalous_kernel(a, 2, X, Y, params)
 
 
-def normalization_report(a: int, params: PhysParams, pmax: int = 4) -> dict:
+def normalization_report(a: int, params: PhysParams) -> dict:
     """Compare the enforced eigenspinor normalization against the printed constants.
 
     Returns the numerically enforced constant (coefficient of phi_j in the
     normalized eigenspinor) together with the two closed-form candidates,
     1/sqrt((1 - 2(-1)^j lam)^2 + 1) and 1/sqrt(2), for each j and the first
-    few scalar levels.
+    five scalar levels of zone a.
     """
     lam = params.lam
     rows = []
     for j in (1, 2):
-        basis = zone_basis(a, a + pmax, params)
+        basis = zone_basis(a, a + 4, params)
         for vec in basis:
             p = vec.holomorphic_degree()
             nu = params.zeeman_eigenvalue(p)

@@ -184,13 +184,14 @@ def partition_function_trace(sigma: complex, a: int, t: float, params: PhysParam
 # ---- zonal flow --------------------------------------------------------------
 
 
-def infer_zone(f: ZonePolynomial, tol: float = 1e-9) -> int:
-    """Zone index of f, or raise if f straddles several zones."""
+def infer_zone(f: ZonePolynomial) -> int:
+    """Zone index of f (its projection keeps it to 1e-9 relative), or raise if f
+    straddles several zones."""
     if f.is_zero():
         raise ValueError("cannot infer the zone of the zero state")
     nrm = norm(f)
     for a in range(f.max_degree() + 1):
-        if norm(f - project_to_zone(f, a)) <= tol * nrm:
+        if norm(f - project_to_zone(f, a)) <= 1e-9 * nrm:
             return a
     raise ValueError("state does not lie in a single zone")
 

@@ -18,9 +18,9 @@ from .propagators import (SINGULAR_TIME_TOL, SingularTimeError, _check_sigma, pa
 from .zones import pairing, zone_kernel
 
 
-def default_kappa(params: PhysParams, mu: float = 1.0) -> float:
-    """Boltzmann-constant stand-in under the heat-flow substitution, 2 pi mu / lam."""
-    return 2.0 * math.pi * mu / params.lam
+def default_kappa(params: PhysParams) -> float:
+    """Boltzmann-constant stand-in under the heat-flow substitution, 2 pi mu / lam at mu = 1."""
+    return 2.0 * math.pi / params.lam
 
 
 def _boltzmann(sigma: complex, T: float, kappa: float, h: float):
@@ -48,12 +48,11 @@ def specific_heat(sigma: complex, T: float, params: PhysParams,
     return complex((2.0 * h) ** 2 * sigma * x / (kappa * T * T * (1.0 - x) ** 2))
 
 
-def average_energy_of_time(t: float, params: PhysParams, kappa: float, h: float,
-                           sigma: complex = 1j) -> complex:
-    """Average energy along the flow parameter, via the substitution T = 1/t."""
+def average_energy_of_time(t: float, params: PhysParams, kappa: float, h: float) -> complex:
+    """Dirac-Feynman average energy along the flow parameter, via the substitution T = 1/t."""
     if t <= 0:
         raise ValueError(f"flow time must be positive, got {t}")
-    return average_energy(sigma, 1.0 / t, params, kappa, h)
+    return average_energy(1j, 1.0 / t, params, kappa, h)
 
 
 def diagonal_kernel(sigma: complex, a: int, t: float, X: np.ndarray,
@@ -117,9 +116,9 @@ def stable_spread(a: int, quarter: int, X: np.ndarray, Z: np.ndarray,
         * zone_kernel(a, X, Z, params)
 
 
-def _refine_extremum(fun, t0: float, dt: float, minimize: bool, iters: int = 60) -> float:
+def _refine_extremum(fun, t0: float, dt: float, minimize: bool) -> float:
     lo, hi = t0 - dt, t0 + dt
-    for _ in range(iters):
+    for _ in range(60):
         third = (hi - lo) / 3.0
         a_, b_ = lo + third, hi - third
         fa, fb = fun(a_), fun(b_)

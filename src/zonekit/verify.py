@@ -36,9 +36,15 @@ def check(name: str, suite: str, invariant: str, expected: str = "pass"):
     return wrap
 
 
-def _random_poly(rng, params, max_degree, n_terms=4):
+def _points(rng, size, radius):
+    """Complex coordinates with real and imaginary parts uniform on [-radius, radius]."""
+    return rng.uniform(-radius, radius, size) + 1j * rng.uniform(-radius, radius, size)
+
+
+def _random_poly(rng, params, max_degree):
+    """Up to four random monomials of total degree <= max_degree, Gaussian coefficients."""
     coeffs = {}
-    for _ in range(n_terms):
+    for _ in range(4):
         key = []
         budget = max_degree
         for _ in range(params.m):
@@ -136,7 +142,7 @@ def _eigenvalue_law():
 def _zeeman_fd():
     params = PhysParams(lam=1.0, k=2)
     rng = np.random.default_rng(11)
-    pts = rng.uniform(-1, 1, (6, 1)) + 1j * rng.uniform(-1, 1, (6, 1))
+    pts = _points(rng, (6, 1), 1)
     h = 1e-3
     worst = 0.0
     for _ in range(4):
@@ -200,7 +206,7 @@ def _reproducing():
     pts, w = flat_hermite_grid(64, params.lam, params.k)
     zpts = real_to_complex(pts)
     rng = np.random.default_rng(2)
-    samples = rng.uniform(-0.9, 0.9, (5, 1)) + 1j * rng.uniform(-0.9, 0.9, (5, 1))
+    samples = _points(rng, (5, 1), 0.9)
     density = np.exp(-params.lam * np.sum(np.abs(zpts) ** 2, -1))
     worst = 0.0
     for a in (0, 1, 2):
@@ -250,8 +256,7 @@ def _concentration():
 def _kernel_basis():
     params = PhysParams(lam=1.0, k=2)
     rng = np.random.default_rng(3)
-    Z = rng.uniform(-0.7, 0.7, (8, 1)) + 1j * rng.uniform(-0.7, 0.7, (8, 1))
-    W = rng.uniform(-0.7, 0.7, (8, 1)) + 1j * rng.uniform(-0.7, 0.7, (8, 1))
+    Z, W = (_points(rng, (8, 1), 0.7) for _ in range(2))
     worst = max(kernel_basis_residual(a, 25, Z, W, params) for a in (0, 1, 2))
     return worst, 1e-8
 
@@ -264,7 +269,7 @@ def _decomposition_residual(k: int, sigma: complex, lam_eff: float, order: int) 
     params = PhysParams(lam=1.0, k=k)
     comps = [zone_basis(a, a + 1, params)[0] for a in (0, 1)]
     f = comps[0] + 0.7 * comps[1]
-    X = rng.uniform(-0.5, 0.5, (3, k // 2)) + 1j * rng.uniform(-0.5, 0.5, (3, k // 2))
+    X = _points(rng, (3, k // 2), 0.5)
     pts, w = flat_hermite_grid(order, lam_eff, k)
     psi = to_standard(f)(real_to_complex(pts))
     nodes = [hermite_axis(order, lam_eff)[0]] * k
@@ -302,24 +307,22 @@ def _trace():
     return worst, 1e-6
 
 
+def _semigroup(sigma: complex, seed: int) -> float:
+    rng = np.random.default_rng(seed)
+    pairs = [(_points(rng, 1, 1), _points(rng, 1, 1)) for _ in range(4)]
+    return semigroup_residual(sigma, 0, 0.3, 0.3, pairs, PhysParams(lam=1.0, k=2), order=64)
+
+
 @check("semigroup_wk", "propagators",
        "propagators: zonal heat-kernel Chapman-Kolmogorov residual below 1e-6")
 def _semigroup_wk():
-    params = PhysParams(lam=1.0, k=2)
-    rng = np.random.default_rng(17)
-    pairs = [(rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1),
-              rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1)) for _ in range(4)]
-    return semigroup_residual(1, 0, 0.3, 0.3, pairs, params, order=64), 1e-6
+    return _semigroup(1, 17), 1e-6
 
 
 @check("semigroup_df", "propagators",
        "propagators: zonal Schrodinger-kernel Chapman-Kolmogorov residual below 1e-5")
 def _semigroup_df():
-    params = PhysParams(lam=1.0, k=2)
-    rng = np.random.default_rng(19)
-    pairs = [(rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1),
-              rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1)) for _ in range(4)]
-    return semigroup_residual(1j, 0, 0.3, 0.3, pairs, params, order=64), 1e-5
+    return _semigroup(1j, 19), 1e-5
 
 
 @check("df_flow_unitarity", "propagators",
@@ -351,7 +354,7 @@ def _positivity():
     worst = 0.0
     for k in (2, 4):
         params = PhysParams(lam=1.0, k=k)
-        X = rng.uniform(-2, 2, (20, k // 2)) + 1j * rng.uniform(-2, 2, (20, k // 2))
+        X = _points(rng, (20, k // 2), 2)
         for a in (0, 1, 2):
             for t in (0.1, 0.6, 2.0):
                 vals = zonal_kernel(1, a, t, X, X, params)
@@ -365,8 +368,7 @@ def _positivity():
 def _spectral_zone0():
     params = PhysParams(lam=1.0, k=2)
     rng = np.random.default_rng(67)
-    X = rng.uniform(-0.8, 0.8, (4, 1)) + 1j * rng.uniform(-0.8, 0.8, (4, 1))
-    Z = rng.uniform(-0.8, 0.8, (4, 1)) + 1j * rng.uniform(-0.8, 0.8, (4, 1))
+    X, Z = (_points(rng, (4, 1), 0.8) for _ in range(2))
     worst = 0.0
     for sigma in (1, 1j):
         ref = zonal_kernel(sigma, 0, 0.5, X, Z, params)
@@ -382,8 +384,7 @@ def _spectral_zone0():
 def _spectral_higher():
     params = PhysParams(lam=1.0, k=2)
     rng = np.random.default_rng(71)
-    X = rng.uniform(-0.8, 0.8, (4, 1)) + 1j * rng.uniform(-0.8, 0.8, (4, 1))
-    Z = rng.uniform(-0.8, 0.8, (4, 1)) + 1j * rng.uniform(-0.8, 0.8, (4, 1))
+    X, Z = (_points(rng, (4, 1), 0.8) for _ in range(2))
     closed = zonal_kernel(1, 1, 0.4, X, Z, params)
     spectral = zonal_kernel_spectral(1, 1, 0.4, X, Z, params, pmax=40)
     return float(np.max(np.abs(closed - spectral)) / np.max(np.abs(spectral))), float("inf")
@@ -395,8 +396,7 @@ def _spectral_higher():
 def _field_term():
     params = PhysParams(lam=0.8, k=2)
     rng = np.random.default_rng(31)
-    X = rng.uniform(-0.7, 0.7, (4, 1)) + 1j * rng.uniform(-0.7, 0.7, (4, 1))
-    Z = rng.uniform(-0.7, 0.7, (4, 1)) + 1j * rng.uniform(-0.7, 0.7, (4, 1))
+    X, Z = (_points(rng, (4, 1), 0.7) for _ in range(2))
     worst = 0.0
     for sigma in (1, 1j):
         bare = zonal_kernel_spectral(sigma, 0, 0.45, X, Z, params, pmax=40)
@@ -489,8 +489,7 @@ def _extrema():
 def _stable_spread():
     params = PhysParams(lam=1.0, k=2)
     rng = np.random.default_rng(37)
-    X = rng.uniform(-0.8, 0.8, (6, 1)) + 1j * rng.uniform(-0.8, 0.8, (6, 1))
-    Z = rng.uniform(-0.8, 0.8, (6, 1)) + 1j * rng.uniform(-0.8, 0.8, (6, 1))
+    X, Z = (_points(rng, (6, 1), 0.8) for _ in range(2))
     worst = 0.0
     for a in (0, 1, 2):
         for quarter in (1, 3):
@@ -530,15 +529,20 @@ def _tension_quarter():
     return dist, 1e-3
 
 
-@check("df_energy_rate_high_T", "thermo",
-       "thermo: |dE_i/dT| tends to kappa at high temperature, within 1%")
-def _df_rate_high():
+def _df_rate_deviation(scale: float) -> float:
+    """Relative distance of |dE_i/dT| from kappa at T = scale * h / kappa."""
     params = PhysParams(lam=1.0, k=2)
     kappa = thermo.default_kappa(params)
     h = 1.0
-    T = 1e3 * h / kappa
+    T = scale * h / kappa
     val = abs(thermo.specific_heat(1j, T, params, kappa, h))
-    return abs(val - kappa) / kappa, 1e-2
+    return abs(val - kappa) / kappa
+
+
+@check("df_energy_rate_high_T", "thermo",
+       "thermo: |dE_i/dT| tends to kappa at high temperature, within 1%")
+def _df_rate_high():
+    return _df_rate_deviation(1e3), 1e-2
 
 
 @check("df_energy_rate_low_T", "thermo",
@@ -546,12 +550,7 @@ def _df_rate_high():
        "form oscillates with envelope kappa (x/2)^2/sin^2(x/2) -> infinity, so this "
        "documented check fails)", expected="fail")
 def _df_rate_low():
-    params = PhysParams(lam=1.0, k=2)
-    kappa = thermo.default_kappa(params)
-    h = 1.0
-    T = 1e-3 * h / kappa
-    val = abs(thermo.specific_heat(1j, T, params, kappa, h))
-    return abs(val - kappa) / kappa, 1e-2
+    return _df_rate_deviation(1e-3), 1e-2
 
 
 # ---- path measures --------------------------------------------------------------
@@ -567,21 +566,18 @@ def _cylinder():
     box = path_measure.whole_space_box(params, radius=4.5)
     T = 0.5
     times = (0.2, 0.35)
+    X, Y = x[None, :], y[None, :]
     worst = 0.0
-    cases = [("global_wk", None, global_kernel(1, T, x[None, :], y[None, :], params)[0]),
-             ("zonal_wk", 0, zonal_kernel(1, 0, T, x[None, :], y[None, :], params)[0]),
-             ("zonal_df", 0, zonal_kernel(1j, 0, T, x[None, :], y[None, :], params)[0]),
-             ("zonal_df", 1, zonal_kernel(1j, 1, 0.0, x[None, :], y[None, :], params)[0]),
-             ("spread_amplitude", 1, zone_kernel(1, x[None, :], y[None, :], params)[0])]
-    for kind, a, ref in cases:
-        tt = times if not (kind == "zonal_df" and a == 1) else None
-        if tt is None:
-            # degenerate horizon check: one slice at t -> 0 reproduces the spread
-            got = path_measure.cylinder_measure(kind, (1e-9,), [box], x, y, 2e-9,
-                                                params, a=a, order=48)
-        else:
-            got = path_measure.cylinder_measure(kind, tt, [box, box], x, y, T, params,
-                                                a=a, order=48)
+    # (kind, zone, cylinder times, horizon, closed form); the zone-1 Dirac-Feynman row is
+    # the degenerate horizon check: one slice at t -> 0 reproduces the spread
+    cases = [("global_wk", None, times, T, global_kernel(1, T, X, Y, params)[0]),
+             ("zonal_wk", 0, times, T, zonal_kernel(1, 0, T, X, Y, params)[0]),
+             ("zonal_df", 0, times, T, zonal_kernel(1j, 0, T, X, Y, params)[0]),
+             ("zonal_df", 1, (1e-9,), 2e-9, zonal_kernel(1j, 1, 0.0, X, Y, params)[0]),
+             ("spread_amplitude", 1, times, T, zone_kernel(1, X, Y, params)[0])]
+    for kind, a, tt, horizon, ref in cases:
+        got = path_measure.cylinder_measure(kind, tt, [box] * len(tt), x, y, horizon,
+                                            params, a=a, order=48)
         worst = max(worst, abs(got - ref) / abs(ref))
     return worst, 1e-5
 
@@ -631,10 +627,10 @@ def _chain_rule():
     worst = 0.0
     for _ in range(8):
         n = int(rng.integers(1, 5))
-        mids = [rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1) for _ in range(n)]
+        mids = [_points(rng, 1, 1) for _ in range(n)]
         path = path_measure.PathDiscretization.uniform(
-            rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1),
-            rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1), 1.2, mids)
+            _points(rng, 1, 1),
+            _points(rng, 1, 1), 1.2, mids)
         lhs = path_measure.radon_nikodym_density("feynman_over_nu", path) \
             * path_measure.radon_nikodym_density("nu_over_wk", path)
         rhs = path_measure.radon_nikodym_density("feynman_over_wk", path)
@@ -731,8 +727,7 @@ def _eigenspinors():
 def _anomalous_components():
     params = PhysParams(lam=1.0, k=2)
     rng = np.random.default_rng(47)
-    X = rng.uniform(-0.8, 0.8, (6, 1)) + 1j * rng.uniform(-0.8, 0.8, (6, 1))
-    Y = rng.uniform(-0.8, 0.8, (6, 1)) + 1j * rng.uniform(-0.8, 0.8, (6, 1))
+    X, Y = (_points(rng, (6, 1), 0.8) for _ in range(2))
     worst = 0.0
     for a in (0, 1, 2):
         q1 = padi.anomalous_kernel(a, 1, X, Y, params)
@@ -754,8 +749,7 @@ def _anomalous_idem():
     pts, w = flat_hermite_grid(64, params.lam, params.k)
     m = real_to_complex(pts)
     rng = np.random.default_rng(53)
-    X = rng.uniform(-0.7, 0.7, (4, 1)) + 1j * rng.uniform(-0.7, 0.7, (4, 1))
-    Y = rng.uniform(-0.7, 0.7, (4, 1)) + 1j * rng.uniform(-0.7, 0.7, (4, 1))
+    X, Y = (_points(rng, (4, 1), 0.7) for _ in range(2))
     worst = 0.0
     for a in (0, 1, 2):
         for x0, y0 in zip(X, Y):
@@ -773,8 +767,7 @@ def _anomalous_idem():
 def _anomalous_herm():
     params = PhysParams(lam=1.0, k=2)
     rng = np.random.default_rng(59)
-    X = rng.uniform(-1, 1, (5, 1)) + 1j * rng.uniform(-1, 1, (5, 1))
-    Y = rng.uniform(-1, 1, (5, 1)) + 1j * rng.uniform(-1, 1, (5, 1))
+    X, Y = (_points(rng, (5, 1), 1) for _ in range(2))
     worst = 0.0
     for a in (0, 1, 2):
         for j in (1, 2):

@@ -123,7 +123,9 @@ def pairing(Z: np.ndarray, W: np.ndarray, params: PhysParams) -> np.ndarray:
     """Complex pairing Z.Wbar = <Z,W> + i charge_sign <Z,J(W)> (coordinatewise sum)."""
     Z = np.asarray(Z, dtype=complex)
     W = np.asarray(W, dtype=complex)
-    s = _coordinate_sum(Z * np.conj(W))
+    # not `Z * np.conj(W)`: numpy would run it as conj(W) *= Z on large equal shapes, and
+    # complex products are not bitwise commutative, so the bits would depend on the batch
+    s = _coordinate_sum(np.multiply(Z, np.conj(W)))
     if params.charge_sign == -1:
         s = np.conj(s)
     return s

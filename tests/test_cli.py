@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -178,6 +179,49 @@ def test_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / output).exists()
     assert not (tmp_path / "padi_normalization.json").exists()
+    # a config key other than lambda and k, and grid steps that do not divide hi - lo
+    cfg = tmp_path / "conf"
+    cfg.write_text("zones=0..1\nbogus=3\n")
+    for argv, output, message in (
+            (["spectrum", "--config", str(cfg)], "spectrum.csv",
+             f"error: unknown config key 'zones' in {cfg} (known: lambda, k)\n"),
+            (["kernel", "--t", "0.25", "--grid=0:1:0.3"], "kernel.csv",
+             "error: grid step must divide hi - lo, got '0:1:0.3'\n"),
+            (["thermo", "--T-grid=0:1:0.4"], "thermo.csv",
+             "error: grid step must divide hi - lo, got '0:1:0.4'\n"),
+            (["thermo", "--partition-t-grid=0.1:1:0.2"], "thermo.csv",
+             "error: grid step must divide hi - lo, got '0.1:1:0.2'\n"),
+            (["padi", "--kernel-grid=0:1:0.3"], "padi_spectrum.csv",
+             "error: grid step must divide hi - lo, got '0:1:0.3'\n")):
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / output).exists()
+
+
+# sha256 of each output file, recorded before the output helpers were shared
+RECORDED_DIGESTS = [
+    (["spectrum"], {
+        "spectrum.csv": "5eb1ba791fc7d27ba34cdfea1dc0578a36bddf331738678e2e389b7e288eab86"}),
+    (["zones", "--zones", "0..2", "--max-degree", "6"], {
+        "zones.csv": "28533eb2763e5f1a14c37465fd7ba24aa98080d33dfcdfadf950b33d29036e1d"}),
+    (["clifford"], {
+        "clifford.csv": "24da250135b1a2d2dc437a5943e4ee6dbbaac09447eee59414ec53879939398a"}),
+    (["padi", "--zones", "0..1", "--pmax", "2", "--normalization-report"], {
+        "padi_spectrum.csv": "26a95646bc457513c98fa329333e40ca81f5317627b10023f9569fcf88b8348b",
+        "padi_normalization.json":
+            "96e471cf7e44ef0cc5d01c5e4c52982998f1f1aa4f647642fcc6bff157842e40"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", RECORDED_DIGESTS,
+                         ids=[argv[0] for argv, _ in RECORDED_DIGESTS])
+def test_outputs_match_recorded_digests(tmp_path, capsys, argv, digests):
+    assert run(tmp_path, *argv) == 0
+    assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in digests]
+    assert sorted(os.listdir(tmp_path)) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("argv", [

@@ -437,3 +437,23 @@ def test_kernels_satisfy_evolution_equation():
         assert residual(lambda t, A, B: zonal_kernel(sigma, 0, t, A, B, PAR), sigma) < 1e-6
     # the printed higher-zone closed form is not a flow of this Hamiltonian
     assert residual(lambda t, A, B: zonal_kernel(1, 1, t, A, B, PAR), 1) > 1e-2
+
+
+@pytest.mark.parametrize("params", [PAR, PAR4], ids=["k2", "k4"])
+def test_kernel_bits_do_not_depend_on_the_batch(params):
+    # one x against 20,000 points, all at once and 1,000 at a time: large equal-shape
+    # operands must not change the operand order of the complex products
+    rng = np.random.default_rng(71)
+    Y = rng.uniform(-1, 1, (20000, params.m)) + 1j * rng.uniform(-1, 1, (20000, params.m))
+    X = np.repeat(Y[:1] * 0.5 + 0.3j, len(Y), axis=0)
+    kernels = {
+        "pairing": lambda A, B: pairing(A, B, params),
+        "zone_kernel": lambda A, B: zone_kernel(1, A, B, params),
+        "zonal_kernel": lambda A, B: zonal_kernel(1j, 1, 0.3, A, B, params),
+        "global_kernel": lambda A, B: global_kernel(1j, 0.3, A, B, params),
+    }
+    for name, ker in kernels.items():
+        whole = ker(X, Y)
+        parts = np.concatenate([ker(X[i:i + 1000], Y[i:i + 1000])
+                                for i in range(0, len(Y), 1000)])
+        assert np.array_equal(whole.view(float), parts.view(float)), name
