@@ -89,9 +89,12 @@ def _parse_grid(text: str):
     if (hi - lo) * step < 0:
         raise UsageError(f"grid step must have the sign of hi - lo, got {text!r}")
     steps = (hi - lo) / step
+    if not all(map(math.isfinite, (lo, hi, step, steps))):
+        raise UsageError(f"grid needs a finite range, step and step count, got {text!r}")
     n = int(math.floor(steps + 0.5)) + 1
     if abs(steps - (n - 1)) > 1e-9 * max(abs(steps), 1.0):
         raise UsageError(f"grid step must divide hi - lo, got {text!r}")
+    _require_memory(np.dtype(float).itemsize * n, f"grid {text!r} of {n} points")
     return np.linspace(lo, hi, n)
 
 

@@ -199,16 +199,21 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     """`discretized_feynman_kac` at each of `slice_counts`, in the given order.
 
     Only the scalar c = 2 sigma lam^2 T/(n+1) depends on the slice count n,
-    so the grid, the end vectors and the N x N zone-kernel matrix (N =
-    order^k nodes) are built once per quadrature order and shared; each n
-    refills one step buffer in place, recomputing the pairing block by block
-    instead of storing it.  Both fills run in row blocks on every usable CPU
-    (`_fill_rows`), element by element as one whole-matrix expression would,
-    so the values do not depend on the CPU count.  At most two N x N complex
-    arrays are live at once, and a (raised) order whose two exceed physical
-    memory raises ValueError before anything is allocated.  With
-    `check_convergence` every slice count is compared against the raised
-    order.
+    so the grid, the end vectors and the zone-kernel matrix over N = order^k
+    nodes are built once per quadrature order and shared; each n refills one
+    N x N step buffer in place, recomputing the pairing block by block
+    instead of storing it.  The Hermite nodes are odd under index reversal,
+    m[N-1-i] == -m[i] exactly, and every operation building K and the step
+    is invariant under (Z, W) -> (-Z, -W) to the last bit, so
+    step[N-1-i, N-1-j] == step[i, j]: only the top ceil(N/2) rows of K and
+    of the step are computed, and the bottom rows of the step are the top
+    ones reversed in both axes.  Both fills run in row blocks on every
+    usable CPU (`_fill_rows`), element by element as one whole-matrix
+    expression would, so the values do not depend on the CPU count.  One
+    N x N and one ceil(N/2) x N complex array are live at once, and a
+    (raised) order whose two exceed physical memory raises ValueError before
+    anything is allocated.  With `check_convergence` every slice count is
+    compared against the raised order.
     """
     sigma = _check_sigma(sigma)
     slice_counts = tuple(slice_counts)
@@ -223,8 +228,8 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     raised = order + order // 2
     if max(slice_counts) > 1:
         top = raised if check_convergence else order
-        nodes = top**k  # K and the step buffer: two nodes x nodes complex matrices
-        _require_memory(2 * np.dtype(complex).itemsize * nodes * nodes,
+        nodes = top**k  # the top half of K and the whole step buffer
+        _require_memory(np.dtype(complex).itemsize * ((nodes + 1) // 2 + nodes) * nodes,
                         f"sliced quadrature at order {top} ({nodes} nodes)")
 
     def run(nq):
@@ -237,14 +242,16 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
         else:
             r2 = np.sum(np.abs(m) ** 2, axis=-1)
             ends2 = float(np.sum(np.abs(x) ** 2)) + float(np.sum(np.abs(y) ** 2))
+        N = len(m)
+        half = (N + 1) // 2  # the rows computed; the middle row of an odd N is its own mirror
         if max(slice_counts) > 1:
-            K = np.empty((len(m), len(m)), dtype=complex)
-            step = np.empty_like(K)
+            K = np.empty((half, N), dtype=complex)
+            step = np.empty((N, N), dtype=complex)
 
             def fill_kernel(rows):
                 K[rows] = zone_kernel(a, m[rows, None, :], m[None, :, :], params)
 
-            _fill_rows(fill_kernel, len(m))
+            _fill_rows(fill_kernel, half, N)
         vals = []
         for n in slice_counts:
             c = 2.0 * sigma * lam**2 * (T / (n + 1))
@@ -263,7 +270,8 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
                 def fill_step(rows):
                     np.multiply(K[rows], damp[None, :], out=step[rows])
             if n > 1:
-                _fill_rows(fill_step, len(m))
+                _fill_rows(fill_step, half, N)
+                step[half:] = step[:N - half][::-1, ::-1]
             # the chain stays on this thread, after the fill, in one summation order
             for _ in range(n - 1):
                 f = (w * f) @ step
@@ -287,19 +295,20 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     return vals
 
 
-# elements per row block of an N x N fill: a few block-sized temporaries stay
+# elements per row block of a fill: a few block-sized temporaries stay
 # in cache, and a small grid is one or a few blocks
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _fill_rows(fill, n: int) -> None:
-    """Call `fill(rows)` on contiguous row slices covering an n x n matrix.
+def _fill_rows(fill, n_rows: int, n_cols: int) -> None:
+    """Call `fill(rows)` on contiguous row slices covering the top n_rows rows
+    of a matrix with n_cols columns.
 
     The blocks run on one thread per usable CPU (numpy releases the GIL in
     the element-wise work), or inline with one usable CPU or one block.
     """
-    size = max(1, _BLOCK_ELEMENTS // n)
-    blocks = [slice(i, i + size) for i in range(0, n, size)]
+    size = max(1, _BLOCK_ELEMENTS // n_cols)
+    blocks = [slice(i, min(i + size, n_rows)) for i in range(0, n_rows, size)]
     workers = min(_usable_cpus(), len(blocks))
     if workers <= 1:
         for rows in blocks:

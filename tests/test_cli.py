@@ -179,7 +179,8 @@ def test_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / output).exists()
     assert not (tmp_path / "padi_normalization.json").exists()
-    # a config key other than lambda and k, and grid steps that do not divide hi - lo
+    # a config key other than lambda and k, grid steps that do not divide hi - lo,
+    # and grids without a finite step count (1e308 steps overflow to inf)
     cfg = tmp_path / "conf"
     cfg.write_text("zones=0..1\nbogus=3\n")
     for argv, output, message in (
@@ -192,7 +193,10 @@ def test_usage_errors(tmp_path, capsys):
             (["thermo", "--partition-t-grid=0.1:1:0.2"], "thermo.csv",
              "error: grid step must divide hi - lo, got '0.1:1:0.2'\n"),
             (["padi", "--kernel-grid=0:1:0.3"], "padi_spectrum.csv",
-             "error: grid step must divide hi - lo, got '0:1:0.3'\n")):
+             "error: grid step must divide hi - lo, got '0:1:0.3'\n"),
+            *((["thermo", f"--T-grid={text}"], "thermo.csv",
+               f"error: grid needs a finite range, step and step count, got {text!r}\n")
+              for text in ("0:1e308:1e-300", "nan:1:0.5", "-inf:inf:1", "0:1:inf"))):
         capsys.readouterr()
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == message
@@ -249,12 +253,25 @@ def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "kernel.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["thermo", "--T-grid", "0.001:1:1e-12"],
+                                  ["kernel", "--t", "0.25", "--grid=0.001:1:1e-12"]],
+                         ids=["thermo", "kernel"])
+def test_oversized_axis_grid_is_refused_before_allocating(tmp_path, capsys, argv):
+    # 999,000,000,001 grid values, about 8e12 bytes before any kernel or scan
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid '0.001:1:1e-12' of 999000000001 points needs "
+                          "7.99e+03 GB") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == []
+
+
 def test_oversized_path_sweep_is_refused_before_allocating(tmp_path, capsys):
-    # k=4 at order 32: 32^4 nodes, two step-sized matrices of about 1.8e13 bytes each
+    # k=4 at order 32: 32^4 nodes, the top half of K and the whole step, about
+    # 2.6e13 bytes of complex values
     assert run(tmp_path, "path", "--k", "4", "--order", "32", "--n-slices", "2",
                "--x=0.3+0.2j,0.1", "--y=-0.3+0.1j,0.2j") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 3.52e+04 GB")
+    assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 2.64e+04 GB")
     assert not (tmp_path / "path.csv").exists()
 
 

@@ -202,7 +202,7 @@ def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order, action_mode):
 
 
 @pytest.mark.parametrize("charge_sign", [1, -1])
-@pytest.mark.parametrize("k, order", [(2, 12), (4, 5)])
+@pytest.mark.parametrize("k, order", [(2, 12), (2, 11), (4, 5)])
 @pytest.mark.parametrize("action_mode", ["split", "vertex"])
 def test_sweep_matches_per_slice_reference_exactly(action_mode, k, order, charge_sign):
     counts = (3, 1, 4, 2)
@@ -221,10 +221,12 @@ def test_sweep_matches_per_slice_reference_exactly(action_mode, k, order, charge
 
 @pytest.mark.parametrize("k, order, lam", [(2, 20, 0.4), (4, 5, 2.5)])
 def test_sweep_row_block_fill_is_exact_on_any_cpu_count(monkeypatch, k, order, lam):
-    # N = 400 and 625 nodes: several row blocks, the last one short
+    # N = 400 and 625 nodes, of which the top 200 and 313 rows are filled:
+    # several row blocks, the last one short
     n = order ** k
+    filled = (n + 1) // 2
     rows = path_measure._BLOCK_ELEMENTS // n
-    assert 1 < rows < n and n % rows
+    assert 1 < rows < filled and filled % rows
     params = PhysParams(lam=lam, k=k, charge_sign=-1)
     counts = (3, 1, 2)
     x = np.array([0.35 + 0.2j, -0.1 + 0.25j][:k // 2])
@@ -269,6 +271,19 @@ def test_sweep_checks_every_slice_count():
     with pytest.raises(ValueError, match=r"^sliced quadrature at order 48 \(5308416 nodes\)"):
         feynman_kac_sweep(1, 0, np.zeros(2), np.zeros(2), 0.5, (1, 2), PhysParams(k=4),
                           order=32, check_convergence=True)
+
+
+def test_sweep_memory_guard_counts_the_top_half_of_k_and_the_step(monkeypatch):
+    # one N x N step and the ceil(N/2) x N top of K, complex: N = 36 at order 6,
+    # and N = 81 (odd, its middle row counted once) at the raised order 9
+    asked = []
+    monkeypatch.setattr(path_measure, "_require_memory",
+                        lambda need, what: asked.append((need, what)))
+    feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=6)
+    feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=6, check_convergence=True)
+    feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1,), PAR, order=6)  # no step matrix: no guard
+    assert asked == [(16 * (18 + 36) * 36, "sliced quadrature at order 6 (36 nodes)"),
+                     (16 * (41 + 81) * 81, "sliced quadrature at order 9 (81 nodes)")]
 
 
 def test_sigma_branches_share_measure_factors():

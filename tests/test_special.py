@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from zonekit.special import (flat_hermite_grid, gauss_hermite, gauss_laguerre, gauss_legendre,
-                             hermite_axis, laguerre, laguerre_at_zero, multiplicity_factor)
+                             hermite_axis, laguerre, laguerre_at_zero, multiplicity_factor,
+                             real_to_complex)
 
 
 def series_oracle(a, alpha, t):
@@ -123,3 +124,18 @@ def test_flat_hermite_grid_bits_match_pointwise_formula(dim, orders, lam):
         got_points, got = flat_hermite_grid(order, lam, dim)
         assert np.array_equal(got_points, points)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("k, orders", [(2, (5, 12, 17, 64)), (4, (5, 12, 17))])
+@pytest.mark.parametrize("lam", [0.4, 1.0, 2.5])
+def test_hermite_nodes_are_odd_under_index_reversal(k, orders, lam):
+    # the precondition of the sliced Feynman-Kac sweep's mirrored fill:
+    # m[N-1-i] == -m[i] exactly (== identifies only the +-0 of a middle node)
+    for order in orders:
+        x = hermite_axis(order, lam)[0]
+        assert np.array_equal(x, -x[::-1])
+        if order % 2:
+            assert x[order // 2] == 0.0
+        m = real_to_complex(flat_hermite_grid(order, lam, k)[0])
+        assert m.shape == (order**k, k // 2)
+        assert np.array_equal(m, -m[::-1])
