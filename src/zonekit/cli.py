@@ -82,7 +82,11 @@ def _output(args, name: str | None = None) -> str:
 
 
 def _parse_grid(text: str):
-    """lo:hi:step for one real axis; the step must divide hi - lo to 1e-9 relative."""
+    """lo:hi:step for one real axis; the step must divide hi - lo to 1e-9 relative.
+
+    A step so large that hi - lo rounds to no step at all does not divide it either:
+    only lo:lo:step is a one-point grid.
+    """
     lo, hi, step = (float(p) for p in text.split(":"))
     if step == 0:
         raise UsageError(f"grid step must be nonzero, got {text!r}")
@@ -92,7 +96,7 @@ def _parse_grid(text: str):
     if not all(map(math.isfinite, (lo, hi, step, steps))):
         raise UsageError(f"grid needs a finite range, step and step count, got {text!r}")
     n = int(math.floor(steps + 0.5)) + 1
-    if abs(steps - (n - 1)) > 1e-9 * max(abs(steps), 1.0):
+    if abs(steps - (n - 1)) > 1e-9 * max(abs(steps), 1.0) or (n == 1 and hi != lo):
         raise UsageError(f"grid step must divide hi - lo, got {text!r}")
     _require_memory(np.dtype(float).itemsize * n, f"grid {text!r} of {n} points")
     return np.linspace(lo, hi, n)

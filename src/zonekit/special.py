@@ -6,7 +6,6 @@ import math
 from functools import reduce
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 
 def laguerre(a: int, alpha: float, t):
@@ -74,7 +73,13 @@ def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0):
 
 
 def gauss_laguerre(order: int, alpha: float = 0.0):
-    """(nodes, weights) for int_0^inf f(u) u^alpha e^{-u} du."""
+    """(nodes, weights) for int_0^inf f(u) u^alpha e^{-u} du.
+
+    scipy is imported here and nowhere else: it costs about 0.3 s of start-up
+    that only the Coulomb quadrature needs.
+    """
+    from scipy.special import roots_genlaguerre
+
     return roots_genlaguerre(order, alpha)
 
 

@@ -179,8 +179,9 @@ def test_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / output).exists()
     assert not (tmp_path / "padi_normalization.json").exists()
-    # a config key other than lambda and k, grid steps that do not divide hi - lo,
-    # and grids without a finite step count (1e308 steps overflow to inf)
+    # a config key other than lambda and k, grid steps that do not divide hi - lo
+    # (1e300 leaves hi - lo within 1e-9 of no step at all), and grids without a
+    # finite step count (1e308 steps overflow to inf)
     cfg = tmp_path / "conf"
     cfg.write_text("zones=0..1\nbogus=3\n")
     for argv, output, message in (
@@ -194,6 +195,10 @@ def test_usage_errors(tmp_path, capsys):
              "error: grid step must divide hi - lo, got '0.1:1:0.2'\n"),
             (["padi", "--kernel-grid=0:1:0.3"], "padi_spectrum.csv",
              "error: grid step must divide hi - lo, got '0:1:0.3'\n"),
+            (["thermo", "--T-grid=0.5:1:1e300"], "thermo.csv",
+             "error: grid step must divide hi - lo, got '0.5:1:1e300'\n"),
+            (["kernel", "--t", "0.25", "--grid=0:1:1e300"], "kernel.csv",
+             "error: grid step must divide hi - lo, got '0:1:1e300'\n"),
             *((["thermo", f"--T-grid={text}"], "thermo.csv",
                f"error: grid needs a finite range, step and step count, got {text!r}\n")
               for text in ("0:1e308:1e-300", "nan:1:0.5", "-inf:inf:1", "0:1:inf"))):
@@ -201,6 +206,10 @@ def test_usage_errors(tmp_path, capsys):
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == message
         assert not (tmp_path / output).exists()
+    # a degenerate lo:lo:step grid is still its one point, whatever the step
+    assert run(tmp_path, "thermo", "--T-grid=0.5:0.5:1e300") == 0
+    with open(tmp_path / "thermo.csv") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["T", "0.5"]
 
 
 # sha256 of each output file, recorded before the output helpers were shared
@@ -211,6 +220,13 @@ RECORDED_DIGESTS = [
         "zones.csv": "28533eb2763e5f1a14c37465fd7ba24aa98080d33dfcdfadf950b33d29036e1d"}),
     (["clifford"], {
         "clifford.csv": "24da250135b1a2d2dc437a5943e4ee6dbbaac09447eee59414ec53879939398a"}),
+    # the Coulomb quadrature is where scipy's Gauss-Laguerre rule is first loaded
+    (["coulomb", "--a", "0", "--Q", "-0.5", "--basis-size", "12", "--cross-zone"], {
+        "coulomb_spectrum.csv": "2be711b895376a7db03e57f0229a00705e6ce0ae68058a7ba40781a34a9cfbc3",
+        "coulomb_multiplicity.csv":
+            "8f906516c2c51c4a21c3f9cc1851a7f4163d75b55f1058acae653605db90a4d7",
+        "coulomb_cross_zone_multiplicity.csv":
+            "4427d2677b565581beee9648002cafc31b01bad06b60960b8509c82deabb91cd"}),
     (["padi", "--zones", "0..1", "--pmax", "2", "--normalization-report"], {
         "padi_spectrum.csv": "26a95646bc457513c98fa329333e40ca81f5317627b10023f9569fcf88b8348b",
         "padi_normalization.json":
@@ -352,18 +368,44 @@ def test_thermo_scan_of_each_density(tmp_path, kind):
         [(pytest.approx(P / 2, rel=1e-6), "min")]
 
 
-def test_python_m_zonekit(tmp_path):
+def _src_env():
+    """os.environ with this checkout's src directory first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(zonekit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_m_zonekit(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "zonekit", "verify", "--suite", "special",
-                           "--outdir", str(tmp_path)], env=env, capture_output=True,
+                           "--outdir", str(tmp_path)], env=_src_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert [r["check_name"] for r in report] == [
         e["name"] for e in CHECKS if e["suite"] == "special"]
     assert len(report) == 3
+
+
+# scipy costs about 0.3 s of start-up and only the Gauss-Laguerre rule needs it
+SCIPY_PROBE = """
+import sys
+from zonekit import cli
+loaded = ["scipy" in sys.modules]
+for argv in sys.argv[2:]:
+    assert cli.main([*argv.split(), "--outdir", sys.argv[1]]) == 0, argv
+    loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_is_loaded_only_by_the_coulomb_quadrature(tmp_path):
+    commands = ["path --order 8 --n-slices 2", "kernel --t 0.25 --grid=0:1:1",
+                "spectrum", "thermo", "zones --zones 0..1 --max-degree 4", "clifford",
+                "coulomb --a 0 --basis-size 4"]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), *commands],
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([False] * len(commands) + [True])
 
 
 def test_config_file_defaults(tmp_path):
