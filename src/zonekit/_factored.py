@@ -9,7 +9,7 @@ Every closed-form kernel in zonekit has the form
 with r over the k/2 complex coordinates X_r = x1 + i x2, Y_r = y1 + i y2 and
 s the charge sign.  On a tensor grid, given as one node array per real axis
 (real and imaginary part of each coordinate adjacent, the last axis varying
-fastest as in `special.tensor_grid`), the exponential is a product of n x n
+fastest as in `special.tensor_points`), the exponential is a product of n x n
 one-axis tables and the Laguerre factor is a polynomial in one-axis squared
 distances.  So a kernel is applied to a grid function, sampled along a row or
 summed along its diagonal without ever forming the N x N kernel matrix.

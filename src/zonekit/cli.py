@@ -30,7 +30,7 @@ from .params import PhysParams
 from .path_measure import feynman_kac_sweep, monte_carlo_feynman_kac
 from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError,
                           _require_memory, evolve, partition_function, zonal_kernel)
-from .special import real_to_complex
+from .special import tensor_points
 from .zones import zone_basis
 
 EXIT_OK = 0
@@ -102,12 +102,6 @@ def _parse_grid(text: str):
     return np.linspace(lo, hi, n)
 
 
-def _grid_points(text: str, m: int) -> np.ndarray:
-    axis = _parse_grid(text)
-    grids = np.meshgrid(*[axis] * (2 * m), indexing="ij")
-    return real_to_complex(np.stack([g.ravel() for g in grids], axis=-1))
-
-
 def _point(text: str, params: PhysParams, flag: str) -> np.ndarray:
     """Comma-separated complex coordinates of one point, exactly k/2 of them."""
     pt = np.array([complex(c) for c in text.split(",")])
@@ -163,17 +157,22 @@ def _fmt(x: float) -> str:
 
 def cmd_kernel(args) -> int:
     params = _params(args)
-    n = len(_parse_grid(args.grid)) ** (2 * params.m)  # grid points, before building them
+    axes = [_parse_grid(args.grid)] * params.k
+    n = len(axes[0]) ** params.k  # grid points, before building them
     _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
-    pts = _grid_points(args.grid, params.m)
+    pts = tensor_points(axes)
     a = None if args.a is None or args.a < 0 else args.a
     grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
-    grid.write_csv(_output(args))
+    path = _output(args)
+    grid.write_csv(path)
+    print(path)
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
+    if args.pmax < 0:
+        raise UsageError(f"--pmax must be at least 0, got {args.pmax}")
     rows = []
     for a in _parse_range(args.zones):
         for p in range(args.pmax + 1):
@@ -214,8 +213,8 @@ def cmd_thermo(args) -> int:
         if args.scan == "diagonal_density" else None
 
     def energy_row(T):
-        e = thermo.average_energy(sigma, T, params, kappa, h)
-        c = thermo.specific_heat(sigma, T, params, kappa, h)
+        e = thermo.average_energy(sigma, T, kappa, h)
+        c = thermo.specific_heat(sigma, T, kappa, h)
         return [_fmt(T), _fmt(e.real), _fmt(e.imag), _fmt(abs(e)),
                 _fmt(c.real), _fmt(c.imag), _fmt(abs(c))]
 
@@ -240,6 +239,8 @@ def cmd_thermo(args) -> int:
 
 def cmd_path(args) -> int:
     params = _params(args)
+    if args.n_slices < 1:
+        raise UsageError(f"--n-slices must be at least 1, got {args.n_slices}")
     sigma = _sigma(args)
     quad_counts = range(1, min(args.n_slices, args.quadrature_max_slices) + 1)
     x = _point(args.x, params, "--x")
@@ -272,7 +273,8 @@ def cmd_padi(args) -> int:
     if params.k != 2:
         raise UsageError("padi requires k=2")
     zones = _parse_range(args.zones)
-    pts = _grid_points(args.kernel_grid, params.m) if args.kernel_grid else None
+    pts = tensor_points([_parse_grid(args.kernel_grid)] * params.k) if args.kernel_grid \
+        else None
     rows = []
     for a in zones:
         basis = zone_basis(a, a + args.pmax, params)

@@ -19,7 +19,7 @@ from ._factored import row, transfer
 from .params import PhysParams
 from .propagators import (QuadratureConvergenceError, _check_sigma, _global_form,
                           _require_memory, _usable_cpus, _zonal_form, zonal_kernel)
-from .special import flat_hermite_grid, gauss_legendre, hermite_axis, real_to_complex
+from .special import flat_hermite_grid, gauss_legendre, tensor_points
 from .zones import _zone_form, pairing, zone_kernel
 
 
@@ -165,13 +165,13 @@ def whole_space_box(params: PhysParams, radius: float | None = None):
 # ---- discretized Feynman-Kac ----------------------------------------------------
 
 
-def discretized_feynman_kac(sigma: complex, a: int, x, y, T: float, n_slices: int,
-                            params: PhysParams, order: int = 48,
-                            action_mode: str = "split",
-                            check_convergence: bool = False, tol: float = 1e-6) -> complex:
-    """Time-sliced spread-amplitude reconstruction of the zonal kernel.
+def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
+                      params: PhysParams, order: int = 48, action_mode: str = "split",
+                      check_convergence: bool = False, tol: float = 1e-6) -> list[complex]:
+    """Time-sliced spread-amplitude reconstruction of the zonal kernel at each
+    of `slice_counts`, in the given order.
 
-    Chains n_slices + 1 zone kernels through n_slices interior points at
+    At n slices, chains n + 1 zone kernels through n interior points at
     uniform times and weights by e^{-sigma (kT/2 + 2 lam^2 S)} with S the
     Riemann sum of |omega|^2 along the sliced path.  Two readings of S:
 
@@ -181,30 +181,17 @@ def discretized_feynman_kac(sigma: complex, a: int, x, y, T: float, n_slices: in
       rapidly to the closed-form zonal kernel on the holomorphic zone.
     * "vertex": trapezoid on the vertex values |omega(t_i)|^2 (matching
       `action_functional`).  Converges to the same limit only after flipping
-      the constant to e^{+sigma k lam T/2}, and only first order in
-      1/n_slices; kept for comparison runs.
+      the constant to e^{+sigma k lam T/2}, and only first order in 1/n;
+      kept for comparison runs.
 
     Evaluated by sequential Gauss-Hermite sweeps (never a full 2n-dim
-    tensor product).  This is `feynman_kac_sweep` at the one slice count
-    `n_slices`.
-    """
-    return feynman_kac_sweep(sigma, a, x, y, T, (n_slices,), params, order=order,
-                             action_mode=action_mode, check_convergence=check_convergence,
-                             tol=tol)[0]
-
-
-def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
-                      params: PhysParams, order: int = 48, action_mode: str = "split",
-                      check_convergence: bool = False, tol: float = 1e-6) -> list[complex]:
-    """`discretized_feynman_kac` at each of `slice_counts`, in the given order.
-
-    Only the scalar c = 2 sigma lam^2 T/(n+1) depends on the slice count n,
-    so the grid, the end vectors and the zone-kernel matrix over N = order^k
-    nodes are built once per quadrature order and shared; each n refills one
-    N x N step buffer in place, recomputing the pairing block by block
-    instead of storing it.  The Hermite nodes are odd under index reversal,
-    m[N-1-i] == -m[i] exactly, and every operation building K and the step
-    is invariant under (Z, W) -> (-Z, -W) to the last bit, so
+    tensor product).  Only the scalar c = 2 sigma lam^2 T/(n+1) depends on
+    n, so the grid, the end vectors and the zone-kernel matrix over
+    N = order^k nodes are built once per quadrature order and shared; each
+    n refills one N x N step buffer in place, recomputing the pairing block
+    by block instead of storing it.  The Hermite nodes are odd under index
+    reversal, m[N-1-i] == -m[i] exactly, and every operation building K and
+    the step is invariant under (Z, W) -> (-Z, -W) to the last bit, so
     step[N-1-i, N-1-j] == step[i, j]: only the top ceil(N/2) rows of K and
     of the step are computed, and the bottom rows of the step are the top
     ones reversed in both axes.  Both fills run in row blocks on every
@@ -233,8 +220,8 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
                         f"sliced quadrature at order {top} ({nodes} nodes)")
 
     def run(nq):
-        pts, w = flat_hermite_grid(nq, lam, k)
-        m = real_to_complex(pts)
+        axes, w = flat_hermite_grid(nq, lam, k)
+        m = tensor_points(axes)
         xs, ys = np.broadcast_to(x, m.shape), np.broadcast_to(y, m.shape)
         ker_x, ker_y = zone_kernel(a, xs, m, params), zone_kernel(a, m, ys, params)
         if split:
@@ -396,8 +383,8 @@ def probability_total_mass(a: int, x, T: float, params: PhysParams,
     constant equals lam^{k/2} rather than 1, which the verification suite
     reports alongside the conservation check.
     """
-    lam, k = params.lam, params.k
-    _, w = flat_hermite_grid(order, lam, k)
-    vals = row(_zonal_form(1j, a, T, params), params, x, [hermite_axis(order, lam)[0]] * k)[0]
+    k = params.k
+    axes, w = flat_hermite_grid(order, params.lam, k)
+    vals = row(_zonal_form(1j, a, T, params), params, x, axes)[0]
     dens = np.pi ** (k / 2) * np.abs(vals) ** 2
     return float(np.sum(w * dens))

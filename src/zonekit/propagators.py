@@ -18,7 +18,7 @@ from ._factored import KernelForm, diagonal_sum, row
 from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
 from .special import (flat_hermite_grid, hermite_axis, laguerre, multiplicity_factor,
-                      real_to_complex)
+                      tensor_points)
 from .zones import pairing, project_to_zone, zone_basis
 
 SINGULAR_TIME_TOL = 1e-9
@@ -230,10 +230,9 @@ def evolve_by_convolution(f: ZonePolynomial, sigma: complex, t: float,
     from .algebra import to_standard
 
     form = _zonal_form(sigma, infer_zone(f), t, params)
-    lam, k = params.lam, params.k
-    points, weights = flat_hermite_grid(order, lam, k)
-    psi = to_standard(f)(real_to_complex(points))
-    return row(form, params, X, [hermite_axis(order, lam)[0]] * k) @ (weights * psi)
+    axes, weights = flat_hermite_grid(order, params.lam, params.k)
+    psi = to_standard(f)(tensor_points(axes))
+    return row(form, params, X, axes) @ (weights * psi)
 
 
 def semigroup_residual(sigma: complex, a: int, s: float, t: float,
@@ -255,9 +254,8 @@ def semigroup_residual(sigma: complex, a: int, s: float, t: float,
     target = zonal_kernel(sigma, a, s + t, X, Y, params)
 
     def run(n):
-        _, weights = flat_hermite_grid(n, lam, k)
-        nodes = [hermite_axis(n, lam)[0]] * k
-        comp = np.sum(weights * row(left, params, X, nodes) * row(right, params, Y, nodes),
+        axes, weights = flat_hermite_grid(n, lam, k)
+        comp = np.sum(weights * row(left, params, X, axes) * row(right, params, Y, axes),
                       axis=1)
         return float(np.max(np.abs(comp - target)))
 

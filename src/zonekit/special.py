@@ -93,31 +93,29 @@ def hermite_axis(order: int, lam: float):
     return nodes / math.sqrt(lam), weights / math.sqrt(lam)
 
 
-def tensor_grid(nodes, weights):
-    """Product of one-dimensional rules, one (nodes, weights) pair per axis.
-
-    Returns (points, weights): `points` has shape (prod of the rule sizes,
-    number of axes), the last axis varying fastest, and each weight is the
-    product of the per-axis weights.
-    """
-    grids = np.meshgrid(*nodes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    return points, reduce(np.multiply.outer, weights).ravel()
-
-
 def flat_hermite_grid(order: int, lam: float, dim: int):
     """Tensor grid of `hermite_axis` on R^dim with the Gaussian divided back out.
 
-    Returns (points, weights), `points` of shape (order**dim, dim).  Suitable
-    for plain Lebesgue integrals int f(X) dX of integrands that decay at least
-    like e^{-lam |X|^2}; the weights are w_i e^{+lam |x_i|^2}, both factors
-    built as outer products of one-axis tables.
+    Returns (axes, weights): `axes` holds the `hermite_axis` nodes once per
+    real axis, and `weights` is flat over the order**dim points in the layout
+    of `tensor_points(axes)`.  Suitable for plain Lebesgue integrals
+    int f(X) dX of integrands that decay at least like e^{-lam |X|^2}; the
+    weights are w_i e^{+lam |x_i|^2}, both factors built as outer products of
+    one-axis tables.
     """
     x, w = hermite_axis(order, lam)
-    points, weights = tensor_grid([x] * dim, [w] * dim)
-    return points, weights * np.exp(lam * reduce(np.add.outer, [x**2] * dim).ravel())
+    weights = reduce(np.multiply.outer, [w] * dim).ravel()
+    return [x] * dim, weights * np.exp(lam * reduce(np.add.outer, [x**2] * dim).ravel())
 
 
-def real_to_complex(points: np.ndarray) -> np.ndarray:
-    """Pack real coordinates (..., 2m) into complex coordinates (..., m)."""
-    return points[..., 0::2] + 1j * points[..., 1::2]
+def tensor_points(axes) -> np.ndarray:
+    """Points of the tensor grid with one node array per real axis, as complex
+    coordinates.
+
+    The real and imaginary parts of each coordinate are adjacent axes, and the
+    last axis varies fastest.  Returns shape (prod of the axis sizes,
+    len(axes) // 2).
+    """
+    grids = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=-1)
+    return points[:, 0::2] + 1j * points[:, 1::2]

@@ -34,25 +34,23 @@ def _boltzmann(sigma: complex, T: float, kappa: float, h: float):
     return sigma, x
 
 
-def average_energy(sigma: complex, T: float, params: PhysParams,
-                   kappa: float, h: float) -> complex:
+def average_energy(sigma: complex, T: float, kappa: float, h: float) -> complex:
     """Mean emitted-absorbed energy h + 2h e^{-2h sigma/(kappa T)} / (1 - e^{-2h sigma/(kappa T)})."""
     _, x = _boltzmann(sigma, T, kappa, h)
     return complex(h + 2.0 * h * x / (1.0 - x))
 
 
-def specific_heat(sigma: complex, T: float, params: PhysParams,
-                  kappa: float, h: float) -> complex:
+def specific_heat(sigma: complex, T: float, kappa: float, h: float) -> complex:
     """Temperature derivative of the average energy (Einstein form at sigma=1)."""
     sigma, x = _boltzmann(sigma, T, kappa, h)
     return complex((2.0 * h) ** 2 * sigma * x / (kappa * T * T * (1.0 - x) ** 2))
 
 
-def average_energy_of_time(t: float, params: PhysParams, kappa: float, h: float) -> complex:
+def average_energy_of_time(t: float, kappa: float, h: float) -> complex:
     """Dirac-Feynman average energy along the flow parameter, via the substitution T = 1/t."""
     if t <= 0:
         raise ValueError(f"flow time must be positive, got {t}")
-    return average_energy(1j, 1.0 / t, params, kappa, h)
+    return average_energy(1j, 1.0 / t, kappa, h)
 
 
 def diagonal_kernel(sigma: complex, a: int, t: float, X: np.ndarray,
@@ -147,7 +145,7 @@ def period_density(quantity: str, a: int, params: PhysParams, X: np.ndarray | No
     if quantity == "energy_density":
         kap = default_kappa(params) if kappa is None else kappa
         P = math.pi * kap / h
-        return P, [0.0, P], lambda t: abs(average_energy_of_time(t, params, kap, h)) ** 2
+        return P, [0.0, P], lambda t: abs(average_energy_of_time(t, kap, h)) ** 2
     raise ValueError(f"quantity {quantity!r} is not periodic in t")
 
 

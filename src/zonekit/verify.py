@@ -22,7 +22,7 @@ from .params import PhysParams
 from .propagators import (_global_form, evolve, field_term_multiplier, global_kernel,
                           partition_function, partition_function_trace, semigroup_residual,
                           zonal_kernel, zonal_kernel_spectral)
-from .special import flat_hermite_grid, gauss_hermite, hermite_axis, laguerre, real_to_complex
+from .special import flat_hermite_grid, gauss_hermite, laguerre, tensor_points
 from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kernel
 
 CHECKS = []
@@ -203,8 +203,8 @@ def _heisenberg():
        "zones: quadrature of the kernel against zone functions reproduces them to 1e-6")
 def _reproducing():
     params = PhysParams(lam=1.0, k=2)
-    pts, w = flat_hermite_grid(64, params.lam, params.k)
-    zpts = real_to_complex(pts)
+    axes, w = flat_hermite_grid(64, params.lam, params.k)
+    zpts = tensor_points(axes)
     rng = np.random.default_rng(2)
     samples = _points(rng, (5, 1), 0.9)
     density = np.exp(-params.lam * np.sum(np.abs(zpts) ** 2, -1))
@@ -270,10 +270,9 @@ def _decomposition_residual(k: int, sigma: complex, lam_eff: float, order: int) 
     comps = [zone_basis(a, a + 1, params)[0] for a in (0, 1)]
     f = comps[0] + 0.7 * comps[1]
     X = _points(rng, (3, k // 2), 0.5)
-    pts, w = flat_hermite_grid(order, lam_eff, k)
-    psi = to_standard(f)(real_to_complex(pts))
-    nodes = [hermite_axis(order, lam_eff)[0]] * k
-    got = row(_global_form(sigma, 0.4, params), params, X, nodes) @ (w * psi)
+    axes, w = flat_hermite_grid(order, lam_eff, k)
+    psi = to_standard(f)(tensor_points(axes))
+    got = row(_global_form(sigma, 0.4, params), params, X, axes) @ (w * psi)
     ref = sum(to_standard(evolve(c, sigma, 0.4, params))(X)
               for c in (comps[0], 0.7 * comps[1]))
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
@@ -424,7 +423,7 @@ def _log_derivative():
               - partition_function(1, 0, s_of(t - dt), params)).real / (2 * dt)
         lhs = -(2 * math.pi / params.lam) * dZ
         Z = partition_function(1, 0, s_of(t), params).real
-        rhs = Z * thermo.average_energy(1, 1.0 / t, params, kappa, h).real
+        rhs = Z * thermo.average_energy(1, 1.0 / t, kappa, h).real
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst, 1e-8
 
@@ -436,15 +435,15 @@ def _periodicity():
     kappa = thermo.default_kappa(params)
     h = 1.0
     worst = 0.0
-    P = 2.0 * math.pi / params.lam          # full kernel period in t
+    P = thermo.period(params, "kernel")
     for t in (0.31, 0.77, 1.3):
         z1 = partition_function(1j, 1, t, params)
         z2 = partition_function(1j, 1, t + P, params)
         worst = max(worst, abs(z1 - z2) / abs(z1))
-    PE = math.pi * kappa / h
+    PE = thermo.period_density("energy_density", 1, params, kappa=kappa, h=h)[0]
     for t in (0.4, 1.1):
-        e1 = thermo.average_energy_of_time(t, params, kappa, h)
-        e2 = thermo.average_energy_of_time(t + PE, params, kappa, h)
+        e1 = thermo.average_energy_of_time(t, kappa, h)
+        e2 = thermo.average_energy_of_time(t + PE, kappa, h)
         worst = max(worst, abs(e1 - e2) / abs(e1))
     return worst, 1e-10
 
@@ -456,7 +455,7 @@ def _heat_shape():
     kappa = thermo.default_kappa(params)
     h = 1.0
     xs = np.linspace(0.05, 30.0, 400)        # 1/T sweep
-    vals = np.array([thermo.specific_heat(1, 1.0 / x, params, kappa, h).real for x in xs])
+    vals = np.array([thermo.specific_heat(1, 1.0 / x, kappa, h).real for x in xs])
     if np.any(vals <= 0):
         return 1.0, 0.5
     i = int(np.argmax(vals))
@@ -521,7 +520,7 @@ def _tension_fd():
 def _tension_quarter():
     params = PhysParams(lam=1.0, k=2)
     X = np.array([0.8 + 0.1j])
-    P = 2.0 * math.pi / params.lam
+    P = thermo.period(params, "kernel")
     ts = np.linspace(1e-4, P - 1e-4, 4001)
     vals = np.array([abs(thermo.tension(1, t, X, params)) for t in ts])
     tmin = ts[np.argmin(vals)]
@@ -535,7 +534,7 @@ def _df_rate_deviation(scale: float) -> float:
     kappa = thermo.default_kappa(params)
     h = 1.0
     T = scale * h / kappa
-    val = abs(thermo.specific_heat(1j, T, params, kappa, h))
+    val = abs(thermo.specific_heat(1j, T, kappa, h))
     return abs(val - kappa) / kappa
 
 
@@ -746,8 +745,8 @@ def _anomalous_components():
        "padi: the anomalous zone projection composes to itself under quadrature")
 def _anomalous_idem():
     params = PhysParams(lam=1.0, k=2)
-    pts, w = flat_hermite_grid(64, params.lam, params.k)
-    m = real_to_complex(pts)
+    axes, w = flat_hermite_grid(64, params.lam, params.k)
+    m = tensor_points(axes)
     rng = np.random.default_rng(53)
     X, Y = (_points(rng, (4, 1), 0.7) for _ in range(2))
     worst = 0.0

@@ -25,7 +25,7 @@ from zonekit.path_measure import (PathDiscretization, action_functional,
                                   radon_nikodym_density)
 from zonekit.propagators import (evolve, partition_function, partition_function_trace,
                                  semigroup_residual, zonal_kernel)
-from zonekit.special import flat_hermite_grid, laguerre, real_to_complex
+from zonekit.special import flat_hermite_grid, laguerre, tensor_points
 from zonekit.thermo import (average_energy, default_kappa, find_period_extrema, period,
                             quarter_time, specific_heat, stable_spread)
 from zonekit.zones import (kernel_basis_residual, project_to_zone, zone_basis,
@@ -81,8 +81,8 @@ def test_c02_kernel_equivalence():
 
 
 def test_c03_reproducing_and_idempotency():
-    pts, w = flat_hermite_grid(64, PAR.lam, PAR.k)
-    zpts = real_to_complex(pts)
+    axes, w = flat_hermite_grid(64, PAR.lam, PAR.k)
+    zpts = tensor_points(axes)
     dens = np.exp(-PAR.lam * np.sum(np.abs(zpts) ** 2, -1))
     rng = np.random.default_rng(102)
     samples = rng.uniform(-0.9, 0.9, (4, 1)) + 1j * rng.uniform(-0.9, 0.9, (4, 1))
@@ -169,14 +169,14 @@ def test_c07_thermo_consistency():
               - partition_function(1, 0, s(t - dt), PAR).real) / (2 * dt)
         lhs = -(2 * math.pi / PAR.lam) * dZ
         rhs = partition_function(1, 0, s(t), PAR).real \
-            * average_energy(1, 1.0 / t, PAR, kappa, h).real
+            * average_energy(1, 1.0 / t, kappa, h).real
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
     # heat-branch specific heat limits
-    assert abs(specific_heat(1, 1e-3 / kappa, PAR, kappa, h)) < 1e-12
-    high = specific_heat(1, 1e3 / kappa, PAR, kappa, h).real
+    assert abs(specific_heat(1, 1e-3 / kappa, kappa, h)) < 1e-12
+    high = specific_heat(1, 1e3 / kappa, kappa, h).real
     assert abs(high - kappa) / kappa < 1e-2
     # oscillatory-branch rate at the high-temperature end
-    rate_high = abs(specific_heat(1j, 1e3 * h / kappa, PAR, kappa, h))
+    rate_high = abs(specific_heat(1j, 1e3 * h / kappa, kappa, h))
     assert abs(rate_high - kappa) / kappa < 1e-2
     report(7, "log-derivative identity 1e-8; heat limits 0 and kappa; DF rate -> kappa (high end)")
 
@@ -189,7 +189,7 @@ def test_c07_thermo_consistency():
 def test_c07_df_rate_low_temperature_end():
     kappa = default_kappa(PAR)
     h = 1.0
-    rate_low = abs(specific_heat(1j, 1e-3 * h / kappa, PAR, kappa, h))
+    rate_low = abs(specific_heat(1j, 1e-3 * h / kappa, kappa, h))
     print(f"[criterion  7] FAIL  DF rate at the low end measured {rate_low:.4g} "
           f"vs kappa = {kappa:.4g}")
     assert abs(rate_low - kappa) / kappa < 1e-2
@@ -296,8 +296,8 @@ def test_c10_padi():
                                rtol=1e-12)
             assert np.allclose(q[..., 1, 1], lam / (2 * np.pi) * common * gauss, rtol=1e-12)
             assert np.allclose(q[..., 0, 1], 0.0) and np.allclose(q[..., 1, 0], 0.0)
-    pts, w = flat_hermite_grid(64, lam, 2)
-    mgrid = real_to_complex(pts)
+    axes, w = flat_hermite_grid(64, lam, 2)
+    mgrid = tensor_points(axes)
     for a in (0, 1, 2):
         left = anomalous_zone_kernel(a, np.broadcast_to(X[0], mgrid.shape), mgrid, PAR)
         right = anomalous_zone_kernel(a, mgrid, np.broadcast_to(Y[0], mgrid.shape), PAR)

@@ -167,12 +167,17 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--suite", "special,Zones", "--outdir", str(tmp_path)]) == 2
     assert not (tmp_path / "verify_report.json").exists()
     assert main([]) == 2
-    # reversed zone ranges, and a Monte Carlo row with one sample (no standard error)
+    # reversed zone ranges, a Monte Carlo row with one sample (no standard error),
+    # and counts that would leave a table with only its header
     for argv, output in ((["padi", "--zones", "3..1", "--normalization-report"],
                           "padi_spectrum.csv"),
                          (["spectrum", "--zones", "3..1"], "spectrum.csv"),
                          (["path", "--n-slices", "9", "--samples", "1", "--order", "8"],
-                          "path.csv")):
+                          "path.csv"),
+                         (["path", "--n-slices", "0"], "path.csv"),
+                         (["path", "--n-slices", "-2"], "path.csv"),
+                         (["spectrum", "--pmax", "-1"], "spectrum.csv"),
+                         (["padi", "--pmax", "-1"], "padi_spectrum.csv")):
         capsys.readouterr()
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
@@ -231,6 +236,13 @@ RECORDED_DIGESTS = [
         "padi_spectrum.csv": "26a95646bc457513c98fa329333e40ca81f5317627b10023f9569fcf88b8348b",
         "padi_normalization.json":
             "96e471cf7e44ef0cc5d01c5e4c52982998f1f1aa4f647642fcc6bff157842e40"}),
+    (["kernel", "--sigma", "i", "--a", "1", "--t", "0.25", "--grid=-1:1:0.5"], {
+        "kernel.csv": "5594b59cc320616cc387df2f199671f32b7e4be78f85383550dc99e3f7cea6c1"}),
+    # the sliced Feynman-Kac sweep on the plane and on two particles
+    (["path", "--order", "12", "--n-slices", "3"], {
+        "path.csv": "74d18939c8e4c57b466e2b9432c808c0b719165237a14642691993b006b2b9e7"}),
+    (["path", "--k", "4", "--order", "6", "--n-slices", "3", "--x=0.1,0.2", "--y=0.3,0.1"], {
+        "path.csv": "0b8abc6b67c2b39537751e3228c0393b3c40ab96f8af04a5ae1883b8b30ef510"}),
 ]
 
 

@@ -10,7 +10,7 @@ from zonekit._factored import diagonal_sum, row, transfer
 from zonekit.params import PhysParams
 from zonekit.path_measure import _chain_form, cylinder_measure
 from zonekit.propagators import global_kernel, zonal_kernel
-from zonekit.special import gauss_legendre, real_to_complex, tensor_grid
+from zonekit.special import gauss_legendre, tensor_points
 from zonekit.zones import zone_kernel
 
 POINTWISE = {
@@ -31,10 +31,6 @@ def axes(sizes, lo, hi):
     return [gauss_legendre(n, lo + 0.1 * i, hi - 0.2 * i)[0] for i, n in enumerate(sizes)]
 
 
-def points(nodes):
-    return real_to_complex(tensor_grid(nodes, [np.ones_like(x) for x in nodes])[0])
-
-
 def dense(kind, a, params, U, V):
     return POINTWISE[kind](a, DT, U[:, None, :], V[None, :, :], params)
 
@@ -51,7 +47,7 @@ def test_factored_matches_dense(kind, a, lam, charge_sign, k):
     params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
     form = _chain_form(kind, a, params)(DT)
     src, dst = axes(SIZES[k][0], -1.6, 1.3), axes(SIZES[k][1], -1.2, 1.7)
-    U, V = points(src), points(dst)
+    U, V = tensor_points(src), tensor_points(dst)
     rng = np.random.default_rng(5)
     f = rng.normal(size=len(U)) + 1j * rng.normal(size=len(U))
 
@@ -83,8 +79,8 @@ def test_k4_cylinder_chain_matches_dense_chain(kind, a):
     grids = []
     for box in boxes:
         nodes, weights = zip(*(gauss_legendre(order, lo, hi) for lo, hi in box))
-        pts, w = tensor_grid(nodes, weights)
-        grids.append((real_to_complex(pts), w))
+        grids.append((tensor_points(nodes),
+                      functools.reduce(np.multiply.outer, weights).ravel()))
     (P1, w1), (P2, w2) = grids
     f = kernel(a, 0.2, x[None, :], P1, params) * w1
     f = (f @ kernel(a, 0.25, P1[:, None, :], P2[None, :, :], params)) * w2

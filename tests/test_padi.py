@@ -10,7 +10,7 @@ from zonekit.padi import (SpinorField, anomalous_kernel, anomalous_zone_kernel, 
                           d1, d2, eigenspinors, normalization_report, padi_square_residual,
                           spin_matrices, spinor_inner_product, spinor_norm)
 from zonekit.params import PhysParams
-from zonekit.special import flat_hermite_grid, real_to_complex
+from zonekit.special import flat_hermite_grid, tensor_points
 from zonekit.zones import zone_basis, zone_kernel
 
 PAR = PhysParams(lam=1.0, k=2)
@@ -165,8 +165,8 @@ def test_anomalous_hermitian_symmetry():
 
 
 def test_anomalous_zone_projection_idempotent():
-    pts, w = flat_hermite_grid(64, PAR.lam, PAR.k)
-    m = real_to_complex(pts)
+    axes, w = flat_hermite_grid(64, PAR.lam, PAR.k)
+    m = tensor_points(axes)
     rng = np.random.default_rng(29)
     X = rng.uniform(-0.7, 0.7, (3, 1)) + 1j * rng.uniform(-0.7, 0.7, (3, 1))
     Y = rng.uniform(-0.7, 0.7, (3, 1)) + 1j * rng.uniform(-0.7, 0.7, (3, 1))

@@ -10,8 +10,7 @@ import pytest
 import zonekit.path_measure as path_measure
 from zonekit.params import PhysParams
 from zonekit.path_measure import (PathDiscretization, action_functional, cylinder_measure,
-                                  discretized_feynman_kac, feynman_kac_sweep,
-                                  monte_carlo_feynman_kac,
+                                  feynman_kac_sweep, monte_carlo_feynman_kac,
                                   probability_density, probability_total_mass,
                                   radon_nikodym_density, stopwatch_phase, whole_space_box)
 from zonekit.propagators import global_kernel, zonal_kernel
@@ -137,7 +136,7 @@ def test_feynman_kac_strict_convergence():
     T = 0.5
     for sigma in (1, 1j):
         ref = zonal_kernel(sigma, 0, T, X0[None, :], Y0[None, :], PAR)[0]
-        errs = [abs(discretized_feynman_kac(sigma, 0, X0, Y0, T, n, PAR, order=40) - ref)
+        errs = [abs(feynman_kac_sweep(sigma, 0, X0, Y0, T, (n,), PAR, order=40)[0] - ref)
                 / abs(ref) for n in (1, 2, 3, 4)]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
         assert errs[-1] < 0.05
@@ -146,7 +145,7 @@ def test_feynman_kac_strict_convergence():
 def test_feynman_kac_swapped_endpoints():
     T = 0.5
     ref = zonal_kernel(1j, 0, T, Y0[None, :], X0[None, :], PAR)[0]
-    got = discretized_feynman_kac(1j, 0, Y0, X0, T, 4, PAR, order=40)
+    got = feynman_kac_sweep(1j, 0, Y0, X0, T, (4,), PAR, order=40)[0]
     assert abs(got - ref) / abs(ref) < 0.05
 
 
@@ -154,10 +153,10 @@ def test_feynman_kac_swapped_endpoints():
 def _seed_dense(a, params, order):
     # the grid and the dense zone-kernel and pairing matrices: they depend on
     # neither sigma nor the slice count
-    from zonekit.special import flat_hermite_grid, real_to_complex
+    from zonekit.special import flat_hermite_grid, tensor_points
     from zonekit.zones import pairing
-    pts, w = flat_hermite_grid(order, params.lam, params.k)
-    m = real_to_complex(pts)
+    axes, w = flat_hermite_grid(order, params.lam, params.k)
+    m = tensor_points(axes)
     return (w, m, zone_kernel(a, m[:, None, :], m[None, :, :], params),
             pairing(m[:, None, :], m[None, :, :], params))
 
@@ -289,12 +288,12 @@ def test_sweep_memory_guard_counts_the_top_half_of_k_and_the_step(monkeypatch):
 def test_sigma_branches_share_measure_factors():
     # rebuild the sliced chain once and apply both sigma weightings: the
     # evaluator must agree with this shared-factor construction
-    from zonekit.special import flat_hermite_grid, real_to_complex
+    from zonekit.special import flat_hermite_grid, tensor_points
     from zonekit.zones import pairing
     T, n = 0.5, 3
     dt = T / (n + 1)
-    pts, w = flat_hermite_grid(40, PAR.lam, PAR.k)
-    m = real_to_complex(pts)
+    axes, w = flat_hermite_grid(40, PAR.lam, PAR.k)
+    m = tensor_points(axes)
     xs = np.broadcast_to(X0, m.shape)
     ys = np.broadcast_to(Y0, m.shape)
     ker_xm = zone_kernel(0, xs, m, PAR)
@@ -310,15 +309,15 @@ def test_sigma_branches_share_measure_factors():
             f = (w * f) @ (ker_mm * np.exp(-c * act_mm))
         val = np.sum(w * f * ker_my * np.exp(-c * act_my)) \
             * np.exp(-sigma * PAR.k * PAR.lam * T / 2)
-        got = discretized_feynman_kac(sigma, 0, X0, Y0, T, n, PAR, order=40)
+        got = feynman_kac_sweep(sigma, 0, X0, Y0, T, (n,), PAR, order=40)[0]
         assert got == pytest.approx(complex(val), rel=1e-12)
 
 
 def test_vertex_action_mode_converges_slowly_with_flipped_constant():
     T = 0.5
     ref = zonal_kernel(1, 0, T, X0[None, :], Y0[None, :], PAR)[0]
-    errs = [abs(discretized_feynman_kac(1, 0, X0, Y0, T, n, PAR, order=40,
-                                        action_mode="vertex") - ref) / abs(ref)
+    errs = [abs(feynman_kac_sweep(1, 0, X0, Y0, T, (n,), PAR, order=40,
+                                  action_mode="vertex")[0] - ref) / abs(ref)
             for n in (1, 2, 4, 8)]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))   # converging, first order
     assert errs[-1] > 0.05                                  # but far slower than split
@@ -328,7 +327,7 @@ def test_monte_carlo_matches_quadrature():
     T, n = 0.5, 6
     ref = zonal_kernel(1, 0, T, X0[None, :], Y0[None, :], PAR)[0]
     est, se = monte_carlo_feynman_kac(1, 0, X0, Y0, T, n, PAR, n_samples=150_000, seed=7)
-    quad = discretized_feynman_kac(1, 0, X0, Y0, T, n, PAR, order=40)
+    quad = feynman_kac_sweep(1, 0, X0, Y0, T, (n,), PAR, order=40)[0]
     assert abs(est - quad) < max(6 * se, 0.02 * abs(ref))
     est2, _ = monte_carlo_feynman_kac(1, 0, X0, Y0, T, n, PAR, n_samples=150_000, seed=7)
     assert est2 == est          # reproducible given the seed
@@ -375,9 +374,9 @@ def test_probability_total_mass_is_time_independent():
 
 def test_feynman_kac_convergence_flag():
     from zonekit.propagators import QuadratureConvergenceError
-    val = discretized_feynman_kac(1, 0, X0, Y0, 0.5, 2, PAR, order=40,
-                                  check_convergence=True)
+    val = feynman_kac_sweep(1, 0, X0, Y0, 0.5, (2,), PAR, order=40,
+                            check_convergence=True)[0]
     assert isinstance(val, complex)
     with pytest.raises(QuadratureConvergenceError):
-        discretized_feynman_kac(1, 0, 3 * X0, 3 * Y0, 0.5, 2, PAR, order=4,
-                                check_convergence=True, tol=1e-12)
+        feynman_kac_sweep(1, 0, 3 * X0, 3 * Y0, 0.5, (2,), PAR, order=4,
+                          check_convergence=True, tol=1e-12)

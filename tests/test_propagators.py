@@ -188,9 +188,9 @@ def test_degenerate_composition_reproduces_point_spread():
     # composing with the t=0 kernel is the reproducing identity on the
     # holomorphic zone (where the closed form coincides with the spectral flow)
     rng = np.random.default_rng(19)
-    from zonekit.special import flat_hermite_grid, real_to_complex
-    pts, w = flat_hermite_grid(64, PAR.lam, PAR.k)
-    m = real_to_complex(pts)
+    from zonekit.special import flat_hermite_grid, tensor_points
+    axes, w = flat_hermite_grid(64, PAR.lam, PAR.k)
+    m = tensor_points(axes)
     X = rng.uniform(-0.8, 0.8, (1, 1)) + 1j * rng.uniform(-0.8, 0.8, (1, 1))
     Y = rng.uniform(-0.8, 0.8, (1, 1)) + 1j * rng.uniform(-0.8, 0.8, (1, 1))
     comp = np.sum(w * zonal_kernel(1, 0, 0.0, X, m, PAR)

@@ -8,7 +8,7 @@ import pytest
 
 from zonekit.special import (flat_hermite_grid, gauss_hermite, gauss_laguerre, gauss_legendre,
                              hermite_axis, laguerre, laguerre_at_zero, multiplicity_factor,
-                             real_to_complex)
+                             tensor_points)
 
 
 def series_oracle(a, alpha, t):
@@ -114,15 +114,21 @@ def test_generalized_laguerre_rule_half_integer_moments():
 @pytest.mark.parametrize("dim, orders", [(2, (5, 17, 64)), (4, (5, 12, 36)), (6, (5, 9))])
 @pytest.mark.parametrize("lam", [0.4, 1.0, 1.4, 2.5])
 def test_flat_hermite_grid_bits_match_pointwise_formula(dim, orders, lam):
-    # the weights as every point's product of axis weights times e^{lam |x|^2}
+    # the axes are the one-axis nodes, the points their tensor product packed
+    # to complex coordinates, and the weights every point's product of axis
+    # weights times e^{lam |x|^2}
     for order in orders:
         x, w = hermite_axis(order, lam)
         points = np.stack([g.ravel() for g in np.meshgrid(*[x] * dim, indexing="ij")], -1)
         wcols = np.meshgrid(*[w] * dim, indexing="ij")
         ref = (np.prod(np.stack([g.ravel() for g in wcols], axis=-1), axis=-1)
                * np.exp(lam * np.sum(points**2, axis=-1)))
-        got_points, got = flat_hermite_grid(order, lam, dim)
-        assert np.array_equal(got_points, points)
+        got_axes, got = flat_hermite_grid(order, lam, dim)
+        assert len(got_axes) == dim
+        assert all(np.array_equal(ax.view(np.uint64), x.view(np.uint64)) for ax in got_axes)
+        got_points = tensor_points(got_axes)
+        assert np.array_equal(got_points.real.view(np.uint64), points[:, 0::2].view(np.uint64))
+        assert np.array_equal(got_points.imag.view(np.uint64), points[:, 1::2].view(np.uint64))
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
@@ -136,6 +142,6 @@ def test_hermite_nodes_are_odd_under_index_reversal(k, orders, lam):
         assert np.array_equal(x, -x[::-1])
         if order % 2:
             assert x[order // 2] == 0.0
-        m = real_to_complex(flat_hermite_grid(order, lam, k)[0])
+        m = tensor_points(flat_hermite_grid(order, lam, k)[0])
         assert m.shape == (order**k, k // 2)
         assert np.array_equal(m, -m[::-1])

@@ -17,28 +17,28 @@ H = 1.0
 
 
 def test_energy_low_temperature_floor():
-    assert average_energy(1, 1e-6, PAR, KAPPA, H) == pytest.approx(H, rel=1e-12)
+    assert average_energy(1, 1e-6, KAPPA, H) == pytest.approx(H, rel=1e-12)
 
 
 def test_energy_high_temperature_divergence():
-    vals = [average_energy(1, T, PAR, KAPPA, H).real for T in (10.0, 100.0, 1000.0)]
+    vals = [average_energy(1, T, KAPPA, H).real for T in (10.0, 100.0, 1000.0)]
     assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
     # equipartition start: E ~ kappa T at large T
     assert vals[-1] == pytest.approx(KAPPA * 1000.0, rel=1e-2)
 
 
 def test_specific_heat_limits():
-    assert abs(specific_heat(1, 1e-3 / KAPPA, PAR, KAPPA, H)) < 1e-50
+    assert abs(specific_heat(1, 1e-3 / KAPPA, KAPPA, H)) < 1e-50
     # series oracle: x = 2h/(kappa T) -> 0 gives (2h)^2 e^{-x}/(kappa T^2 (1-e^{-x})^2) -> kappa
     T = 1e3 / KAPPA
-    assert specific_heat(1, T, PAR, KAPPA, H).real == pytest.approx(KAPPA, rel=1e-2)
+    assert specific_heat(1, T, KAPPA, H).real == pytest.approx(KAPPA, rel=1e-2)
 
 
 def test_df_resonance_pole_guard():
     # e^{-2hi/(kappa T)} = 1 at T = h/(pi kappa n)
     T_pole = 2 * H / (KAPPA * 2 * math.pi)
     with pytest.raises(SingularTimeError):
-        average_energy(1j, T_pole, PAR, KAPPA, H)
+        average_energy(1j, T_pole, KAPPA, H)
 
 
 def test_df_rate_amplitude_is_kappa_scaled():
@@ -46,7 +46,7 @@ def test_df_rate_amplitude_is_kappa_scaled():
     for T in (7.0, 31.0):
         x = 2 * H / (KAPPA * T)
         ref = KAPPA * (x / 2) ** 2 / math.sin(x / 2) ** 2
-        assert abs(specific_heat(1j, T, PAR, KAPPA, H)) == pytest.approx(ref, rel=1e-10)
+        assert abs(specific_heat(1j, T, KAPPA, H)) == pytest.approx(ref, rel=1e-10)
 
 
 def test_log_derivative_identity():
@@ -58,7 +58,7 @@ def test_log_derivative_identity():
               - partition_function(1, 0, s(t - dt), PAR).real) / (2 * dt)
         lhs = -(2 * math.pi / PAR.lam) * dZ
         rhs = partition_function(1, 0, s(t), PAR).real \
-            * average_energy(1, 1.0 / t, PAR, KAPPA, H).real
+            * average_energy(1, 1.0 / t, KAPPA, H).real
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -159,8 +159,8 @@ def test_periodicity_of_df_quantities():
         assert abs(z1 - z2) < 1e-10 * abs(z1)
     PE = math.pi * KAPPA / H
     for t in (0.5, 2.2):
-        e1 = average_energy_of_time(t, PAR, KAPPA, H)
-        e2 = average_energy_of_time(t + PE, PAR, KAPPA, H)
+        e1 = average_energy_of_time(t, KAPPA, H)
+        e2 = average_energy_of_time(t + PE, KAPPA, H)
         assert abs(e1 - e2) < 1e-10 * abs(e1)
 
 

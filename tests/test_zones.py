@@ -7,7 +7,7 @@ import pytest
 
 from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm
 from zonekit.params import PhysParams
-from zonekit.special import flat_hermite_grid, laguerre, real_to_complex
+from zonekit.special import flat_hermite_grid, laguerre, tensor_points
 from zonekit.zones import (kernel_basis_residual, pairing, project_to_zone, zone_basis,
                            zone_basis_with_pivots, zone_kernel)
 
@@ -189,8 +189,8 @@ def test_kernel_basis_residual_small_and_monotone():
 
 
 def test_reproducing_property_quadrature():
-    pts, w = flat_hermite_grid(64, PAR.lam, PAR.k)
-    zpts = real_to_complex(pts)
+    axes, w = flat_hermite_grid(64, PAR.lam, PAR.k)
+    zpts = tensor_points(axes)
     dens = np.exp(-PAR.lam * np.sum(np.abs(zpts) ** 2, -1))
     rng = np.random.default_rng(11)
     samples = rng.uniform(-0.8, 0.8, (4, 1)) + 1j * rng.uniform(-0.8, 0.8, (4, 1))
