@@ -27,7 +27,7 @@ from .algebra import ZonePolynomial
 from .extensions import clifford_dimension, unprojected_coulomb_matrix, zonal_coulomb_matrix
 from .padi import anomalous_kernel, eigenspinors, normalization_report
 from .params import PhysParams
-from .path_measure import feynman_kac_sweep, monte_carlo_feynman_kac
+from .path_measure import feynman_kac_sweep
 from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError,
                           _require_memory, evolve, partition_function, zonal_kernel)
 from .special import tensor_points
@@ -242,27 +242,17 @@ def cmd_path(args) -> int:
     if args.n_slices < 1:
         raise UsageError(f"--n-slices must be at least 1, got {args.n_slices}")
     sigma = _sigma(args)
-    quad_counts = range(1, min(args.n_slices, args.quadrature_max_slices) + 1)
     x = _point(args.x, params, "--x")
     y = _point(args.y, params, "--y")
     target = zonal_kernel(sigma, args.a, args.T, x[None, :], y[None, :], params)[0]
     if target == 0:
         raise UsageError(f"target kernel underflows to 0 between x={args.x} and y={args.y}, "
                          "so the relative error is undefined")
-    quad = feynman_kac_sweep(sigma, args.a, x, y, args.T, quad_counts, params,
-                             order=args.order) if quad_counts else []
-    rows = []
-    for n in range(1, args.n_slices + 1):
-        if n <= args.quadrature_max_slices:
-            approx = quad[n - 1]
-            method = "quadrature"
-        else:
-            approx, _ = monte_carlo_feynman_kac(sigma, args.a, x, y, args.T, n, params,
-                                                n_samples=args.samples, seed=args.seed)
-            method = "monte-carlo"
-        rel = abs(approx - target) / abs(target)
-        rows.append([n, method, _fmt(approx.real), _fmt(approx.imag),
-                     _fmt(target.real), _fmt(target.imag), _fmt(rel)])
+    counts = range(1, args.n_slices + 1)
+    approx = feynman_kac_sweep(sigma, args.a, x, y, args.T, counts, params, order=args.order)
+    rows = [[n, "quadrature", _fmt(v.real), _fmt(v.imag), _fmt(target.real),
+             _fmt(target.imag), _fmt(abs(v - target) / abs(target))]
+            for n, v in zip(counts, approx)]
     _write_csv(args, ["n_slices", "method", "approx_re", "approx_im",
                       "target_re", "target_im", "rel_err"], rows)
     return EXIT_OK
@@ -272,6 +262,8 @@ def cmd_padi(args) -> int:
     params = _params(args)
     if params.k != 2:
         raise UsageError("padi requires k=2")
+    if args.pmax < 0:
+        raise UsageError(f"--pmax must be at least 0, got {args.pmax}")
     zones = _parse_range(args.zones)
     pts = tensor_points([_parse_grid(args.kernel_grid)] * params.k) if args.kernel_grid \
         else None
@@ -402,9 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", default="-0.3+0.1j")
     p.add_argument("--n-slices", type=int, default=4)
     p.add_argument("--order", type=int, default=40)
-    p.add_argument("--quadrature-max-slices", type=int, default=8)
-    p.add_argument("--samples", type=int, default=200000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="path.csv")
     p.set_defaults(fn=cmd_path)
 

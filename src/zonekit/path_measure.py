@@ -178,11 +178,13 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     * "split" (default): one term per interval, with the two path factors
       taken at consecutive slice times, dt * omega(t_i).conj(omega(t_{i+1})).
       The chain's Gaussian prefactor is then exact and the value converges
-      rapidly to the closed-form zonal kernel on the holomorphic zone.
+      to the closed-form zonal kernel on the holomorphic zone, at first order
+      in 1/n (relative error about 4.6e-3, 2.5e-3, 1.7e-3 at n = 4, 8, 12 for
+      `zonekit path`'s defaults).
     * "vertex": trapezoid on the vertex values |omega(t_i)|^2 (matching
       `action_functional`).  Converges to the same limit only after flipping
-      the constant to e^{+sigma k lam T/2}, and only first order in 1/n;
-      kept for comparison runs.
+      the constant to e^{+sigma k lam T/2}, also at first order in 1/n but
+      with an error constant about 50 times larger; kept for comparison runs.
 
     Evaluated by sequential Gauss-Hermite sweeps (never a full 2n-dim
     tensor product).  Only the scalar c = 2 sigma lam^2 T/(n+1) depends on
@@ -304,62 +306,6 @@ def _fill_rows(fill, n_rows: int, n_cols: int) -> None:
     with ThreadPoolExecutor(workers) as pool:
         for _ in pool.map(fill, blocks):  # re-raises a block's exception here
             pass
-
-
-def monte_carlo_feynman_kac(sigma: complex, a: int, x, y, T: float, n_slices: int,
-                            params: PhysParams, n_samples: int = 200_000,
-                            seed: int = 0) -> tuple[complex, float]:
-    """Importance-sampled evaluator for slice counts where sweeps get expensive.
-
-    Samples interior points from the Gaussian bridge matching the modulus of
-    the spread-amplitude chain and reweights by the remaining phase and action
-    factors.  Returns (estimate, standard error).  Reproducible given `seed`.
-    """
-    sigma = _check_sigma(sigma)
-    if n_slices < 1:
-        raise ValueError(f"need at least one slice, got {n_slices}")
-    if n_samples < 2:
-        raise ValueError(f"a standard error needs at least two samples, got {n_samples}")
-    lam, k = params.lam, params.k
-    m = params.m
-    rng = np.random.default_rng(seed)
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    dt = T / (n_slices + 1)
-    # bridge sampling: the modulus of the spread-amplitude chain is a product
-    # of n_slices+1 Gaussian steps with per-real-coordinate variance 1/lam;
-    # sample the matching bridge and reweight by the leftover factors
-    prev = np.broadcast_to(x, (n_samples, m)).copy()
-    log_density = np.zeros(n_samples)
-    points = []
-    for i in range(n_slices):
-        remaining = n_slices + 1 - i
-        mean = prev + (y[None, :] - prev) / remaining
-        var = (1.0 / lam) * (remaining - 1) / remaining
-        g = rng.standard_normal((n_samples, m)) + 1j * rng.standard_normal((n_samples, m))
-        cur = mean + math.sqrt(var) * g
-        dev2 = np.sum((cur.real - mean.real) ** 2 + (cur.imag - mean.imag) ** 2, axis=-1)
-        log_density += -dev2 / (2.0 * var) - k * 0.5 * math.log(2.0 * math.pi * var)
-        points.append(cur)
-        prev = cur
-
-    xs = np.broadcast_to(x, points[0].shape)
-    ys = np.broadcast_to(y, points[-1].shape)
-    chain = zone_kernel(a, xs, points[0], params)
-    action_sum = pairing(xs, points[0], params)
-    for u, v in zip(points, points[1:]):
-        chain = chain * zone_kernel(a, u, v, params)
-        action_sum = action_sum + pairing(u, v, params)
-    chain = chain * zone_kernel(a, points[-1], ys, params)
-    action_sum = action_sum + pairing(points[-1], ys, params)
-
-    weights = chain * np.exp(-sigma * (2.0 * lam**2 * dt * action_sum + k * lam * T / 2.0)
-                             - log_density)
-    est = complex(np.mean(weights))
-    # standard error of the sample mean of complex weights: the spread is the
-    # root-mean-square deviation |w - est|, not the std of its modulus
-    stderr = math.sqrt(float(np.mean(np.abs(weights - est) ** 2)) / (n_samples - 1))
-    return est, stderr
 
 
 # ---- probability density ---------------------------------------------------------

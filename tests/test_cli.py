@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import zonekit
-from zonekit.cli import main
+from zonekit.cli import build_parser, main
 from zonekit.params import PhysParams
 from zonekit.propagators import partition_function, zonal_kernel
 from zonekit.verify import CHECKS
@@ -59,8 +61,37 @@ def test_determinism(tmp_path):
     a.mkdir(), b.mkdir()
     for out in (a, b):
         assert main(["path", "--sigma", "1", "--a", "0", "--T", "0.4", "--n-slices", "3",
-                     "--order", "24", "--seed", "11", "--outdir", str(out)]) == 0
+                     "--order", "24", "--outdir", str(out)]) == 0
     assert (a / "path.csv").read_bytes() == (b / "path.csv").read_bytes()
+
+
+def test_path_runs_the_quadrature_sweep_at_every_slice_count(tmp_path):
+    short, long = tmp_path / "short", tmp_path / "long"
+    for out, n in ((short, "8"), (long, "12")):
+        assert main(["path", "--order", "12", "--n-slices", n, "--outdir", str(out)]) == 0
+    short_rows = (short / "path.csv").read_text().splitlines()
+    long_rows = (long / "path.csv").read_text().splitlines()
+    assert long_rows[:9] == short_rows  # the header and rows 1-8, byte for byte
+    rows = list(csv.DictReader(long_rows))
+    assert [int(r["n_slices"]) for r in rows] == list(range(1, 13))
+    assert {r["method"] for r in rows} == {"quadrature"}
+    errs = [float(r["rel_err"]) for r in rows]
+    assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:])), errs
+
+
+def test_readme_cli_examples_parse():
+    # every command in the README's CLI block, with bracketed optional parts removed
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        lines = [line.strip() for line in fh if line.startswith("zonekit ")]
+    assert len(lines) == 10
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        assert args.command == argv[0]
 
 
 def test_thermo_curve(tmp_path):
@@ -167,17 +198,12 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--suite", "special,Zones", "--outdir", str(tmp_path)]) == 2
     assert not (tmp_path / "verify_report.json").exists()
     assert main([]) == 2
-    # reversed zone ranges, a Monte Carlo row with one sample (no standard error),
-    # and counts that would leave a table with only its header
+    # reversed zone ranges, and counts that would leave a table with only its header
     for argv, output in ((["padi", "--zones", "3..1", "--normalization-report"],
                           "padi_spectrum.csv"),
                          (["spectrum", "--zones", "3..1"], "spectrum.csv"),
-                         (["path", "--n-slices", "9", "--samples", "1", "--order", "8"],
-                          "path.csv"),
                          (["path", "--n-slices", "0"], "path.csv"),
-                         (["path", "--n-slices", "-2"], "path.csv"),
-                         (["spectrum", "--pmax", "-1"], "spectrum.csv"),
-                         (["padi", "--pmax", "-1"], "padi_spectrum.csv")):
+                         (["path", "--n-slices", "-2"], "path.csv")):
         capsys.readouterr()
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
@@ -190,6 +216,10 @@ def test_usage_errors(tmp_path, capsys):
     cfg = tmp_path / "conf"
     cfg.write_text("zones=0..1\nbogus=3\n")
     for argv, output, message in (
+            (["spectrum", "--pmax", "-1"], "spectrum.csv",
+             "error: --pmax must be at least 0, got -1\n"),
+            (["padi", "--pmax", "-1"], "padi_spectrum.csv",
+             "error: --pmax must be at least 0, got -1\n"),
             (["spectrum", "--config", str(cfg)], "spectrum.csv",
              f"error: unknown config key 'zones' in {cfg} (known: lambda, k)\n"),
             (["kernel", "--t", "0.25", "--grid=0:1:0.3"], "kernel.csv",

@@ -10,7 +10,7 @@ import pytest
 import zonekit.path_measure as path_measure
 from zonekit.params import PhysParams
 from zonekit.path_measure import (PathDiscretization, action_functional, cylinder_measure,
-                                  feynman_kac_sweep, monte_carlo_feynman_kac,
+                                  feynman_kac_sweep,
                                   probability_density, probability_total_mass,
                                   radon_nikodym_density, stopwatch_phase, whole_space_box)
 from zonekit.propagators import global_kernel, zonal_kernel
@@ -321,27 +321,6 @@ def test_vertex_action_mode_converges_slowly_with_flipped_constant():
             for n in (1, 2, 4, 8)]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))   # converging, first order
     assert errs[-1] > 0.05                                  # but far slower than split
-
-
-def test_monte_carlo_matches_quadrature():
-    T, n = 0.5, 6
-    ref = zonal_kernel(1, 0, T, X0[None, :], Y0[None, :], PAR)[0]
-    est, se = monte_carlo_feynman_kac(1, 0, X0, Y0, T, n, PAR, n_samples=150_000, seed=7)
-    quad = feynman_kac_sweep(1, 0, X0, Y0, T, (n,), PAR, order=40)[0]
-    assert abs(est - quad) < max(6 * se, 0.02 * abs(ref))
-    est2, _ = monte_carlo_feynman_kac(1, 0, X0, Y0, T, n, PAR, n_samples=150_000, seed=7)
-    assert est2 == est          # reproducible given the seed
-
-
-@pytest.mark.parametrize("sigma", [1, 1j])
-def test_monte_carlo_standard_error_matches_seed_spread(sigma):
-    # the reported error must predict how far the estimate moves between seeds
-    out = [monte_carlo_feynman_kac(sigma, 0, X0, Y0, 0.5, 6, PAR, n_samples=2000, seed=s)
-           for s in range(20)]
-    ests = np.array([e for e, _ in out])
-    spread = math.sqrt(np.sum(np.abs(ests - ests.mean()) ** 2) / (len(ests) - 1))
-    reported = np.mean([se for _, se in out])
-    assert 1 / 1.5 < spread / reported < 1.5
 
 
 def test_probability_density_nonnegative_and_laguerre_ratio():
