@@ -108,6 +108,8 @@ def _point(text: str, params: PhysParams, flag: str) -> np.ndarray:
     if len(pt) != params.m:
         raise UsageError(f"{flag} needs one complex coordinate per particle, k/2 = {params.m} "
                          f"at k={params.k}; got {len(pt)} in {text!r}")
+    if not np.all(np.isfinite(pt)):
+        raise UsageError(f"{flag} needs finite coordinates, got {text!r}")
     return pt
 
 
@@ -241,6 +243,10 @@ def cmd_path(args) -> int:
     params = _params(args)
     if args.n_slices < 1:
         raise UsageError(f"--n-slices must be at least 1, got {args.n_slices}")
+    if args.order < 1:
+        raise UsageError(f"--order must be at least 1, got {args.order}")
+    if not math.isfinite(args.T):
+        raise UsageError(f"--T must be finite, got {args.T}")
     sigma = _sigma(args)
     x = _point(args.x, params, "--x")
     y = _point(args.y, params, "--y")

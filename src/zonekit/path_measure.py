@@ -195,14 +195,24 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     reversal, m[N-1-i] == -m[i] exactly, and every operation building K and
     the step is invariant under (Z, W) -> (-Z, -W) to the last bit, so
     step[N-1-i, N-1-j] == step[i, j]: only the top ceil(N/2) rows of K and
-    of the step are computed, and the bottom rows of the step are the top
-    ones reversed in both axes.  Both fills run in row blocks on every
-    usable CPU (`_fill_rows`), element by element as one whole-matrix
-    expression would, so the values do not depend on the CPU count.  One
-    N x N and one ceil(N/2) x N complex array are live at once, and a
-    (raised) order whose two exceed physical memory raises ValueError before
-    anything is allocated.  With `check_convergence` every slice count is
-    compared against the raised order.
+    of the step are needed, and the bottom rows of the step are the top
+    ones reversed in both axes.  The grid is also symmetric under complex
+    conjugation: reversing every imaginary-part axis maps m to conj(m), and
+    K, and the step whenever c is real (sigma = 1, both action modes),
+    satisfy A[ci][:, ci] == conj(A) for that index map ci.  So of the top
+    half, K always and the step when sigma = 1 compute only the rows whose
+    first real index is below order // 2 and whose first imaginary index is
+    below ceil(order / 2), plus the top half of the middle slab at odd
+    orders, and take the rest as conjugates of the mirrored rows; a sigma = i
+    step computes its whole top half.  The mirrored matrices equal a full
+    fill value for value; only the sign of an exactly-zero imaginary part
+    can differ, and the sweep's values keep every bit.  The fills run in
+    row blocks on every usable CPU (`_fill_rows`), element by element as
+    one whole-matrix expression would, so the values do not depend on the
+    CPU count.  One N x N and one ceil(N/2) x N complex array are live at
+    once, and a (raised) order whose two exceed physical memory raises
+    ValueError before anything is allocated.  With `check_convergence`
+    every slice count is compared against the raised order.
     """
     sigma = _check_sigma(sigma)
     slice_counts = tuple(slice_counts)
@@ -232,7 +242,11 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
             r2 = np.sum(np.abs(m) ** 2, axis=-1)
             ends2 = float(np.sum(np.abs(x) ** 2)) + float(np.sum(np.abs(y) ** 2))
         N = len(m)
-        half = (N + 1) // 2  # the rows computed; the middle row of an odd N is its own mirror
+        half = (N + 1) // 2  # the parity half; the middle row of an odd N is its own mirror
+        # the conjugation quarter: first real index below nq // 2 and first imaginary
+        # index below ceil(nq / 2), then the top half of an odd nq's middle slab
+        slab, lo = N // nq, (nq + 1) // 2 * (N // nq**2)
+        quarter = [(r * slab, r * slab + lo) for r in range(nq // 2)] + [(nq // 2 * slab, half)]
         if max(slice_counts) > 1:
             K = np.empty((half, N), dtype=complex)
             step = np.empty((N, N), dtype=complex)
@@ -240,7 +254,8 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
             def fill_kernel(rows):
                 K[rows] = zone_kernel(a, m[rows, None, :], m[None, :, :], params)
 
-            _fill_rows(fill_kernel, half, N)
+            _fill_rows(fill_kernel, quarter, N)
+            _conjugate_rows(K, nq, k)
         vals = []
         for n in slice_counts:
             c = 2.0 * sigma * lam**2 * (T / (n + 1))
@@ -259,7 +274,10 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
                 def fill_step(rows):
                     np.multiply(K[rows], damp[None, :], out=step[rows])
             if n > 1:
-                _fill_rows(fill_step, half, N)
+                real = c.imag == 0  # then the step is conjugation symmetric like K
+                _fill_rows(fill_step, quarter if real else [(0, half)], N)
+                if real:
+                    _conjugate_rows(step, nq, k)
                 step[half:] = step[:N - half][::-1, ::-1]
             # the chain stays on this thread, after the fill, in one summation order
             for _ in range(n - 1):
@@ -289,15 +307,17 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _fill_rows(fill, n_rows: int, n_cols: int) -> None:
-    """Call `fill(rows)` on contiguous row slices covering the top n_rows rows
-    of a matrix with n_cols columns.
+def _fill_rows(fill, ranges, n_cols: int) -> None:
+    """Call `fill(rows)` on contiguous row slices covering each (start, stop)
+    row range of a matrix with n_cols columns.
 
-    The blocks run on one thread per usable CPU (numpy releases the GIL in
-    the element-wise work), or inline with one usable CPU or one block.
+    The blocks of all ranges go through one pool map, on one thread per
+    usable CPU (numpy releases the GIL in the element-wise work), or inline
+    with one usable CPU or one block.
     """
     size = max(1, _BLOCK_ELEMENTS // n_cols)
-    blocks = [slice(i, min(i + size, n_rows)) for i in range(0, n_rows, size)]
+    blocks = [slice(i, min(i + size, stop)) for start, stop in ranges
+              for i in range(start, stop, size)]
     workers = min(_usable_cpus(), len(blocks))
     if workers <= 1:
         for rows in blocks:
@@ -306,6 +326,22 @@ def _fill_rows(fill, n_rows: int, n_cols: int) -> None:
     with ThreadPoolExecutor(workers) as pool:
         for _ in pool.map(fill, blocks):  # re-raises a block's exception here
             pass
+
+
+def _conjugate_rows(A, order: int, k: int) -> None:
+    """Write the rows of A whose first real index is below order // 2 and whose
+    first imaginary index is at least ceil(order / 2) as the complex conjugates
+    of their conjugation mirrors: the same point with every imaginary-part
+    axis reversed, in the rows and in the columns of the tensor grid.
+
+    One first-real-index slab at a time, so the source and the target rows
+    lie in disjoint memory and numpy needs no temporary copy.
+    """
+    h = order // 2
+    slabs = A[:h * order**(k - 1)].reshape((h,) + (order,) * (2 * k - 1))
+    for slab in slabs:
+        # the slab's axes 0, 2, ... are the imaginary ones, row and column
+        np.conjugate(np.flip(slab[:h], tuple(range(0, 2 * k - 1, 2))), out=slab[order - h:])
 
 
 # ---- probability density ---------------------------------------------------------

@@ -220,6 +220,20 @@ def test_usage_errors(tmp_path, capsys):
              "error: --pmax must be at least 0, got -1\n"),
             (["padi", "--pmax", "-1"], "padi_spectrum.csv",
              "error: --pmax must be at least 0, got -1\n"),
+            # refused before any grid is built, not by numpy's Hermite rule
+            (["path", "--order", "0"], "path.csv",
+             "error: --order must be at least 1, got 0\n"),
+            # non-finite inputs would run the whole quadrature into a table of nan
+            (["path", "--T", "nan"], "path.csv", "error: --T must be finite, got nan\n"),
+            (["path", "--T", "inf"], "path.csv", "error: --T must be finite, got inf\n"),
+            (["path", "--x", "nan"], "path.csv",
+             "error: --x needs finite coordinates, got 'nan'\n"),
+            (["path", "--k", "4", "--x=0.1,nan+1j", "--y=0,0"], "path.csv",
+             "error: --x needs finite coordinates, got '0.1,nan+1j'\n"),
+            (["path", "--y", "1+infj"], "path.csv",
+             "error: --y needs finite coordinates, got '1+infj'\n"),
+            (["thermo", "--scan", "diagonal_density", "--scan-point=-inf"], "thermo.csv",
+             "error: --scan-point needs finite coordinates, got '-inf'\n"),
             (["spectrum", "--config", str(cfg)], "spectrum.csv",
              f"error: unknown config key 'zones' in {cfg} (known: lambda, k)\n"),
             (["kernel", "--t", "0.25", "--grid=0:1:0.3"], "kernel.csv",

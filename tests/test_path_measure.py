@@ -202,6 +202,26 @@ def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order, action_mode):
 
 @pytest.mark.parametrize("charge_sign", [1, -1])
 @pytest.mark.parametrize("k, order", [(2, 12), (2, 11), (4, 5)])
+def test_kernel_and_real_step_are_conjugation_symmetric(k, order, charge_sign):
+    # what the sweep's quarter fill relies on: with ci the conjugation mirror
+    # of the grid, A[ci][:, ci] == conj(A) for K and for the step at real c
+    # (== leaves only the sign of an exactly-zero imaginary part free)
+    from zonekit.special import flat_hermite_grid, tensor_points
+    ci = np.flip(np.arange(order**k).reshape((order,) * k), tuple(range(1, k, 2))).ravel()
+    for lam in (0.4, 2.5):
+        params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+        m = tensor_points(flat_hermite_grid(order, lam, k)[0])
+        r2 = np.sum(np.abs(m) ** 2, axis=-1)
+        c = 2.0 * (1 + 0j) * lam**2 * (0.5 / 3)  # sigma = 1, T = 0.5, two slices
+        for a in (0, 1, 2):
+            _, _, K, P = _seed_dense(a, params, order)
+            assert np.all(K[ci][:, ci] == np.conj(K))
+            for step in (np.multiply(K, np.exp(-c * P)), K * np.exp(-c * r2)[None, :]):
+                assert np.all(step[ci][:, ci] == np.conj(step))
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("k, order", [(2, 12), (2, 11), (4, 5)])
 @pytest.mark.parametrize("action_mode", ["split", "vertex"])
 def test_sweep_matches_per_slice_reference_exactly(action_mode, k, order, charge_sign):
     counts = (3, 1, 4, 2)
@@ -220,18 +240,22 @@ def test_sweep_matches_per_slice_reference_exactly(action_mode, k, order, charge
 
 @pytest.mark.parametrize("k, order, lam", [(2, 20, 0.4), (4, 5, 2.5)])
 def test_sweep_row_block_fill_is_exact_on_any_cpu_count(monkeypatch, k, order, lam):
-    # N = 400 and 625 nodes, of which the top 200 and 313 rows are filled:
-    # several row blocks, the last one short
+    # N = 400 and 625 nodes.  sigma = i fills the top 200 and 313 rows: several
+    # row blocks, the last one short.  sigma = 1 fills order // 2 slabs of
+    # ceil(order / 2) order^(k-2) rows (10 and 75), plus the top half of an odd
+    # order's middle slab: 10 and 3 ranges, each one block
     n = order ** k
-    filled = (n + 1) // 2
+    half = (n + 1) // 2
     rows = path_measure._BLOCK_ELEMENTS // n
-    assert 1 < rows < filled and filled % rows
+    assert 1 < rows < half and half % rows
+    assert (order + 1) // 2 * order ** (k - 2) <= rows and order // 2 + order % 2 > 1
     params = PhysParams(lam=lam, k=k, charge_sign=-1)
     counts = (3, 1, 2)
     x = np.array([0.35 + 0.2j, -0.1 + 0.25j][:k // 2])
     y = np.array([-0.3 + 0.1j, 0.2 - 0.15j][:k // 2])
-    ref = {a: [_seed_feynman_kac(1j, a, x, y, 0.5, n, params, order, "split") for n in counts]
-           for a in (0, 1)}
+    ref = {(sigma, a): [_seed_feynman_kac(sigma, a, x, y, 0.5, n, params, order, "split")
+                        for n in counts]
+           for sigma in (1, 1j) for a in (0, 1)}
     real_pool = path_measure.ThreadPoolExecutor
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -244,13 +268,29 @@ def test_sweep_row_block_fill_is_exact_on_any_cpu_count(monkeypatch, k, order, l
             return real_pool(workers)
 
         monkeypatch.setattr(path_measure, "ThreadPoolExecutor", pool)
-        for a in (0, 1):
-            assert feynman_kac_sweep(1j, a, x, y, 0.5, counts, params, order=order) == ref[a]
+        for sigma, a in ref:
+            assert feynman_kac_sweep(sigma, a, x, y, 0.5, counts, params,
+                                     order=order) == ref[sigma, a]
         if k == 2:
             # the raised-order pass (N = 900) fills through the same blocks
-            assert feynman_kac_sweep(1j, 1, x, y, 0.5, counts, params, order=order,
-                                     check_convergence=True) == ref[1]
+            for sigma in (1, 1j):
+                assert feynman_kac_sweep(sigma, 1, x, y, 0.5, counts, params, order=order,
+                                         check_convergence=True) == ref[sigma, 1]
         assert bool(pools) == (cpus > 1)
+
+
+def test_fill_rows_runs_every_range_through_one_pool(monkeypatch):
+    # ranges longer than a block are cut into blocks, the last one short, and
+    # empty ranges give no block
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real_pool = path_measure.ThreadPoolExecutor
+    pools, seen = [], []
+    monkeypatch.setattr(path_measure, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers) or real_pool(workers))
+    n_cols = path_measure._BLOCK_ELEMENTS // 4
+    path_measure._fill_rows(seen.append, [(0, 10), (12, 12), (20, 23)], n_cols)
+    assert pools == [2]
+    assert sorted((r.start, r.stop) for r in seen) == [(0, 4), (4, 8), (8, 10), (20, 23)]
 
 
 def test_sweep_checks_every_slice_count():

@@ -135,8 +135,9 @@ def test_flat_hermite_grid_bits_match_pointwise_formula(dim, orders, lam):
 @pytest.mark.parametrize("k, orders", [(2, (5, 12, 17, 64)), (4, (5, 12, 17))])
 @pytest.mark.parametrize("lam", [0.4, 1.0, 2.5])
 def test_hermite_nodes_are_odd_under_index_reversal(k, orders, lam):
-    # the precondition of the sliced Feynman-Kac sweep's mirrored fill:
-    # m[N-1-i] == -m[i] exactly (== identifies only the +-0 of a middle node)
+    # the preconditions of the sliced Feynman-Kac sweep's mirrored fills:
+    # m[N-1-i] == -m[i] exactly (== identifies only the +-0 of a middle node),
+    # and reversing every imaginary-part axis (1, 3, ...) maps m to conj(m)
     for order in orders:
         x = hermite_axis(order, lam)[0]
         assert np.array_equal(x, -x[::-1])
@@ -145,3 +146,5 @@ def test_hermite_nodes_are_odd_under_index_reversal(k, orders, lam):
         m = tensor_points(flat_hermite_grid(order, lam, k)[0])
         assert m.shape == (order**k, k // 2)
         assert np.array_equal(m, -m[::-1])
+        ci = np.flip(np.arange(order**k).reshape((order,) * k), tuple(range(1, k, 2))).ravel()
+        assert np.array_equal(m[ci], np.conj(m))
