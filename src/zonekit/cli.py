@@ -113,14 +113,21 @@ def _point(text: str, params: PhysParams, flag: str) -> np.ndarray:
     return pt
 
 
-def _parse_range(text: str):
-    """Either 'a..b' with a <= b, or a single integer."""
-    if ".." in text:
-        lo, hi = (int(p) for p in text.split(".."))
-        if hi < lo:
-            raise UsageError(f"range {text!r} is empty")
-        return range(lo, hi + 1)
-    return [int(text)]
+def _parse_range(text: str, flag: str, least: int):
+    """Either 'a..b' with least <= a <= b, or a single integer of at least least."""
+    lo, hi = (int(p) for p in text.split("..")) if ".." in text else (int(text),) * 2
+    if hi < lo:
+        raise UsageError(f"range {text!r} is empty")
+    if lo < least:
+        raise UsageError(f"{flag} must be at least {least}, got {text!r}")
+    return range(lo, hi + 1)
+
+
+def _at_least(args, dest: str, least) -> None:
+    """Refuse a flag value below least (or nan), naming the flag."""
+    value = getattr(args, dest)
+    if not value >= least:
+        raise UsageError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def _write(args, text: str, name: str | None = None) -> None:
@@ -173,10 +180,9 @@ def cmd_kernel(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = _params(args)
-    if args.pmax < 0:
-        raise UsageError(f"--pmax must be at least 0, got {args.pmax}")
+    _at_least(args, "pmax", 0)
     rows = []
-    for a in _parse_range(args.zones):
+    for a in _parse_range(args.zones, "--zones", 0):
         for p in range(args.pmax + 1):
             rows.append([a, p, _fmt(params.zeeman_eigenvalue(p)),
                          _fmt(params.zeeman_eigenvalue(p, field_term=True))])
@@ -187,7 +193,7 @@ def cmd_spectrum(args) -> int:
 def cmd_zones(args) -> int:
     params = _params(args)
     rows = []
-    for a in _parse_range(args.zones):
+    for a in _parse_range(args.zones, "--zones", 0):
         basis = zone_basis(a, args.max_degree, params)
         for i, vec in enumerate(basis):
             rows.append([a, i, vec.holomorphic_degree(), vec.to_json()])
@@ -206,6 +212,10 @@ def cmd_evolve(args) -> int:
 
 def cmd_thermo(args) -> int:
     params = _params(args)
+    _at_least(args, "a", 0)
+    for flag, value in (("--kappa", args.kappa), ("--h", args.h)):
+        if value is not None and not value > 0:
+            raise UsageError(f"{flag} must be positive, got {value}")
     kappa = args.kappa if args.kappa is not None else thermo.default_kappa(params)
     h = args.h
     sigma = _sigma(args)
@@ -241,12 +251,12 @@ def cmd_thermo(args) -> int:
 
 def cmd_path(args) -> int:
     params = _params(args)
-    if args.n_slices < 1:
-        raise UsageError(f"--n-slices must be at least 1, got {args.n_slices}")
-    if args.order < 1:
-        raise UsageError(f"--order must be at least 1, got {args.order}")
+    _at_least(args, "n_slices", 1)
+    _at_least(args, "order", 1)
+    _at_least(args, "a", 0)
     if not math.isfinite(args.T):
         raise UsageError(f"--T must be finite, got {args.T}")
+    _at_least(args, "T", 0)
     sigma = _sigma(args)
     x = _point(args.x, params, "--x")
     y = _point(args.y, params, "--y")
@@ -268,9 +278,8 @@ def cmd_padi(args) -> int:
     params = _params(args)
     if params.k != 2:
         raise UsageError("padi requires k=2")
-    if args.pmax < 0:
-        raise UsageError(f"--pmax must be at least 0, got {args.pmax}")
-    zones = _parse_range(args.zones)
+    _at_least(args, "pmax", 0)
+    zones = _parse_range(args.zones, "--zones", 0)
     pts = tensor_points([_parse_grid(args.kernel_grid)] * params.k) if args.kernel_grid \
         else None
     rows = []
@@ -304,6 +313,8 @@ def cmd_padi(args) -> int:
 
 def cmd_coulomb(args) -> int:
     params = _params(args)
+    _at_least(args, "basis_size", 1)
+    _at_least(args, "max_zone", 0)
     out = zonal_coulomb_matrix(args.a, args.Q, args.basis_size, params)
     rows = [[i, _fmt(ev)] for i, ev in enumerate(out["eigenvalues"])]
     _write_csv(args, ["index", "eigenvalue"], rows)
@@ -319,7 +330,7 @@ def cmd_coulomb(args) -> int:
 
 def cmd_clifford(args) -> int:
     rows = []
-    for r in _parse_range(args.r):
+    for r in _parse_range(args.r, "--r", 1):
         n_r, count = clifford_dimension(r)
         rows.append([r, n_r, count])
     _write_csv(args, ["r", "n_r", "irreducible_count"], rows)

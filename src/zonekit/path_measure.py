@@ -17,8 +17,8 @@ import numpy as np
 
 from ._factored import row, transfer
 from .params import PhysParams
-from .propagators import (QuadratureConvergenceError, _check_sigma, _global_form,
-                          _require_memory, _usable_cpus, _zonal_form, zonal_kernel)
+from .propagators import (_check_sigma, _global_form, _require_memory, _usable_cpus,
+                          _zonal_form, zonal_kernel)
 from .special import flat_hermite_grid, gauss_legendre, tensor_points
 from .zones import _zone_form, pairing, zone_kernel
 
@@ -166,30 +166,23 @@ def whole_space_box(params: PhysParams, radius: float | None = None):
 
 
 def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
-                      params: PhysParams, order: int = 48, action_mode: str = "split",
-                      check_convergence: bool = False, tol: float = 1e-6) -> list[complex]:
+                      params: PhysParams, order: int = 48) -> list[complex]:
     """Time-sliced spread-amplitude reconstruction of the zonal kernel at each
     of `slice_counts`, in the given order.
 
     At n slices, chains n + 1 zone kernels through n interior points at
     uniform times and weights by e^{-sigma (kT/2 + 2 lam^2 S)} with S the
-    Riemann sum of |omega|^2 along the sliced path.  Two readings of S:
-
-    * "split" (default): one term per interval, with the two path factors
-      taken at consecutive slice times, dt * omega(t_i).conj(omega(t_{i+1})).
-      The chain's Gaussian prefactor is then exact and the value converges
-      to the closed-form zonal kernel on the holomorphic zone, at first order
-      in 1/n (relative error about 4.6e-3, 2.5e-3, 1.7e-3 at n = 4, 8, 12 for
-      `zonekit path`'s defaults).
-    * "vertex": trapezoid on the vertex values |omega(t_i)|^2 (matching
-      `action_functional`).  Converges to the same limit only after flipping
-      the constant to e^{+sigma k lam T/2}, also at first order in 1/n but
-      with an error constant about 50 times larger; kept for comparison runs.
+    Riemann sum of |omega|^2 along the sliced path: one term per interval,
+    with the two path factors taken at consecutive slice times,
+    dt * omega(t_i).conj(omega(t_{i+1})).  The chain's Gaussian prefactor is
+    then exact and the value converges to the closed-form zonal kernel on the
+    holomorphic zone, at first order in 1/n (relative error about 4.6e-3,
+    2.5e-3, 1.7e-3 at n = 4, 8, 12 for `zonekit path`'s defaults).
 
     Evaluated by sequential Gauss-Hermite sweeps (never a full 2n-dim
     tensor product).  Only the scalar c = 2 sigma lam^2 T/(n+1) depends on
     n, so the grid, the end vectors and the zone-kernel matrix over
-    N = order^k nodes are built once per quadrature order and shared; each
+    N = order^k nodes are built once and shared; each
     n refills one N x N step buffer in place, recomputing the pairing block
     by block instead of storing it.  The Hermite nodes are odd under index
     reversal, m[N-1-i] == -m[i] exactly, and every operation building K and
@@ -198,7 +191,7 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     of the step are needed, and the bottom rows of the step are the top
     ones reversed in both axes.  The grid is also symmetric under complex
     conjugation: reversing every imaginary-part axis maps m to conj(m), and
-    K, and the step whenever c is real (sigma = 1, both action modes),
+    K, and the step whenever c is real (sigma = 1),
     satisfy A[ci][:, ci] == conj(A) for that index map ci.  So of the top
     half, K always and the step when sigma = 1 compute only the rows whose
     first real index is below order // 2 and whose first imaginary index is
@@ -210,95 +203,65 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     row blocks on every usable CPU (`_fill_rows`), element by element as
     one whole-matrix expression would, so the values do not depend on the
     CPU count.  One N x N and one ceil(N/2) x N complex array are live at
-    once, and a (raised) order whose two exceed physical memory raises
-    ValueError before anything is allocated.  With `check_convergence`
-    every slice count is compared against the raised order.
+    once, and an order whose two exceed physical memory raises
+    ValueError before anything is allocated.
     """
     sigma = _check_sigma(sigma)
     slice_counts = tuple(slice_counts)
     if not slice_counts or min(slice_counts) < 1:
         raise ValueError(f"need slice counts of at least one slice, got {slice_counts}")
-    if action_mode not in ("split", "vertex"):
-        raise ValueError(f"action_mode must be 'split' or 'vertex', got {action_mode!r}")
-    split = action_mode == "split"
     lam, k = params.lam, params.k
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    raised = order + order // 2
-    if max(slice_counts) > 1:
-        top = raised if check_convergence else order
-        nodes = top**k  # the top half of K and the whole step buffer
+    chained = max(slice_counts) > 1  # else no step matrix is needed
+    if chained:
+        nodes = order**k  # the top half of K and the whole step buffer
         _require_memory(np.dtype(complex).itemsize * ((nodes + 1) // 2 + nodes) * nodes,
-                        f"sliced quadrature at order {top} ({nodes} nodes)")
+                        f"sliced quadrature at order {order} ({nodes} nodes)")
+    axes, w = flat_hermite_grid(order, lam, k)
+    m = tensor_points(axes)
+    xs, ys = np.broadcast_to(x, m.shape), np.broadcast_to(y, m.shape)
+    ker_x, ker_y = zone_kernel(a, xs, m, params), zone_kernel(a, m, ys, params)
+    act_x, act_y = pairing(xs, m, params), pairing(m, ys, params)
+    N = len(m)
+    half = (N + 1) // 2  # the parity half; the middle row of an odd N is its own mirror
+    # the conjugation quarter: first real index below order // 2 and first imaginary
+    # index below ceil(order / 2), then the top half of an odd order's middle slab
+    slab, lo = N // order, (order + 1) // 2 * (N // order**2)
+    quarter = [(r * slab, r * slab + lo) for r in range(order // 2)] \
+        + [(order // 2 * slab, half)]
+    if chained:
+        K = np.empty((half, N), dtype=complex)
+        step = np.empty((N, N), dtype=complex)
 
-    def run(nq):
-        axes, w = flat_hermite_grid(nq, lam, k)
-        m = tensor_points(axes)
-        xs, ys = np.broadcast_to(x, m.shape), np.broadcast_to(y, m.shape)
-        ker_x, ker_y = zone_kernel(a, xs, m, params), zone_kernel(a, m, ys, params)
-        if split:
-            act_x, act_y = pairing(xs, m, params), pairing(m, ys, params)
-        else:
-            r2 = np.sum(np.abs(m) ** 2, axis=-1)
-            ends2 = float(np.sum(np.abs(x) ** 2)) + float(np.sum(np.abs(y) ** 2))
-        N = len(m)
-        half = (N + 1) // 2  # the parity half; the middle row of an odd N is its own mirror
-        # the conjugation quarter: first real index below nq // 2 and first imaginary
-        # index below ceil(nq / 2), then the top half of an odd nq's middle slab
-        slab, lo = N // nq, (nq + 1) // 2 * (N // nq**2)
-        quarter = [(r * slab, r * slab + lo) for r in range(nq // 2)] + [(nq // 2 * slab, half)]
-        if max(slice_counts) > 1:
-            K = np.empty((half, N), dtype=complex)
-            step = np.empty((N, N), dtype=complex)
+        def fill_kernel(rows):
+            K[rows] = zone_kernel(a, m[rows, None, :], m[None, :, :], params)
 
-            def fill_kernel(rows):
-                K[rows] = zone_kernel(a, m[rows, None, :], m[None, :, :], params)
+        _fill_rows(fill_kernel, quarter, N)
+        _conjugate_rows(K, order, k)
+    vals = []
+    for n in slice_counts:
+        c = 2.0 * sigma * lam**2 * (T / (n + 1))
+        f = ker_x * np.exp(-c * act_x)
 
-            _fill_rows(fill_kernel, quarter, N)
-            _conjugate_rows(K, nq, k)
-        vals = []
-        for n in slice_counts:
-            c = 2.0 * sigma * lam**2 * (T / (n + 1))
-            if split:
-                f = ker_x * np.exp(-c * act_x)
+        def fill_step(rows):
+            out = step[rows]
+            np.multiply(-c, pairing(m[rows, None, :], m[None, :, :], params), out=out)
+            np.exp(out, out=out)
+            np.multiply(K[rows], out, out=out)
 
-                def fill_step(rows):
-                    out = step[rows]
-                    np.multiply(-c, pairing(m[rows, None, :], m[None, :, :], params), out=out)
-                    np.exp(out, out=out)
-                    np.multiply(K[rows], out, out=out)
-            else:
-                damp = np.exp(-c * r2)
-                f = ker_x * damp
-
-                def fill_step(rows):
-                    np.multiply(K[rows], damp[None, :], out=step[rows])
-            if n > 1:
-                real = c.imag == 0  # then the step is conjugation symmetric like K
-                _fill_rows(fill_step, quarter if real else [(0, half)], N)
-                if real:
-                    _conjugate_rows(step, nq, k)
-                step[half:] = step[:N - half][::-1, ::-1]
-            # the chain stays on this thread, after the fill, in one summation order
-            for _ in range(n - 1):
-                f = (w * f) @ step
-            if split:
-                val = np.sum(w * f * ker_y * np.exp(-c * act_y))
-                val *= np.exp(-sigma * k * lam * T / 2.0)
-            else:
-                val = np.sum(w * f * ker_y)
-                val *= np.exp(-0.5 * c * ends2)
-                val *= np.exp(sigma * k * lam * T / 2.0)
-            vals.append(complex(val))
-        return vals
-
-    vals = run(order)
-    if check_convergence:
-        for n, val, val2 in zip(slice_counts, vals, run(raised)):
-            if abs(val - val2) > tol * max(1.0, abs(val)):
-                raise QuadratureConvergenceError(
-                    f"sliced integral at {n} slices moved from {val:.6e} to {val2:.6e} "
-                    f"on order increase")
+        if n > 1:
+            real = c.imag == 0  # then the step is conjugation symmetric like K
+            _fill_rows(fill_step, quarter if real else [(0, half)], N)
+            if real:
+                _conjugate_rows(step, order, k)
+            step[half:] = step[:N - half][::-1, ::-1]
+        # the chain stays on this thread, after the fill, in one summation order
+        for _ in range(n - 1):
+            f = (w * f) @ step
+        val = np.sum(w * f * ker_y * np.exp(-c * act_y))
+        val *= np.exp(-sigma * k * lam * T / 2.0)
+        vals.append(complex(val))
     return vals
 
 

@@ -237,14 +237,11 @@ def evolve_by_convolution(f: ZonePolynomial, sigma: complex, t: float,
 
 def semigroup_residual(sigma: complex, a: int, s: float, t: float,
                        sample_pairs, params: PhysParams,
-                       order: int = DEFAULT_ORDER,
-                       check_convergence: bool = False,
-                       tol: float = 1e-6) -> float:
+                       order: int = DEFAULT_ORDER) -> float:
     """Max Chapman-Kolmogorov defect |int d(s,X,M) d(t,M,Y) dM - d(s+t,X,Y)|."""
     sigma = _check_sigma(sigma)
     if s <= 0 or t <= 0:
         raise ValueError("both time arguments must be positive")
-    lam, k = params.lam, params.k
     pairs = list(sample_pairs)
     if not pairs:
         raise ValueError("need at least one sample pair")
@@ -252,20 +249,9 @@ def semigroup_residual(sigma: complex, a: int, s: float, t: float,
     left = _zonal_form(sigma, a, s, params)
     right = _zonal_form(sigma, a, t, params).swapped()  # K_t(M, Y) as a row of Y
     target = zonal_kernel(sigma, a, s + t, X, Y, params)
-
-    def run(n):
-        axes, weights = flat_hermite_grid(n, lam, k)
-        comp = np.sum(weights * row(left, params, X, axes) * row(right, params, Y, axes),
-                      axis=1)
-        return float(np.max(np.abs(comp - target)))
-
-    res = run(order)
-    if check_convergence:
-        res2 = run(2 * order)
-        if abs(res - res2) > tol:
-            raise QuadratureConvergenceError(
-                f"residual moved from {res:.3e} to {res2:.3e} on order doubling")
-    return res
+    axes, weights = flat_hermite_grid(order, params.lam, params.k)
+    comp = np.sum(weights * row(left, params, X, axes) * row(right, params, Y, axes), axis=1)
+    return float(np.max(np.abs(comp - target)))
 
 
 # ---- sampled kernel grids -----------------------------------------------------

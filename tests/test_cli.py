@@ -232,6 +232,23 @@ def test_usage_errors(tmp_path, capsys):
              "error: --x needs finite coordinates, got '0.1,nan+1j'\n"),
             (["path", "--y", "1+infj"], "path.csv",
              "error: --y needs finite coordinates, got '1+infj'\n"),
+            # bounds named by their flag, not by the library parameter they feed
+            (["path", "--T", "-1"], "path.csv", "error: --T must be at least 0, got -1.0\n"),
+            (["path", "--a", "-1"], "path.csv", "error: --a must be at least 0, got -1\n"),
+            (["thermo", "--kappa", "0", "--T-grid", "1:2:1"], "thermo.csv",
+             "error: --kappa must be positive, got 0.0\n"),
+            (["thermo", "--h", "0", "--T-grid", "1:2:1"], "thermo.csv",
+             "error: --h must be positive, got 0.0\n"),
+            (["thermo", "--h", "-1", "--T-grid", "1:2:1"], "thermo.csv",
+             "error: --h must be positive, got -1.0\n"),
+            (["thermo", "--a", "-1", "--partition-t-grid", "0.1:0.2:0.1", "--T-grid", "1:2:1"],
+             "thermo.csv", "error: --a must be at least 0, got -1\n"),
+            (["spectrum", "--zones=-1..0"], "spectrum.csv",
+             "error: --zones must be at least 0, got '-1..0'\n"),
+            (["coulomb", "--max-zone", "-1", "--cross-zone"], "coulomb_spectrum.csv",
+             "error: --max-zone must be at least 0, got -1\n"),
+            (["coulomb", "--basis-size", "0"], "coulomb_spectrum.csv",
+             "error: --basis-size must be at least 1, got 0\n"),
             (["thermo", "--scan", "diagonal_density", "--scan-point=-inf"], "thermo.csv",
              "error: --scan-point needs finite coordinates, got '-inf'\n"),
             (["spectrum", "--config", str(cfg)], "spectrum.csv",
@@ -259,6 +276,8 @@ def test_usage_errors(tmp_path, capsys):
     assert run(tmp_path, "thermo", "--T-grid=0.5:0.5:1e300") == 0
     with open(tmp_path / "thermo.csv") as fh:
         assert [row[0] for row in csv.reader(fh)] == ["T", "0.5"]
+    # the bound itself is allowed
+    assert run(tmp_path, "path", "--T", "0", "--n-slices", "1") == 0
 
 
 # sha256 of each output file, recorded before the output helpers were shared

@@ -161,7 +161,7 @@ def _seed_dense(a, params, order):
             pairing(m[:, None, :], m[None, :, :], params))
 
 
-def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order, action_mode):
+def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order):
     # the per-slice-count evaluator as first written, kept as the exact
     # reference: every call rebuilds the end vectors and the dense step
     # element by element, from the K and P shared per (a, params, order)
@@ -172,31 +172,18 @@ def _seed_feynman_kac(sigma, a, x, y, T, n_slices, params, order, action_mode):
     dt = T / (n_slices + 1)
     c = 2.0 * sigma * lam**2 * dt
     w, m, K, P = _seed_dense(a, params, order)
-    if action_mode == "split":
-        f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) \
-            * np.exp(-c * pairing(np.broadcast_to(x, m.shape), m, params))
-        if n_slices > 1:
-            # K first, as in the sweep: complex products are not bitwise
-            # commutative, and numpy runs `K * temporary` as `temporary *= K`
-            # once the temporary reaches 256 KiB
-            step = np.multiply(K, np.exp(-c * P))
-            for _ in range(n_slices - 1):
-                f = (w * f) @ step
-        val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params)
-                     * np.exp(-c * pairing(m, np.broadcast_to(y, m.shape), params)))
-        val *= np.exp(-sigma * k * lam * T / 2.0)
-    else:
-        r2 = np.sum(np.abs(m) ** 2, axis=-1)
-        damp = np.exp(-c * r2)
-        f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) * damp
-        if n_slices > 1:
-            step = K * damp[None, :]
-            for _ in range(n_slices - 1):
-                f = (w * f) @ step
-        val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params))
-        val *= np.exp(-0.5 * c * (float(np.sum(np.abs(x) ** 2))
-                                  + float(np.sum(np.abs(y) ** 2))))
-        val *= np.exp(sigma * k * lam * T / 2.0)
+    f = zone_kernel(a, np.broadcast_to(x, m.shape), m, params) \
+        * np.exp(-c * pairing(np.broadcast_to(x, m.shape), m, params))
+    if n_slices > 1:
+        # K first, as in the sweep: complex products are not bitwise
+        # commutative, and numpy runs `K * temporary` as `temporary *= K`
+        # once the temporary reaches 256 KiB
+        step = np.multiply(K, np.exp(-c * P))
+        for _ in range(n_slices - 1):
+            f = (w * f) @ step
+    val = np.sum(w * f * zone_kernel(a, m, np.broadcast_to(y, m.shape), params)
+                 * np.exp(-c * pairing(m, np.broadcast_to(y, m.shape), params)))
+    val *= np.exp(-sigma * k * lam * T / 2.0)
     return complex(val)
 
 
@@ -206,24 +193,20 @@ def test_kernel_and_real_step_are_conjugation_symmetric(k, order, charge_sign):
     # what the sweep's quarter fill relies on: with ci the conjugation mirror
     # of the grid, A[ci][:, ci] == conj(A) for K and for the step at real c
     # (== leaves only the sign of an exactly-zero imaginary part free)
-    from zonekit.special import flat_hermite_grid, tensor_points
     ci = np.flip(np.arange(order**k).reshape((order,) * k), tuple(range(1, k, 2))).ravel()
     for lam in (0.4, 2.5):
         params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
-        m = tensor_points(flat_hermite_grid(order, lam, k)[0])
-        r2 = np.sum(np.abs(m) ** 2, axis=-1)
         c = 2.0 * (1 + 0j) * lam**2 * (0.5 / 3)  # sigma = 1, T = 0.5, two slices
         for a in (0, 1, 2):
             _, _, K, P = _seed_dense(a, params, order)
             assert np.all(K[ci][:, ci] == np.conj(K))
-            for step in (np.multiply(K, np.exp(-c * P)), K * np.exp(-c * r2)[None, :]):
-                assert np.all(step[ci][:, ci] == np.conj(step))
+            step = np.multiply(K, np.exp(-c * P))
+            assert np.all(step[ci][:, ci] == np.conj(step))
 
 
 @pytest.mark.parametrize("charge_sign", [1, -1])
 @pytest.mark.parametrize("k, order", [(2, 12), (2, 11), (4, 5)])
-@pytest.mark.parametrize("action_mode", ["split", "vertex"])
-def test_sweep_matches_per_slice_reference_exactly(action_mode, k, order, charge_sign):
+def test_sweep_matches_per_slice_reference_exactly(k, order, charge_sign):
     counts = (3, 1, 4, 2)
     x = np.array([0.35 + 0.2j, -0.1 + 0.25j][:k // 2])
     y = np.array([-0.3 + 0.1j, 0.2 - 0.15j][:k // 2])
@@ -231,9 +214,8 @@ def test_sweep_matches_per_slice_reference_exactly(action_mode, k, order, charge
         params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
         for a in (0, 1):
             for sigma in (1, 1j):
-                got = feynman_kac_sweep(sigma, a, x, y, 0.5, counts, params, order=order,
-                                        action_mode=action_mode)
-                ref = [_seed_feynman_kac(sigma, a, x, y, 0.5, n, params, order, action_mode)
+                got = feynman_kac_sweep(sigma, a, x, y, 0.5, counts, params, order=order)
+                ref = [_seed_feynman_kac(sigma, a, x, y, 0.5, n, params, order)
                        for n in counts]
                 assert got == ref
 
@@ -253,7 +235,7 @@ def test_sweep_row_block_fill_is_exact_on_any_cpu_count(monkeypatch, k, order, l
     counts = (3, 1, 2)
     x = np.array([0.35 + 0.2j, -0.1 + 0.25j][:k // 2])
     y = np.array([-0.3 + 0.1j, 0.2 - 0.15j][:k // 2])
-    ref = {(sigma, a): [_seed_feynman_kac(sigma, a, x, y, 0.5, n, params, order, "split")
+    ref = {(sigma, a): [_seed_feynman_kac(sigma, a, x, y, 0.5, n, params, order)
                         for n in counts]
            for sigma in (1, 1j) for a in (0, 1)}
     real_pool = path_measure.ThreadPoolExecutor
@@ -271,11 +253,6 @@ def test_sweep_row_block_fill_is_exact_on_any_cpu_count(monkeypatch, k, order, l
         for sigma, a in ref:
             assert feynman_kac_sweep(sigma, a, x, y, 0.5, counts, params,
                                      order=order) == ref[sigma, a]
-        if k == 2:
-            # the raised-order pass (N = 900) fills through the same blocks
-            for sigma in (1, 1j):
-                assert feynman_kac_sweep(sigma, 1, x, y, 0.5, counts, params, order=order,
-                                         check_convergence=True) == ref[sigma, 1]
         assert bool(pools) == (cpus > 1)
 
 
@@ -294,32 +271,24 @@ def test_fill_rows_runs_every_range_through_one_pool(monkeypatch):
 
 
 def test_sweep_checks_every_slice_count():
-    from zonekit.propagators import QuadratureConvergenceError
-    # at order 6 the one- and two-slice values settle to 1e-8, six slices do not
-    vals = feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=6,
-                             check_convergence=True, tol=1e-7)
-    assert len(vals) == 2
-    with pytest.raises(QuadratureConvergenceError, match="at 6 slices"):
-        feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2, 6), PAR, order=6,
-                          check_convergence=True, tol=1e-7)
     with pytest.raises(ValueError):
         feynman_kac_sweep(1, 0, X0, Y0, 0.5, (2, 0), PAR, order=8)
     with pytest.raises(ValueError):
         feynman_kac_sweep(1, 0, X0, Y0, 0.5, (), PAR, order=8)
-    # the raised order's two 48^4 x 48^4 matrices are refused before the first pass
+    # the two 48^4 x 48^4 matrices are refused before anything is allocated
     with pytest.raises(ValueError, match=r"^sliced quadrature at order 48 \(5308416 nodes\)"):
         feynman_kac_sweep(1, 0, np.zeros(2), np.zeros(2), 0.5, (1, 2), PhysParams(k=4),
-                          order=32, check_convergence=True)
+                          order=48)
 
 
 def test_sweep_memory_guard_counts_the_top_half_of_k_and_the_step(monkeypatch):
     # one N x N step and the ceil(N/2) x N top of K, complex: N = 36 at order 6,
-    # and N = 81 (odd, its middle row counted once) at the raised order 9
+    # and N = 81 (odd, its middle row counted once) at order 9
     asked = []
     monkeypatch.setattr(path_measure, "_require_memory",
                         lambda need, what: asked.append((need, what)))
     feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=6)
-    feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=6, check_convergence=True)
+    feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=9)
     feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1,), PAR, order=6)  # no step matrix: no guard
     assert asked == [(16 * (18 + 36) * 36, "sliced quadrature at order 6 (36 nodes)"),
                      (16 * (41 + 81) * 81, "sliced quadrature at order 9 (81 nodes)")]
@@ -353,16 +322,6 @@ def test_sigma_branches_share_measure_factors():
         assert got == pytest.approx(complex(val), rel=1e-12)
 
 
-def test_vertex_action_mode_converges_slowly_with_flipped_constant():
-    T = 0.5
-    ref = zonal_kernel(1, 0, T, X0[None, :], Y0[None, :], PAR)[0]
-    errs = [abs(feynman_kac_sweep(1, 0, X0, Y0, T, (n,), PAR, order=40,
-                                  action_mode="vertex")[0] - ref) / abs(ref)
-            for n in (1, 2, 4, 8)]
-    assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))   # converging, first order
-    assert errs[-1] > 0.05                                  # but far slower than split
-
-
 def test_probability_density_nonnegative_and_laguerre_ratio():
     rng = np.random.default_rng(25)
     for _ in range(5):
@@ -389,13 +348,3 @@ def test_probability_total_mass_is_time_independent():
             assert m_val == pytest.approx(masses[0], rel=1e-6)
         # measured constant is lam^{k/2}, not 1 (reported, not asserted as 1)
         assert masses[0] == pytest.approx(lam, rel=1e-8)
-
-
-def test_feynman_kac_convergence_flag():
-    from zonekit.propagators import QuadratureConvergenceError
-    val = feynman_kac_sweep(1, 0, X0, Y0, 0.5, (2,), PAR, order=40,
-                            check_convergence=True)[0]
-    assert isinstance(val, complex)
-    with pytest.raises(QuadratureConvergenceError):
-        feynman_kac_sweep(1, 0, 3 * X0, 3 * Y0, 0.5, (2,), PAR, order=4,
-                          check_convergence=True, tol=1e-12)

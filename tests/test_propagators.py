@@ -369,21 +369,6 @@ def test_trace_raises_when_order_doubling_moves_it(params, order):
         partition_function_trace(1j, 0, 0.3, params, order=order)
 
 
-def test_semigroup_convergence_flag():
-    rng = np.random.default_rng(33)
-    pairs = [(rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1),
-              rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1))]
-    # converged setup passes the doubling check
-    res = semigroup_residual(1, 0, 0.3, 0.3, pairs, PAR, order=48,
-                             check_convergence=True, tol=1e-6)
-    assert res < 1e-6
-    # a starved rule trips the non-convergence guard
-    from zonekit.propagators import QuadratureConvergenceError
-    with pytest.raises(QuadratureConvergenceError):
-        semigroup_residual(1j, 0, 0.02, 0.02, pairs, PAR, order=4,
-                           check_convergence=True, tol=1e-12)
-
-
 def test_kernel_grid_singular_time_guard():
     pts = np.array([[0.1 + 0.1j]])
     with pytest.raises(SingularTimeError):
