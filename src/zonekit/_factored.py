@@ -11,8 +11,9 @@ s the charge sign.  On a tensor grid, given as one node array per real axis
 (real and imaginary part of each coordinate adjacent, the last axis varying
 fastest as in `special.tensor_points`), the exponential is a product of n x n
 one-axis tables and the Laguerre factor is a polynomial in one-axis squared
-distances.  So a kernel is applied to a grid function, sampled along a row or
-summed along its diagonal without ever forming the N x N kernel matrix.
+distances.  So a kernel is applied to a grid function (a single point being a
+grid of one node per axis) or summed along its diagonal without ever forming
+the N x N kernel matrix.
 """
 
 from __future__ import annotations
@@ -99,34 +100,11 @@ def transfer(f: np.ndarray, form: KernelForm, params, src, dst) -> np.ndarray:
     return form.pref * g
 
 
-def _outer(op, acc: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """op(acc[p, ...], table[p, j]) with j appended as a new last axis."""
-    return op(acc[..., None], table.reshape((len(table),) + (1,) * (acc.ndim - 1) + (-1,)))
-
-
-def row(form: KernelForm, params, X, dst) -> np.ndarray:
-    """K(X_i, Y) for scattered points X (rows of k/2 complex coordinates) and
-    Y on the tensor grid `dst`, as outer products of one-axis tables.
-
-    Returns shape (len(X), N), the grid flattened with its last axis fastest.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=complex))
-    A, B, C, D = form.A, form.B, form.C, form.D
-    s = params.charge_sign
-    val = np.full(len(X), form.pref, dtype=complex)
-    dist = np.zeros(len(X))
-    for r in range(params.m):
-        x1, x2 = X[:, r, None].real, X[:, r, None].imag
-        v1, v2 = dst[2 * r][None, :], dst[2 * r + 1][None, :]
-        val = _outer(np.multiply, val, np.exp(A * x1 * x1 + B * v1 * v1 + C * x1 * v1
-                                              + D * s * x2 * v1))
-        val = _outer(np.multiply, val, np.exp(A * x2 * x2 + B * v2 * v2 + C * x2 * v2
-                                              - D * s * x1 * v2))
-        if form.a:
-            dist = _outer(np.add, _outer(np.add, dist, (x1 - v1) ** 2), (x2 - v2) ** 2)
-    if form.a:
-        val *= laguerre(form.a, form.alpha, params.lam * dist)
-    return val.reshape(len(X), -1)
+def point_axes(x) -> list[np.ndarray]:
+    """One point of k/2 complex coordinates as a tensor grid with one node per
+    real axis, for `transfer` to start from or end at."""
+    return [np.array([part]) for c in np.atleast_1d(np.asarray(x, dtype=complex))
+            for part in (c.real, c.imag)]
 
 
 def diagonal_sum(form: KernelForm, nodes, weights) -> complex:

@@ -231,8 +231,8 @@ def apply_zeeman(f: ZonePolynomial, include_field_term: bool = False) -> ZonePol
     zone basis diagonalizes the operator exactly.
     """
     par = f.params
-    lam, k, m = par.lam, par.k, par.m
-    const = (k / 2.0) * lam + (2.0 * k * lam * lam if include_field_term else 0.0)
+    lam, m = par.lam, par.m
+    const = par.zeeman_eigenvalue(0, include_field_term)
     out: dict[Key, complex] = {}
 
     def add(key: Key, c: complex) -> None:

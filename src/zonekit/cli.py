@@ -221,6 +221,9 @@ def cmd_thermo(args) -> int:
     sigma = _sigma(args)
     Ts = _parse_grid(args.T_grid)
     ts = _parse_grid(args.partition_t_grid) if args.partition_t_grid else None
+    for flag, grid in (("--T-grid", Ts), ("--partition-t-grid", ts)):
+        if grid is not None and not grid.min() > 0:
+            raise UsageError(f"{flag} must be positive, got {float(grid.min())}")
     X = _point(args.scan_point, params, "--scan-point") \
         if args.scan == "diagonal_density" else None
 

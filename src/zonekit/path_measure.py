@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._factored import row, transfer
+from ._factored import point_axes, transfer
 from .params import PhysParams
 from .propagators import (_check_sigma, _global_form, _require_memory, _usable_cpus,
                           _zonal_form, zonal_kernel)
@@ -130,9 +130,10 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
     With every box covering the whole (numerically truncated) space this
     reproduces the closed-form kernel at horizon T; a degenerate box gives 0.
     `boxes` holds one box per interior time, each a sequence of k (lo, hi)
-    pairs of real coordinates.  The endpoints are one-node grids, and each
-    step applies the factored kernel (`_factored.transfer`) from one tensor
-    grid to the next, so no kernel matrix is formed.
+    pairs of real coordinates.  The endpoints are one-node grids
+    (`_factored.point_axes`), and each step applies the factored kernel
+    (`_factored.transfer`) from one tensor grid to the next, so no kernel
+    matrix is formed.
     """
     times = tuple(times)
     if len(boxes) != len(times):
@@ -143,11 +144,9 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
     if any(hi <= lo for box in boxes for lo, hi in box):
         return 0j
     form_at = _chain_form(kernel_kind, a, params)
-    # each endpoint is a grid with one node per real axis and weight 1
-    x_axes, y_axes = ([np.array([part]) for c in np.atleast_1d(np.asarray(p, dtype=complex))
-                       for part in (c.real, c.imag)] for p in (x, y))
     ts = (0.0,) + times + (T,)
-    grids = [(x_axes, 1.0)] + [_box_axes(box, order) for box in boxes] + [(y_axes, 1.0)]
+    grids = [(point_axes(x), 1.0)] + [_box_axes(box, order) for box in boxes] \
+        + [(point_axes(y), 1.0)]
     f = np.ones((1,) * params.k)
     for (src, w), (dst, _), t1, t2 in zip(grids, grids[1:], ts, ts[1:]):
         f = transfer(f * w, form_at(t2 - t1), params, src, dst)
@@ -203,8 +202,9 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     row blocks on every usable CPU (`_fill_rows`), element by element as
     one whole-matrix expression would, so the values do not depend on the
     CPU count.  One N x N and one ceil(N/2) x N complex array are live at
-    once, and an order whose two exceed physical memory raises
-    ValueError before anything is allocated.
+    once, and an order whose two, with the Hermite rule and the grid, exceed
+    physical memory raises ValueError before anything is allocated, at any
+    slice count.
     """
     sigma = _check_sigma(sigma)
     slice_counts = tuple(slice_counts)
@@ -214,10 +214,14 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     chained = max(slice_counts) > 1  # else no step matrix is needed
-    if chained:
-        nodes = order**k  # the top half of K and the whole step buffer
-        _require_memory(np.dtype(complex).itemsize * ((nodes + 1) // 2 + nodes) * nodes,
-                        f"sliced quadrature at order {order} ({nodes} nodes)")
+    nodes = order**k
+    # complex N-vectors: the grid points and four end vectors, and with a chain the
+    # top half of K and the step buffer; real: the Hermite rule's order x order
+    # companion matrix and the grid weights
+    vectors = params.m + 4 + ((nodes + 1) // 2 + nodes if chained else 0)
+    _require_memory(np.dtype(complex).itemsize * vectors * nodes
+                    + np.dtype(float).itemsize * (order * order + nodes),
+                    f"sliced quadrature at order {order} ({nodes} nodes)")
     axes, w = flat_hermite_grid(order, lam, k)
     m = tensor_points(axes)
     xs, ys = np.broadcast_to(x, m.shape), np.broadcast_to(y, m.shape)
@@ -330,6 +334,7 @@ def probability_total_mass(a: int, x, T: float, params: PhysParams,
     """
     k = params.k
     axes, w = flat_hermite_grid(order, params.lam, k)
-    vals = row(_zonal_form(1j, a, T, params), params, x, axes)[0]
+    vals = transfer(np.ones((1,) * k), _zonal_form(1j, a, T, params), params, point_axes(x),
+                    axes).ravel()
     dens = np.pi ** (k / 2) * np.abs(vals) ** 2
     return float(np.sum(w * dens))

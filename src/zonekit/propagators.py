@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._factored import KernelForm, diagonal_sum, row
+from ._factored import KernelForm, diagonal_sum, point_axes, transfer
 from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
 from .special import (flat_hermite_grid, hermite_axis, laguerre, multiplicity_factor,
                       tensor_points)
-from .zones import pairing, project_to_zone, zone_basis
+from .zones import _basis_sum, pairing, project_to_zone, zone_basis
 
 SINGULAR_TIME_TOL = 1e-9
 DEFAULT_ORDER = 64
@@ -115,17 +115,11 @@ def zonal_kernel_spectral(sigma: complex, a: int, t: float, X: np.ndarray, Z: np
     zone basis and the explicit spectrum.
     """
     sigma = _check_sigma(sigma)
-    lam = params.lam
-    X = np.atleast_2d(np.asarray(X, dtype=complex))
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    basis = zone_basis(a, a + pmax, params)
-    gx = np.exp(-0.5 * lam * np.sum(np.abs(X) ** 2, axis=-1))
-    gz = np.exp(-0.5 * lam * np.sum(np.abs(Z) ** 2, axis=-1))
-    acc = np.zeros(np.broadcast(gx, gz).shape, dtype=complex)
-    for vec in basis:
+    terms = []
+    for vec in zone_basis(a, a + pmax, params):
         mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), include_field_term)
-        acc = acc + np.exp(-sigma * t * mu) * vec.eval(X) * np.conj(vec.eval(Z))
-    return acc * gx * gz
+        terms.append((np.exp(-sigma * t * mu), vec))
+    return _basis_sum(terms, X, Z, params)
 
 
 def field_term_multiplier(sigma: complex, t: float, params: PhysParams) -> complex:
@@ -229,10 +223,12 @@ def evolve_by_convolution(f: ZonePolynomial, sigma: complex, t: float,
     """
     from .algebra import to_standard
 
-    form = _zonal_form(sigma, infer_zone(f), t, params)
+    # transfer sums over its first argument, so Z goes first: K'(Z, X) = K(X, Z)
+    form = _zonal_form(sigma, infer_zone(f), t, params).swapped()
     axes, weights = flat_hermite_grid(order, params.lam, params.k)
-    psi = to_standard(f)(tensor_points(axes))
-    return row(form, params, X, axes) @ (weights * psi)
+    g = (weights * to_standard(f)(tensor_points(axes))).reshape((order,) * params.k)
+    return np.array([transfer(g, form, params, axes, point_axes(x)).item()
+                     for x in np.atleast_2d(np.asarray(X, dtype=complex))])
 
 
 def semigroup_residual(sigma: complex, a: int, s: float, t: float,
@@ -246,12 +242,15 @@ def semigroup_residual(sigma: complex, a: int, s: float, t: float,
     if not pairs:
         raise ValueError("need at least one sample pair")
     X, Y = (np.array(side, dtype=complex) for side in zip(*pairs))
-    left = _zonal_form(sigma, a, s, params)
-    right = _zonal_form(sigma, a, t, params).swapped()  # K_t(M, Y) as a row of Y
+    left, right = _zonal_form(sigma, a, s, params), _zonal_form(sigma, a, t, params)
     target = zonal_kernel(sigma, a, s + t, X, Y, params)
     axes, weights = flat_hermite_grid(order, params.lam, params.k)
-    comp = np.sum(weights * row(left, params, X, axes) * row(right, params, Y, axes), axis=1)
-    return float(np.max(np.abs(comp - target)))
+    weights = weights.reshape((order,) * params.k)
+    comp = []
+    for x, y in zip(X, Y):  # point x -> grid M -> point y, a one-interior-time chain
+        f = transfer(np.ones((1,) * params.k), left, params, point_axes(x), axes)
+        comp.append(transfer(weights * f, right, params, axes, point_axes(y)).item())
+    return float(np.max(np.abs(np.array(comp) - target)))
 
 
 # ---- sampled kernel grids -----------------------------------------------------

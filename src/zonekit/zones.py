@@ -168,6 +168,19 @@ def _zone_form(a: int, params: PhysParams) -> KernelForm:
                       -0.5 * lam, lam, 1j * lam)
 
 
+def _basis_sum(terms, X: np.ndarray, Z: np.ndarray, params: PhysParams) -> np.ndarray:
+    """Standard-space basis sum sum_p c_p phi_p(X) conj(phi_p(Z)) e^{-lam (|X|^2 + |Z|^2)/2}
+    over the pairs (c_p, phi_p) of `terms`, for complex coordinate rows X and Z."""
+    X = np.atleast_2d(np.asarray(X, dtype=complex))
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    gx = np.exp(-0.5 * params.lam * np.sum(np.abs(X) ** 2, axis=-1))
+    gz = np.exp(-0.5 * params.lam * np.sum(np.abs(Z) ** 2, axis=-1))
+    acc = np.zeros(np.broadcast(gx, gz).shape, dtype=complex)
+    for c, vec in terms:
+        acc += c * vec.eval(X) * np.conj(vec.eval(Z))
+    return acc * gx * gz
+
+
 def kernel_basis_residual(a: int, n_basis: int, samples_Z: np.ndarray,
                           samples_W: np.ndarray, params: PhysParams) -> float:
     """Max |closed-form kernel - truncated basis sum| over sample point pairs.
@@ -182,13 +195,7 @@ def kernel_basis_residual(a: int, n_basis: int, samples_Z: np.ndarray,
     basis = zone_basis(a, max_degree, params)[:n_basis]
     Z = np.atleast_2d(np.asarray(samples_Z, dtype=complex))
     W = np.atleast_2d(np.asarray(samples_W, dtype=complex))
-    lam = params.lam
-    gz = np.exp(-0.5 * lam * np.sum(np.abs(Z) ** 2, axis=-1))
-    gw = np.exp(-0.5 * lam * np.sum(np.abs(W) ** 2, axis=-1))
-    acc = np.zeros(Z.shape[:-1], dtype=complex)
-    for vec in basis:
-        acc += vec.eval(Z) * np.conj(vec.eval(W))
-    acc *= gz * gw
+    acc = _basis_sum([(1.0, vec) for vec in basis], Z, W, params)
     closed = zone_kernel(a, Z, W, params)
     if n_basis == 0:
         return float(np.max(np.abs(closed)))

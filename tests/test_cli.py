@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import zonekit
+from zonekit import path_measure
 from zonekit.cli import build_parser, main
 from zonekit.params import PhysParams
 from zonekit.propagators import partition_function, zonal_kernel
@@ -123,7 +124,8 @@ def test_thermo_skips_and_counts_singular_points(tmp_path, capsys, monkeypatch):
 
 def test_thermo_nonpositive_temperature_is_usage_error(tmp_path, capsys):
     assert run(tmp_path, "thermo", "--T-grid=0:1:0.5") == 2
-    assert capsys.readouterr().err == "error: temperature must be positive, got 0.0\n"
+    assert capsys.readouterr().err == "error: --T-grid must be positive, got 0.0\n"
+    assert not (tmp_path / "thermo.csv").exists()
 
 
 def test_clifford_table(tmp_path):
@@ -177,7 +179,11 @@ def test_verify_full_reports_known_discrepancy(tmp_path):
     assert failing[0]["expected"] == "fail"
 
 
-def test_usage_errors(tmp_path, capsys):
+def _never_called(*args, **kwargs):
+    raise AssertionError("called after the refusal")
+
+
+def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert main(["kernel", "--t", "1", "--grid", "0:1:1", "--lambda", "-2",
                  "--outdir", str(tmp_path)]) == 2
     assert main(["kernel", "--t", "1", "--grid", "0:1:1", "--k", "3",
@@ -249,6 +255,12 @@ def test_usage_errors(tmp_path, capsys):
              "error: --max-zone must be at least 0, got -1\n"),
             (["coulomb", "--basis-size", "0"], "coulomb_spectrum.csv",
              "error: --basis-size must be at least 1, got 0\n"),
+            # both grids are checked before any table is written (--T-grid=0:1:0.5
+            # is test_thermo_nonpositive_temperature_is_usage_error)
+            (["thermo", "--T-grid=-1:1:1"], "thermo.csv",
+             "error: --T-grid must be positive, got -1.0\n"),
+            (["thermo", "--T-grid", "1:2:1", "--partition-t-grid", "0:0.2:0.1"], "thermo.csv",
+             "error: --partition-t-grid must be positive, got 0.0\n"),
             (["thermo", "--scan", "diagonal_density", "--scan-point=-inf"], "thermo.csv",
              "error: --scan-point needs finite coordinates, got '-inf'\n"),
             (["spectrum", "--config", str(cfg)], "spectrum.csv",
@@ -272,6 +284,17 @@ def test_usage_errors(tmp_path, capsys):
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == message
         assert not (tmp_path / output).exists()
+    assert not (tmp_path / "partition.csv").exists()
+    # an order whose Hermite rule and grid exceed memory is refused at one slice too,
+    # before either is built
+    with monkeypatch.context() as mp:
+        mp.setattr(path_measure, "flat_hermite_grid", _never_called)
+        capsys.readouterr()
+        assert run(tmp_path, "path", "--order", "100000", "--n-slices", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sliced quadrature at order 100000 (10000000000 nodes) "
+                              "needs 960 GB, more than the ") and err.count("\n") == 1, err
+        assert not (tmp_path / "path.csv").exists()
     # a degenerate lo:lo:step grid is still its one point, whatever the step
     assert run(tmp_path, "thermo", "--T-grid=0.5:0.5:1e300") == 0
     with open(tmp_path / "thermo.csv") as fh:

@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from zonekit._factored import diagonal_sum, row, transfer
+from zonekit._factored import diagonal_sum, point_axes, transfer
 from zonekit.params import PhysParams
 from zonekit.path_measure import _chain_form, cylinder_measure
 from zonekit.propagators import global_kernel, zonal_kernel
@@ -56,9 +56,14 @@ def test_factored_matches_dense(kind, a, lam, charge_sign, k):
     assert close(got.ravel(), f @ dense(kind, a, params, U, V))
 
     X = rng.uniform(-1, 1, (3, k // 2)) + 1j * rng.uniform(-1, 1, (3, k // 2))
-    assert close(row(form, params, X, dst), dense(kind, a, params, X, V))
-    # the swapped form is K(Y, X), sampled along the same rows
-    assert close(row(form.swapped(), params, X, dst), dense(kind, a, params, V, X).T)
+
+    def from_points(form):  # transfer from each one-node grid point_axes(x) to dst
+        return np.array([transfer(np.ones((1,) * k), form, params, point_axes(x), dst).ravel()
+                         for x in X])
+
+    assert close(from_points(form), dense(kind, a, params, X, V))
+    # the swapped form is K(Y, X), taken from the same points
+    assert close(from_points(form.swapped()), dense(kind, a, params, V, X).T)
 
     w = [rng.uniform(0.5, 1.5, len(x)) for x in src]
     ref = np.sum(functools.reduce(np.multiply.outer, w).ravel()

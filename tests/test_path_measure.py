@@ -289,9 +289,13 @@ def test_sweep_memory_guard_counts_the_top_half_of_k_and_the_step(monkeypatch):
                         lambda need, what: asked.append((need, what)))
     feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=6)
     feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=9)
-    feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1,), PAR, order=6)  # no step matrix: no guard
-    assert asked == [(16 * (18 + 36) * 36, "sliced quadrature at order 6 (36 nodes)"),
-                     (16 * (41 + 81) * 81, "sliced quadrature at order 9 (81 nodes)")]
+    feynman_kac_sweep(1, 0, X0, Y0, 0.5, (1,), PAR, order=6)  # no step matrix
+    # every call also counts the order x order Hermite companion matrix and the
+    # grid: its real weights, its complex points (k/2 = 1 per node) and four end vectors
+    grid = {6: 16 * 5 * 36 + 8 * (36 + 36), 9: 16 * 5 * 81 + 8 * (81 + 81)}
+    assert asked == [(grid[6] + 16 * (18 + 36) * 36, "sliced quadrature at order 6 (36 nodes)"),
+                     (grid[9] + 16 * (41 + 81) * 81, "sliced quadrature at order 9 (81 nodes)"),
+                     (grid[6], "sliced quadrature at order 6 (36 nodes)")]
 
 
 def test_sigma_branches_share_measure_factors():
@@ -336,6 +340,25 @@ def test_probability_density_nonnegative_and_laguerre_ratio():
         for a in (1, 2, 3):
             rho_a = probability_density(a, x, y, T, PAR)
             assert rho_a == pytest.approx(rho0 * laguerre(a, 0.0, u) ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("lam", [0.4, 2.5])
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_probability_total_mass_matches_dense_quadrature(a, lam, charge_sign):
+    # the factored kernel from x is the dense one on the same grid; on zone 0 the
+    # mass is conserved at lam^{k/2}, on zones 1 and 2 it is not
+    from zonekit.special import flat_hermite_grid, tensor_points
+    params = PhysParams(lam=lam, k=2, charge_sign=charge_sign)
+    x = np.array([0.4 + 0.3j])
+    axes, w = flat_hermite_grid(48, lam, 2)
+    M = tensor_points(axes)
+    for T in (0.3, 1.7):
+        ref = np.sum(w * np.pi * np.abs(zonal_kernel(1j, a, T, x[None], M, params)) ** 2)
+        got = probability_total_mass(a, x, T, params, order=48)
+        assert got == pytest.approx(ref, rel=1e-12)
+        if a == 0:
+            assert got == pytest.approx(lam, rel=1e-10)
 
 
 def test_probability_total_mass_is_time_independent():

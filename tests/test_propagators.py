@@ -165,6 +165,34 @@ def test_evolve_agrees_with_kernel_convolution_zone_zero():
         assert np.max(np.abs(got - ref)) < 1e-6 * np.max(np.abs(ref))
 
 
+def _dense_convolution(f, sigma, t, params, X, order):
+    """sum_Z w(Z) d^(a)(t, X, Z) psi(Z) from the pointwise closed form on the Hermite grid."""
+    from zonekit.special import flat_hermite_grid, tensor_points
+    axes, w = flat_hermite_grid(order, params.lam, params.k)
+    Z = tensor_points(axes)
+    K = zonal_kernel(sigma, infer_zone(f), t, X[:, None, :], Z[None, :, :], params)
+    return K @ (w * to_standard(f)(Z))
+
+
+@pytest.mark.parametrize("k, order", [(2, 48), (4, 12)])
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_evolve_by_convolution_matches_dense_quadrature(k, order, a):
+    # the factored convolution is the dense one on the same grid in every zone;
+    # on zone 0 both reproduce the spectral flow (the closed form is exact there)
+    params = PhysParams(lam=0.8, k=k)
+    rng = np.random.default_rng(20 + a)
+    f = sum((complex(rng.normal(), rng.normal()) * v for v in zone_basis(a, a + 1, params)),
+            ZonePolynomial({}, params))
+    X = rng.uniform(-0.7, 0.7, (3, k // 2)) + 1j * rng.uniform(-0.7, 0.7, (3, k // 2))
+    for sigma in (1, 1j):
+        got = evolve_by_convolution(f, sigma, 0.4, params, X, order=order)
+        ref = _dense_convolution(f, sigma, 0.4, params, X, order)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if a == 0:
+            flow = to_standard(evolve(f, sigma, 0.4, params))(X)
+            assert np.max(np.abs(got - flow)) < 1e-10 * np.max(np.abs(flow))
+
+
 def test_infer_zone_rejects_mixtures():
     f = ZonePolynomial.z(PAR) + ZonePolynomial.zbar(PAR)
     with pytest.raises(ValueError):
@@ -182,6 +210,30 @@ def test_semigroup_residuals():
         semigroup_residual(1, 0, -0.1, 0.3, pairs, PAR)
     with pytest.raises(ValueError, match="at least one sample pair"):
         semigroup_residual(1, 0, 0.3, 0.3, [], PAR)
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("lam", [0.4, 2.5])
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_semigroup_residual_matches_dense_quadrature(a, lam, charge_sign):
+    # the factored chain x -> grid -> y is the dense one on the same grid; on zone 0
+    # the closed forms compose exactly, on zones 1 and 2 they do not
+    from zonekit.special import flat_hermite_grid, tensor_points
+    params = PhysParams(lam=lam, k=2, charge_sign=charge_sign)
+    rng = np.random.default_rng(30 + a)
+    pairs = [(rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1),
+              rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1)) for _ in range(3)]
+    X, Y = (np.array(side) for side in zip(*pairs))
+    axes, w = flat_hermite_grid(48, lam, 2)
+    M = tensor_points(axes)[None]
+    for sigma in (1, 1j):
+        comp = np.sum(w * zonal_kernel(sigma, a, 0.2, X[:, None], M, params)
+                      * zonal_kernel(sigma, a, 0.35, M, Y[:, None], params), axis=1)
+        target = zonal_kernel(sigma, a, 0.55, X, Y, params)
+        got = semigroup_residual(sigma, a, 0.2, 0.35, pairs, params, order=48)
+        assert abs(got - np.max(np.abs(comp - target))) <= 1e-12 * np.max(np.abs(comp))
+        if a == 0:
+            assert got <= 1e-12 * np.max(np.abs(target))
 
 
 def test_degenerate_composition_reproduces_point_spread():
