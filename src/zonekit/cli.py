@@ -166,11 +166,14 @@ def _fmt(x: float) -> str:
 
 def cmd_kernel(args) -> int:
     params = _params(args)
+    a = None if args.a < 0 else args.a
+    if a is None and not args.t > 0:
+        raise UsageError(f"--t must be positive, got {args.t}")
+    _at_least(args, "t", 0)
     axes = [_parse_grid(args.grid)] * params.k
     n = len(axes[0]) ** params.k  # grid points, before building them
     _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
     pts = tensor_points(axes)
-    a = None if args.a is None or args.a < 0 else args.a
     grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
     path = _output(args)
     grid.write_csv(path)
@@ -192,8 +195,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_zones(args) -> int:
     params = _params(args)
+    zones = _parse_range(args.zones, "--zones", 0)
+    _at_least(args, "max_degree", zones[-1])
     rows = []
-    for a in _parse_range(args.zones, "--zones", 0):
+    for a in zones:
         basis = zone_basis(a, args.max_degree, params)
         for i, vec in enumerate(basis):
             rows.append([a, i, vec.holomorphic_degree(), vec.to_json()])
@@ -316,6 +321,7 @@ def cmd_padi(args) -> int:
 
 def cmd_coulomb(args) -> int:
     params = _params(args)
+    _at_least(args, "a", 0)
     _at_least(args, "basis_size", 1)
     _at_least(args, "max_zone", 0)
     out = zonal_coulomb_matrix(args.a, args.Q, args.basis_size, params)
@@ -456,7 +462,8 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.fn(args)
-    except (UsageError, ValueError, OSError) as exc:  # OSError: a path that cannot be opened
+    # OSError: a path that cannot be opened; OverflowError: a degree whose moments leave float
+    except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuadratureConvergenceError as exc:

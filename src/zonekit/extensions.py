@@ -8,7 +8,6 @@ import numpy as np
 
 from .algebra import ZonePolynomial
 from .params import PhysParams
-from .special import gauss_laguerre
 from .zones import zone_basis
 
 # minimal module dimensions for r = 8p + s, s = 0..7, relative to the 2^{4p} factor
@@ -51,15 +50,19 @@ def symmetrize_subzone(f: ZonePolynomial, kind: str) -> ZonePolynomial:
 def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial, Q: float) -> complex:
     """<f, (Q/r) g> over the Gaussian density, k = 2.
 
-    The radial integrals use the substitution u = lam r^2 and an 80-node
-    generalized Gauss-Laguerre rule with exponent -1/2, which integrates the
-    1/r factor against polynomials exactly and never places a node at r = 0.
+    Only monomial pairs of one angular class (p - v = q - w) survive the
+    angular integral, and each leaves the radial integral in closed form:
+
+        int_0^inf r^{2n} (1/r) e^{-lam r^2} 2 pi r dr = pi Gamma(n + 1/2) / lam^{n + 1/2}
+
+    with n = (p + v + q + w) / 2; the substitution u = lam r^2 turns it into
+    Euler's integral for Gamma(n + 1/2), so it is exact up to the rounding of
+    math.gamma and the power.
     """
     par = f.params
     if par.k != 2:
         raise ValueError("the zonal Coulomb operator is built on the plane (k = 2)")
     lam = par.lam
-    nodes, weights = gauss_laguerre(80, -0.5)
     total = 0.0 + 0.0j
     for kf, cf in f.coefficients.items():
         (p, v), = kf
@@ -68,10 +71,7 @@ def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial, Q: float) -> com
             if p - v != q - w:
                 continue
             n = (p + v + q + w) // 2
-            # int_0^inf r^{2n} (1/r) e^{-lam r^2} * 2 pi r dr
-            #   = (pi / lam^{n + 1/2}) int u^{n - 1/2} e^{-u} du
-            radial = math.pi / lam ** (n + 0.5) * float(
-                np.sum(weights * nodes ** n))
+            radial = math.pi / lam ** (n + 0.5) * math.gamma(n + 0.5)
             total += cf * np.conj(cg) * radial
     return complex(Q * total)
 

@@ -72,17 +72,6 @@ def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0):
     return half * nodes + 0.5 * (a + b), half * weights
 
 
-def gauss_laguerre(order: int, alpha: float = 0.0):
-    """(nodes, weights) for int_0^inf f(u) u^alpha e^{-u} du.
-
-    scipy is imported here and nowhere else: it costs about 0.3 s of start-up
-    that only the Coulomb quadrature needs.
-    """
-    from scipy.special import roots_genlaguerre
-
-    return roots_genlaguerre(order, alpha)
-
-
 def hermite_axis(order: int, lam: float):
     """Gauss-Hermite rule for the density e^{-lam x^2} on the real line.
 

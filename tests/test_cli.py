@@ -241,6 +241,21 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
             # bounds named by their flag, not by the library parameter they feed
             (["path", "--T", "-1"], "path.csv", "error: --T must be at least 0, got -1.0\n"),
             (["path", "--a", "-1"], "path.csv", "error: --a must be at least 0, got -1\n"),
+            (["coulomb", "--a", "-1"], "coulomb_spectrum.csv",
+             "error: --a must be at least 0, got -1\n"),
+            # the global kernel needs t > 0, a zonal one t >= 0
+            (["kernel", "--t", "-1", "--grid", "0:1:1"], "kernel.csv",
+             "error: --t must be positive, got -1.0\n"),
+            (["kernel", "--a", "1", "--t", "-1", "--grid", "0:1:1"], "kernel.csv",
+             "error: --t must be at least 0, got -1.0\n"),
+            # the default --zones 0..2 needs degree 2
+            (["zones", "--max-degree", "-1"], "zones.csv",
+             "error: --max-degree must be at least 2, got -1\n"),
+            # degrees whose Gaussian moments n! overflow a float
+            (["zones", "--max-degree", "175"], "zones.csv",
+             "error: int too large to convert to float\n"),
+            (["coulomb", "--basis-size", "175"], "coulomb_spectrum.csv",
+             "error: int too large to convert to float\n"),
             (["thermo", "--kappa", "0", "--T-grid", "1:2:1"], "thermo.csv",
              "error: --kappa must be positive, got 0.0\n"),
             (["thermo", "--h", "0", "--T-grid", "1:2:1"], "thermo.csv",
@@ -301,6 +316,7 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         assert [row[0] for row in csv.reader(fh)] == ["T", "0.5"]
     # the bound itself is allowed
     assert run(tmp_path, "path", "--T", "0", "--n-slices", "1") == 0
+    assert run(tmp_path, "kernel", "--a", "1", "--t", "0", "--grid", "0:1:1") == 0
 
 
 # sha256 of each output file, recorded before the output helpers were shared
@@ -311,13 +327,14 @@ RECORDED_DIGESTS = [
         "zones.csv": "28533eb2763e5f1a14c37465fd7ba24aa98080d33dfcdfadf950b33d29036e1d"}),
     (["clifford"], {
         "clifford.csv": "24da250135b1a2d2dc437a5943e4ee6dbbaac09447eee59414ec53879939398a"}),
-    # the Coulomb quadrature is where scipy's Gauss-Laguerre rule is first loaded
+    # the zone-compressed and the cross-zone Coulomb spectra, re-recorded when the radial
+    # integral took its closed form
     (["coulomb", "--a", "0", "--Q", "-0.5", "--basis-size", "12", "--cross-zone"], {
-        "coulomb_spectrum.csv": "2be711b895376a7db03e57f0229a00705e6ce0ae68058a7ba40781a34a9cfbc3",
+        "coulomb_spectrum.csv": "61ce467d868c2e8f2f28279c6cc56928114795e0a89ef20cf4d2774ad5cccc4b",
         "coulomb_multiplicity.csv":
-            "8f906516c2c51c4a21c3f9cc1851a7f4163d75b55f1058acae653605db90a4d7",
+            "8d5ef9c69abc459688905cb3f11900121513c9a861fb39a21435f4399bbd5240",
         "coulomb_cross_zone_multiplicity.csv":
-            "4427d2677b565581beee9648002cafc31b01bad06b60960b8509c82deabb91cd"}),
+            "b9ed70b350b4aa9dd2bd532db56babd8290360e450bb73cc5c8c70747fdd9d10"}),
     (["padi", "--zones", "0..1", "--pmax", "2", "--normalization-report"], {
         "padi_spectrum.csv": "26a95646bc457513c98fa329333e40ca81f5317627b10023f9569fcf88b8348b",
         "padi_normalization.json":
@@ -484,7 +501,7 @@ def test_python_m_zonekit(tmp_path):
     assert len(report) == 3
 
 
-# scipy costs about 0.3 s of start-up and only the Gauss-Laguerre rule needs it
+# zonekit does not depend on scipy, which would cost about 0.3 s of start-up
 SCIPY_PROBE = """
 import sys
 from zonekit import cli
@@ -496,16 +513,16 @@ print(loaded)
 """
 
 
-def test_scipy_is_loaded_only_by_the_coulomb_quadrature(tmp_path):
-    others = ["path --order 8 --n-slices 2", "kernel --t 0.25 --grid=0:1:1", "spectrum",
-              "thermo", "zones --zones 0..1 --max-degree 4", "clifford",
-              "padi --zones 0..1 --pmax 2 --kernel-grid 0:1:1"]
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), *others,
-                           "coulomb --a 0 --basis-size 4"],
+def test_no_command_loads_scipy(tmp_path):
+    commands = ["path --order 8 --n-slices 2", "kernel --t 0.25 --grid=0:1:1", "spectrum",
+                "thermo", "zones --zones 0..1 --max-degree 4", "clifford",
+                "padi --zones 0..1 --pmax 2 --kernel-grid 0:1:1",
+                "coulomb --a 0 --basis-size 4 --cross-zone", "verify --suite extensions"]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), *commands],
                           env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    # absent after the import and after each other command, loaded by the Coulomb run
-    assert proc.stdout.splitlines()[-1] == str([False] * (1 + len(others)) + [True])
+    # absent after the import and after every command
+    assert proc.stdout.splitlines()[-1] == str([False] * (1 + len(commands)))
 
 
 def test_config_file_defaults(tmp_path):

@@ -1,5 +1,6 @@
 """Clifford table, two-particle sub-zones, compressed Coulomb operator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from zonekit.extensions import (clifford_dimension, coulomb_inner_product,
                                 group_multiplicities, swap_coordinates, symmetrize_subzone,
                                 unprojected_coulomb_matrix, zonal_coulomb_matrix)
 from zonekit.params import PhysParams
+from zonekit.special import hermite_axis
 from zonekit.zones import zone_basis
 
 PAR = PhysParams(lam=1.0, k=2)
@@ -74,6 +76,43 @@ def test_coulomb_ground_state_matrix_element():
     basis = zone_basis(0, 0, PAR)
     val = coulomb_inner_product(basis[0], basis[0], 1.0)
     assert val == pytest.approx(math.sqrt(math.pi * PAR.lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.4, 1.0, 2.5])
+def test_coulomb_inner_product_matches_hermite_moments(lam):
+    # in polar coordinates the pair z^p zbar^v, z^q zbar^w leaves
+    # int_0^inf r^{2n} e^{-lam r^2} 2 pi dr = pi int x^{2n} e^{-lam x^2} dx with n = p + w,
+    # which a 40-node Gauss-Hermite rule integrates exactly up to n = 39
+    par = PhysParams(lam=lam, k=2)
+    x, w = hermite_axis(40, lam)
+    for p, v, q, wd in itertools.product(range(11), repeat=4):
+        f = ZonePolynomial({((p, v),): 1.0}, par)
+        g = ZonePolynomial({((q, wd),): 1.0}, par)
+        got = coulomb_inner_product(f, g, 1.0)
+        if p - v != q - wd:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(math.pi * np.sum(w * x ** (2 * (p + wd))), rel=1e-12)
+
+
+def test_coulomb_matrix_is_finite_beyond_the_old_quadrature_overflow():
+    # degree 125 and up overflowed the radial quadrature to inf entries
+    out = zonal_coulomb_matrix(0, -1.0, 130, PhysParams())
+    assert np.all(np.isfinite(out["potential"]))
+    assert np.all(np.isfinite(out["eigenvalues"]))
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_zonal_coulomb_matrix_is_exactly_diagonal(a):
+    # at k = 2 each zone basis holds one element per angular class and 1/r is
+    # rotation invariant, so the zone-compressed potential has no off-diagonal
+    # entry; the cross-zone truncation couples zones of one angular class
+    par = PhysParams(lam=1.3, k=2)
+    M = zonal_coulomb_matrix(a, -1.0, 8, par)["potential"]
+    assert np.all(M[~np.eye(len(M), dtype=bool)] == 0)
+    assert np.all(np.diag(M) != 0)
+    C = unprojected_coulomb_matrix(-1.0, a + 1, 4, par)["potential"]
+    assert np.any(C[~np.eye(len(C), dtype=bool)] != 0)
 
 
 def test_coulomb_matrix_hermitian():
