@@ -167,6 +167,8 @@ def _fmt(x: float) -> str:
 def cmd_kernel(args) -> int:
     params = _params(args)
     a = None if args.a < 0 else args.a
+    if not math.isfinite(args.t):
+        raise UsageError(f"--t must be finite, got {args.t}")
     if a is None and not args.t > 0:
         raise UsageError(f"--t must be positive, got {args.t}")
     _at_least(args, "t", 0)
@@ -462,7 +464,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.fn(args)
-    # OSError: a path that cannot be opened; OverflowError: a degree whose moments leave float
+    # OSError: a path that cannot be opened; OverflowError: a number beyond the float range
     except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

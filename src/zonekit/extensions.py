@@ -57,7 +57,8 @@ def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial, Q: float) -> com
 
     with n = (p + v + q + w) / 2; the substitution u = lam r^2 turns it into
     Euler's integral for Gamma(n + 1/2), so it is exact up to the rounding of
-    math.gamma and the power.
+    math.gamma and the power.  A radial factor beyond the float range raises
+    OverflowError.
     """
     par = f.params
     if par.k != 2:
@@ -71,7 +72,12 @@ def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial, Q: float) -> com
             if p - v != q - w:
                 continue
             n = (p + v + q + w) // 2
-            radial = math.pi / lam ** (n + 0.5) * math.gamma(n + 0.5)
+            try:  # each factor, and the product, may leave the float range
+                radial = math.pi / lam ** (n + 0.5) * math.gamma(n + 0.5)
+            except (OverflowError, ZeroDivisionError):
+                radial = math.inf
+            if not math.isfinite(radial):
+                raise OverflowError(f"Coulomb radial integral at n={n} overflows at lam={lam}")
             total += cf * np.conj(cg) * radial
     return complex(Q * total)
 

@@ -1,44 +1,48 @@
-"""Zone construction: Gram-Schmidt bases and closed-form projection kernels.
+"""Zone construction: closed-form bases and projections, and projection kernels.
 
-Zones are built two independent ways and cross-checked by the test suite:
-orthogonalization of the antiholomorphic-degree flag under the exact Gaussian
-inner product, and the closed-form Laguerre kernels.
+Zone a is spanned by the products over coordinates of complex Hermite polynomials
+(Ito 1952) with antiholomorphic degree |V| = a, orthogonal under e^{-lam |z|^2}:
+
+    H_{p,v} = sum_j (-1)^j j! C(p,j) C(v,j) lam^-j z^(p-j) zbar^(v-j),
+    ||H_{p,v}||^2 = pi p! v! / lam^(p+v+1).
+
+The closed-form Laguerre kernels sum the same projections.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from functools import lru_cache
 
 import numpy as np
 
 from ._factored import KernelForm
-from .algebra import ZonePolynomial, inner_product, norm
+from .algebra import ZonePolynomial
 from .params import PhysParams
 from .special import laguerre
 
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
-def _class_chain(mclass: tuple[int, ...], a_max: int, deg_max: int):
-    """Monomial exponent keys of one angular class, in zone-major order.
 
-    A class is the tuple (p_j - v_j); monomials in different classes are
-    exactly orthogonal, so Gram-Schmidt never mixes them.  Within a class the
-    antiholomorphic multi-index V runs over all choices with |V| <= a_max and
-    total degree <= deg_max.
+def _hermite_product(key, log_scale: float, lam: float) -> dict:
+    """Monomial coefficients of e^log_scale prod_r H_{p_r,v_r}(z_r), for key ((p_r, v_r))_r.
+
+    Each coefficient is formed from its logarithm, so no factorial is formed; one
+    outside the normal float range raises OverflowError instead of turning to 0 or inf.
     """
-    m = len(mclass)
-    vmin = [max(0, -mu) for mu in mclass]
-    chain = []
-    for vtup in itertools.product(*(range(vmin[j], a_max + 1) for j in range(m))):
-        if sum(vtup) > a_max:
-            continue
-        key = tuple((v + mu, v) for v, mu in zip(vtup, mclass))
-        if sum(p + v for p, v in key) <= deg_max:
-            chain.append(key)
-    chain.sort(key=lambda key: (sum(v for _, v in key),
-                                sum(p + v for p, v in key),
-                                key))
-    return chain
+    logs = [[math.lgamma(j + 1) + math.log(math.comb(p, j) * math.comb(v, j)) - j * math.log(lam)
+             for j in range(min(p, v) + 1)] for p, v in key]
+    coeffs = {}
+    for js in itertools.product(*(range(len(row)) for row in logs)):
+        log_c = log_scale + sum(row[j] for row, j in zip(logs, js))
+        if not _LOG_MIN <= log_c <= _LOG_MAX:
+            raise OverflowError(f"complex Hermite product {key} at lam={lam} has a coefficient "
+                                f"e^{log_c:.2f} outside the float range")
+        mono = tuple((p - j, v - j) for (p, v), j in zip(key, js))
+        coeffs[mono] = (-1) ** sum(js) * math.exp(log_c)
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -47,33 +51,16 @@ def _zone_basis_cached(a: int, max_degree: int, params: PhysParams):
         raise ValueError("zone construction works in the particle's own complex "
                          "structure; build states with charge_sign=+1 and use the "
                          "sign only to reorient evaluated pairings")
-    classes = set()
-    m = params.m
-    for vtup in itertools.product(range(a + 1), repeat=m):
-        if sum(vtup) != a:
-            continue
-        budget = max_degree - a
-        for ptup in itertools.product(range(budget + 1), repeat=m):
-            if sum(ptup) > budget:
-                continue
-            classes.add(tuple(p - v for p, v in zip(ptup, vtup)))
+    m, budget, lam = params.m, max_degree - a, params.lam
+    pivots = [(P, V) for P in itertools.product(range(budget + 1), repeat=m) if sum(P) <= budget
+              for V in itertools.product(range(a + 1), repeat=m) if sum(V) == a]
     basis = []
-    for mclass in sorted(classes):
-        chain = _class_chain(mclass, a, max_degree)
-        done: list[ZonePolynomial] = []
-        for key in chain:
-            vec = ZonePolynomial.monomial(key, params)
-            for e in done:
-                vec = vec - inner_product(vec, e) * e
-            nrm = norm(vec)
-            if nrm == 0.0:
-                continue
-            vec = (1.0 / nrm) * vec
-            done.append(vec)
-            if sum(v for _, v in key) == a:
-                basis.append((key, vec))
-    basis.sort(key=lambda kv: (sum(p for p, _ in kv[0]),
-                               tuple(p for p, _ in kv[0])))
+    for P, V in sorted(pivots, key=lambda PV: (sum(PV[0]), PV[0],
+                                               tuple(p - v for p, v in zip(*PV)))):
+        key = tuple(zip(P, V))
+        log_norm = 0.5 * sum(math.log(math.pi) + math.lgamma(p + 1) + math.lgamma(v + 1)
+                             - (p + v + 1) * math.log(lam) for p, v in key)
+        basis.append((key, ZonePolynomial(_hermite_product(key, -log_norm, lam), params)))
     return tuple(basis)
 
 
@@ -97,17 +84,17 @@ def zone_basis(a: int, max_degree: int, params: PhysParams) -> tuple[ZonePolynom
 
 
 def project_to_zone(f: ZonePolynomial, a: int) -> ZonePolynomial:
-    """Exact orthogonal projection of `f` onto zone `a`."""
-    deg = f.max_degree()
-    out = ZonePolynomial({}, f.params)
-    if deg < a and not f.is_zero():
-        # every zone-a element has degree >= a, so low-degree inputs project to 0
-        return out
-    for vec in zone_basis(a, max(deg, a), f.params):
-        c = inner_product(f, vec)
-        if c != 0:
-            out = out + c * vec
-    return out
+    """Exact orthogonal projection of `f` onto zone `a`: expand each monomial as
+    z^p zbar^v = sum_j j! C(p,j) C(v,j) lam^-j H_{p-j,v-j} (the magnitudes of H_{p,v}'s
+    terms) and keep the Hermite products of antiholomorphic degree `a`."""
+    lam = f.params.lam
+    out: dict = {}
+    for key, c in f.coefficients.items():
+        for lower, h in _hermite_product(key, 0.0, lam).items():
+            if sum(v for _, v in lower) == a:
+                for mono, g in _hermite_product(lower, 0.0, lam).items():
+                    out[mono] = out.get(mono, 0.0) + c * abs(h) * g
+    return ZonePolynomial(out, f.params)
 
 
 def _coordinate_sum(terms: np.ndarray) -> np.ndarray:

@@ -77,7 +77,7 @@ def test_c02_kernel_equivalence():
     for a in (0, 1, 2):
         res = kernel_basis_residual(a, 25, Z, W, PAR)
         assert res < 1e-8
-    report(2, "closed-form kernels equal Gram-Schmidt sums at N=25, residual < 1e-8")
+    report(2, "closed-form kernels equal zone basis sums at N=25, residual < 1e-8")
 
 
 def test_c03_reproducing_and_idempotency():

@@ -248,14 +248,23 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
              "error: --t must be positive, got -1.0\n"),
             (["kernel", "--a", "1", "--t", "-1", "--grid", "0:1:1"], "kernel.csv",
              "error: --t must be at least 0, got -1.0\n"),
+            # a non-finite time would write a table of nan (or zeros for a zone)
+            (["kernel", "--t", "inf", "--grid", "0:1:1"], "kernel.csv",
+             "error: --t must be finite, got inf\n"),
+            (["kernel", "--a", "1", "--t", "nan", "--grid", "0:1:1"], "kernel.csv",
+             "error: --t must be finite, got nan\n"),
             # the default --zones 0..2 needs degree 2
             (["zones", "--max-degree", "-1"], "zones.csv",
              "error: --max-degree must be at least 2, got -1\n"),
-            # degrees whose Gaussian moments n! overflow a float
-            (["zones", "--max-degree", "175"], "zones.csv",
-             "error: int too large to convert to float\n"),
+            # degrees whose normalized basis coefficient 1/sqrt(pi n!) underflows a float
+            (["zones", "--max-degree", "301"], "zones.csv",
+             "error: complex Hermite product ((301, 0),) at lam=1.0 has a coefficient "
+             "e^-710.88 outside the float range\n"),
+            # and whose Coulomb radial integral overflows one
             (["coulomb", "--basis-size", "175"], "coulomb_spectrum.csv",
-             "error: int too large to convert to float\n"),
+             "error: Coulomb radial integral at n=171 overflows at lam=1.0\n"),
+            (["coulomb", "--lambda", "0.4", "--basis-size", "150"], "coulomb_spectrum.csv",
+             "error: Coulomb radial integral at n=145 overflows at lam=0.4\n"),
             (["thermo", "--kappa", "0", "--T-grid", "1:2:1"], "thermo.csv",
              "error: --kappa must be positive, got 0.0\n"),
             (["thermo", "--h", "0", "--T-grid", "1:2:1"], "thermo.csv",
@@ -323,22 +332,26 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
 RECORDED_DIGESTS = [
     (["spectrum"], {
         "spectrum.csv": "5eb1ba791fc7d27ba34cdfea1dc0578a36bddf331738678e2e389b7e288eab86"}),
+    # the bases, re-recorded when they took the closed complex Hermite form
     (["zones", "--zones", "0..2", "--max-degree", "6"], {
-        "zones.csv": "28533eb2763e5f1a14c37465fd7ba24aa98080d33dfcdfadf950b33d29036e1d"}),
+        "zones.csv": "a136fcb1d19368936828388793706909e48f4a4b213db540e0be8d5ac9f157c4"}),
+    (["zones", "--k", "4", "--zones", "0..6", "--max-degree", "16"], {
+        "zones.csv": "b9e8e641492db97ba77ab774ac4a813c9b18162d536101cdea2eb0e61470fbe3"}),
     (["clifford"], {
         "clifford.csv": "24da250135b1a2d2dc437a5943e4ee6dbbaac09447eee59414ec53879939398a"}),
     # the zone-compressed and the cross-zone Coulomb spectra, re-recorded when the radial
-    # integral took its closed form
+    # integral took its closed form, and the cross-zone one again with the closed-form bases
     (["coulomb", "--a", "0", "--Q", "-0.5", "--basis-size", "12", "--cross-zone"], {
         "coulomb_spectrum.csv": "61ce467d868c2e8f2f28279c6cc56928114795e0a89ef20cf4d2774ad5cccc4b",
         "coulomb_multiplicity.csv":
             "8d5ef9c69abc459688905cb3f11900121513c9a861fb39a21435f4399bbd5240",
         "coulomb_cross_zone_multiplicity.csv":
-            "b9ed70b350b4aa9dd2bd532db56babd8290360e450bb73cc5c8c70747fdd9d10"}),
+            "1963a7b7555d7996d432812618d4650c2f5a5a91a1c4166dd5d0e5026d5ff081"}),
+    # re-recorded with the closed-form bases
     (["padi", "--zones", "0..1", "--pmax", "2", "--normalization-report"], {
-        "padi_spectrum.csv": "26a95646bc457513c98fa329333e40ca81f5317627b10023f9569fcf88b8348b",
+        "padi_spectrum.csv": "664f64bf31b34cfa11c9990613524a972083a8624e983f6389be7642e51b8c39",
         "padi_normalization.json":
-            "96e471cf7e44ef0cc5d01c5e4c52982998f1f1aa4f647642fcc6bff157842e40"}),
+            "f78ac3535609157ec18a4abb19dc654209808d6166a29296c3b4b14190f5cbc6"}),
     (["kernel", "--sigma", "i", "--a", "1", "--t", "0.25", "--grid=-1:1:0.5"], {
         "kernel.csv": "5594b59cc320616cc387df2f199671f32b7e4be78f85383550dc99e3f7cea6c1"}),
     # the sliced Feynman-Kac sweep on the plane and on two particles
@@ -350,7 +363,8 @@ RECORDED_DIGESTS = [
 
 
 @pytest.mark.parametrize("argv, digests", RECORDED_DIGESTS,
-                         ids=[argv[0] for argv, _ in RECORDED_DIGESTS])
+                         ids=["zones_k4" if argv[:3] == ["zones", "--k", "4"] else argv[0]
+                              for argv, _ in RECORDED_DIGESTS])
 def test_outputs_match_recorded_digests(tmp_path, capsys, argv, digests):
     assert run(tmp_path, *argv) == 0
     assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in digests]
@@ -373,6 +387,15 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
     assert sorted(os.listdir(tmp_path)) == ["afile"]
+
+
+def test_small_lambda_high_degree_zone_has_no_empty_state(tmp_path):
+    # 1/sqrt(pi 160! / 0.4^161) is about e^-400: formed from its logarithm, not from 160!
+    assert run(tmp_path, "zones", "--lambda", "0.4", "--max-degree", "160", "--zones", "0") == 0
+    with open(tmp_path / "zones.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["p"]) for row in rows] == list(range(161))
+    assert all(json.loads(row["state_json"]) for row in rows)
 
 
 def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):

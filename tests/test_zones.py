@@ -1,5 +1,6 @@
 """Zone bases, projections, and the closed-form projection kernels."""
 
+import itertools
 import math
 
 import numpy as np
@@ -49,8 +50,54 @@ def test_zone_one_structure():
     assert norm(basis[1] - (1.0 / norm(eig)) * eig) < 1e-12
 
 
+def _gram_schmidt_basis(a, max_degree, params):
+    """Reference zone basis: modified Gram-Schmidt over the exact inner product.
+
+    Monomials of different angular classes (p_j - v_j) are orthogonal, so each class
+    is orthogonalized alone, along its chain ordered by antiholomorphic degree |V|,
+    then total degree, then key; the elements whose pivot has |V| = a form the zone.
+    """
+    m, budget = params.m, max_degree - a
+    classes = {tuple(p - v for p, v in zip(P, V))
+               for V in itertools.product(range(a + 1), repeat=m) if sum(V) == a
+               for P in itertools.product(range(budget + 1), repeat=m) if sum(P) <= budget}
+    basis = []
+    for mclass in sorted(classes):
+        chain = []
+        for V in itertools.product(*(range(max(0, -mu), a + 1) for mu in mclass)):
+            key = tuple((v + mu, v) for v, mu in zip(V, mclass))
+            if sum(V) <= a and sum(p + v for p, v in key) <= max_degree:
+                chain.append(key)
+        chain.sort(key=lambda key: (sum(v for _, v in key), sum(p + v for p, v in key), key))
+        done = []
+        for key in chain:
+            vec = ZonePolynomial.monomial(key, params)
+            for e in done:
+                vec = vec - inner_product(vec, e) * e
+            vec = (1.0 / norm(vec)) * vec
+            done.append(vec)
+            if sum(v for _, v in key) == a:
+                basis.append((key, vec))
+    basis.sort(key=lambda kv: (sum(p for p, _ in kv[0]), tuple(p for p, _ in kv[0])))
+    return basis
+
+
+@pytest.mark.parametrize("lam, k, max_degree", [(0.4, 2, 12), (1.3, 2, 12), (2.5, 2, 12),
+                                                 (1.0, 4, 9)])
+def test_closed_form_basis_matches_gram_schmidt(lam, k, max_degree):
+    params = PhysParams(lam=lam, k=k)
+    for a in range(4):
+        got = zone_basis_with_pivots(a, max_degree, params)
+        ref = _gram_schmidt_basis(a, max_degree, params)
+        assert [key for key, _ in got] == [key for key, _ in ref]
+        for (_, vec), (_, want) in zip(got, ref):
+            scale = max(abs(c) for c in want.coefficients.values())
+            diff = vec - want
+            assert max(map(abs, diff.coefficients.values()), default=0.0) <= 1e-12 * scale
+
+
 def test_cross_zone_orthogonality():
-    for params in (PAR, PAR4):
+    for params in (PhysParams(lam=lam, k=k) for lam in (0.4, 1.0, 2.5) for k in (2, 4)):
         b0 = zone_basis(0, 3, params)
         b1 = zone_basis(1, 3, params)
         b2 = zone_basis(2, 3, params)
@@ -63,7 +110,7 @@ def test_cross_zone_orthogonality():
 
 
 def test_orthonormality():
-    for params in (PAR, PAR4):
+    for params in (PhysParams(lam=lam, k=k) for lam in (0.4, 1.0, 2.5) for k in (2, 4)):
         basis = zone_basis(1, 4, params)
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
