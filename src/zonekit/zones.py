@@ -45,12 +45,16 @@ def _hermite_product(key, log_scale: float, lam: float) -> dict:
     return coeffs
 
 
-@lru_cache(maxsize=None)
-def _zone_basis_cached(a: int, max_degree: int, params: PhysParams):
+def _require_own_structure(params: PhysParams) -> None:
     if params.charge_sign != 1:
         raise ValueError("zone construction works in the particle's own complex "
                          "structure; build states with charge_sign=+1 and use the "
                          "sign only to reorient evaluated pairings")
+
+
+@lru_cache(maxsize=None)
+def _zone_basis_cached(a: int, max_degree: int, params: PhysParams):
+    _require_own_structure(params)
     m, budget, lam = params.m, max_degree - a, params.lam
     pivots = [(P, V) for P in itertools.product(range(budget + 1), repeat=m) if sum(P) <= budget
               for V in itertools.product(range(a + 1), repeat=m) if sum(V) == a]
@@ -87,6 +91,7 @@ def project_to_zone(f: ZonePolynomial, a: int) -> ZonePolynomial:
     """Exact orthogonal projection of `f` onto zone `a`: expand each monomial as
     z^p zbar^v = sum_j j! C(p,j) C(v,j) lam^-j H_{p-j,v-j} (the magnitudes of H_{p,v}'s
     terms) and keep the Hermite products of antiholomorphic degree `a`."""
+    _require_own_structure(f.params)
     lam = f.params.lam
     out: dict = {}
     for key, c in f.coefficients.items():
@@ -183,7 +188,4 @@ def kernel_basis_residual(a: int, n_basis: int, samples_Z: np.ndarray,
     Z = np.atleast_2d(np.asarray(samples_Z, dtype=complex))
     W = np.atleast_2d(np.asarray(samples_W, dtype=complex))
     acc = _basis_sum([(1.0, vec) for vec in basis], Z, W, params)
-    closed = zone_kernel(a, Z, W, params)
-    if n_basis == 0:
-        return float(np.max(np.abs(closed)))
-    return float(np.max(np.abs(closed - acc)))
+    return float(np.max(np.abs(zone_kernel(a, Z, W, params) - acc)))

@@ -8,6 +8,7 @@ import pytest
 
 from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm
 from zonekit.params import PhysParams
+from zonekit.propagators import infer_zone
 from zonekit.special import flat_hermite_grid, laguerre, tensor_points
 from zonekit.zones import (kernel_basis_residual, pairing, project_to_zone, zone_basis,
                            zone_basis_with_pivots, zone_kernel)
@@ -121,6 +122,16 @@ def test_orthonormality():
 def test_truncation_guard():
     with pytest.raises(ValueError):
         zone_basis(3, 2, PAR)
+
+
+def test_zone_construction_refuses_charge_sign_minus_one():
+    flipped = PhysParams(lam=1.0, k=2, charge_sign=-1)
+    with pytest.raises(ValueError, match="own complex structure"):
+        zone_basis(0, 2, flipped)
+    with pytest.raises(ValueError, match="own complex structure"):
+        project_to_zone(ZonePolynomial.zbar(flipped), 0)
+    with pytest.raises(ValueError, match="own complex structure"):
+        infer_zone(ZonePolynomial.z(flipped) + ZonePolynomial.zbar(flipped))
 
 
 def test_projection_examples():
