@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .special import laguerre, laguerre_at_zero
+from .special import laguerre
 
 
 class KernelForm(NamedTuple):
@@ -46,7 +46,7 @@ class KernelForm(NamedTuple):
 def _laguerre_terms(form: KernelForm, lam: float, k: int):
     """Pairs (c, m) with L_a(lam sum_i e_i) = sum c prod_i e_i^m_i over the k real axes."""
     a, alpha = form.a, form.alpha
-    power = [laguerre_at_zero(a, alpha)]
+    power = [laguerre(a, alpha, 0.0)]
     for j in range(a):
         power.append(-power[-1] * lam * (a - j) / ((j + 1) * (alpha + j + 1)))
     for m in itertools.product(range(a + 1), repeat=k):

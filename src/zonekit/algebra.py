@@ -173,7 +173,13 @@ def _moment(p: int, v: int, q: int, w: int, lam: float) -> float:
     if p - v != q - w:
         return 0.0
     n = p + w
-    return math.pi * math.factorial(n) / lam ** (n + 1)
+    try:  # the factorial, the power and their quotient may each leave the float range
+        moment = math.pi * math.factorial(n) / lam ** (n + 1)
+    except (OverflowError, ZeroDivisionError):
+        moment = math.inf
+    if not 0.0 < moment < math.inf:
+        raise OverflowError(f"Gaussian moment of degree {n} leaves the float range at lam={lam}")
+    return moment
 
 
 def inner_product(f: ZonePolynomial, g: ZonePolynomial) -> complex:

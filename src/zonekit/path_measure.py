@@ -20,7 +20,7 @@ from .params import PhysParams
 from .propagators import (_check_sigma, _global_form, _require_memory, _usable_cpus,
                           _zonal_form, zonal_kernel)
 from .special import flat_hermite_grid, gauss_legendre, tensor_points
-from .zones import _zone_form, pairing, zone_kernel
+from .zones import pairing, zone_kernel
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def _chain_form(kind: str, a: int | None, params: PhysParams):
     if kind == "zonal_df":
         return lambda dt: _zonal_form(1j, a, dt, params)
     if kind == "spread_amplitude":
-        return lambda dt: _zone_form(a, params)
+        return lambda dt: _zonal_form(1, a, 0.0, params)
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 

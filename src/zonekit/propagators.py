@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._factored import KernelForm, diagonal_sum, point_axes, transfer
-from .algebra import ZonePolynomial, inner_product, norm
+from .algebra import ZonePolynomial, inner_product, norm, to_standard
 from .params import PhysParams
-from .special import (flat_hermite_grid, hermite_axis, laguerre, multiplicity_factor,
-                      tensor_points)
-from .zones import _basis_sum, pairing, project_to_zone, zone_basis
+from .special import flat_hermite_grid, hermite_axis, multiplicity_factor, tensor_points
+from .zones import _basis_sum, _laguerre_gauss, pairing, project_to_zone, zone_basis
 
 SINGULAR_TIME_TOL = 1e-9
 DEFAULT_ORDER = 64
@@ -47,16 +46,11 @@ def global_kernel(sigma: complex, t: float, X: np.ndarray, Y: np.ndarray,
     For sigma=1 this is the magnetic Mehler heat kernel; sigma=i is its
     analytic continuation, singular at times where sin(lam t) vanishes.
     """
-    sigma = _check_sigma(sigma)
     form = _global_form(sigma, t, params)
-    lam = params.lam
     X = np.atleast_2d(np.asarray(X, dtype=complex))
     Y = np.atleast_2d(np.asarray(Y, dtype=complex))
     dist2 = np.sum(np.abs(X - Y) ** 2, axis=-1)
-    # phase sign fixed by the spectral oracle: the long-time limit must project
-    # onto the lowest-energy (antiholomorphic) modes
-    phase = -1j * lam * np.imag(pairing(X, Y, params))
-    return form.pref * np.exp(-0.5 * lam * dist2 / np.tanh(sigma * lam * t) + phase)
+    return form.pref * np.exp(form.A * dist2 + form.D * np.imag(pairing(X, Y, params)))
 
 
 def _global_form(sigma: complex, t: float, params: PhysParams) -> KernelForm:
@@ -71,6 +65,8 @@ def _global_form(sigma: complex, t: float, params: PhysParams) -> KernelForm:
     u = sigma * lam * t
     pref = (lam / (2.0 * np.pi * np.sinh(u))) ** (k / 2)
     coth = 1.0 / np.tanh(u)
+    # phase sign fixed by the spectral oracle: the long-time limit must project
+    # onto the lowest-energy (antiholomorphic) modes
     return KernelForm(pref, 0, k / 2 - 1, -0.5 * lam * coth, -0.5 * lam * coth, lam * coth,
                       -1j * lam)
 
@@ -84,15 +80,7 @@ def zonal_kernel(sigma: complex, a: int, t: float, X: np.ndarray, Z: np.ndarray,
     """
     sigma = _check_sigma(sigma)
     form = _zonal_form(sigma, a, t, params)
-    lam, k = params.lam, params.k
-    X = np.atleast_2d(np.asarray(X, dtype=complex))
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    q = np.exp(-2.0 * sigma * lam * t)
-    dist2 = np.sum(np.abs(X - Z) ** 2, axis=-1)
-    lag = laguerre(a, k / 2 - 1, lam * dist2)
-    expo = lam * (q * pairing(X, Z, params)
-                  - 0.5 * (np.sum(np.abs(X) ** 2, axis=-1) + np.sum(np.abs(Z) ** 2, axis=-1)))
-    return form.pref * lag * np.exp(expo)
+    return _laguerre_gauss(form.pref, a, np.exp(-2.0 * sigma * params.lam * t), X, Z, params)
 
 
 def _zonal_form(sigma: complex, a: int, t: float, params: PhysParams) -> KernelForm:
@@ -221,12 +209,18 @@ def evolve_by_convolution(f: ZonePolynomial, sigma: complex, t: float,
     Cross-check for `evolve`; `X` holds complex coordinate rows and the
     returned values are standard-space wave-function samples.
     """
-    from .algebra import to_standard
+    return _convolve(_zonal_form(sigma, infer_zone(f), t, params), to_standard(f), params,
+                     params.lam, order, X)
 
+
+def _convolve(form: KernelForm, psi, params: PhysParams, grid_lam: float, order: int,
+              X: np.ndarray) -> np.ndarray:
+    """int K(X, Z) psi(Z) dZ at each complex coordinate row of `X`, on the Hermite grid
+    `flat_hermite_grid(order, grid_lam, k)`; `psi` maps coordinate rows to samples."""
     # transfer sums over its first argument, so Z goes first: K'(Z, X) = K(X, Z)
-    form = _zonal_form(sigma, infer_zone(f), t, params).swapped()
-    axes, weights = flat_hermite_grid(order, params.lam, params.k)
-    g = (weights * to_standard(f)(tensor_points(axes))).reshape((order,) * params.k)
+    form = form.swapped()
+    axes, weights = flat_hermite_grid(order, grid_lam, params.k)
+    g = (weights * psi(tensor_points(axes))).reshape((order,) * params.k)
     return np.array([transfer(g, form, params, axes, point_axes(x)).item()
                      for x in np.atleast_2d(np.asarray(X, dtype=complex))])
 

@@ -41,16 +41,6 @@ def laguerre(a: int, alpha: float, t):
     return cur[()] if np.ndim(cur) == 0 else cur
 
 
-def laguerre_at_zero(a: int, alpha: float) -> float:
-    """L_a^(alpha)(0) = binomial(a + alpha, a)."""
-    if a < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {a}")
-    out = 1.0
-    for j in range(1, a + 1):
-        out *= (alpha + j) / j
-    return out
-
-
 def multiplicity_factor(a: int, k: int) -> int:
     """Combinatorial prefactor binomial(a + k/2 - 1, a) of the zonal partition function."""
     if a < 0:

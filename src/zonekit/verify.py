@@ -17,11 +17,10 @@ import numpy as np
 from . import extensions, padi, path_measure, thermo
 from .algebra import (ZonePolynomial, apply_rep, apply_zeeman, inner_product, norm,
                       to_standard)
-from ._factored import point_axes, transfer
 from .params import PhysParams
-from .propagators import (_global_form, evolve, field_term_multiplier, global_kernel,
-                          partition_function, partition_function_trace, semigroup_residual,
-                          zonal_kernel, zonal_kernel_spectral)
+from .propagators import (_convolve, _global_form, evolve, field_term_multiplier,
+                          global_kernel, partition_function, partition_function_trace,
+                          semigroup_residual, zonal_kernel, zonal_kernel_spectral)
 from .special import flat_hermite_grid, gauss_hermite, laguerre, tensor_points
 from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kernel
 
@@ -270,10 +269,7 @@ def _decomposition_residual(k: int, sigma: complex, lam_eff: float, order: int) 
     comps = [zone_basis(a, a + 1, params)[0] for a in (0, 1)]
     f = comps[0] + 0.7 * comps[1]
     X = _points(rng, (3, k // 2), 0.5)
-    axes, w = flat_hermite_grid(order, lam_eff, k)
-    g = (w * to_standard(f)(tensor_points(axes))).reshape((order,) * k)
-    form = _global_form(sigma, 0.4, params).swapped()  # K'(Z, X) = K(X, Z), summed over Z
-    got = np.array([transfer(g, form, params, axes, point_axes(x)).item() for x in X])
+    got = _convolve(_global_form(sigma, 0.4, params), to_standard(f), params, lam_eff, order, X)
     ref = sum(to_standard(evolve(c, sigma, 0.4, params))(X)
               for c in (comps[0], 0.7 * comps[1]))
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._factored import KernelForm
 from .algebra import ZonePolynomial
 from .params import PhysParams
 from .special import laguerre
@@ -123,6 +122,24 @@ def pairing(Z: np.ndarray, W: np.ndarray, params: PhysParams) -> np.ndarray:
     return s
 
 
+def _laguerre_gauss(pref, a: int, q, Z: np.ndarray, W: np.ndarray, params: PhysParams,
+                    weighted: bool = False) -> np.ndarray:
+    """pref L_a^{(k/2-1)}(lam |Z-W|^2) exp(lam (q Z.Wbar - (|Z|^2 + |W|^2)/2)), the one
+    closed form of the zone and zonal kernels; ``weighted=True`` drops the half-Gaussians."""
+    lam = params.lam
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    W = np.atleast_2d(np.asarray(W, dtype=complex))
+    if a == 0:
+        lag = 1.0  # L_0 = 1: zone 0 needs no distances
+    else:
+        dist2 = _coordinate_sum(np.abs(Z - W) ** 2)
+        lag = laguerre(a, params.k / 2 - 1, lam * dist2)
+    expo = q * pairing(Z, W, params)
+    if not weighted:
+        expo = expo - 0.5 * (np.sum(np.abs(Z) ** 2, axis=-1) + np.sum(np.abs(W) ** 2, axis=-1))
+    return pref * lag * np.exp(lam * expo)
+
+
 def zone_kernel(a: int, Z: np.ndarray, W: np.ndarray, params: PhysParams,
                 weighted: bool = False) -> np.ndarray:
     """Closed-form zone projection kernel (point-spread amplitude).
@@ -137,27 +154,8 @@ def zone_kernel(a: int, Z: np.ndarray, W: np.ndarray, params: PhysParams,
     e^{-lam |W|^2}.  `Z`, `W` broadcast over leading axes; the trailing axis
     holds the k/2 complex coordinates.
     """
-    lam = params.lam
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    W = np.atleast_2d(np.asarray(W, dtype=complex))
-    if a == 0:
-        lag = 1.0  # L_0 = 1: zone 0 needs no distances
-    else:
-        dist2 = _coordinate_sum(np.abs(Z - W) ** 2)
-        lag = laguerre(a, params.k / 2 - 1, lam * dist2)
-    expo = lam * pairing(Z, W, params)
-    if not weighted:
-        expo = expo - 0.5 * lam * (np.sum(np.abs(Z) ** 2, axis=-1)
-                                   + np.sum(np.abs(W) ** 2, axis=-1))
-    return (lam / np.pi) ** (params.k / 2) * lag * np.exp(expo)
-
-
-def _zone_form(a: int, params: PhysParams) -> KernelForm:
-    """`zone_kernel` (standard space) as a `KernelForm`: exponent
-    lam (Z.Wbar - (|Z|^2 + |W|^2)/2)."""
-    lam = params.lam
-    return KernelForm((lam / np.pi) ** (params.k / 2), a, params.k / 2 - 1, -0.5 * lam,
-                      -0.5 * lam, lam, 1j * lam)
+    return _laguerre_gauss((params.lam / np.pi) ** (params.k / 2), a, 1.0, Z, W, params,
+                           weighted)
 
 
 def _basis_sum(terms, X: np.ndarray, Z: np.ndarray, params: PhysParams) -> np.ndarray:

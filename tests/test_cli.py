@@ -221,6 +221,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     # finite step count (1e308 steps overflow to inf)
     cfg = tmp_path / "conf"
     cfg.write_text("zones=0..1\nbogus=3\n")
+    state = tmp_path / "z100.json"
+    state.write_text('[{"degrees": [[100, 0]], "re": 1.0, "im": 0.0}]')
     for argv, output, message in (
             (["spectrum", "--pmax", "-1"], "spectrum.csv",
              "error: --pmax must be at least 0, got -1\n"),
@@ -260,6 +262,11 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
             (["zones", "--max-degree", "301"], "zones.csv",
              "error: complex Hermite product ((301, 0),) at lam=1.0 has a coefficient "
              "e^-710.88 outside the float range\n"),
+            # the Gaussian moment 100!/lam^101 of z^100: lam^101 underflows at 1e-5, and
+            # the quotient overflows at 1e-3
+            *((["evolve", "--state", str(state), "--lambda", lam, "--t", "0.1"], "evolved.json",
+               f"error: Gaussian moment of degree 100 leaves the float range at lam={lam}\n")
+              for lam in ("1e-05", "0.001")),
             # and whose Coulomb radial integral overflows one
             (["coulomb", "--basis-size", "175"], "coulomb_spectrum.csv",
              "error: Coulomb radial integral at n=171 overflows at lam=1.0\n"),
@@ -355,6 +362,14 @@ RECORDED_DIGESTS = [
             "f78ac3535609157ec18a4abb19dc654209808d6166a29296c3b4b14190f5cbc6"}),
     (["kernel", "--sigma", "i", "--a", "1", "--t", "0.25", "--grid=-1:1:0.5"], {
         "kernel.csv": "5594b59cc320616cc387df2f199671f32b7e4be78f85383550dc99e3f7cea6c1"}),
+    # zonal bits away from lam = 1, and the zonal kernel at t = 0 (the zone kernel)
+    pytest.param(["kernel", "--lambda", "2.5", "--sigma", "i", "--a", "1", "--t", "0.25",
+                  "--grid=-1:1:0.5"], {
+        "kernel.csv": "fc83303b47d2599d277ca7524ab9b363b9c09d15c8cdbf07cbda0f70a97bd511"},
+        id="kernel_lambda"),
+    pytest.param(["kernel", "--a", "0", "--t", "0", "--grid=-1:1:0.5"], {
+        "kernel.csv": "4e38405a3043026034fb2b4322a2a408756198ea6eb62a0fdd33942aeb59a162"},
+        id="kernel_zero_time"),
     # the sliced Feynman-Kac sweep on the plane and on two particles
     (["path", "--order", "12", "--n-slices", "3"], {
         "path.csv": "74d18939c8e4c57b466e2b9432c808c0b719165237a14642691993b006b2b9e7"}),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zonekit.special import (flat_hermite_grid, gauss_hermite, gauss_legendre, hermite_axis,
-                             laguerre, laguerre_at_zero, multiplicity_factor, tensor_points)
+                             laguerre, multiplicity_factor, tensor_points)
 
 
 def series_oracle(a, alpha, t):
@@ -52,8 +52,6 @@ def test_value_at_zero_is_binomial():
     for a in range(10):
         for alpha in (0, 1, 4):
             assert laguerre(a, float(alpha), 0.0) == pytest.approx(
-                math.comb(a + alpha, a), rel=1e-13)
-            assert laguerre_at_zero(a, float(alpha)) == pytest.approx(
                 math.comb(a + alpha, a), rel=1e-13)
 
 

@@ -195,18 +195,20 @@ def test_zone_zero_kernel_is_bergman():
 @pytest.mark.parametrize("lam", [0.4, 2.5])
 def test_zone_zero_kernel_skips_laguerre_bit_for_bit(lam, k, weighted, charge_sign):
     # zone 0 uses L_0 = 1 without computing distances; the explicit formula
-    # with laguerre(0, ...) must give the same bits, also when broadcasting
+    # with laguerre(0, ...) must give the same bits, also when broadcasting.  The
+    # exponent is formed in the kernels' one order, lam (q Z.Wbar - (|Z|^2 + |W|^2)/2),
+    # here with q = 1
     params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
     rng = np.random.default_rng(17)
     Z = rng.uniform(-1, 1, (7, k // 2)) + 1j * rng.uniform(-1, 1, (7, k // 2))
     W = rng.uniform(-1, 1, (5, k // 2)) + 1j * rng.uniform(-1, 1, (5, k // 2))
     for Zb, Wb in ((Z[:5], W), (Z[:, None, :], W[None, :, :])):
         lag = laguerre(0, k / 2 - 1, lam * np.sum(np.abs(Zb - Wb) ** 2, axis=-1))
-        expo = lam * pairing(Zb, Wb, params)
+        expo = pairing(Zb, Wb, params)
         if not weighted:
-            expo = expo - 0.5 * lam * (np.sum(np.abs(Zb) ** 2, axis=-1)
-                                       + np.sum(np.abs(Wb) ** 2, axis=-1))
-        ref = (lam / np.pi) ** (k / 2) * lag * np.exp(expo)
+            expo = expo - 0.5 * (np.sum(np.abs(Zb) ** 2, axis=-1)
+                                 + np.sum(np.abs(Wb) ** 2, axis=-1))
+        ref = (lam / np.pi) ** (k / 2) * lag * np.exp(lam * expo)
         got = zone_kernel(0, Zb, Wb, params, weighted=weighted)
         assert np.array_equal(got, ref)
 
