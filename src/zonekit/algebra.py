@@ -9,6 +9,7 @@ oracle for every closed-form kernel.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from typing import Callable, Iterable, Mapping
@@ -150,10 +151,20 @@ class ZonePolynomial:
 
     @classmethod
     def from_records(cls, records, params: PhysParams) -> "ZonePolynomial":
+        """Inverse of `to_records`; any other shape, or a nan or inf part, is a ValueError."""
+        if not isinstance(records, list):
+            raise ValueError(f"state must be a list of records, got {records!r}")
         coeffs: dict[Key, complex] = {}
         for rec in records:
-            key = tuple(tuple(int(x) for x in d) for d in rec["degrees"])
-            coeffs[key] = coeffs.get(key, 0.0) + complex(rec["re"], rec["im"])
+            try:
+                key = tuple(tuple(int(x) for x in d) for d in rec["degrees"])
+                c = complex(rec["re"], rec["im"])
+                if not cmath.isfinite(c):
+                    raise ValueError
+            except (TypeError, KeyError, ValueError):
+                raise ValueError("state record is not {'degrees': [[p, v], ...], 're': x, "
+                                 f"'im': y}}: {rec!r}") from None
+            coeffs[key] = coeffs.get(key, 0.0) + c
         return cls(coeffs, params)
 
     def to_json(self) -> str:

@@ -42,6 +42,10 @@ class UsageError(Exception):
     pass
 
 
+class NonFiniteOutput(Exception):
+    """A computed table value is nan or inf: a failed result, not data (exit 1)."""
+
+
 # config key -> (argument it defaults, its type, its value when neither sets it)
 _CONFIG_KEYS = {"lambda": ("lam", float, 1.0), "k": ("k", int, 2)}
 
@@ -139,6 +143,11 @@ def _write(args, text: str, name: str | None = None) -> None:
 
 
 def _write_csv(args, header, rows, name: str | None = None) -> None:
+    """Write one CSV table, refusing it whole if a value formatted by `_fmt` is not finite."""
+    for i, row in enumerate(rows, 1):
+        for column, cell in zip(header, row):
+            if cell in ("nan", "inf", "-inf"):
+                raise NonFiniteOutput(f"{_output(args, name)}: {column} is {cell} in row {i}")
     buf = io.StringIO()
     csv.writer(buf).writerows([header, *rows])
     _write(args, buf.getvalue(), name)
@@ -178,6 +187,13 @@ def cmd_kernel(args) -> int:
     pts = tensor_points(axes)
     grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
     path = _output(args)
+    for i, row in enumerate(grid.values):  # one X row at a time: no grid-sized temporary
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            j = bad[0]
+            column, x = ("kernel_im", row[j].imag) if math.isfinite(row[j].real) \
+                else ("kernel_re", row[j].real)
+            raise NonFiniteOutput(f"{path}: {column} is {_fmt(x)} in row {i * len(row) + j + 1}")
     grid.write_csv(path)
     print(path)
     return EXIT_OK
@@ -468,7 +484,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QuadratureConvergenceError as exc:
+    except (QuadratureConvergenceError, NonFiniteOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -12,10 +13,10 @@ class PhysParams:
     Parameters
     ----------
     lam : float
-        Magnetic coupling constant, strictly positive.  Macroscopic units
-        (hbar = mass = 1) are assumed throughout; the microscopic operator
-        is obtained by substituting lam -> lam/hbar and rescaling the
-        period, which callers can do by hand.
+        Magnetic coupling constant, finite and strictly positive.
+        Macroscopic units (hbar = mass = 1) are assumed throughout; the
+        microscopic operator is obtained by substituting lam -> lam/hbar and
+        rescaling the period, which callers can do by hand.
     k : int
         Real dimension of configuration space, even and >= 2.  The exact
         polynomial algebra supports k in {2, 4}; closed-form kernels accept
@@ -30,8 +31,8 @@ class PhysParams:
     charge_sign: int = 1
 
     def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if self.k < 2 or self.k % 2 != 0:
             raise ValueError(f"k must be an even integer >= 2, got {self.k}")
         if self.charge_sign not in (1, -1):

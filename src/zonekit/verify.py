@@ -1,9 +1,10 @@
 """Named verification checks, one per module invariant, with a JSON report.
 
-Each check returns a measured scalar and its tolerance.  Two checks document
-known discrepancies between closed-form claims and the actual analysis (the
-low-temperature rate limit and the a >= 1 spectral comparison); they are
-reported honestly rather than loosened.  See the README for details.
+Each check maps one `PhysParams` case to a measured scalar and its tolerance;
+it runs on every case of its own table, and its report row is the worst case.
+Two checks document known discrepancies between closed-form claims and the
+actual analysis (the low-temperature rate limit and the a >= 1 spectral
+comparison); they are reported honestly rather than loosened.  See the README.
 """
 
 from __future__ import annotations
@@ -27,12 +28,18 @@ from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kern
 CHECKS = []
 
 
-def check(name: str, suite: str, invariant: str, expected: str = "pass"):
+def check(name: str, suite: str, invariant: str, expected: str = "pass",
+          cases: tuple = (PhysParams(),)):
+    """Register `fn(params) -> (measured, tol)`, run once per case of `cases`."""
     def wrap(fn):
         CHECKS.append({"name": name, "suite": suite, "invariant": invariant,
-                       "expected": expected, "fn": fn})
+                       "expected": expected, "cases": cases, "fn": fn})
         return fn
     return wrap
+
+
+# the two dimensions of the exact algebra engine, at the default coupling
+_K2_K4 = (PhysParams(k=2), PhysParams(k=4))
 
 
 def _points(rng, size, radius):
@@ -60,7 +67,7 @@ def _random_poly(rng, params, max_degree):
 
 @check("laguerre_recurrence_vs_series", "special",
        "special_functions: recurrence agrees with the power-series oracle to 1e-10")
-def _laguerre_series():
+def _laguerre_series(params):
     # the raw float series cancels catastrophically near |t| = 50, a = 30, so the
     # oracle is evaluated in exact rational arithmetic
     from fractions import Fraction
@@ -83,7 +90,7 @@ def _laguerre_series():
 
 @check("laguerre_value_at_zero", "special",
        "special_functions: L_a^(alpha)(0) equals binomial(a+alpha, a)")
-def _laguerre_zero():
+def _laguerre_zero(params):
     worst = 0.0
     for a in range(12):
         for alpha in (0, 1, 2, 5):
@@ -95,7 +102,7 @@ def _laguerre_zero():
 
 @check("hermite_rule_moments", "special",
        "special_functions: Gauss-Hermite integrates e^{-x^2} x^{2m} exactly below its degree")
-def _hermite_moments():
+def _hermite_moments(params):
     nodes, weights = gauss_hermite(24)
     worst = 0.0
     for m in range(0, 20):
@@ -109,40 +116,37 @@ def _hermite_moments():
 
 
 @check("zeeman_zone_invariance", "algebra",
-       "gaussian_algebra: the Zeeman operator maps every truncated zone into itself")
-def _zone_invariance():
+       "gaussian_algebra: the Zeeman operator maps every truncated zone into itself",
+       cases=_K2_K4)
+def _zone_invariance(params):
     worst = 0.0
-    for k in (2, 4):
-        params = PhysParams(lam=1.0, k=k)
-        for a in range(3):
-            for vec in zone_basis(a, a + 3, params):
-                h = apply_zeeman(vec)
-                back = project_to_zone(h, a)
-                worst = max(worst, norm(h - back) / max(norm(h), 1e-300))
+    for a in range(3):
+        for vec in zone_basis(a, a + 3, params):
+            h = apply_zeeman(vec)
+            back = project_to_zone(h, a)
+            worst = max(worst, norm(h - back) / max(norm(h), 1e-300))
     return worst, 1e-12
 
 
 @check("zeeman_eigenvalue_law", "algebra",
-       "gaussian_algebra: zone eigenfunctions carry eigenvalue (2p + k/2) lam + 2 k lam^2")
-def _eigenvalue_law():
+       "gaussian_algebra: zone eigenfunctions carry eigenvalue (2p + k/2) lam + 2 k lam^2",
+       cases=tuple(PhysParams(lam=lam, k=k) for k in (2, 4) for lam in (0.5, 1.0, 2.0)))
+def _eigenvalue_law(params):
     worst = 0.0
-    for k in (2, 4):
-        for lam in (0.5, 1.0, 2.0):
-            params = PhysParams(lam=lam, k=k)
-            for a in range(3):
-                for vec in zone_basis(a, a + 3, params):
-                    mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), True)
-                    worst = max(worst, norm(apply_zeeman(vec, True) - mu * vec))
+    for a in range(3):
+        for vec in zone_basis(a, a + 3, params):
+            mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), True)
+            worst = max(worst, norm(apply_zeeman(vec, True) - mu * vec))
     return worst, 1e-11
 
 
 @check("zeeman_finite_difference", "algebra",
        "gaussian_algebra: coefficient rewrite matches finite differences of the standard operator")
-def _zeeman_fd():
-    params = PhysParams(lam=1.0, k=2)
+def _zeeman_fd(params):
     rng = np.random.default_rng(11)
     pts = _points(rng, (6, 1), 1)
     h = 1e-3
+    lam, s = params.lam, params.charge_sign
     worst = 0.0
     for _ in range(4):
         f = _random_poly(rng, params, 3)
@@ -157,41 +161,38 @@ def _zeeman_fd():
         x, y = pts[..., 0].real, pts[..., 0].imag
         ddot = -y * fx + x * fy
         r2 = np.abs(pts[..., 0]) ** 2
-        fd = -0.5 * lap - 1j * ddot + 0.5 * r2 * ev(0, 0)
+        fd = -0.5 * lap - 1j * lam * s * ddot + 0.5 * lam**2 * r2 * ev(0, 0)
         alg = to_standard(apply_zeeman(f))(pts)
         worst = max(worst, float(np.max(np.abs(alg - fd)) / np.max(np.abs(alg))))
     return worst, 1e-6
 
 
 @check("zeeman_hermiticity", "algebra",
-       "gaussian_algebra: <H f, g> = <f, H g> for random low-degree states")
-def _hermiticity():
+       "gaussian_algebra: <H f, g> = <f, H g> for random low-degree states",
+       cases=(PhysParams(lam=1.3, k=2), PhysParams(lam=1.3, k=4)))
+def _hermiticity(params):
     rng = np.random.default_rng(5)
     worst = 0.0
-    for k in (2, 4):
-        params = PhysParams(lam=1.3, k=k)
-        for _ in range(6):
-            f = _random_poly(rng, params, 4)
-            g = _random_poly(rng, params, 4)
-            lhs = inner_product(apply_zeeman(f), g)
-            rhs = inner_product(f, apply_zeeman(g))
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+    for _ in range(6):
+        f = _random_poly(rng, params, 4)
+        g = _random_poly(rng, params, 4)
+        lhs = inner_product(apply_zeeman(f), g)
+        rhs = inner_product(f, apply_zeeman(g))
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     return worst, 1e-12
 
 
 @check("heisenberg_commutator", "algebra",
-       "gaussian_algebra: [rho(zbar), rho(z)] = lam * identity on monomials of degree <= 10")
-def _heisenberg():
+       "gaussian_algebra: [rho(zbar), rho(z)] = lam * identity on monomials of degree <= 10",
+       cases=(PhysParams(lam=0.7, k=2), PhysParams(lam=0.7, k=4)))
+def _heisenberg(params):
     worst = 0.0
-    for k in (2, 4):
-        params = PhysParams(lam=0.7, k=k)
-        for p in range(0, 6):
-            for v in range(0, 11 - p):
-                degs = [(p, v)] + [(0, 0)] * (params.m - 1)
-                f = ZonePolynomial.monomial(degs, params)
-                comm = apply_rep("zbar", apply_rep("z", f)) \
-                    - apply_rep("z", apply_rep("zbar", f))
-                worst = max(worst, norm(comm - params.lam * f) / (params.lam * norm(f)))
+    for p in range(0, 6):
+        for v in range(0, 11 - p):
+            degs = [(p, v)] + [(0, 0)] * (params.m - 1)
+            f = ZonePolynomial.monomial(degs, params)
+            comm = apply_rep("zbar", apply_rep("z", f)) - apply_rep("z", apply_rep("zbar", f))
+            worst = max(worst, norm(comm - params.lam * f) / (params.lam * norm(f)))
     return worst, 1e-12
 
 
@@ -200,8 +201,7 @@ def _heisenberg():
 
 @check("reproducing_property", "zones",
        "zones: quadrature of the kernel against zone functions reproduces them to 1e-6")
-def _reproducing():
-    params = PhysParams(lam=1.0, k=2)
+def _reproducing(params):
     axes, w = flat_hermite_grid(64, params.lam, params.k)
     zpts = tensor_points(axes)
     rng = np.random.default_rng(2)
@@ -218,27 +218,25 @@ def _reproducing():
 
 
 @check("projection_algebra", "zones",
-       "zones: projections are idempotent and mutually annihilating (exact)")
-def _projection_algebra():
+       "zones: projections are idempotent and mutually annihilating (exact)",
+       cases=_K2_K4)
+def _projection_algebra(params):
     rng = np.random.default_rng(7)
     worst = 0.0
-    for k in (2, 4):
-        params = PhysParams(lam=1.0, k=k)
-        for _ in range(4):
-            f = _random_poly(rng, params, 5)
-            for a in (0, 1, 2):
-                pa = project_to_zone(f, a)
-                worst = max(worst, norm(project_to_zone(pa, a) - pa) / max(norm(f), 1e-300))
-                for b in (0, 1, 2):
-                    if b != a:
-                        worst = max(worst, norm(project_to_zone(pa, b)) / max(norm(f), 1e-300))
+    for _ in range(4):
+        f = _random_poly(rng, params, 5)
+        for a in (0, 1, 2):
+            pa = project_to_zone(f, a)
+            worst = max(worst, norm(project_to_zone(pa, a) - pa) / max(norm(f), 1e-300))
+            for b in (0, 1, 2):
+                if b != a:
+                    worst = max(worst, norm(project_to_zone(pa, b)) / max(norm(f), 1e-300))
     return worst, 1e-10
 
 
 @check("kernel_concentration", "zones",
        "zones: partial kernel sums concentrate on the diagonal as zones accumulate")
-def _concentration():
-    params = PhysParams(lam=1.0, k=2)
+def _concentration(params):
     Z = np.array([[0.4 + 0.1j]])
     W = np.array([[-0.3 + 0.5j]])
     ratios = []
@@ -252,8 +250,7 @@ def _concentration():
 
 @check("kernel_vs_basis_sum", "zones",
        "zones: closed-form kernel equals the Gram-Schmidt basis sum, residual < 1e-8 at N=25")
-def _kernel_basis():
-    params = PhysParams(lam=1.0, k=2)
+def _kernel_basis(params):
     rng = np.random.default_rng(3)
     Z, W = (_points(rng, (8, 1), 0.7) for _ in range(2))
     worst = max(kernel_basis_residual(a, 25, Z, W, params) for a in (0, 1, 2))
@@ -263,12 +260,12 @@ def _kernel_basis():
 # ---- propagators ----------------------------------------------------------------
 
 
-def _decomposition_residual(k: int, sigma: complex, lam_eff: float, order: int) -> float:
+def _decomposition_residual(params: PhysParams, sigma: complex, lam_eff: float,
+                            order: int) -> float:
     rng = np.random.default_rng(13)
-    params = PhysParams(lam=1.0, k=k)
     comps = [zone_basis(a, a + 1, params)[0] for a in (0, 1)]
     f = comps[0] + 0.7 * comps[1]
-    X = _points(rng, (3, k // 2), 0.5)
+    X = _points(rng, (3, params.m), 0.5)
     got = _convolve(_global_form(sigma, 0.4, params), to_standard(f), params, lam_eff, order, X)
     ref = sum(to_standard(evolve(c, sigma, 0.4, params))(X)
               for c in (comps[0], 0.7 * comps[1]))
@@ -276,93 +273,87 @@ def _decomposition_residual(k: int, sigma: complex, lam_eff: float, order: int) 
 
 
 @check("global_flow_zonal_decomposition_wk", "propagators",
-       "propagators: the global heat flow on a zone-finite state equals the sum of zonal flows")
-def _zonal_decomposition_wk():
-    worst = max(_decomposition_residual(2, 1, 1.4, 64),
-                _decomposition_residual(4, 1, 1.4, 36))
-    return worst, 1e-8
+       "propagators: the global heat flow on a zone-finite state equals the sum of zonal flows",
+       cases=_K2_K4)
+def _zonal_decomposition_wk(params):
+    return _decomposition_residual(params, 1, 1.4, 64 if params.k == 2 else 36), 1e-8
 
 
 @check("global_flow_zonal_decomposition_df", "propagators",
        "propagators: same decomposition for the oscillatory branch, at quadrature accuracy")
-def _zonal_decomposition_df():
-    return _decomposition_residual(2, 1j, 0.5, 64), 1e-5
+def _zonal_decomposition_df(params):
+    return _decomposition_residual(params, 1j, 0.5, 64), 1e-5
 
 
 @check("trace_identity", "propagators",
-       "propagators: quadrature trace of the zonal heat kernel matches the closed form")
-def _trace():
+       "propagators: quadrature trace of the zonal heat kernel matches the closed form",
+       cases=_K2_K4)
+def _trace(params):
     worst = 0.0
-    for k in (2, 4):
-        params = PhysParams(lam=1.0, k=k)
-        for a in (0, 1, 2):
-            for t in (0.25, 0.5, 1.0):
-                ref = partition_function(1, a, t, params)
-                got = partition_function_trace(1, a, t, params, order=32)
-                worst = max(worst, abs(got - ref) / abs(ref))
+    for a in (0, 1, 2):
+        for t in (0.25, 0.5, 1.0):
+            ref = partition_function(1, a, t, params)
+            got = partition_function_trace(1, a, t, params, order=32)
+            worst = max(worst, abs(got - ref) / abs(ref))
     return worst, 1e-6
 
 
-def _semigroup(sigma: complex, seed: int) -> float:
+def _semigroup(params: PhysParams, sigma: complex, seed: int) -> float:
     rng = np.random.default_rng(seed)
     pairs = [(_points(rng, 1, 1), _points(rng, 1, 1)) for _ in range(4)]
-    return semigroup_residual(sigma, 0, 0.3, 0.3, pairs, PhysParams(lam=1.0, k=2), order=64)
+    return semigroup_residual(sigma, 0, 0.3, 0.3, pairs, params, order=64)
 
 
 @check("semigroup_wk", "propagators",
        "propagators: zonal heat-kernel Chapman-Kolmogorov residual below 1e-6")
-def _semigroup_wk():
-    return _semigroup(1, 17), 1e-6
+def _semigroup_wk(params):
+    return _semigroup(params, 1, 17), 1e-6
 
 
 @check("semigroup_df", "propagators",
        "propagators: zonal Schrodinger-kernel Chapman-Kolmogorov residual below 1e-5")
-def _semigroup_df():
-    return _semigroup(1j, 19), 1e-5
+def _semigroup_df(params):
+    return _semigroup(params, 1j, 19), 1e-5
 
 
 @check("df_flow_unitarity", "propagators",
-       "propagators: the zonal Schrodinger flow preserves inner products to 1e-9")
-def _unitarity():
+       "propagators: the zonal Schrodinger flow preserves inner products to 1e-9",
+       cases=_K2_K4)
+def _unitarity(params):
     rng = np.random.default_rng(23)
     worst = 0.0
-    for k in (2, 4):
-        params = PhysParams(lam=1.0, k=k)
-        for a in (0, 1):
-            basis = zone_basis(a, a + 6, params)
-            cf = [complex(rng.normal(), rng.normal()) for _ in basis]
-            cg = [complex(rng.normal(), rng.normal()) for _ in basis]
-            f = ZonePolynomial({}, params)
-            g = ZonePolynomial({}, params)
-            for c1, c2, vec in zip(cf, cg, basis):
-                f = f + c1 * vec
-                g = g + c2 * vec
-            before = inner_product(f, g)
-            after = inner_product(evolve(f, 1j, 0.8, params), evolve(g, 1j, 0.8, params))
-            worst = max(worst, abs(after - before) / abs(before))
+    for a in (0, 1):
+        basis = zone_basis(a, a + 6, params)
+        cf = [complex(rng.normal(), rng.normal()) for _ in basis]
+        cg = [complex(rng.normal(), rng.normal()) for _ in basis]
+        f = ZonePolynomial({}, params)
+        g = ZonePolynomial({}, params)
+        for c1, c2, vec in zip(cf, cg, basis):
+            f = f + c1 * vec
+            g = g + c2 * vec
+        before = inner_product(f, g)
+        after = inner_product(evolve(f, 1j, 0.8, params), evolve(g, 1j, 0.8, params))
+        worst = max(worst, abs(after - before) / abs(before))
     return worst, 1e-9
 
 
 @check("heat_diagonal_positivity", "propagators",
-       "propagators: the zonal heat kernel is positive on the diagonal")
-def _positivity():
-    rng = np.random.default_rng(29)
+       "propagators: the zonal heat kernel is positive on the diagonal",
+       cases=_K2_K4)
+def _positivity(params):
+    X = _points(np.random.default_rng(29), (20, params.m), 2)
     worst = 0.0
-    for k in (2, 4):
-        params = PhysParams(lam=1.0, k=k)
-        X = _points(rng, (20, k // 2), 2)
-        for a in (0, 1, 2):
-            for t in (0.1, 0.6, 2.0):
-                vals = zonal_kernel(1, a, t, X, X, params)
-                worst = max(worst, float(-min(np.min(vals.real), 0.0)))
-                worst = max(worst, float(np.max(np.abs(vals.imag))))
+    for a in (0, 1, 2):
+        for t in (0.1, 0.6, 2.0):
+            vals = zonal_kernel(1, a, t, X, X, params)
+            worst = max(worst, float(-min(np.min(vals.real), 0.0)))
+            worst = max(worst, float(np.max(np.abs(vals.imag))))
     return worst, 1e-12
 
 
 @check("zonal_kernel_spectral_sum_zone0", "propagators",
        "propagators: the holomorphic-zone closed form matches its truncated spectral sum")
-def _spectral_zone0():
-    params = PhysParams(lam=1.0, k=2)
+def _spectral_zone0(params):
     rng = np.random.default_rng(67)
     X, Z = (_points(rng, (4, 1), 0.8) for _ in range(2))
     worst = 0.0
@@ -377,8 +368,7 @@ def _spectral_zone0():
        "propagators: measured deviation of the printed higher-zone kernels from the "
        "spectral flow at t>0 (they agree at t=0 and in trace; reported, see ledger)",
        expected="report")
-def _spectral_higher():
-    params = PhysParams(lam=1.0, k=2)
+def _spectral_higher(params):
     rng = np.random.default_rng(71)
     X, Z = (_points(rng, (4, 1), 0.8) for _ in range(2))
     closed = zonal_kernel(1, 1, 0.4, X, Z, params)
@@ -388,9 +378,9 @@ def _spectral_higher():
 
 @check("field_term_sign", "propagators",
        "propagators: the field-augmented kernel equals exp(-2 k lam^2 sigma t) times the bare one "
-       "(sign fixed by the spectral oracle, opposite to the printed remark)")
-def _field_term():
-    params = PhysParams(lam=0.8, k=2)
+       "(sign fixed by the spectral oracle, opposite to the printed remark)",
+       cases=(PhysParams(lam=0.8),))
+def _field_term(params):
     rng = np.random.default_rng(31)
     X, Z = (_points(rng, (4, 1), 0.7) for _ in range(2))
     worst = 0.0
@@ -408,8 +398,7 @@ def _field_term():
 
 @check("partition_log_derivative", "thermo",
        "thermo: -(2 pi mu/lam) d/dt Z_1(h t /(2 pi mu)) = Z_1 * (average energy), rel err 1e-8")
-def _log_derivative():
-    params = PhysParams(lam=1.0, k=2)
+def _log_derivative(params):
     kappa = thermo.default_kappa(params)
     h = 1.0
     worst = 0.0
@@ -426,9 +415,9 @@ def _log_derivative():
 
 
 @check("df_periodicity", "thermo",
-       "thermo: DF partition function and average energy repeat over the closed-form period")
-def _periodicity():
-    params = PhysParams(lam=1.3, k=2)
+       "thermo: DF partition function and average energy repeat over the closed-form period",
+       cases=(PhysParams(lam=1.3),))
+def _periodicity(params):
     kappa = thermo.default_kappa(params)
     h = 1.0
     worst = 0.0
@@ -447,8 +436,7 @@ def _periodicity():
 
 @check("specific_heat_shape", "thermo",
        "thermo: the heat-branch specific heat is positive and unimodal in 1/T")
-def _heat_shape():
-    params = PhysParams(lam=1.0, k=2)
+def _heat_shape(params):
     kappa = thermo.default_kappa(params)
     h = 1.0
     xs = np.linspace(0.05, 30.0, 400)        # 1/T sweep
@@ -463,8 +451,7 @@ def _heat_shape():
 
 @check("df_extrema_pattern", "thermo",
        "thermo: DF density extrema sit at the end/mid/quarter points of the period")
-def _extrema():
-    params = PhysParams(lam=1.0, k=2)
+def _extrema(params):
     P = thermo.period(params)               # pi/lam, the |.|^2 period
     worst = 0.0
     ext = thermo.find_period_extrema("partition_density", 0, params, n_samples=2001)
@@ -482,8 +469,7 @@ def _extrema():
 
 @check("stable_spread_identity", "thermo",
        "thermo: the DF kernel at quarter times equals -+i e^{-2 lam X.Zbar} delta^(a)")
-def _stable_spread():
-    params = PhysParams(lam=1.0, k=2)
+def _stable_spread(params):
     rng = np.random.default_rng(37)
     X, Z = (_points(rng, (6, 1), 0.8) for _ in range(2))
     worst = 0.0
@@ -498,8 +484,7 @@ def _stable_spread():
 
 @check("tension_vs_finite_difference", "thermo",
        "thermo: analytic tension matches centered differences of the DF diagonal")
-def _tension_fd():
-    params = PhysParams(lam=1.0, k=2)
+def _tension_fd(params):
     X = np.array([0.5 - 0.3j])
     worst = 0.0
     h = 1e-6
@@ -514,8 +499,7 @@ def _tension_fd():
 
 @check("tension_minimum_at_quarter", "thermo",
        "thermo: |tension| over one period is smallest at the quarter-point state")
-def _tension_quarter():
-    params = PhysParams(lam=1.0, k=2)
+def _tension_quarter(params):
     X = np.array([0.8 + 0.1j])
     P = thermo.period(params, "kernel")
     ts = np.linspace(1e-4, P - 1e-4, 4001)
@@ -525,9 +509,8 @@ def _tension_quarter():
     return dist, 1e-3
 
 
-def _df_rate_deviation(scale: float) -> float:
+def _df_rate_deviation(params: PhysParams, scale: float) -> float:
     """Relative distance of |dE_i/dT| from kappa at T = scale * h / kappa."""
-    params = PhysParams(lam=1.0, k=2)
     kappa = thermo.default_kappa(params)
     h = 1.0
     T = scale * h / kappa
@@ -537,16 +520,16 @@ def _df_rate_deviation(scale: float) -> float:
 
 @check("df_energy_rate_high_T", "thermo",
        "thermo: |dE_i/dT| tends to kappa at high temperature, within 1%")
-def _df_rate_high():
-    return _df_rate_deviation(1e3), 1e-2
+def _df_rate_high(params):
+    return _df_rate_deviation(params, 1e3), 1e-2
 
 
 @check("df_energy_rate_low_T", "thermo",
        "thermo: |dE_i/dT| tends to kappa at low temperature (stated claim; the closed "
        "form oscillates with envelope kappa (x/2)^2/sin^2(x/2) -> infinity, so this "
        "documented check fails)", expected="fail")
-def _df_rate_low():
-    return _df_rate_deviation(1e-3), 1e-2
+def _df_rate_low(params):
+    return _df_rate_deviation(params, 1e-3), 1e-2
 
 
 # ---- path measures --------------------------------------------------------------
@@ -555,8 +538,7 @@ def _df_rate_low():
 @check("cylinder_total_measure", "path",
        "path_measure: whole-space cylinder integrals reproduce the closed-form kernels to 1e-5 "
        "for every kind with a convergent whole-space limit")
-def _cylinder():
-    params = PhysParams(lam=1.0, k=2)
+def _cylinder(params):
     x = np.array([0.3 + 0.2j])
     y = np.array([-0.4 + 0.1j])
     box = path_measure.whole_space_box(params, radius=4.5)
@@ -582,8 +564,7 @@ def _cylinder():
        "path_measure: the global Feynman chain does not settle under box growth "
        "(the approximating measures diverge; only the zonal construction converges)",
        expected="report")
-def _global_df_divergence():
-    params = PhysParams(lam=1.0, k=2)
+def _global_df_divergence(params):
     x = np.array([0.3 + 0.2j])
     y = np.array([-0.4 + 0.1j])
     T = 0.5
@@ -600,8 +581,7 @@ def _global_df_divergence():
 
 @check("approximating_measure_bounded", "path",
        "path_measure: box-partition measure magnitudes stay bounded under refinement")
-def _bounded():
-    params = PhysParams(lam=1.0, k=2)
+def _bounded(params):
     x = np.array([0.2 + 0.1j])
     y = np.array([-0.1 + 0.3j])
     box = path_measure.whole_space_box(params, radius=4.0)
@@ -618,7 +598,7 @@ def _bounded():
 
 @check("radon_nikodym_chain_rule", "path",
        "path_measure: the three density kinds compose multiplicatively (float identity)")
-def _chain_rule():
+def _chain_rule(params):
     rng = np.random.default_rng(41)
     worst = 0.0
     for _ in range(8):
@@ -639,8 +619,7 @@ def _chain_rule():
 @check("feynman_kac_convergence", "path",
        "path_measure: sliced reconstruction error decreases strictly over 1..4 slices "
        "and is below 5% at 4 slices")
-def _fk():
-    params = PhysParams(lam=1.0, k=2)
+def _fk(params):
     x = np.array([0.35 + 0.2j])
     y = np.array([-0.3 + 0.1j])
     T = 0.5
@@ -652,9 +631,9 @@ def _fk():
 
 
 @check("probability_conservation", "path",
-       "path_measure: total arrival probability is T-independent (constant lam^{k/2}, reported)")
-def _conservation():
-    params = PhysParams(lam=1.5, k=2)
+       "path_measure: total arrival probability is T-independent (constant lam^{k/2}, reported)",
+       cases=(PhysParams(lam=1.5),))
+def _conservation(params):
     x = np.array([0.4 + 0.3j])
     masses = [path_measure.probability_total_mass(0, x, T, params, order=64)
               for T in (0.3, 0.8, 1.7)]
@@ -667,7 +646,7 @@ def _conservation():
 
 @check("spin_matrix_relations", "padi",
        "padi: sigma_i sigma_j + sigma_j sigma_i = 2 delta_ij, sigma2 = conj(sigma1)")
-def _spin():
+def _spin(params):
     s1, s2, s0 = padi.spin_matrices()
     eye = np.eye(2)
     worst = float(np.max(np.abs(s1 @ s1 - eye)))
@@ -680,9 +659,8 @@ def _spin():
 
 @check("padi_square_identity", "padi",
        "padi: PD_Z^2 = H_Z - lam sigma0 on random degree-5 spinors (exact)")
-def _square():
+def _square(params):
     rng = np.random.default_rng(43)
-    params = PhysParams(lam=1.0, k=2)
     worst = 0.0
     for variant in ("Z", "Zf"):
         for _ in range(6):
@@ -694,8 +672,7 @@ def _square():
 
 @check("eigenspinor_residual", "padi",
        "padi: PD psi = +-sqrt(mu) psi with unit norm; the zero mode is reproduced")
-def _eigenspinors():
-    params = PhysParams(lam=1.0, k=2)
+def _eigenspinors(params):
     worst = 0.0
     for a in (0, 1):
         basis = zone_basis(a, a + 3, params)
@@ -720,8 +697,7 @@ def _eigenspinors():
 @check("anomalous_component_relations", "padi",
        "padi: off-diagonals vanish; j-sum 11 equals twice 22; zone 0's 22 is half the "
        "holomorphic point spread")
-def _anomalous_components():
-    params = PhysParams(lam=1.0, k=2)
+def _anomalous_components(params):
     rng = np.random.default_rng(47)
     X, Y = (_points(rng, (6, 1), 0.8) for _ in range(2))
     worst = 0.0
@@ -740,8 +716,7 @@ def _anomalous_components():
 
 @check("anomalous_idempotency", "padi",
        "padi: the anomalous zone projection composes to itself under quadrature")
-def _anomalous_idem():
-    params = PhysParams(lam=1.0, k=2)
+def _anomalous_idem(params):
     axes, w = flat_hermite_grid(64, params.lam, params.k)
     m = tensor_points(axes)
     rng = np.random.default_rng(53)
@@ -760,8 +735,7 @@ def _anomalous_idem():
 
 @check("anomalous_hermitian_symmetry", "padi",
        "padi: Q^(a)_(j)(X,Y) equals the conjugate transpose of Q^(a)_(j)(Y,X)")
-def _anomalous_herm():
-    params = PhysParams(lam=1.0, k=2)
+def _anomalous_herm(params):
     rng = np.random.default_rng(59)
     X, Y = (_points(rng, (5, 1), 1) for _ in range(2))
     worst = 0.0
@@ -776,8 +750,7 @@ def _anomalous_herm():
 
 @check("momentum_states_inside_position_states", "padi",
        "padi: every j=2 eigenspinor lies in the span of the j=1 eigenspinors")
-def _s2_in_s1():
-    params = PhysParams(lam=1.0, k=2)
+def _s2_in_s1(params):
     worst = 0.0
     for a in (0, 1):
         s1_vecs = []
@@ -809,7 +782,7 @@ def _s2_in_s1():
 
 @check("clifford_table", "extensions",
        "extensions: period-8 dimension table and the r=3 (mod 4) duplication rule")
-def _cliff():
+def _cliff(params):
     expected = {1: (2, 1), 2: (4, 1), 3: (4, 2), 4: (8, 1), 5: (8, 1), 6: (8, 1),
                 7: (8, 2), 8: (16, 1), 9: (32, 1), 10: (64, 1), 11: (64, 2), 12: (128, 1)}
     bad = 0
@@ -825,9 +798,9 @@ def _cliff():
 
 
 @check("subzone_split", "extensions",
-       "extensions: bosonic/fermionic sub-zones are orthogonal, sum back, and commute with H")
-def _subzones():
-    params = PhysParams(lam=1.0, k=4)
+       "extensions: bosonic/fermionic sub-zones are orthogonal, sum back, and commute with H",
+       cases=(PhysParams(k=4),))
+def _subzones(params):
     rng = np.random.default_rng(61)
     worst = 0.0
     for _ in range(5):
@@ -845,8 +818,7 @@ def _subzones():
 
 @check("coulomb_hermitian", "extensions",
        "extensions: the compressed Coulomb matrix is Hermitian to 1e-12")
-def _coulomb_herm():
-    params = PhysParams(lam=1.0, k=2)
+def _coulomb_herm(params):
     out = extensions.zonal_coulomb_matrix(0, 1.0, 8, params)
     M = out["potential"]
     return float(np.max(np.abs(M - M.conj().T))), 1e-12
@@ -854,8 +826,7 @@ def _coulomb_herm():
 
 @check("coulomb_free_limit", "extensions",
        "extensions: Q=0 reduces to the diagonal spectrum (2p+1) lam + 4 lam^2")
-def _coulomb_q0():
-    params = PhysParams(lam=1.0, k=2)
+def _coulomb_q0(params):
     out = extensions.zonal_coulomb_matrix(1, 0.0, 6, params)
     lam = params.lam
     ref = np.array([(2 * p + 1) * lam + 4 * lam**2 for p in range(6)])
@@ -864,8 +835,7 @@ def _coulomb_q0():
 
 @check("coulomb_eigenvalue_stability", "extensions",
        "extensions: the lowest three eigenvalues move < 1e-4 when the basis grows by 4")
-def _coulomb_stable():
-    params = PhysParams(lam=1.0, k=2)
+def _coulomb_stable(params):
     e1 = np.sort(extensions.zonal_coulomb_matrix(0, -0.5, 12, params)["eigenvalues"])[:3]
     e2 = np.sort(extensions.zonal_coulomb_matrix(0, -0.5, 16, params)["eigenvalues"])[:3]
     return float(np.max(np.abs(e1 - e2))), 1e-4
@@ -874,8 +844,7 @@ def _coulomb_stable():
 @check("coulomb_multiplicity_report", "extensions",
        "extensions: multiplicity grouping of the compressed and cross-zone spectra (report only)",
        expected="report")
-def _coulomb_report():
-    params = PhysParams(lam=1.0, k=2)
+def _coulomb_report(params):
     zonal = extensions.zonal_coulomb_matrix(0, -0.5, 10, params)
     cross = extensions.unprojected_coulomb_matrix(-0.5, 2, 6, params)
     zonal_max = max(c for _, c in zonal["multiplicity_groups"])
@@ -887,10 +856,11 @@ def _coulomb_report():
 
 
 def _run_check(entry: dict) -> dict:
-    """Run one CHECKS entry and return its report row."""
+    """Run one CHECKS entry on each of its cases, in table order, and return the
+    report row of the worst case (the largest `measured`)."""
     t0 = time.perf_counter()
     try:
-        measured, tol = entry["fn"]()
+        measured, tol = max(entry["fn"](params) for params in entry["cases"])
         status = "pass" if measured <= tol else "fail"
         if entry["expected"] == "report":
             status = "report"

@@ -18,7 +18,7 @@ import zonekit
 from zonekit import path_measure
 from zonekit.cli import build_parser, main
 from zonekit.params import PhysParams
-from zonekit.propagators import partition_function, zonal_kernel
+from zonekit.propagators import KernelGrid, partition_function, zonal_kernel
 from zonekit.verify import CHECKS
 
 
@@ -223,6 +223,13 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     cfg.write_text("zones=0..1\nbogus=3\n")
     state = tmp_path / "z100.json"
     state.write_text('[{"degrees": [[100, 0]], "re": 1.0, "im": 0.0}]')
+    # valid JSON that is not a list of {degrees, re, im} records
+    shapes = {}
+    for i, text in enumerate(('{"x": 1}', '[1]', '[{"degrees": [[1, 0]], "im": 0.0}]',
+                              '[{"degrees": [[1, 0]], "re": "a", "im": 0.0}]',
+                              '[{"degrees": [[1, 0]], "re": NaN, "im": 0.0}]')):
+        shapes[text] = tmp_path / f"shape{i}.json"
+        shapes[text].write_text(text)
     for argv, output, message in (
             (["spectrum", "--pmax", "-1"], "spectrum.csv",
              "error: --pmax must be at least 0, got -1\n"),
@@ -267,6 +274,23 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
             *((["evolve", "--state", str(state), "--lambda", lam, "--t", "0.1"], "evolved.json",
                f"error: Gaussian moment of degree 100 leaves the float range at lam={lam}\n")
               for lam in ("1e-05", "0.001")),
+            (["evolve", "--state", str(shapes['{"x": 1}']), "--t", "0.1"], "evolved.json",
+             "error: state must be a list of records, got {'x': 1}\n"),
+            *((["evolve", "--state", str(shapes[text]), "--t", "0.1"], "evolved.json",
+               "error: state record is not {'degrees': [[p, v], ...], 're': x, 'im': y}: "
+               f"{record}\n")
+              for text, record in (
+                  ('[1]', "1"),
+                  ('[{"degrees": [[1, 0]], "im": 0.0}]', "{'degrees': [[1, 0]], 'im': 0.0}"),
+                  ('[{"degrees": [[1, 0]], "re": "a", "im": 0.0}]',
+                   "{'degrees': [[1, 0]], 're': 'a', 'im': 0.0}"),
+                  ('[{"degrees": [[1, 0]], "re": NaN, "im": 0.0}]',
+                   "{'degrees': [[1, 0]], 're': nan, 'im': 0.0}"))),
+            # an infinite coupling would write tables of nan and inf
+            (["kernel", "--t", "0.5", "--grid", "0:1:1", "--lambda", "inf"], "kernel.csv",
+             "error: lam must be finite and positive, got inf\n"),
+            (["spectrum", "--lambda", "inf"], "spectrum.csv",
+             "error: lam must be finite and positive, got inf\n"),
             # and whose Coulomb radial integral overflows one
             (["coulomb", "--basis-size", "175"], "coulomb_spectrum.csv",
              "error: Coulomb radial integral at n=171 overflows at lam=1.0\n"),
@@ -458,6 +482,37 @@ def test_path_with_vanishing_target_is_usage_error(tmp_path, capsys, monkeypatch
                    "--n-slices", "2") == 2
     assert capsys.readouterr().err.startswith("error: target kernel underflows to 0")
     assert not (tmp_path / "path.csv").exists()
+
+
+@pytest.mark.parametrize("argv, output, message", [
+    # the Mehler kernel's coth and prefactor overflow to nan this close to t = 0
+    (["kernel", "--t", "1e-310", "--grid", "0:1:1"], "kernel.csv", "kernel_re is nan in row 1"),
+    (["thermo", "--T-grid", "1e-300:1e-300:1"], "thermo.csv", "heat_re is nan in row 1"),
+    # the field term 2 k lam^2 overflows while the bare eigenvalue does not
+    (["spectrum", "--lambda", "1e200"], "spectrum.csv",
+     "eigenvalue_with_field_term is inf in row 1"),
+], ids=["kernel", "thermo", "spectrum"])
+def test_non_finite_value_fails_and_writes_no_table(tmp_path, capsys, argv, output, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / output}: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_kernel_grid_names_the_first_non_finite_value(tmp_path, capsys, monkeypatch):
+    # the first bad value is an imaginary part, in the second X row
+    def sample(sigma, t, X, Y, params, a=None):
+        pts = np.array([[0j], [1j]])
+        values = np.array([[1.0, 2.0], [complex(3.0, math.inf), math.nan]])
+        return KernelGrid(sigma, t, pts, pts, values, params, a)
+
+    monkeypatch.setattr(KernelGrid, "sample", staticmethod(sample))
+    assert run(tmp_path, "kernel", "--a", "0", "--t", "0.5", "--grid", "0:1:1") == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'kernel.csv'}: kernel_im is inf in row 3\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_quadrature_convergence_error_exits_1(tmp_path, capsys, monkeypatch):

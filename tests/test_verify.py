@@ -3,10 +3,12 @@ and the full report reproduces the benchmark's recorded one."""
 
 import importlib.util
 import json
+import math
 import pathlib
 import time
 
 from zonekit import verify
+from zonekit.params import PhysParams
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,6 +23,37 @@ def test_rows_in_declaration_order_and_seconds_within_wall_time():
     # each row's seconds is rounded to the millisecond
     assert 0 <= sum(r["seconds"] for r in rows) <= wall + 0.0005 * len(rows)
 
+
+def test_row_reports_the_worst_case_of_its_table(monkeypatch):
+    # one synthetic check over two cases: the second measures more and fails
+    seen = []
+    measured = {1.0: (1e-9, 1e-6), 2.0: (1e-3, 1e-6)}
+
+    def fn(params):
+        seen.append(params.lam)
+        if params.lam == 3.0:
+            raise ValueError("case refused")
+        return measured[params.lam]
+
+    cases = (PhysParams(lam=1.0), PhysParams(lam=2.0))
+    entry = {"name": "synthetic", "suite": "special", "invariant": "two cases",
+             "expected": "pass", "cases": cases, "fn": fn}
+    monkeypatch.setattr(verify, "CHECKS", [entry])
+    [row] = verify.run_suite(None)
+    assert seen == [1.0, 2.0]
+    assert (row["measured"], row["tolerance"], row["status"]) == (1e-3, 1e-6, "fail")
+    # the worst case decides the status even when it comes first
+    seen.clear()
+    entry["cases"] = cases[::-1]
+    measured[2.0] = (1e-7, 1e-6)
+    [row] = verify.run_suite(None)
+    assert seen == [2.0, 1.0]
+    assert (row["measured"], row["status"]) == (1e-7, "pass")
+    # a case that raises makes the whole row an error
+    entry["cases"] = (*cases, PhysParams(lam=3.0))
+    [row] = verify.run_suite(None)
+    assert row["status"] == "error: case refused"
+    assert math.isnan(row["measured"]) and math.isnan(row["tolerance"])
 
 
 def _perfbench_oracle():
