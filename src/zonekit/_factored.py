@@ -60,12 +60,16 @@ def _coordinate(f: np.ndarray, r: int, P, Q, R, S) -> np.ndarray:
     """Contract complex coordinate r of f against P(x1,y1) Q(x2,y1) R(x2,y2) S(x1,y2).
 
     One output axis is looped over, so the largest intermediate has the size
-    of f and each step is one BLAS product.
+    of f and each step is one BLAS product.  A one-node source (a point) needs
+    no sum: the result is the outer product (P Q)(y1) (R S)(y2) f.
     """
     f = np.moveaxis(f, (2 * r, 2 * r + 1), (0, 1))
     n1, n2, rest = f.shape[0], f.shape[1], f.shape[2:]
     f = f.reshape(n1, n2, -1)
     m1, m2 = P.shape[1], R.shape[1]
+    if n1 == n2 == 1:
+        g = np.multiply.outer(np.multiply.outer(P[0] * Q[0], R[0] * S[0]), f[0, 0])
+        return np.moveaxis(g.reshape((m1, m2) + rest), (0, 1), (2 * r, 2 * r + 1))
     g = np.empty((m1, m2, f.shape[2]), dtype=complex)
     for j in range(m1):
         h = f * (P[:, j, None] * Q[None, :, j])[:, :, None]

@@ -51,7 +51,15 @@ _CONFIG_KEYS = {"lambda": ("lam", float, 1.0), "k": ("k", int, 2)}
 
 
 def _apply_config(args) -> None:
-    """Fill --lambda and --k that were not given from the --config file, else the defaults."""
+    """Fill --lambda and --k that were not given from the --config file, else the defaults.
+
+    verify runs each check on its own parameter table, so it refuses both flags.
+    """
+    if args.fn is cmd_verify:
+        for key, (dest, _, _) in _CONFIG_KEYS.items():
+            if getattr(args, dest) is not None:
+                raise UsageError(f"verify does not take --{key}: each check runs on its own "
+                                 "parameter table")
     cfg = {}
     if args.config:
         with open(args.config) as fh:

@@ -3,6 +3,8 @@
 sigma = 1 selects the heat (Wiener-Kac) branch, sigma = i the Schrodinger
 (Dirac-Feynman) branch.  All kernels act on standard-space wave functions;
 points are arrays of complex coordinates with trailing axis of length k/2.
+`partition_function` and `_zonal_form` (so `zonal_kernel` at one point) also
+take a 1-D array of times and return one value per time.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._factored import KernelForm, diagonal_sum, point_axes, transfer
-from .algebra import ZonePolynomial, inner_product, norm, to_standard
+from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
-from .special import flat_hermite_grid, hermite_axis, multiplicity_factor, tensor_points
+from .special import flat_hermite_grid, hermite_axis, multiplicity_factor
 from .zones import _basis_sum, _laguerre_gauss, pairing, project_to_zone, zone_basis
 
 SINGULAR_TIME_TOL = 1e-9
@@ -37,6 +39,18 @@ def _check_sigma(sigma: complex) -> complex:
     if sigma not in (1 + 0j, 1j):
         raise ValueError(f"sigma must be 1 (Wiener-Kac) or 1j (Dirac-Feynman), got {sigma}")
     return sigma
+
+
+def _refuse(bad, t, error, message: str) -> None:
+    """Raise error(message.format(t)) at the first time of `t` (a scalar or a 1-D
+    array) where the matching `bad` is true; a scalar is named as given."""
+    if np.any(bad):
+        raise error(message.format(np.asarray(t)[bad][0] if np.ndim(t) else t))
+
+
+def _per_time(values, t):
+    """complex(values) for a scalar time, the array of values for an array of times."""
+    return complex(values) if np.ndim(t) == 0 else values
 
 
 def global_kernel(sigma: complex, t: float, X: np.ndarray, Y: np.ndarray,
@@ -86,8 +100,7 @@ def zonal_kernel(sigma: complex, a: int, t: float, X: np.ndarray, Z: np.ndarray,
 def _zonal_form(sigma: complex, a: int, t: float, params: PhysParams) -> KernelForm:
     """`zonal_kernel` as a `KernelForm`: exponent lam (q X.Zbar - (|X|^2 + |Z|^2)/2)."""
     sigma = _check_sigma(sigma)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _refuse(t < 0, t, ValueError, "t must be nonnegative, got {}")
     lam, k = params.lam, params.k
     q = np.exp(-2.0 * sigma * lam * t)
     pref = (lam * np.exp(-sigma * lam * t) / np.pi) ** (k / 2)
@@ -123,17 +136,17 @@ def field_term_multiplier(sigma: complex, t: float, params: PhysParams) -> compl
     return complex(np.exp(-2.0 * k * lam * lam * sigma * t))
 
 
-def partition_function(sigma: complex, a: int, t: float, params: PhysParams) -> complex:
-    """Closed-form zonal partition function (trace of the zonal kernel)."""
+def partition_function(sigma: complex, a: int, t, params: PhysParams):
+    """Closed-form zonal partition function (trace of the zonal kernel), at a time
+    or elementwise over a 1-D array of times."""
     sigma = _check_sigma(sigma)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _refuse(t <= 0, t, ValueError, "t must be positive, got {}")
     lam, k = params.lam, params.k
     q = np.exp(-2.0 * sigma * lam * t)
-    if abs(1.0 - q) < SINGULAR_TIME_TOL:
-        raise SingularTimeError(f"partition function pole at t={t}")
+    _refuse(abs(1.0 - q) < SINGULAR_TIME_TOL, t, SingularTimeError,
+            "partition function pole at t={}")
     binom = multiplicity_factor(a, k)
-    return complex(binom * np.exp(-0.5 * k * lam * t * sigma) / (1.0 - q) ** (k / 2))
+    return _per_time(binom * np.exp(-0.5 * k * lam * t * sigma) / (1.0 - q) ** (k / 2), t)
 
 
 def partition_function_trace(sigma: complex, a: int, t: float, params: PhysParams,
@@ -209,18 +222,40 @@ def evolve_by_convolution(f: ZonePolynomial, sigma: complex, t: float,
     Cross-check for `evolve`; `X` holds complex coordinate rows and the
     returned values are standard-space wave-function samples.
     """
-    return _convolve(_zonal_form(sigma, infer_zone(f), t, params), to_standard(f), params,
-                     params.lam, order, X)
+    return _convolve(_zonal_form(sigma, infer_zone(f), t, params), f, params, params.lam,
+                     order, X)
 
 
-def _convolve(form: KernelForm, psi, params: PhysParams, grid_lam: float, order: int,
-              X: np.ndarray) -> np.ndarray:
-    """int K(X, Z) psi(Z) dZ at each complex coordinate row of `X`, on the Hermite grid
-    `flat_hermite_grid(order, grid_lam, k)`; `psi` maps coordinate rows to samples."""
+def _convolve(form: KernelForm, f: ZonePolynomial, params: PhysParams, grid_lam: float,
+              order: int, X: np.ndarray) -> np.ndarray:
+    """int K(X, Z) psi(Z) dZ at each complex coordinate row of `X`, with psi the
+    standard-space wave function of `f` (`to_standard`), on the Hermite grid
+    `flat_hermite_grid(order, grid_lam, k)`.
+
+    psi is built on the tensor grid from one-coordinate (order x order) tables:
+    each monomial is an outer product over the k/2 coordinates (its factors
+    multiplied in the order of `ZonePolynomial.eval`), times the separable
+    half-Gaussian.
+    """
+    k = params.k
+    axes, weights = flat_hermite_grid(order, grid_lam, k)
+    # coordinate r as an order x order table on axes 2r and 2r + 1 of the tensor grid
+    zs = [(axes[2 * r][:, None] + 1j * axes[2 * r + 1]).reshape(
+        (1,) * (2 * r) + (order, order) + (1,) * (k - 2 * r - 2)) for r in range(params.m)]
+    psi = np.zeros((order,) * k, dtype=complex)
+    for key, c in f.coefficients.items():
+        term = c
+        for z, (p, v) in zip(zs, key):
+            if p:
+                term = term * z ** p
+            if v:
+                term = term * np.conj(z) ** v
+        psi += term
+    for z in zs:
+        psi *= np.exp(-0.5 * f.params.lam * np.abs(z) ** 2)
+    g = weights.reshape(psi.shape) * psi
     # transfer sums over its first argument, so Z goes first: K'(Z, X) = K(X, Z)
     form = form.swapped()
-    axes, weights = flat_hermite_grid(order, grid_lam, params.k)
-    g = (weights * psi(tensor_points(axes))).reshape((order,) * params.k)
     return np.array([transfer(g, form, params, axes, point_axes(x)).item()
                      for x in np.atleast_2d(np.asarray(X, dtype=complex))])
 

@@ -3,7 +3,9 @@
 The Wiener-Kac branch reproduces the Einstein solid (characteristic frequency
 2 in the natural units set by the partition function); the Dirac-Feynman
 branch is periodic in time and its density extrema select the stable charge
-spreads at the quarter points of the period.
+spreads at the quarter points of the period.  The time functions (`tension`,
+`diagonal_kernel`, `average_energy`, `specific_heat`, `average_energy_of_time`)
+also take a 1-D array of times or temperatures and return one value per entry.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 import numpy as np
 
 from .params import PhysParams
-from .propagators import (SINGULAR_TIME_TOL, SingularTimeError, _check_sigma, partition_function,
-                          zonal_kernel)
+from .propagators import (SINGULAR_TIME_TOL, SingularTimeError, _check_sigma, _per_time, _refuse,
+                          partition_function, zonal_kernel)
 from .zones import pairing, zone_kernel
 
 
@@ -23,45 +25,44 @@ def default_kappa(params: PhysParams) -> float:
     return 2.0 * math.pi / params.lam
 
 
-def _boltzmann(sigma: complex, T: float, kappa: float, h: float):
-    """(sigma, x) with x = e^{-2h sigma/(kappa T)}, for a positive T off the poles x = 1."""
+def _boltzmann(sigma: complex, T, kappa: float, h: float):
+    """(sigma, x) with x = e^{-2h sigma/(kappa T)}, for a positive T (or a 1-D array
+    of them) off the poles x = 1."""
     sigma = _check_sigma(sigma)
-    if T <= 0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    _refuse(T <= 0, T, ValueError, "temperature must be positive, got {}")
     x = np.exp(-2.0 * h * sigma / (kappa * T))
-    if abs(1.0 - x) < SINGULAR_TIME_TOL:
-        raise SingularTimeError(f"resonance temperature T={T} (e^(-2h sigma/kT) = 1)")
+    _refuse(abs(1.0 - x) < SINGULAR_TIME_TOL, T, SingularTimeError,
+            "resonance temperature T={} (e^(-2h sigma/kT) = 1)")
     return sigma, x
 
 
-def average_energy(sigma: complex, T: float, kappa: float, h: float) -> complex:
+def average_energy(sigma: complex, T, kappa: float, h: float):
     """Mean emitted-absorbed energy h + 2h e^{-2h sigma/(kappa T)} / (1 - e^{-2h sigma/(kappa T)})."""
     _, x = _boltzmann(sigma, T, kappa, h)
-    return complex(h + 2.0 * h * x / (1.0 - x))
+    return _per_time(h + 2.0 * h * x / (1.0 - x), T)
 
 
-def specific_heat(sigma: complex, T: float, kappa: float, h: float) -> complex:
+def specific_heat(sigma: complex, T, kappa: float, h: float):
     """Temperature derivative of the average energy (Einstein form at sigma=1)."""
     sigma, x = _boltzmann(sigma, T, kappa, h)
-    return complex((2.0 * h) ** 2 * sigma * x / (kappa * T * T * (1.0 - x) ** 2))
+    return _per_time((2.0 * h) ** 2 * sigma * x / (kappa * T * T * (1.0 - x) ** 2), T)
 
 
-def average_energy_of_time(t: float, kappa: float, h: float) -> complex:
+def average_energy_of_time(t, kappa: float, h: float):
     """Dirac-Feynman average energy along the flow parameter, via the substitution T = 1/t."""
-    if t <= 0:
-        raise ValueError(f"flow time must be positive, got {t}")
+    _refuse(t <= 0, t, ValueError, "flow time must be positive, got {}")
     return average_energy(1j, 1.0 / t, kappa, h)
 
 
-def diagonal_kernel(sigma: complex, a: int, t: float, X: np.ndarray,
-                    params: PhysParams) -> complex:
-    """Diagonal value d_sigma^(a)(t, X, X) of the zonal kernel."""
+def diagonal_kernel(sigma: complex, a: int, t, X: np.ndarray, params: PhysParams):
+    """Diagonal value d_sigma^(a)(t, X, X) of the zonal kernel at one point X."""
     X = np.atleast_2d(np.asarray(X, dtype=complex))
-    return complex(zonal_kernel(sigma, a, t, X, X, params)[0])
+    diag = zonal_kernel(sigma, a, t, X, X, params)
+    return complex(diag[0]) if np.ndim(t) == 0 else diag
 
 
-def tension(a: int, t: float, X: np.ndarray, params: PhysParams) -> complex:
-    """Time derivative of the Dirac-Feynman diagonal (tension amplitude).
+def tension(a: int, t, X: np.ndarray, params: PhysParams):
+    """Time derivative of the Dirac-Feynman diagonal (tension amplitude) at one point X.
 
     The closed-form diagonal times its logarithmic derivative
     -i lam (k/2 + 2 lam |X|^2 q), q = e^{-2 i lam t}; |tension|^2 is the
@@ -72,7 +73,7 @@ def tension(a: int, t: float, X: np.ndarray, params: PhysParams) -> complex:
     r2 = float(np.sum(np.abs(X) ** 2, axis=-1)[0])
     q = np.exp(-2j * lam * t)
     diag = diagonal_kernel(1j, a, t, X, params)
-    return complex(diag * (-1j * lam) * (k / 2.0 + 2.0 * lam * r2 * q))
+    return _per_time(diag * (-1j * lam) * (k / 2.0 + 2.0 * lam * r2 * q), t)
 
 
 def period(params: PhysParams, quantity: str = "density") -> float:
@@ -132,8 +133,9 @@ def period_density(quantity: str, a: int, params: PhysParams, X: np.ndarray | No
                    kappa: float | None = None, h: float = 1.0):
     """One period of a periodic Dirac-Feynman density: (period, poles, density of t).
 
-    quantity is one of "partition_density" (|Z_i|^2), "diagonal_density"
-    (|d_i(t,X,X)|^2, requires X), or "energy_density" (|E_i(1/T=t)|^2).
+    The density takes a time or a 1-D array of times.  quantity is one of
+    "partition_density" (|Z_i|^2), "diagonal_density" (|d_i(t,X,X)|^2, requires
+    X), or "energy_density" (|E_i(1/T=t)|^2).
     """
     if quantity == "partition_density":
         P = period(params)
@@ -155,14 +157,15 @@ def find_period_extrema(quantity: str, a: int, params: PhysParams,
                         n_samples: int = 4096):
     """Locate extrema of a periodic Dirac-Feynman density over one period.
 
-    The density is chosen by `period_density`.  Returns a list of (time, kind)
-    with kind in {"min", "max", "pole"}, refined by ternary search to ~1e-12
-    of the period.
+    The density is chosen by `period_density`.  The period is sampled in one
+    array call, and each local extremum of the samples is refined by a scalar
+    ternary search to ~1e-12 of the period.  Returns a list of (time, kind)
+    with kind in {"min", "max", "pole"}.
     """
     P, poles, fun = period_density(quantity, a, params, X, kappa, h)
     eps = P * 1e-6
     ts = np.linspace(eps, P - eps, n_samples)
-    vals = np.array([fun(t) for t in ts])
+    vals = fun(ts)
     out = [(p, "pole") for p in poles]
     dt = ts[1] - ts[0]
     for i in range(1, n_samples - 1):

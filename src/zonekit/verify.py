@@ -266,7 +266,7 @@ def _decomposition_residual(params: PhysParams, sigma: complex, lam_eff: float,
     comps = [zone_basis(a, a + 1, params)[0] for a in (0, 1)]
     f = comps[0] + 0.7 * comps[1]
     X = _points(rng, (3, params.m), 0.5)
-    got = _convolve(_global_form(sigma, 0.4, params), to_standard(f), params, lam_eff, order, X)
+    got = _convolve(_global_form(sigma, 0.4, params), f, params, lam_eff, order, X)
     ref = sum(to_standard(evolve(c, sigma, 0.4, params))(X)
               for c in (comps[0], 0.7 * comps[1]))
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
@@ -440,7 +440,7 @@ def _heat_shape(params):
     kappa = thermo.default_kappa(params)
     h = 1.0
     xs = np.linspace(0.05, 30.0, 400)        # 1/T sweep
-    vals = np.array([thermo.specific_heat(1, 1.0 / x, kappa, h).real for x in xs])
+    vals = thermo.specific_heat(1, 1.0 / xs, kappa, h).real
     if np.any(vals <= 0):
         return 1.0, 0.5
     i = int(np.argmax(vals))
@@ -503,7 +503,7 @@ def _tension_quarter(params):
     X = np.array([0.8 + 0.1j])
     P = thermo.period(params, "kernel")
     ts = np.linspace(1e-4, P - 1e-4, 4001)
-    vals = np.array([abs(thermo.tension(1, t, X, params)) for t in ts])
+    vals = np.abs(thermo.tension(1, ts, X, params))
     tmin = ts[np.argmin(vals)]
     dist = min(abs(tmin - P / 4), abs(tmin - 3 * P / 4)) / P
     return dist, 1e-3

@@ -334,7 +334,12 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
              "error: grid step must divide hi - lo, got '0:1:1e300'\n"),
             *((["thermo", f"--T-grid={text}"], "thermo.csv",
                f"error: grid needs a finite range, step and step count, got {text!r}\n")
-              for text in ("0:1e308:1e-300", "nan:1:0.5", "-inf:inf:1", "0:1:inf"))):
+              for text in ("0:1e308:1e-300", "nan:1:0.5", "-inf:inf:1", "0:1:inf")),
+            # each verify check runs on its own parameter table, so the flags would be ignored
+            *((["verify", flag, value, "--suite", "special"], "verify_report.json",
+               f"error: verify does not take {flag}: each check runs on its own parameter "
+               "table\n")
+              for flag, value in (("--lambda", "5"), ("--k", "4")))):
         capsys.readouterr()
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == message
@@ -399,6 +404,25 @@ RECORDED_DIGESTS = [
         "path.csv": "74d18939c8e4c57b466e2b9432c808c0b719165237a14642691993b006b2b9e7"}),
     (["path", "--k", "4", "--order", "6", "--n-slices", "3", "--x=0.1,0.2", "--y=0.3,0.1"], {
         "path.csv": "0b8abc6b67c2b39537751e3228c0393b3c40ab96f8af04a5ae1883b8b30ef510"}),
+    # the one-period density scans and their refined extrema
+    pytest.param(["thermo", "--scan", "diagonal_density"], {
+        "thermo.csv": "7ff29596750df88f4c8a72d4f2c5c0ff259019f290ae8a04204445f02f00765e",
+        "period_scan.csv": "10ba158586a8bc9d99df416496d7df6965175e57982a1d54d81a30807e6f0bb6",
+        "period_extrema.csv":
+            "32d604bf1e22c8a179b12e61f202a8bcc3c56724b5df45064060856c9cc64acb"},
+        id="thermo_diagonal_density"),
+    pytest.param(["thermo", "--scan", "partition_density"], {
+        "thermo.csv": "7ff29596750df88f4c8a72d4f2c5c0ff259019f290ae8a04204445f02f00765e",
+        "period_scan.csv": "9001c3c67ff108d24fa1be5b878e9769a4c941158e453cd3cb66ca864a932fbf",
+        "period_extrema.csv":
+            "dc799a14c41b46d837b95792db98888bb8fc7b39d8bfd9112128f6297e68c78c"},
+        id="thermo_partition_density"),
+    pytest.param(["thermo", "--scan", "energy_density"], {
+        "thermo.csv": "7ff29596750df88f4c8a72d4f2c5c0ff259019f290ae8a04204445f02f00765e",
+        "period_scan.csv": "bfef268ab3db5b1510e8efd5ae456557cf38ce7c7a64c185d233d45195759fae",
+        "period_extrema.csv":
+            "54f22d13bea63b2a54f3ffc9087911f5a06e80d463804b8fd9a4ef4fa5a2cb76"},
+        id="thermo_energy_density"),
 ]
 
 

@@ -71,6 +71,31 @@ def test_factored_matches_dense(kind, a, lam, charge_sign, k):
     assert abs(diagonal_sum(form, src, w) - ref) <= 1e-12 * abs(ref)
 
 
+# one node on every axis (a point), or on one complex coordinate next to a grid on the other
+POINT_SOURCES = {2: [(1, 1)], 4: [(1, 1, 1, 1), (1, 1, 3, 2), (2, 3, 1, 1)]}
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("kind", ["zonal_wk", "zonal_df", "spread_amplitude"])
+@pytest.mark.parametrize("a", [0, 2])
+@pytest.mark.parametrize("k, sizes", [(k, sizes) for k in POINT_SOURCES
+                                      for sizes in POINT_SOURCES[k]])
+def test_point_source_matches_dense(k, sizes, a, kind, charge_sign):
+    # a one-node source coordinate is an outer product, not a contraction
+    params = PhysParams(lam=0.9, k=k, charge_sign=charge_sign)
+    form = _chain_form(kind, a, params)(DT)
+    src, dst = axes(sizes, -1.4, 1.5), axes(SIZES[k][1], -1.2, 1.7)
+    U, V = tensor_points(src), tensor_points(dst)
+    rng = np.random.default_rng(sum(sizes) + a)
+    f = rng.normal(size=len(U)) + 1j * rng.normal(size=len(U))
+    for kernel in (form, form.swapped()):
+        got = transfer(f.reshape(sizes), kernel, params, src, dst)
+        ref = f @ (dense(kind, a, params, U, V) if kernel is form
+                   else dense(kind, a, params, V, U).T)
+        assert got.shape == SIZES[k][1]
+        assert close(got.ravel(), ref)
+
+
 @pytest.mark.parametrize("kind,a", [("zonal_df", 1), ("global_wk", None)])
 def test_k4_cylinder_chain_matches_dense_chain(kind, a):
     params = PhysParams(lam=0.7, k=4, charge_sign=-1)

@@ -180,20 +180,22 @@ def _dense_convolution(f, sigma, t, params, X, order):
 @pytest.mark.parametrize("k, order", [(2, 48), (4, 12)])
 @pytest.mark.parametrize("a", [0, 1, 2])
 def test_evolve_by_convolution_matches_dense_quadrature(k, order, a):
-    # the factored convolution is the dense one on the same grid in every zone;
-    # on zone 0 both reproduce the spectral flow (the closed form is exact there)
-    params = PhysParams(lam=0.8, k=k)
-    rng = np.random.default_rng(20 + a)
-    f = sum((complex(rng.normal(), rng.normal()) * v for v in zone_basis(a, a + 1, params)),
-            ZonePolynomial({}, params))
-    X = rng.uniform(-0.7, 0.7, (3, k // 2)) + 1j * rng.uniform(-0.7, 0.7, (3, k // 2))
-    for sigma in (1, 1j):
-        got = evolve_by_convolution(f, sigma, 0.4, params, X, order=order)
-        ref = _dense_convolution(f, sigma, 0.4, params, X, order)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        if a == 0:
-            flow = to_standard(evolve(f, sigma, 0.4, params))(X)
-            assert np.max(np.abs(got - flow)) < 1e-10 * np.max(np.abs(flow))
+    # the factored convolution is the dense one on the same grid in every zone, and its
+    # state on the tensor grid is to_standard(f) at the grid points; on zone 0 both
+    # reproduce the spectral flow (the closed form is exact there)
+    for lam in (0.4, 0.8, 2.5):
+        params = PhysParams(lam=lam, k=k)
+        rng = np.random.default_rng(20 + a)
+        f = sum((complex(rng.normal(), rng.normal()) * v
+                 for v in zone_basis(a, a + 1, params)), ZonePolynomial({}, params))
+        X = rng.uniform(-0.7, 0.7, (3, k // 2)) + 1j * rng.uniform(-0.7, 0.7, (3, k // 2))
+        for sigma in (1, 1j):
+            got = evolve_by_convolution(f, sigma, 0.4, params, X, order=order)
+            ref = _dense_convolution(f, sigma, 0.4, params, X, order)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), lam
+            if a == 0:
+                flow = to_standard(evolve(f, sigma, 0.4, params))(X)
+                assert np.max(np.abs(got - flow)) < 1e-10 * np.max(np.abs(flow)), lam
 
 
 def test_infer_zone_rejects_mixtures():

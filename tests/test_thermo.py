@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from zonekit.params import PhysParams
-from zonekit.propagators import SingularTimeError, partition_function, zonal_kernel
-from zonekit.thermo import (average_energy, average_energy_of_time, default_kappa,
-                            diagonal_kernel, find_period_extrema, period, quarter_time,
-                            specific_heat, stable_spread, tension)
+from zonekit.propagators import SingularTimeError, _zonal_form, partition_function, zonal_kernel
+from zonekit.thermo import (_refine_extremum, average_energy, average_energy_of_time,
+                            default_kappa, diagonal_kernel, find_period_extrema, period,
+                            period_density, quarter_time, specific_heat, stable_spread,
+                            tension)
 
 PAR = PhysParams(lam=1.0, k=2)
 KAPPA = default_kappa(PAR)
@@ -171,3 +172,91 @@ def test_period_values():
     assert period(PhysParams(lam=2.0, k=2)) == pytest.approx(math.pi / 2)
     with pytest.raises(ValueError):
         period(PAR, "spectrum")
+
+
+# ---- array-valued times -----------------------------------------------------------
+
+
+def _time_functions(lam, k, a):
+    """name -> (f of one time or temperature, its valid times, bad times with their
+    exception class); every f also takes a 1-D array of times."""
+    params = PhysParams(lam=lam, k=k)
+    X = np.array([0.6 - 0.3j, 0.2 + 0.4j][: k // 2])
+    kappa = default_kappa(params)
+    ts = np.linspace(0.05, 3.0, 41)
+    nonneg = [(-0.5, ValueError), (-1e-300, ValueError)]
+    positive = [(0.0, ValueError), (-2.0, ValueError)]
+    return {
+        "tension": (lambda t: tension(a, t, X, params), ts, nonneg),
+        "diagonal_kernel_wk": (lambda t: diagonal_kernel(1, a, t, X, params), ts, nonneg),
+        "diagonal_kernel_df": (lambda t: diagonal_kernel(1j, a, t, X, params), ts, nonneg),
+        # the form's seven constants, one row per time
+        "zonal_form": (lambda t: np.stack(np.broadcast_arrays(
+            *_zonal_form(1j, a, t, params)), axis=-1).astype(complex), ts, nonneg),
+        "partition_function_wk": (lambda t: partition_function(1, a, t, params), ts, positive),
+        "partition_function_df": (lambda t: partition_function(1j, a, t, params), ts,
+                                  positive + [(math.pi / lam, SingularTimeError)]),
+        "average_energy_wk": (lambda T: average_energy(1, T, kappa, H), ts, positive),
+        "average_energy_df": (lambda T: average_energy(1j, T, kappa, H), ts,
+                              positive + [(H / (kappa * math.pi), SingularTimeError)]),
+        "specific_heat_wk": (lambda T: specific_heat(1, T, kappa, H), ts, positive),
+        "specific_heat_df": (lambda T: specific_heat(1j, T, kappa, H), ts,
+                             positive + [(H / (kappa * math.pi), SingularTimeError)]),
+        "average_energy_of_time": (lambda t: average_energy_of_time(t, kappa, H), ts,
+                                   positive + [(kappa * math.pi / H, SingularTimeError)]),
+    }
+
+
+TIME_FUNCTIONS = sorted(_time_functions(1.0, 2, 0))
+
+
+@pytest.mark.parametrize("name", TIME_FUNCTIONS)
+@pytest.mark.parametrize("a", [0, 1, 2])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("lam", [0.4, 1.0, 2.5])
+def test_array_of_times_agrees_with_scalar_calls(lam, k, a, name):
+    fun, ts, _ = _time_functions(lam, k, a)[name]
+    got = fun(ts)
+    assert isinstance(got, np.ndarray) and got.shape[0] == len(ts)
+    ref = np.array([fun(t) for t in ts])
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+@pytest.mark.parametrize("name", TIME_FUNCTIONS)
+def test_bad_time_anywhere_in_the_array_raises_as_the_scalar_call(name):
+    fun, ts, bad_times = _time_functions(2.5, 4, 1)[name]
+    for bad, error in bad_times:
+        with pytest.raises(error) as scalar:
+            fun(bad)
+        for i in (0, len(ts) // 2, len(ts) - 1):
+            times = ts.copy()
+            times[i] = bad
+            with pytest.raises(error) as array:
+                fun(times)
+            assert str(array.value) == str(scalar.value)
+
+
+def _scalar_scan_extrema(quantity, a, params, X, n_samples):
+    """find_period_extrema with the period sampled one scalar call at a time."""
+    P, poles, fun = period_density(quantity, a, params, X)
+    eps = P * 1e-6
+    ts = np.linspace(eps, P - eps, n_samples)
+    vals = np.array([fun(t) for t in ts])
+    out = [(p, "pole") for p in poles]
+    for i in range(1, n_samples - 1):
+        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
+            out.append((_refine_extremum(fun, ts[i], ts[1] - ts[0], True), "min"))
+        elif vals[i] > vals[i - 1] and vals[i] >= vals[i + 1]:
+            out.append((_refine_extremum(fun, ts[i], ts[1] - ts[0], False), "max"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n_samples", [2001, 4096])
+@pytest.mark.parametrize("quantity", ["partition_density", "diagonal_density",
+                                      "energy_density"])
+@pytest.mark.parametrize("lam", [0.4, 1.0, 2.5])
+def test_period_extrema_match_the_scalar_scan(lam, quantity, n_samples):
+    params = PhysParams(lam=lam, k=2)
+    X = np.array([0.7 + 0.2j])
+    got = find_period_extrema(quantity, 1, params, X=X, n_samples=n_samples)
+    assert got == _scalar_scan_extrema(quantity, 1, params, X, n_samples)
