@@ -12,7 +12,7 @@ from .path_measure import (PathDiscretization, cylinder_measure, probability_tot
 from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
                           global_kernel, partition_function, partition_function_trace,
                           semigroup_residual, zonal_kernel, zonal_kernel_spectral)
-from .special import gauss_hermite, laguerre
+from .special import laguerre
 from .thermo import (average_energy, find_period_extrema, specific_heat, stable_spread,
                      tension)
 from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kernel
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhysParams", "ZonePolynomial", "SpinorField", "PathDiscretization", "KernelGrid",
-    "SingularTimeError", "QuadratureConvergenceError", "laguerre", "gauss_hermite",
+    "SingularTimeError", "QuadratureConvergenceError", "laguerre",
     "inner_product", "norm", "to_standard", "apply_zeeman", "apply_rep",
     "zone_basis", "project_to_zone", "zone_kernel", "kernel_basis_residual",
     "global_kernel", "zonal_kernel", "zonal_kernel_spectral", "partition_function",

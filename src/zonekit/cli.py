@@ -46,6 +46,10 @@ class NonFiniteOutput(Exception):
     """A computed table value is nan or inf: a failed result, not data (exit 1)."""
 
 
+# Peak bytes per row of each table over its whole command, by tracemalloc at the smaller
+# of two sizes (Python 3.11, numpy 2.4); anomalous_kernel rows carry their grid points.
+_ROW_BYTES = {"spectrum": 350, "thermo": 820, "partition": 450, "anomalous_kernel": 610}
+
 # config key -> (argument it defaults, its type, its value when neither sets it)
 _CONFIG_KEYS = {"lambda": ("lam", float, 1.0), "k": ("k", int, 2)}
 
@@ -93,11 +97,12 @@ def _output(args, name: str | None = None) -> str:
     return os.path.join(out, name or args.output)
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str, row_bytes: int = 0):
     """lo:hi:step for one real axis; the step must divide hi - lo to 1e-9 relative.
 
     A step so large that hi - lo rounds to no step at all does not divide it either:
-    only lo:lo:step is a one-point grid.
+    only lo:lo:step is a one-point grid.  Memory is checked for the points and for
+    one table row of `row_bytes` per point.
     """
     lo, hi, step = (float(p) for p in text.split(":"))
     if step == 0:
@@ -110,7 +115,7 @@ def _parse_grid(text: str):
     n = int(math.floor(steps + 0.5)) + 1
     if abs(steps - (n - 1)) > 1e-9 * max(abs(steps), 1.0) or (n == 1 and hi != lo):
         raise UsageError(f"grid step must divide hi - lo, got {text!r}")
-    _require_memory(np.dtype(float).itemsize * n, f"grid {text!r} of {n} points")
+    _require_memory((np.dtype(float).itemsize + row_bytes) * n, f"grid {text!r} of {n} points")
     return np.linspace(lo, hi, n)
 
 
@@ -133,6 +138,15 @@ def _parse_range(text: str, flag: str, least: int):
     if lo < least:
         raise UsageError(f"{flag} must be at least {least}, got {text!r}")
     return range(lo, hi + 1)
+
+
+def _finite(args, dest: str, positive: bool = False) -> None:
+    """Refuse a nan or inf flag value, or with `positive` one <= 0, naming the flag."""
+    value = getattr(args, dest)
+    if not math.isfinite(value):
+        raise UsageError(f"--{dest} must be finite, got {value}")
+    if positive and not value > 0:
+        raise UsageError(f"--{dest} must be positive, got {value}")
 
 
 def _at_least(args, dest: str, least) -> None:
@@ -184,10 +198,7 @@ def _fmt(x: float) -> str:
 def cmd_kernel(args) -> int:
     params = _params(args)
     a = None if args.a < 0 else args.a
-    if not math.isfinite(args.t):
-        raise UsageError(f"--t must be finite, got {args.t}")
-    if a is None and not args.t > 0:
-        raise UsageError(f"--t must be positive, got {args.t}")
+    _finite(args, "t", positive=a is None)
     _at_least(args, "t", 0)
     axes = [_parse_grid(args.grid)] * params.k
     n = len(axes[0]) ** params.k  # grid points, before building them
@@ -210,8 +221,11 @@ def cmd_kernel(args) -> int:
 def cmd_spectrum(args) -> int:
     params = _params(args)
     _at_least(args, "pmax", 0)
+    zones = _parse_range(args.zones, "--zones", 0)
+    n = len(zones) * (args.pmax + 1)
+    _require_memory(_ROW_BYTES["spectrum"] * n, f"{args.output} of {n} rows")
     rows = []
-    for a in _parse_range(args.zones, "--zones", 0):
+    for a in zones:
         for p in range(args.pmax + 1):
             rows.append([a, p, _fmt(params.zeeman_eigenvalue(p)),
                          _fmt(params.zeeman_eigenvalue(p, field_term=True))])
@@ -234,9 +248,14 @@ def cmd_zones(args) -> int:
 
 def cmd_evolve(args) -> int:
     params = _params(args)
+    _finite(args, "t")
     with open(args.state) as fh:
         f = ZonePolynomial.from_json(fh.read(), params)
     out = evolve(f, _sigma(args), args.t, params, include_field_term=args.field_term)
+    for i, record in enumerate(out.to_records(), 1):
+        for part in ("re", "im"):
+            if not math.isfinite(record[part]):
+                raise NonFiniteOutput(f"{_output(args)}: {part} is {record[part]} in record {i}")
     _write(args, out.to_json())
     return EXIT_OK
 
@@ -244,14 +263,15 @@ def cmd_evolve(args) -> int:
 def cmd_thermo(args) -> int:
     params = _params(args)
     _at_least(args, "a", 0)
-    for flag, value in (("--kappa", args.kappa), ("--h", args.h)):
-        if value is not None and not value > 0:
-            raise UsageError(f"{flag} must be positive, got {value}")
+    for dest in ("kappa", "h"):
+        if getattr(args, dest) is not None:
+            _finite(args, dest, positive=True)
     kappa = args.kappa if args.kappa is not None else thermo.default_kappa(params)
     h = args.h
     sigma = _sigma(args)
-    Ts = _parse_grid(args.T_grid)
-    ts = _parse_grid(args.partition_t_grid) if args.partition_t_grid else None
+    Ts = _parse_grid(args.T_grid, _ROW_BYTES["thermo"])
+    ts = _parse_grid(args.partition_t_grid, _ROW_BYTES["partition"]) \
+        if args.partition_t_grid else None
     for flag, grid in (("--T-grid", Ts), ("--partition-t-grid", ts)):
         if grid is not None and not grid.min() > 0:
             raise UsageError(f"{flag} must be positive, got {float(grid.min())}")
@@ -288,8 +308,7 @@ def cmd_path(args) -> int:
     _at_least(args, "n_slices", 1)
     _at_least(args, "order", 1)
     _at_least(args, "a", 0)
-    if not math.isfinite(args.T):
-        raise UsageError(f"--T must be finite, got {args.T}")
+    _finite(args, "T")
     _at_least(args, "T", 0)
     sigma = _sigma(args)
     x = _point(args.x, params, "--x")
@@ -314,8 +333,12 @@ def cmd_padi(args) -> int:
         raise UsageError("padi requires k=2")
     _at_least(args, "pmax", 0)
     zones = _parse_range(args.zones, "--zones", 0)
-    pts = tensor_points([_parse_grid(args.kernel_grid)] * params.k) if args.kernel_grid \
-        else None
+    pts = None
+    if args.kernel_grid:
+        axis = _parse_grid(args.kernel_grid)
+        n = len(zones) * 2 * len(axis) ** params.k * 2  # zone, j, grid point, component
+        _require_memory(_ROW_BYTES["anomalous_kernel"] * n, f"anomalous_kernel.csv of {n} rows")
+        pts = tensor_points([axis] * params.k)
     rows = []
     for a in zones:
         basis = zone_basis(a, a + args.pmax, params)
@@ -350,6 +373,7 @@ def cmd_coulomb(args) -> int:
     _at_least(args, "a", 0)
     _at_least(args, "basis_size", 1)
     _at_least(args, "max_zone", 0)
+    _finite(args, "Q")
     out = zonal_coulomb_matrix(args.a, args.Q, args.basis_size, params)
     rows = [[i, _fmt(ev)] for i, ev in enumerate(out["eigenvalues"])]
     _write_csv(args, ["index", "eigenvalue"], rows)

@@ -232,25 +232,16 @@ def _convolve(form: KernelForm, f: ZonePolynomial, params: PhysParams, grid_lam:
     standard-space wave function of `f` (`to_standard`), on the Hermite grid
     `flat_hermite_grid(order, grid_lam, k)`.
 
-    psi is built on the tensor grid from one-coordinate (order x order) tables:
-    each monomial is an outer product over the k/2 coordinates (its factors
-    multiplied in the order of `ZonePolynomial.eval`), times the separable
-    half-Gaussian.
+    psi is built on the tensor grid from one-coordinate (order x order) tables,
+    which `ZonePolynomial._eval_coordinates` broadcasts into outer products over the
+    k/2 coordinates, times the separable half-Gaussian.
     """
     k = params.k
     axes, weights = flat_hermite_grid(order, grid_lam, k)
     # coordinate r as an order x order table on axes 2r and 2r + 1 of the tensor grid
     zs = [(axes[2 * r][:, None] + 1j * axes[2 * r + 1]).reshape(
         (1,) * (2 * r) + (order, order) + (1,) * (k - 2 * r - 2)) for r in range(params.m)]
-    psi = np.zeros((order,) * k, dtype=complex)
-    for key, c in f.coefficients.items():
-        term = c
-        for z, (p, v) in zip(zs, key):
-            if p:
-                term = term * z ** p
-            if v:
-                term = term * np.conj(z) ** v
-        psi += term
+    psi = f._eval_coordinates(zs)
     for z in zs:
         psi *= np.exp(-0.5 * f.params.lam * np.abs(z) ** 2)
     g = weights.reshape(psi.shape) * psi

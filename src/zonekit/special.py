@@ -50,11 +50,6 @@ def multiplicity_factor(a: int, k: int) -> int:
     return math.comb(a + k // 2 - 1, a)
 
 
-def gauss_hermite(order: int):
-    """(nodes, weights) for integrals of the form int f(x) e^{-x^2} dx over the real line."""
-    return np.polynomial.hermite.hermgauss(order)
-
-
 def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0):
     """(nodes, weights) for int_a^b f(x) dx."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -68,7 +63,7 @@ def hermite_axis(order: int, lam: float):
     The weights absorb the Jacobian of the node rescaling and the density, so
     sum_i w_i f(x_i) ~ int f(x) e^{-lam x^2} dx.
     """
-    nodes, weights = gauss_hermite(order)
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
     return nodes / math.sqrt(lam), weights / math.sqrt(lam)
 
 

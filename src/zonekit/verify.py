@@ -22,7 +22,7 @@ from .params import PhysParams
 from .propagators import (_convolve, _global_form, evolve, field_term_multiplier,
                           global_kernel, partition_function, partition_function_trace,
                           semigroup_residual, zonal_kernel, zonal_kernel_spectral)
-from .special import flat_hermite_grid, gauss_hermite, laguerre, tensor_points
+from .special import flat_hermite_grid, hermite_axis, laguerre, tensor_points
 from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kernel
 
 CHECKS = []
@@ -103,7 +103,7 @@ def _laguerre_zero(params):
 @check("hermite_rule_moments", "special",
        "special_functions: Gauss-Hermite integrates e^{-x^2} x^{2m} exactly below its degree")
 def _hermite_moments(params):
-    nodes, weights = gauss_hermite(24)
+    nodes, weights = hermite_axis(24, 1.0)
     worst = 0.0
     for m in range(0, 20):
         got = float(np.sum(weights * nodes ** (2 * m)))
@@ -206,13 +206,13 @@ def _reproducing(params):
     zpts = tensor_points(axes)
     rng = np.random.default_rng(2)
     samples = _points(rng, (5, 1), 0.9)
-    density = np.exp(-params.lam * np.sum(np.abs(zpts) ** 2, -1))
     worst = 0.0
     for a in (0, 1, 2):
-        ker = zone_kernel(a, samples[:, None, :], zpts[None, :, :], params, weighted=True)
+        ker = zone_kernel(a, samples[:, None, :], zpts[None, :, :], params)
         for vec in zone_basis(a, a + 2, params):
-            got = ker @ (w * vec.eval(zpts) * density)
-            ref = vec.eval(samples)
+            psi = to_standard(vec)
+            got = ker @ (w * psi(zpts))
+            ref = psi(samples)
             worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0))))
     return worst, 1e-6
 

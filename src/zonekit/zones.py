@@ -122,10 +122,10 @@ def pairing(Z: np.ndarray, W: np.ndarray, params: PhysParams) -> np.ndarray:
     return s
 
 
-def _laguerre_gauss(pref, a: int, q, Z: np.ndarray, W: np.ndarray, params: PhysParams,
-                    weighted: bool = False) -> np.ndarray:
+def _laguerre_gauss(pref, a: int, q, Z: np.ndarray, W: np.ndarray,
+                    params: PhysParams) -> np.ndarray:
     """pref L_a^{(k/2-1)}(lam |Z-W|^2) exp(lam (q Z.Wbar - (|Z|^2 + |W|^2)/2)), the one
-    closed form of the zone and zonal kernels; ``weighted=True`` drops the half-Gaussians."""
+    closed form of the zone and zonal kernels."""
     lam = params.lam
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     W = np.atleast_2d(np.asarray(W, dtype=complex))
@@ -134,28 +134,21 @@ def _laguerre_gauss(pref, a: int, q, Z: np.ndarray, W: np.ndarray, params: PhysP
     else:
         dist2 = _coordinate_sum(np.abs(Z - W) ** 2)
         lag = laguerre(a, params.k / 2 - 1, lam * dist2)
-    expo = q * pairing(Z, W, params)
-    if not weighted:
-        expo = expo - 0.5 * (np.sum(np.abs(Z) ** 2, axis=-1) + np.sum(np.abs(W) ** 2, axis=-1))
+    expo = q * pairing(Z, W, params) \
+        - 0.5 * (np.sum(np.abs(Z) ** 2, axis=-1) + np.sum(np.abs(W) ** 2, axis=-1))
     return pref * lag * np.exp(lam * expo)
 
 
-def zone_kernel(a: int, Z: np.ndarray, W: np.ndarray, params: PhysParams,
-                weighted: bool = False) -> np.ndarray:
-    """Closed-form zone projection kernel (point-spread amplitude).
-
-    Standard-space form (default):
+def zone_kernel(a: int, Z: np.ndarray, W: np.ndarray, params: PhysParams) -> np.ndarray:
+    """Closed-form standard-space zone projection kernel (point-spread amplitude):
 
         (lam/pi)^(k/2) L_a^{(k/2-1)}(lam |Z-W|^2)
             * exp(lam (Z.Wbar - (|Z|^2 + |W|^2)/2)).
 
-    With ``weighted=True`` the half-Gaussians are dropped, which is the form
-    that reproduces weighted-space polynomials against the density
-    e^{-lam |W|^2}.  `Z`, `W` broadcast over leading axes; the trailing axis
-    holds the k/2 complex coordinates.
+    `Z`, `W` broadcast over leading axes; the trailing axis holds the k/2
+    complex coordinates.
     """
-    return _laguerre_gauss((params.lam / np.pi) ** (params.k / 2), a, 1.0, Z, W, params,
-                           weighted)
+    return _laguerre_gauss((params.lam / np.pi) ** (params.k / 2), a, 1.0, Z, W, params)
 
 
 def _basis_sum(terms, X: np.ndarray, Z: np.ndarray, params: PhysParams) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm
+from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm, to_standard
 from zonekit.extensions import clifford_dimension, zonal_coulomb_matrix
 from zonekit.padi import (SpinorField, anomalous_kernel, anomalous_zone_kernel, apply_padi,
                           eigenspinors, padi_square_residual, spinor_inner_product,
@@ -83,15 +83,16 @@ def test_c02_kernel_equivalence():
 def test_c03_reproducing_and_idempotency():
     axes, w = flat_hermite_grid(64, PAR.lam, PAR.k)
     zpts = tensor_points(axes)
-    dens = np.exp(-PAR.lam * np.sum(np.abs(zpts) ** 2, -1))
     rng = np.random.default_rng(102)
     samples = rng.uniform(-0.9, 0.9, (4, 1)) + 1j * rng.uniform(-0.9, 0.9, (4, 1))
+    # the standard-space identity int K(x, w) psi(w) dw = psi(x), psi = to_standard(vec)
     for a in (0, 1, 2):
         for vec in zone_basis(a, a + 2, PAR):
-            vals = vec.eval(zpts) * dens
+            psi = to_standard(vec)
+            vals = psi(zpts)
             for s in samples:
-                got = np.sum(w * zone_kernel(a, s[None, :], zpts, PAR, weighted=True) * vals)
-                ref = vec.eval(s[None, :])[0]
+                got = np.sum(w * zone_kernel(a, s[None, :], zpts, PAR) * vals)
+                ref = psi(s[None, :])[0]
                 assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
     for params in (PAR, PAR4):
         for _ in range(3):

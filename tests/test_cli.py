@@ -223,6 +223,8 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     cfg.write_text("zones=0..1\nbogus=3\n")
     state = tmp_path / "z100.json"
     state.write_text('[{"degrees": [[100, 0]], "re": 1.0, "im": 0.0}]')
+    z1 = tmp_path / "z1.json"
+    z1.write_text('[{"degrees": [[1, 0]], "re": 1.0, "im": 0.0}]')
     # valid JSON that is not a list of {degrees, re, im} records
     shapes = {}
     for i, text in enumerate(('{"x": 1}', '[1]', '[{"degrees": [[1, 0]], "im": 0.0}]',
@@ -302,6 +304,19 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
              "error: --h must be positive, got 0.0\n"),
             (["thermo", "--h", "-1", "--T-grid", "1:2:1"], "thermo.csv",
              "error: --h must be positive, got -1.0\n"),
+            # an infinite kappa makes every point singular, an infinite h overflows
+            (["thermo", "--kappa", "inf", "--T-grid", "1:2:1"], "thermo.csv",
+             "error: --kappa must be finite, got inf\n"),
+            (["thermo", "--h", "inf", "--T-grid", "1:2:1"], "thermo.csv",
+             "error: --h must be finite, got inf\n"),
+            (["thermo", "--kappa", "nan", "--T-grid", "1:2:1"], "thermo.csv",
+             "error: --kappa must be finite, got nan\n"),
+            # a non-finite time would write a state of nan coefficients
+            *((["evolve", "--state", str(z1), "--t", t], "evolved.json",
+               f"error: --t must be finite, got {t}\n") for t in ("nan", "inf")),
+            # the Galerkin eigensolver does not converge on a non-finite charge
+            *((["coulomb", "--Q", q], "coulomb_spectrum.csv",
+               f"error: --Q must be finite, got {q}\n") for q in ("nan", "inf")),
             (["thermo", "--a", "-1", "--partition-t-grid", "0.1:0.2:0.1", "--T-grid", "1:2:1"],
              "thermo.csv", "error: --a must be at least 0, got -1\n"),
             (["spectrum", "--zones=-1..0"], "spectrum.csv",
@@ -471,15 +486,55 @@ def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "kernel.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [["thermo", "--T-grid", "0.001:1:1e-12"],
-                                  ["kernel", "--t", "0.25", "--grid=0.001:1:1e-12"]],
+@pytest.mark.parametrize("argv, gb", [(["thermo", "--T-grid", "0.001:1:1e-12"], "8.27e+05"),
+                                      (["kernel", "--t", "0.25", "--grid=0.001:1:1e-12"],
+                                       "7.99e+03")],
                          ids=["thermo", "kernel"])
-def test_oversized_axis_grid_is_refused_before_allocating(tmp_path, capsys, argv):
-    # 999,000,000,001 grid values, about 8e12 bytes before any kernel or scan
+def test_oversized_axis_grid_is_refused_before_allocating(tmp_path, capsys, argv, gb):
+    # 999,000,000,001 grid values, about 8e12 bytes before any kernel or scan, and
+    # for thermo one 820-byte table row per value on top
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: grid '0.001:1:1e-12' of 999000000001 points needs "
-                          "7.99e+03 GB") and err.count("\n") == 1, err
+    assert err.startswith(f"error: grid '0.001:1:1e-12' of 999000000001 points needs {gb} GB") \
+        and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == []
+
+
+def test_table_memory_is_counted_from_rows_before_building(tmp_path, monkeypatch):
+    # each table asks for its measured cost per row times the rows it then writes
+    import zonekit.cli as cli
+    asked = []
+    monkeypatch.setattr(cli, "_require_memory", lambda need, what: asked.append((need, what)))
+    assert run(tmp_path, "spectrum", "--zones", "0..2", "--pmax", "4") == 0
+    assert run(tmp_path, "thermo", "--T-grid", "1:3:1", "--partition-t-grid", "0.1:0.3:0.1") == 0
+    assert run(tmp_path, "padi", "--zones", "0..1", "--pmax", "0", "--kernel-grid", "0:1:0.5") == 0
+    row = cli._ROW_BYTES
+    assert asked == [(15 * row["spectrum"], "spectrum.csv of 15 rows"),
+                     (3 * (8 + row["thermo"]), "grid '1:3:1' of 3 points"),
+                     (3 * (8 + row["partition"]), "grid '0.1:0.3:0.1' of 3 points"),
+                     (3 * 8, "grid '0:1:0.5' of 3 points"),
+                     (72 * row["anomalous_kernel"], "anomalous_kernel.csv of 72 rows")]
+    for name, rows in (("spectrum.csv", 15), ("thermo.csv", 3), ("partition.csv", 3),
+                       ("anomalous_kernel.csv", 72)):
+        with open(tmp_path / name) as fh:
+            assert len(fh.readlines()) == rows + 1, name
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 4 zones of 10^10 + 1 rows each
+    (["spectrum", "--pmax", "10000000000"], "spectrum.csv of 40000000004 rows needs 1.4e+04 GB"),
+    # 3 zones x 2 j x 20001^2 points x 2 components
+    (["padi", "--kernel-grid=-100:100:0.01"],
+     "anomalous_kernel.csv of 4800480012 rows needs 2.93e+03 GB"),
+], ids=["spectrum", "padi"])
+def test_oversized_table_is_refused_before_its_first_row(tmp_path, capsys, monkeypatch, argv,
+                                                         message):
+    import zonekit.cli as cli
+    monkeypatch.setattr(cli, "_fmt", _never_called)  # every row formats its values
+    monkeypatch.setattr(cli, "tensor_points", _never_called)
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}, more than the ") and err.count("\n") == 1, err
     assert os.listdir(tmp_path) == []
 
 
@@ -515,8 +570,14 @@ def test_path_with_vanishing_target_is_usage_error(tmp_path, capsys, monkeypatch
     # the field term 2 k lam^2 overflows while the bare eigenvalue does not
     (["spectrum", "--lambda", "1e200"], "spectrum.csv",
      "eigenvalue_with_field_term is inf in row 1"),
-], ids=["kernel", "thermo", "spectrum"])
-def test_non_finite_value_fails_and_writes_no_table(tmp_path, capsys, argv, output, message):
+    # e^{1000 mu} overflows; the JSON state is refused as a table is
+    (["evolve", "--t=-1000", "--state", "STATE"], "evolved.json", "re is nan in record 1"),
+], ids=["kernel", "thermo", "spectrum", "evolve"])
+def test_non_finite_value_fails_and_writes_no_table(tmp_path_factory, tmp_path, capsys, argv,
+                                                    output, message):
+    state = tmp_path_factory.mktemp("state") / "z1.json"
+    state.write_text('[{"degrees": [[1, 0]], "re": 1.0, "im": 0.0}]')
+    argv = [str(state) if arg == "STATE" else arg for arg in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert run(tmp_path, *argv) == 1

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm
+from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm, to_standard
 from zonekit.params import PhysParams
 from zonekit.propagators import infer_zone
 from zonekit.special import flat_hermite_grid, laguerre, tensor_points
@@ -190,10 +190,9 @@ def test_zone_zero_kernel_is_bergman():
 
 
 @pytest.mark.parametrize("charge_sign", [1, -1])
-@pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("lam", [0.4, 2.5])
-def test_zone_zero_kernel_skips_laguerre_bit_for_bit(lam, k, weighted, charge_sign):
+def test_zone_zero_kernel_skips_laguerre_bit_for_bit(lam, k, charge_sign):
     # zone 0 uses L_0 = 1 without computing distances; the explicit formula
     # with laguerre(0, ...) must give the same bits, also when broadcasting.  The
     # exponent is formed in the kernels' one order, lam (q Z.Wbar - (|Z|^2 + |W|^2)/2),
@@ -204,12 +203,10 @@ def test_zone_zero_kernel_skips_laguerre_bit_for_bit(lam, k, weighted, charge_si
     W = rng.uniform(-1, 1, (5, k // 2)) + 1j * rng.uniform(-1, 1, (5, k // 2))
     for Zb, Wb in ((Z[:5], W), (Z[:, None, :], W[None, :, :])):
         lag = laguerre(0, k / 2 - 1, lam * np.sum(np.abs(Zb - Wb) ** 2, axis=-1))
-        expo = pairing(Zb, Wb, params)
-        if not weighted:
-            expo = expo - 0.5 * (np.sum(np.abs(Zb) ** 2, axis=-1)
-                                 + np.sum(np.abs(Wb) ** 2, axis=-1))
+        expo = pairing(Zb, Wb, params) - 0.5 * (np.sum(np.abs(Zb) ** 2, axis=-1)
+                                                + np.sum(np.abs(Wb) ** 2, axis=-1))
         ref = (lam / np.pi) ** (k / 2) * lag * np.exp(lam * expo)
-        got = zone_kernel(0, Zb, Wb, params, weighted=weighted)
+        got = zone_kernel(0, Zb, Wb, params)
         assert np.array_equal(got, ref)
 
 
@@ -251,15 +248,16 @@ def test_kernel_basis_residual_small_and_monotone():
 def test_reproducing_property_quadrature():
     axes, w = flat_hermite_grid(64, PAR.lam, PAR.k)
     zpts = tensor_points(axes)
-    dens = np.exp(-PAR.lam * np.sum(np.abs(zpts) ** 2, -1))
     rng = np.random.default_rng(11)
     samples = rng.uniform(-0.8, 0.8, (4, 1)) + 1j * rng.uniform(-0.8, 0.8, (4, 1))
+    # the standard-space identity int K(x, w) psi(w) dw = psi(x), psi = to_standard(vec)
     for a in (0, 1, 2):
         for vec in zone_basis(a, a + 2, PAR):
-            vals = vec.eval(zpts) * dens
+            psi = to_standard(vec)
+            vals = psi(zpts)
             for s in samples:
-                got = np.sum(w * zone_kernel(a, s[None, :], zpts, PAR, weighted=True) * vals)
-                ref = vec.eval(s[None, :])[0]
+                got = np.sum(w * zone_kernel(a, s[None, :], zpts, PAR) * vals)
+                ref = psi(s[None, :])[0]
                 assert abs(got - ref) < 1e-6 * max(1.0, abs(ref))
 
 
