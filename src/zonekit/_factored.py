@@ -13,7 +13,9 @@ fastest as in `special.tensor_points`), the exponential is a product of n x n
 one-axis tables and the Laguerre factor is a polynomial in one-axis squared
 distances.  So a kernel is applied to a grid function (a single point being a
 grid of one node per axis) or summed along its diagonal without ever forming
-the N x N kernel matrix.
+the N x N kernel matrix.  From a one-node source a coordinate is an outer
+product of tables, and into a one-node destination it is two vector
+products with no temporary of the size of the grid.
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ def _coordinate(f: np.ndarray, r: int, P, Q, R, S) -> np.ndarray:
 
     One output axis is looped over, so the largest intermediate has the size
     of f and each step is one BLAS product.  A one-node source (a point) needs
-    no sum: the result is the outer product (P Q)(y1) (R S)(y2) f.
+    no sum: the result is the outer product (P Q)(y1) (R S)(y2) f.  A one-node
+    destination is two vector products, (Q R) @ ((P S) @ f), with no
+    temporary of the size of f.
     """
     f = np.moveaxis(f, (2 * r, 2 * r + 1), (0, 1))
     n1, n2, rest = f.shape[0], f.shape[1], f.shape[2:]
@@ -70,6 +74,9 @@ def _coordinate(f: np.ndarray, r: int, P, Q, R, S) -> np.ndarray:
     if n1 == n2 == 1:
         g = np.multiply.outer(np.multiply.outer(P[0] * Q[0], R[0] * S[0]), f[0, 0])
         return np.moveaxis(g.reshape((m1, m2) + rest), (0, 1), (2 * r, 2 * r + 1))
+    if m1 == m2 == 1:
+        g = (Q[:, 0] * R[:, 0]) @ ((P[:, 0] * S[:, 0]) @ f.reshape(n1, -1)).reshape(n2, -1)
+        return np.moveaxis(g.reshape((1, 1) + rest), (0, 1), (2 * r, 2 * r + 1))
     g = np.empty((m1, m2, f.shape[2]), dtype=complex)
     for j in range(m1):
         h = f * (P[:, j, None] * Q[None, :, j])[:, :, None]

@@ -47,8 +47,13 @@ class NonFiniteOutput(Exception):
 
 
 # Peak bytes per row of each table over its whole command, by tracemalloc at the smaller
-# of two sizes (Python 3.11, numpy 2.4); anomalous_kernel rows carry their grid points.
-_ROW_BYTES = {"spectrum": 350, "thermo": 820, "partition": 450, "anomalous_kernel": 610}
+# of two sizes (Python 3.11, numpy 2.4); anomalous_kernel rows carry their grid points,
+# and clifford rows are measured at the top of the r range, where n_r has the most digits.
+_ROW_BYTES = {"spectrum": 350, "thermo": 820, "partition": 450, "anomalous_kernel": 610,
+              "clifford": 11010}
+
+# the most decimal digits of a clifford n_r, Python's default int-to-string limit
+_CLIFFORD_DIGITS = 4300
 
 # config key -> (argument it defaults, its type, its value when neither sets it)
 _CONFIG_KEYS = {"lambda": ("lam", float, 1.0), "k": ("k", int, 2)}
@@ -57,7 +62,8 @@ _CONFIG_KEYS = {"lambda": ("lam", float, 1.0), "k": ("k", int, 2)}
 def _apply_config(args) -> None:
     """Fill --lambda and --k that were not given from the --config file, else the defaults.
 
-    verify runs each check on its own parameter table, so it refuses both flags.
+    verify runs each check on its own parameter table, so it refuses both flags and
+    both config keys.
     """
     if args.fn is cmd_verify:
         for key, (dest, _, _) in _CONFIG_KEYS.items():
@@ -77,6 +83,9 @@ def _apply_config(args) -> None:
                     raise UsageError(f"unknown config key {key!r} in {args.config} "
                                      f"(known: {', '.join(_CONFIG_KEYS)})")
                 cfg[key] = val.strip()
+    if args.fn is cmd_verify and cfg:
+        raise UsageError(f"verify does not take {next(iter(cfg))} from {args.config}: each "
+                         "check runs on its own parameter table")
     for key, (dest, kind, default) in _CONFIG_KEYS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, kind(cfg[key]) if key in cfg else default)
@@ -388,8 +397,14 @@ def cmd_coulomb(args) -> int:
 
 
 def cmd_clifford(args) -> int:
+    rs = _parse_range(args.r, "--r", 1)
+    _require_memory(_ROW_BYTES["clifford"] * len(rs), f"--r {args.r!r} table of {len(rs)} rows")
+    # n_r = 2^(4p) (1..8) at r = 8p + s grows with r; r // 8 >= digits already means
+    # n_r >= 16^digits, so no huge int is built to find that out
+    if rs[-1] // 8 >= _CLIFFORD_DIGITS or clifford_dimension(rs[-1])[0] >= 10**_CLIFFORD_DIGITS:
+        raise UsageError(f"--r {rs[-1]} gives an n_r of more than {_CLIFFORD_DIGITS} digits")
     rows = []
-    for r in _parse_range(args.r, "--r", 1):
+    for r in rs:
         n_r, count = clifford_dimension(r)
         rows.append([r, n_r, count])
     _write_csv(args, ["r", "n_r", "irreducible_count"], rows)

@@ -130,10 +130,8 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
     With every box covering the whole (numerically truncated) space this
     reproduces the closed-form kernel at horizon T; a degenerate box gives 0.
     `boxes` holds one box per interior time, each a sequence of k (lo, hi)
-    pairs of real coordinates.  The endpoints are one-node grids
-    (`_factored.point_axes`), and each step applies the factored kernel
-    (`_factored.transfer`) from one tensor grid to the next, so no kernel
-    matrix is formed.
+    pairs of real coordinates.  Each box is a Gauss-Legendre tensor grid of
+    `order` nodes per axis, and `_chain` integrates the kernel chain over them.
     """
     times = tuple(times)
     if len(boxes) != len(times):
@@ -145,11 +143,23 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
         return 0j
     form_at = _chain_form(kernel_kind, a, params)
     ts = (0.0,) + times + (T,)
-    grids = [(point_axes(x), 1.0)] + [_box_axes(box, order) for box in boxes] \
-        + [(point_axes(y), 1.0)]
+    return _chain(x, y, [_box_axes(box, order) for box in boxes],
+                  [form_at(t2 - t1) for t1, t2 in zip(ts, ts[1:])], params)
+
+
+def _chain(x, y, grids, forms, params: PhysParams) -> complex:
+    """Integrate a kernel chain against tensor grids: the sum over one node X_i
+    of each grid (axes, weights) of w_1(X_1) ... w_n(X_n) K_0(x, X_1)
+    K_1(X_1, X_2) ... K_n(X_n, y), with K_i = `forms[i]`.
+
+    The endpoints are one-node grids (`_factored.point_axes`), and each step
+    applies the factored kernel (`_factored.transfer`) from one grid to the
+    next, so no kernel matrix is formed.
+    """
+    grids = [(point_axes(x), 1.0)] + list(grids) + [(point_axes(y), 1.0)]
     f = np.ones((1,) * params.k)
-    for (src, w), (dst, _), t1, t2 in zip(grids, grids[1:], ts, ts[1:]):
-        f = transfer(f * w, form_at(t2 - t1), params, src, dst)
+    for (src, w), (dst, _), form in zip(grids, grids[1:], forms):
+        f = transfer(f * w, form, params, src, dst)
     return complex(f.ravel()[0])
 
 
@@ -266,6 +276,42 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
         val = np.sum(w * f * ker_y * np.exp(-c * act_y))
         val *= np.exp(-sigma * k * lam * T / 2.0)
         vals.append(complex(val))
+    return vals
+
+
+def _sliced_chain(sigma: complex, a: int, x, y, T: float, slice_counts,
+                  params: PhysParams, order: int = 48) -> list[complex]:
+    """`feynman_kac_sweep`'s values through the factored kernel chain.
+
+    The step kernel zone_kernel(a, Z, W) e^{-c Z.Wbar}, c = 2 sigma lam^2
+    T/(n+1), is one `KernelForm`: the zone kernel's with c taken off its C
+    and i c off its D.  At n slices `_chain` runs it n + 1 times, from x
+    through n copies of the Hermite grid to y, and the result carries the
+    factor e^{-sigma k lam T/2}.  Equal to the dense sweep up to rounding.
+    An order whose grid function and transfer temporaries exceed physical
+    memory raises ValueError before anything is allocated.
+    """
+    sigma = _check_sigma(sigma)
+    slice_counts = tuple(slice_counts)
+    if not slice_counts or min(slice_counts) < 1:
+        raise ValueError(f"need slice counts of at least one slice, got {slice_counts}")
+    lam, k = params.lam, params.k
+    nodes = order**k
+    # complex: the grid function, its weighted copy, the running sum over Laguerre
+    # terms and the term, and `_coordinate`'s copy, output, product and BLAS result;
+    # real: the grid weights and the Hermite rule's order x order companion matrix
+    _require_memory(np.dtype(complex).itemsize * 8 * nodes
+                    + np.dtype(float).itemsize * (nodes + order * order),
+                    f"sliced quadrature at order {order} ({nodes} nodes)")
+    axes, w = flat_hermite_grid(order, lam, k)
+    grid = (axes, w.reshape((order,) * k))
+    base = _zonal_form(1, a, 0.0, params)
+    vals = []
+    for n in slice_counts:
+        c = 2.0 * sigma * lam**2 * (T / (n + 1))
+        form = base._replace(C=base.C - c, D=base.D - 1j * c)
+        val = _chain(x, y, [grid] * n, [form] * (n + 1), params)
+        vals.append(complex(val * np.exp(-sigma * k * lam * T / 2.0)))
     return vals
 
 

@@ -20,9 +20,8 @@ from zonekit.padi import (SpinorField, anomalous_kernel, anomalous_zone_kernel, 
                           eigenspinors, padi_square_residual, spinor_inner_product,
                           spinor_norm)
 from zonekit.params import PhysParams
-from zonekit.path_measure import (PathDiscretization, action_functional,
-                                  feynman_kac_sweep, probability_total_mass,
-                                  radon_nikodym_density)
+from zonekit.path_measure import (PathDiscretization, _sliced_chain, action_functional,
+                                  probability_total_mass, radon_nikodym_density)
 from zonekit.propagators import (evolve, partition_function, partition_function_trace,
                                  semigroup_residual, zonal_kernel)
 from zonekit.special import flat_hermite_grid, laguerre, tensor_points
@@ -228,7 +227,7 @@ def test_c09_feynman_kac_reconstruction():
     T = 0.5
     ref = zonal_kernel(1, 0, T, x[None, :], y[None, :], PAR)[0]
     errs = [abs(val - ref) / abs(ref)
-            for val in feynman_kac_sweep(1, 0, x, y, T, (1, 2, 3, 4), PAR, order=40)]
+            for val in _sliced_chain(1, 0, x, y, T, (1, 2, 3, 4), PAR, order=40)]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] < 0.05
     # Radon-Nikodym chain rule as a floating-point identity on the exponents

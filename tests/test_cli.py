@@ -134,6 +134,11 @@ def test_clifford_table(tmp_path):
         rows = list(csv.DictReader(fh))
     table = {int(r["r"]): (int(r["n_r"]), int(r["irreducible_count"])) for r in rows}
     assert table[1] == (2, 1) and table[3] == (4, 2) and table[8] == (16, 1)
+    # the last r whose n_r has at most 4300 digits (28569 is refused in test_usage_errors)
+    assert run(tmp_path, "clifford", "--r", "28568") == 0
+    with open(tmp_path / "clifford.csv") as fh:
+        [row] = csv.DictReader(fh)
+    assert len(row["n_r"]) == 4300
 
 
 def test_zones_and_evolve_round_trip(tmp_path):
@@ -221,6 +226,9 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     # finite step count (1e308 steps overflow to inf)
     cfg = tmp_path / "conf"
     cfg.write_text("zones=0..1\nbogus=3\n")
+    vcfg = {"lambda": tmp_path / "lambda.cfg", "k": tmp_path / "k.cfg"}
+    vcfg["lambda"].write_text("lambda = 5\n")
+    vcfg["k"].write_text("# the other key\nk=4\n")
     state = tmp_path / "z100.json"
     state.write_text('[{"degrees": [[100, 0]], "re": 1.0, "im": 0.0}]')
     z1 = tmp_path / "z1.json"
@@ -354,7 +362,16 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
             *((["verify", flag, value, "--suite", "special"], "verify_report.json",
                f"error: verify does not take {flag}: each check runs on its own parameter "
                "table\n")
-              for flag, value in (("--lambda", "5"), ("--k", "4")))):
+              for flag, value in (("--lambda", "5"), ("--k", "4"))),
+            # and so would the config keys
+            *((["verify", "--config", str(conf), "--suite", "special"], "verify_report.json",
+               f"error: verify does not take {key} from {conf}: each check runs on its own "
+               "parameter table\n")
+              for key, conf in vcfg.items()),
+            # n_r of more than 4300 digits, which Python would refuse to print
+            *((["clifford", "--r", r], "clifford.csv",
+               f"error: --r {r.split('..')[-1]} gives an n_r of more than 4300 digits\n")
+              for r in ("120000", "28569", "3..28569"))):
         capsys.readouterr()
         assert run(tmp_path, *argv) == 2
         assert capsys.readouterr().err == message
@@ -508,14 +525,16 @@ def test_table_memory_is_counted_from_rows_before_building(tmp_path, monkeypatch
     assert run(tmp_path, "spectrum", "--zones", "0..2", "--pmax", "4") == 0
     assert run(tmp_path, "thermo", "--T-grid", "1:3:1", "--partition-t-grid", "0.1:0.3:0.1") == 0
     assert run(tmp_path, "padi", "--zones", "0..1", "--pmax", "0", "--kernel-grid", "0:1:0.5") == 0
+    assert run(tmp_path, "clifford", "--r", "3..9") == 0
     row = cli._ROW_BYTES
     assert asked == [(15 * row["spectrum"], "spectrum.csv of 15 rows"),
                      (3 * (8 + row["thermo"]), "grid '1:3:1' of 3 points"),
                      (3 * (8 + row["partition"]), "grid '0.1:0.3:0.1' of 3 points"),
                      (3 * 8, "grid '0:1:0.5' of 3 points"),
-                     (72 * row["anomalous_kernel"], "anomalous_kernel.csv of 72 rows")]
+                     (72 * row["anomalous_kernel"], "anomalous_kernel.csv of 72 rows"),
+                     (7 * row["clifford"], "--r '3..9' table of 7 rows")]
     for name, rows in (("spectrum.csv", 15), ("thermo.csv", 3), ("partition.csv", 3),
-                       ("anomalous_kernel.csv", 72)):
+                       ("anomalous_kernel.csv", 72), ("clifford.csv", 7)):
         with open(tmp_path / name) as fh:
             assert len(fh.readlines()) == rows + 1, name
 
@@ -526,12 +545,16 @@ def test_table_memory_is_counted_from_rows_before_building(tmp_path, monkeypatch
     # 3 zones x 2 j x 20001^2 points x 2 components
     (["padi", "--kernel-grid=-100:100:0.01"],
      "anomalous_kernel.csv of 4800480012 rows needs 2.93e+03 GB"),
-], ids=["spectrum", "padi"])
+    # 10^10 rows at the cost of a row whose n_r has 4300 digits
+    (["clifford", "--r", "1..10000000000"], "--r '1..10000000000' table of 10000000000 rows "
+     "needs 1.1e+05 GB"),
+], ids=["spectrum", "padi", "clifford"])
 def test_oversized_table_is_refused_before_its_first_row(tmp_path, capsys, monkeypatch, argv,
                                                          message):
     import zonekit.cli as cli
     monkeypatch.setattr(cli, "_fmt", _never_called)  # every row formats its values
     monkeypatch.setattr(cli, "tensor_points", _never_called)
+    monkeypatch.setattr(cli, "clifford_dimension", _never_called)
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}, more than the ") and err.count("\n") == 1, err

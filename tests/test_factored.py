@@ -71,15 +71,16 @@ def test_factored_matches_dense(kind, a, lam, charge_sign, k):
     assert abs(diagonal_sum(form, src, w) - ref) <= 1e-12 * abs(ref)
 
 
-# one node on every axis (a point), or on one complex coordinate next to a grid on the other
-POINT_SOURCES = {2: [(1, 1)], 4: [(1, 1, 1, 1), (1, 1, 3, 2), (2, 3, 1, 1)]}
+# one node on every axis (a point), or on one complex coordinate next to a grid on the other;
+# as a source and as a destination
+ONE_NODE = {2: [(1, 1)], 4: [(1, 1, 1, 1), (1, 1, 3, 2), (2, 3, 1, 1)]}
 
 
 @pytest.mark.parametrize("charge_sign", [1, -1])
 @pytest.mark.parametrize("kind", ["zonal_wk", "zonal_df", "spread_amplitude"])
 @pytest.mark.parametrize("a", [0, 2])
-@pytest.mark.parametrize("k, sizes", [(k, sizes) for k in POINT_SOURCES
-                                      for sizes in POINT_SOURCES[k]])
+@pytest.mark.parametrize("k, sizes", [(k, sizes) for k in ONE_NODE
+                                      for sizes in ONE_NODE[k]])
 def test_point_source_matches_dense(k, sizes, a, kind, charge_sign):
     # a one-node source coordinate is an outer product, not a contraction
     params = PhysParams(lam=0.9, k=k, charge_sign=charge_sign)
@@ -94,6 +95,31 @@ def test_point_source_matches_dense(k, sizes, a, kind, charge_sign):
                    else dense(kind, a, params, V, U).T)
         assert got.shape == SIZES[k][1]
         assert close(got.ravel(), ref)
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("kind", ["zonal_wk", "zonal_df", "spread_amplitude"])
+@pytest.mark.parametrize("a", [0, 2])
+@pytest.mark.parametrize("k, sizes", [(k, sizes) for k in ONE_NODE
+                                      for sizes in ONE_NODE[k]])
+def test_point_destination_matches_dense(k, sizes, a, kind, charge_sign):
+    # a one-node destination coordinate is two vector products, not a loop
+    params = PhysParams(lam=0.9, k=k, charge_sign=charge_sign)
+    form = _chain_form(kind, a, params)(DT)
+    src, dst = axes(SIZES[k][0], -1.6, 1.3), axes(sizes, -1.4, 1.5)
+    U, V = tensor_points(src), tensor_points(dst)
+    rng = np.random.default_rng(sum(sizes) + a)
+    f = rng.normal(size=len(U)) + 1j * rng.normal(size=len(U))
+    for kernel in (form, form.swapped()):
+        got = transfer(f.reshape(SIZES[k][0]), kernel, params, src, dst)
+        ref = f @ (dense(kind, a, params, U, V) if kernel is form
+                   else dense(kind, a, params, V, U).T)
+        assert got.shape == sizes
+        assert close(got.ravel(), ref)
+    # and into point_axes(y), as at the end of a chain
+    y = rng.uniform(-1, 1, k // 2) + 1j * rng.uniform(-1, 1, k // 2)
+    got = transfer(f.reshape(SIZES[k][0]), form, params, src, point_axes(y))
+    assert close(got.ravel(), f @ dense(kind, a, params, U, y[None, :]))
 
 
 @pytest.mark.parametrize("kind,a", [("zonal_df", 1), ("global_wk", None)])

@@ -270,6 +270,58 @@ def test_fill_rows_runs_every_range_through_one_pool(monkeypatch):
     assert sorted((r.start, r.stop) for r in seen) == [(0, 4), (4, 8), (8, 10), (20, 23)]
 
 
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("k, order", [(2, 12), (2, 11), (4, 5)])
+def test_sliced_chain_matches_the_dense_sweep(k, order, charge_sign):
+    # the factored chain against the per-slice reference and the dense sweep
+    counts = (3, 1, 4, 2)
+    x = np.array([0.35 + 0.2j, -0.1 + 0.25j][:k // 2])
+    y = np.array([-0.3 + 0.1j, 0.2 - 0.15j][:k // 2])
+    for lam in (0.4, 2.5):
+        params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+        for a in (0, 1):
+            for sigma in (1, 1j):
+                got = np.array(path_measure._sliced_chain(sigma, a, x, y, 0.5, counts, params,
+                                                          order=order))
+                for ref in ([_seed_feynman_kac(sigma, a, x, y, 0.5, n, params, order)
+                             for n in counts],
+                            feynman_kac_sweep(sigma, a, x, y, 0.5, counts, params, order=order)):
+                    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called after the refusal")
+
+
+def test_sliced_chain_memory_is_counted_before_allocating(monkeypatch):
+    # eight complex grid functions, the real grid weights and the order x order
+    # Hermite companion matrix, at any slice count
+    asked = []
+    monkeypatch.setattr(path_measure, "_require_memory",
+                        lambda need, what: asked.append((need, what)))
+    path_measure._sliced_chain(1, 0, X0, Y0, 0.5, (1, 2), PAR, order=6)
+    path_measure._sliced_chain(1, 0, np.zeros(2), np.zeros(2), 0.5, (3,), PhysParams(k=4),
+                               order=5)
+    assert asked == [(16 * 8 * 36 + 8 * (36 + 36), "sliced quadrature at order 6 (36 nodes)"),
+                     (16 * 8 * 625 + 8 * (625 + 25), "sliced quadrature at order 5 (625 nodes)")]
+    monkeypatch.undo()
+    # 200^4 nodes: about 218 GB, refused before the grid is built
+    monkeypatch.setattr(path_measure, "flat_hermite_grid", _never_called)
+    with pytest.raises(ValueError, match=r"^sliced quadrature at order 200 \(1600000000 nodes\) "
+                       r"needs 218 GB"):
+        path_measure._sliced_chain(1, 0, np.zeros(2), np.zeros(2), 0.5, (1,), PhysParams(k=4),
+                                   order=200)
+
+
+def test_verify_never_fills_a_dense_step(monkeypatch):
+    # verify's path checks run through the factored chain, not the dense sweep
+    from zonekit import verify
+    monkeypatch.setattr(path_measure, "_fill_rows", _never_called)
+    rows = verify.run_suite(["path"])
+    assert "feynman_kac_convergence" in [r["check_name"] for r in rows]
+    assert all(r["status"] == r["expected"] for r in rows)
+
+
 def test_sweep_checks_every_slice_count():
     with pytest.raises(ValueError):
         feynman_kac_sweep(1, 0, X0, Y0, 0.5, (2, 0), PAR, order=8)

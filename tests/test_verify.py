@@ -49,6 +49,20 @@ def test_row_reports_the_worst_case_of_its_table(monkeypatch):
     [row] = verify.run_suite(None)
     assert seen == [2.0, 1.0]
     assert (row["measured"], row["status"]) == (1e-7, "pass")
+    # a nan from any case fails the row and is the value it reports: max() alone would
+    # keep the finite first case
+    seen.clear()
+    measured[4.0] = (float("nan"), 1e-6)
+    entry["cases"] = (cases[0], PhysParams(lam=4.0), cases[1])
+    [row] = verify.run_suite(None)
+    assert seen == [1.0, 4.0, 2.0]
+    assert row["status"] == "fail" and math.isnan(row["measured"]) and row["tolerance"] == 1e-6
+    # so does an inf, also against an infinite tolerance and in a report row
+    measured[4.0] = (float("inf"), float("inf"))
+    entry["expected"] = "report"
+    [row] = verify.run_suite(None)
+    assert (row["measured"], row["status"]) == (float("inf"), "fail")
+    entry["expected"] = "pass"
     # a case that raises makes the whole row an error
     entry["cases"] = (*cases, PhysParams(lam=3.0))
     [row] = verify.run_suite(None)
