@@ -118,6 +118,17 @@ def point_axes(x) -> list[np.ndarray]:
             for part in (c.real, c.imag)]
 
 
+def chain(x, y, grids, forms, params) -> complex:
+    """The sum over one node X_i of each grid (axes, weights) of w_1(X_1) ... w_n(X_n)
+    K_0(x, X_1) K_1(X_1, X_2) ... K_n(X_n, y), K_i = `forms[i]`: `transfer` from the
+    point x through the grids to the point y, with no kernel matrix formed."""
+    grids = [(point_axes(x), 1.0)] + list(grids) + [(point_axes(y), 1.0)]
+    f = np.ones((1,) * params.k)
+    for (src, w), (dst, _), form in zip(grids, grids[1:], forms):
+        f = transfer(f * w, form, params, src, dst)
+    return complex(f.ravel()[0])
+
+
 def diagonal_sum(form: KernelForm, nodes, weights) -> complex:
     """sum_X w(X) K(X, X) over the tensor grid with per-axis `nodes` and `weights`.
 

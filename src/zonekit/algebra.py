@@ -107,10 +107,11 @@ class ZonePolynomial:
             return 0
         return max(sum(p + v for p, v in key) for key in self.coefficients)
 
-    def holomorphic_degree(self) -> int:
+    def zeeman_degree(self) -> int:
+        """The largest Zeeman grade (`grades`) of a monomial of the polynomial."""
         if not self.coefficients:
             return 0
-        return max(sum(p for p, _ in key) for key in self.coefficients)
+        return max(grades(key, self.params)[0] for key in self.coefficients)
 
     # ---- evaluation ------------------------------------------------------
 
@@ -180,6 +181,13 @@ class ZonePolynomial:
         return cls.from_records(json.loads(text), params)
 
 
+def grades(key: Key, params: PhysParams) -> tuple[int, int]:
+    """(Zeeman grade, zone index) of the monomial z^P zbar^V with `key`: (|P|, |V|) at
+    charge_sign +1 and (|V|, |P|) at -1.  The swap is its own inverse."""
+    holo, anti = sum(p for p, _ in key), sum(v for _, v in key)
+    return (holo, anti) if params.charge_sign == 1 else (anti, holo)
+
+
 # ---- inner product ---------------------------------------------------------
 
 
@@ -246,11 +254,11 @@ def apply_zeeman(f: ZonePolynomial, include_field_term: bool = False) -> ZonePol
         H = -2 sum_j d/dz_j d/dzbar_j + 2 lam sum_j z_j d/dz_j + (k/2) lam
             [+ 2 k lam^2 when the field term is included],
 
-    obtained by conjugating the standard-space operator with the half-Gaussian.
-    Monomials z^P zbar^V with min(p_j, v_j) = 0 in every coordinate are exact
-    eigenvectors with eigenvalue (2|P| + k/2) lam (+ 2 k lam^2); mixed
-    monomials additionally shed the -2 p_j v_j cross terms, and the orthogonal
-    zone basis diagonalizes the operator exactly.
+    obtained by conjugating the standard-space operator with the half-Gaussian, at
+    charge_sign +1 (z <-> zbar at -1).  Monomials z^P zbar^V with min(p_j, v_j) = 0
+    in every coordinate are exact eigenvectors with eigenvalue (2g + k/2) lam
+    (+ 2 k lam^2), g their Zeeman grade (`grades`); mixed monomials additionally
+    shed the -2 p_j v_j cross terms, and the orthogonal zone basis diagonalizes it exactly.
     """
     par = f.params
     lam, m = par.lam, par.m
@@ -261,10 +269,7 @@ def apply_zeeman(f: ZonePolynomial, include_field_term: bool = False) -> ZonePol
         out[key] = out.get(key, 0.0) + c
 
     for key, c in f.coefficients.items():
-        holo = sum(p for p, _ in key)
-        anti = sum(v for _, v in key)
-        graded = holo if par.charge_sign == 1 else anti
-        add(key, (2.0 * graded * lam + const) * c)
+        add(key, (2.0 * grades(key, par)[0] * lam + const) * c)
         for j in range(m):
             p, v = key[j]
             if p and v:
@@ -276,13 +281,13 @@ def apply_zeeman(f: ZonePolynomial, include_field_term: bool = False) -> ZonePol
 def apply_angular_momentum(f: ZonePolynomial) -> ZonePolynomial:
     """Magnetic-moment term of the Hamiltonian; monomials are eigenvectors.
 
-    The monomial z^P zbar^V is multiplied by charge_sign * lam * (|P| - |V|).
+    The monomial z^P zbar^V is multiplied by charge_sign lam (|P| - |V|) = lam (grade - zone).
     """
     par = f.params
     out = {}
     for key, c in f.coefficients.items():
-        mquant = sum(p - v for p, v in key)
-        val = par.charge_sign * par.lam * mquant * c
+        grade, zone = grades(key, par)
+        val = par.lam * (grade - zone) * c
         if val != 0:
             out[key] = val
     return ZonePolynomial(out, par)

@@ -187,11 +187,12 @@ def _write_csv(args, header, rows, name: str | None = None) -> None:
 def _write_curve(args, header, points, row, name: str | None = None) -> None:
     """CSV of row(p) over the points, leaving out singular ones and counting them on stderr."""
     rows, skipped = [], 0
-    for p in points:
-        try:
-            rows.append(row(p))
-        except SingularTimeError:
-            skipped += 1
+    with np.errstate(all="ignore"):  # `_write_csv` refuses a nan or inf by name
+        for p in points:
+            try:
+                rows.append(row(p))
+            except SingularTimeError:
+                skipped += 1
     _write_csv(args, header, rows, name)
     if skipped:
         print(f"{name or args.output}: skipped {skipped} singular points", file=sys.stderr)
@@ -213,7 +214,8 @@ def cmd_kernel(args) -> int:
     n = len(axes[0]) ** params.k  # grid points, before building them
     _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
     pts = tensor_points(axes)
-    grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
+    with np.errstate(all="ignore"):  # a nan or inf is refused by name below
+        grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
     path = _output(args)
     for i, row in enumerate(grid.values):  # one X row at a time: no grid-sized temporary
         bad = np.flatnonzero(~np.isfinite(row))
@@ -250,7 +252,7 @@ def cmd_zones(args) -> int:
     for a in zones:
         basis = zone_basis(a, args.max_degree, params)
         for i, vec in enumerate(basis):
-            rows.append([a, i, vec.holomorphic_degree(), vec.to_json()])
+            rows.append([a, i, vec.zeeman_degree(), vec.to_json()])
     _write_csv(args, ["zone", "index", "p", "state_json"], rows)
     return EXIT_OK
 
@@ -352,7 +354,7 @@ def cmd_padi(args) -> int:
     for a in zones:
         basis = zone_basis(a, a + args.pmax, params)
         for vec in basis:
-            p = vec.holomorphic_degree()
+            p = vec.zeeman_degree()
             for j in (1, 2):
                 for sign in (1, -1):
                     psi, ev = eigenspinors(vec, j, sign)

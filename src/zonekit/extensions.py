@@ -124,7 +124,7 @@ def _galerkin(basis, Q: float, params: PhysParams):
             val = coulomb_inner_product(basis[i], basis[j], Q)
             M[i, j] = val
             M[j, i] = np.conj(val)
-    diag = np.array([params.zeeman_eigenvalue(vec.holomorphic_degree(), field_term=True)
+    diag = np.array([params.zeeman_eigenvalue(vec.zeeman_degree(), field_term=True)
                      for vec in basis])
     H = np.diag(diag) + M
     eigvals = np.linalg.eigvalsh(H)

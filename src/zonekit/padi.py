@@ -1,7 +1,7 @@
 """Pauli-Dirac operator on 2-component spinors over the plane.
 
-Spinor components are weighted-space polynomials (k = 2 only).  The operator
-is built from the component rewrites
+Spinor components are weighted-space polynomials at k = 2 and charge_sign +1 (at -1
+the square identity below fails).  The operator is built from the component rewrites
 
     D1 = (1 + i) (d/dzbar - lam z .)        (up   <- down)
     D2 = (-1 + i) d/dz                      (down <- up)
@@ -51,6 +51,8 @@ class SpinorField:
             raise ValueError("spinor components carry different parameters")
         if self.up.params.k != 2:
             raise ValueError("spinor algebra is built on the plane (k = 2)")
+        if self.up.params.charge_sign != 1:
+            raise ValueError("padi spinors are built at charge_sign +1 only")
 
     @property
     def params(self) -> PhysParams:
@@ -219,7 +221,7 @@ def normalization_report(a: int, params: PhysParams) -> dict:
     for j in (1, 2):
         basis = zone_basis(a, a + 4, params)
         for vec in basis:
-            p = vec.holomorphic_degree()
+            p = vec.zeeman_degree()
             nu = params.zeeman_eigenvalue(p)
             mu = nu - lam if j == 1 else nu + lam
             if mu <= 1e-12:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._factored import point_axes, transfer
+from ._factored import chain, point_axes, transfer
 from .params import PhysParams
 from .propagators import (_check_sigma, _global_form, _require_memory, _usable_cpus,
                           _zonal_form, zonal_kernel)
@@ -131,7 +131,7 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
     reproduces the closed-form kernel at horizon T; a degenerate box gives 0.
     `boxes` holds one box per interior time, each a sequence of k (lo, hi)
     pairs of real coordinates.  Each box is a Gauss-Legendre tensor grid of
-    `order` nodes per axis, and `_chain` integrates the kernel chain over them.
+    `order` nodes per axis, and `chain` integrates the kernel chain over them.
     """
     times = tuple(times)
     if len(boxes) != len(times):
@@ -143,24 +143,8 @@ def cylinder_measure(kernel_kind: str, times, boxes, x, y, T: float,
         return 0j
     form_at = _chain_form(kernel_kind, a, params)
     ts = (0.0,) + times + (T,)
-    return _chain(x, y, [_box_axes(box, order) for box in boxes],
-                  [form_at(t2 - t1) for t1, t2 in zip(ts, ts[1:])], params)
-
-
-def _chain(x, y, grids, forms, params: PhysParams) -> complex:
-    """Integrate a kernel chain against tensor grids: the sum over one node X_i
-    of each grid (axes, weights) of w_1(X_1) ... w_n(X_n) K_0(x, X_1)
-    K_1(X_1, X_2) ... K_n(X_n, y), with K_i = `forms[i]`.
-
-    The endpoints are one-node grids (`_factored.point_axes`), and each step
-    applies the factored kernel (`_factored.transfer`) from one grid to the
-    next, so no kernel matrix is formed.
-    """
-    grids = [(point_axes(x), 1.0)] + list(grids) + [(point_axes(y), 1.0)]
-    f = np.ones((1,) * params.k)
-    for (src, w), (dst, _), form in zip(grids, grids[1:], forms):
-        f = transfer(f * w, form, params, src, dst)
-    return complex(f.ravel()[0])
+    return chain(x, y, [_box_axes(box, order) for box in boxes],
+                 [form_at(t2 - t1) for t1, t2 in zip(ts, ts[1:])], params)
 
 
 def whole_space_box(params: PhysParams, radius: float | None = None):
@@ -285,7 +269,7 @@ def _sliced_chain(sigma: complex, a: int, x, y, T: float, slice_counts,
 
     The step kernel zone_kernel(a, Z, W) e^{-c Z.Wbar}, c = 2 sigma lam^2
     T/(n+1), is one `KernelForm`: the zone kernel's with c taken off its C
-    and i c off its D.  At n slices `_chain` runs it n + 1 times, from x
+    and i c off its D.  At n slices `chain` runs it n + 1 times, from x
     through n copies of the Hermite grid to y, and the result carries the
     factor e^{-sigma k lam T/2}.  Equal to the dense sweep up to rounding.
     An order whose grid function and transfer temporaries exceed physical
@@ -310,7 +294,7 @@ def _sliced_chain(sigma: complex, a: int, x, y, T: float, slice_counts,
     for n in slice_counts:
         c = 2.0 * sigma * lam**2 * (T / (n + 1))
         form = base._replace(C=base.C - c, D=base.D - 1j * c)
-        val = _chain(x, y, [grid] * n, [form] * (n + 1), params)
+        val = chain(x, y, [grid] * n, [form] * (n + 1), params)
         vals.append(complex(val * np.exp(-sigma * k * lam * T / 2.0)))
     return vals
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._factored import KernelForm, diagonal_sum, point_axes, transfer
+from ._factored import KernelForm, chain, diagonal_sum, point_axes, transfer
 from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
 from .special import flat_hermite_grid, hermite_axis, multiplicity_factor
@@ -118,7 +118,7 @@ def zonal_kernel_spectral(sigma: complex, a: int, t: float, X: np.ndarray, Z: np
     sigma = _check_sigma(sigma)
     terms = []
     for vec in zone_basis(a, a + pmax, params):
-        mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), include_field_term)
+        mu = params.zeeman_eigenvalue(vec.zeeman_degree(), include_field_term)
         terms.append((np.exp(-sigma * t * mu), vec))
     return _basis_sum(terms, X, Z, params)
 
@@ -209,7 +209,7 @@ def evolve(f: ZonePolynomial, sigma: complex, t: float, params: PhysParams,
         c = inner_product(f, vec)
         if c == 0:
             continue
-        mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), include_field_term)
+        mu = params.zeeman_eigenvalue(vec.zeeman_degree(), include_field_term)
         out = out + (c * np.exp(-sigma * t * mu)) * vec
     return out
 
@@ -265,11 +265,8 @@ def semigroup_residual(sigma: complex, a: int, s: float, t: float,
     left, right = _zonal_form(sigma, a, s, params), _zonal_form(sigma, a, t, params)
     target = zonal_kernel(sigma, a, s + t, X, Y, params)
     axes, weights = flat_hermite_grid(order, params.lam, params.k)
-    weights = weights.reshape((order,) * params.k)
-    comp = []
-    for x, y in zip(X, Y):  # point x -> grid M -> point y, a one-interior-time chain
-        f = transfer(np.ones((1,) * params.k), left, params, point_axes(x), axes)
-        comp.append(transfer(weights * f, right, params, axes, point_axes(y)).item())
+    grid = (axes, weights.reshape((order,) * params.k))
+    comp = [chain(x, y, [grid], [left, right], params) for x, y in zip(X, Y)]
     return float(np.max(np.abs(np.array(comp) - target)))
 
 

@@ -135,7 +135,7 @@ def _eigenvalue_law(params):
     worst = 0.0
     for a in range(3):
         for vec in zone_basis(a, a + 3, params):
-            mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), True)
+            mu = params.zeeman_eigenvalue(vec.zeeman_degree(), True)
             worst = max(worst, norm(apply_zeeman(vec, True) - mu * vec))
     return worst, 1e-11
 

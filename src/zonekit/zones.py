@@ -1,7 +1,7 @@
 """Zone construction: closed-form bases and projections, and projection kernels.
 
 Zone a is spanned by the products over coordinates of complex Hermite polynomials
-(Ito 1952) with antiholomorphic degree |V| = a, orthogonal under e^{-lam |z|^2}:
+(Ito 1952) of zone index a (`algebra.grades`), orthogonal under e^{-lam |z|^2}:
 
     H_{p,v} = sum_j (-1)^j j! C(p,j) C(v,j) lam^-j z^(p-j) zbar^(v-j),
     ||H_{p,v}||^2 = pi p! v! / lam^(p+v+1).
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import ZonePolynomial
+from .algebra import ZonePolynomial, grades
 from .params import PhysParams
 from .special import laguerre
 
@@ -44,23 +44,16 @@ def _hermite_product(key, log_scale: float, lam: float) -> dict:
     return coeffs
 
 
-def _require_own_structure(params: PhysParams) -> None:
-    if params.charge_sign != 1:
-        raise ValueError("zone construction works in the particle's own complex "
-                         "structure; build states with charge_sign=+1 and use the "
-                         "sign only to reorient evaluated pairings")
-
-
 @lru_cache(maxsize=None)
 def _zone_basis_cached(a: int, max_degree: int, params: PhysParams):
-    _require_own_structure(params)
     m, budget, lam = params.m, max_degree - a, params.lam
     pivots = [(P, V) for P in itertools.product(range(budget + 1), repeat=m) if sum(P) <= budget
               for V in itertools.product(range(a + 1), repeat=m) if sum(V) == a]
     basis = []
     for P, V in sorted(pivots, key=lambda PV: (sum(PV[0]), PV[0],
                                                tuple(p - v for p, v in zip(*PV)))):
-        key = tuple(zip(P, V))
+        # the pivot with grades (P, V): zip(V, P) at -1, as H_{v,p} = conj H_{p,v}
+        key = tuple(grades((gv,), params) for gv in zip(P, V))
         log_norm = 0.5 * sum(math.log(math.pi) + math.lgamma(p + 1) + math.lgamma(v + 1)
                              - (p + v + 1) * math.log(lam) for p, v in key)
         basis.append((key, ZonePolynomial(_hermite_product(key, -log_norm, lam), params)))
@@ -77,11 +70,11 @@ def zone_basis_with_pivots(a: int, max_degree: int, params: PhysParams):
 
 
 def zone_basis(a: int, max_degree: int, params: PhysParams) -> tuple[ZonePolynomial, ...]:
-    """Orthonormal basis of the degree-truncated zone with antiholomorphic index `a`.
+    """Orthonormal basis of the degree-truncated zone with zone index `a`.
 
-    Elements are ordered by graded-lex holomorphic degree of their pivot
-    monomial; each is an exact eigenvector of the Zeeman operator with
-    eigenvalue (2p + k/2) lam, p the pivot's holomorphic total degree.
+    Elements are ordered by graded-lex Zeeman grades of their pivot monomial;
+    each is an exact eigenvector of the Zeeman operator with eigenvalue
+    (2p + k/2) lam, p the pivot's Zeeman grade (`ZonePolynomial.zeeman_degree`).
     """
     return tuple(vec for _, vec in zone_basis_with_pivots(a, max_degree, params))
 
@@ -89,13 +82,12 @@ def zone_basis(a: int, max_degree: int, params: PhysParams) -> tuple[ZonePolynom
 def project_to_zone(f: ZonePolynomial, a: int) -> ZonePolynomial:
     """Exact orthogonal projection of `f` onto zone `a`: expand each monomial as
     z^p zbar^v = sum_j j! C(p,j) C(v,j) lam^-j H_{p-j,v-j} (the magnitudes of H_{p,v}'s
-    terms) and keep the Hermite products of antiholomorphic degree `a`."""
-    _require_own_structure(f.params)
+    terms) and keep the Hermite products of zone index `a`."""
     lam = f.params.lam
     out: dict = {}
     for key, c in f.coefficients.items():
         for lower, h in _hermite_product(key, 0.0, lam).items():
-            if sum(v for _, v in lower) == a:
+            if grades(lower, f.params)[1] == a:
                 for mono, g in _hermite_product(lower, 0.0, lam).items():
                     out[mono] = out.get(mono, 0.0) + c * abs(h) * g
     return ZonePolynomial(out, f.params)

@@ -156,23 +156,29 @@ def test_mixed_monomial_sheds_cross_term():
 
 
 def test_zeeman_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    pts = rng.uniform(-1, 1, (8, 1)) + 1j * rng.uniform(-1, 1, (8, 1))
-    h = 1e-3
-    for _ in range(3):
-        f = random_poly(rng, PAR, max_degree=3)
-        psi = to_standard(f)
+    # the standard-space operator's angular term carries the charge sign s.  The
+    # central differences err by O(h^2): at h = 1e-3 that is 6.9e-7 at +1 and 1.2e-6
+    # at -1, at h = 5e-4 a quarter of it; a wrong Zeeman grade errs by O(1)
+    for s in (1, -1):
+        params = PhysParams(lam=1.0, k=2, charge_sign=s)
+        rng = np.random.default_rng(2)
+        pts = rng.uniform(-1, 1, (8, 1)) + 1j * rng.uniform(-1, 1, (8, 1))
+        h = 5e-4
+        for _ in range(3):
+            f = random_poly(rng, params, max_degree=3)
+            psi = to_standard(f)
 
-        def ev(dx, dy):
-            return psi(pts + (dx + 1j * dy))
+            def ev(dx, dy):
+                return psi(pts + (dx + 1j * dy))
 
-        lap = (ev(h, 0) + ev(-h, 0) + ev(0, h) + ev(0, -h) - 4 * ev(0, 0)) / h**2
-        fx = (ev(h, 0) - ev(-h, 0)) / (2 * h)
-        fy = (ev(0, h) - ev(0, -h)) / (2 * h)
-        x, y = pts[..., 0].real, pts[..., 0].imag
-        fd = -0.5 * lap - 1j * (-y * fx + x * fy) + 0.5 * np.abs(pts[..., 0]) ** 2 * ev(0, 0)
-        alg = to_standard(apply_zeeman(f))(pts)
-        assert np.max(np.abs(alg - fd)) / np.max(np.abs(alg)) < 1e-6
+            lap = (ev(h, 0) + ev(-h, 0) + ev(0, h) + ev(0, -h) - 4 * ev(0, 0)) / h**2
+            fx = (ev(h, 0) - ev(-h, 0)) / (2 * h)
+            fy = (ev(0, h) - ev(0, -h)) / (2 * h)
+            x, y = pts[..., 0].real, pts[..., 0].imag
+            fd = -0.5 * lap - 1j * s * (-y * fx + x * fy) \
+                + 0.5 * np.abs(pts[..., 0]) ** 2 * ev(0, 0)
+            alg = to_standard(apply_zeeman(f))(pts)
+            assert np.max(np.abs(alg - fd)) / np.max(np.abs(alg)) < 1e-6
 
 
 def test_zeeman_hermitian():

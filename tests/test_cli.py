@@ -609,6 +609,17 @@ def test_non_finite_value_fails_and_writes_no_table(tmp_path_factory, tmp_path, 
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [["kernel", "--t", "1e-310", "--grid", "0:1:1"],
+                                  ["thermo", "--T-grid", "1e-300:1e-300:1"]],
+                         ids=["kernel", "thermo"])
+def test_non_finite_failure_prints_only_its_error_line(tmp_path, argv):
+    # numpy's overflow warnings would only repeat what the error line says
+    proc = subprocess.run([sys.executable, "-m", "zonekit", *argv, "--outdir", str(tmp_path)],
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: [^\n]* is nan in row 1\n", proc.stderr), proc.stderr
+
+
 def test_kernel_grid_names_the_first_non_finite_value(tmp_path, capsys, monkeypatch):
     # the first bad value is an imaginary part, in the second X row
     def sample(sigma, t, X, Y, params, a=None):

@@ -151,3 +151,12 @@ def test_cross_zone_report_runs():
     out = unprojected_coulomb_matrix(-0.5, 1, 4, PAR)
     assert len(out["eigenvalues"]) == 8
     assert all(c >= 1 for _, c in out["multiplicity_groups"])
+
+
+def test_zonal_coulomb_matrix_at_charge_sign_minus_one_is_the_conjugate():
+    # zone a at -1 is the conjugate of zone a at +1 and 1/r is real, so the potential
+    # is conjugated and the spectrum kept
+    plus = zonal_coulomb_matrix(1, -1.0, 6, PhysParams(lam=1.3, k=2))
+    minus = zonal_coulomb_matrix(1, -1.0, 6, PhysParams(lam=1.3, k=2, charge_sign=-1))
+    assert np.allclose(minus["potential"], np.conj(plus["potential"]), rtol=1e-12, atol=0)
+    assert np.allclose(minus["eigenvalues"], plus["eigenvalues"], rtol=1e-12, atol=0)

@@ -215,3 +215,19 @@ def test_spinor_requires_plane():
     par4 = PhysParams(lam=1.0, k=4)
     with pytest.raises(ValueError):
         SpinorField(ZonePolynomial.one(par4), ZonePolynomial.one(par4))
+
+
+def test_padi_refuses_charge_sign_minus_one():
+    # the square identity fails at -1 (a relative residual of order 1 on a random
+    # degree-5 spinor), so every spinor entry point refuses it; the anomalous kernels
+    # stay open
+    flipped = PhysParams(lam=1.0, k=2, charge_sign=-1)
+    z, zb = ZonePolynomial.z(flipped), ZonePolynomial.zbar(flipped)
+    base = zone_basis(0, 2, flipped)[1]
+    for call in (lambda: SpinorField(z, zb), lambda: apply_padi(SpinorField(z, zb)),
+                 lambda: padi_square_residual(SpinorField(z, zb)),
+                 lambda: eigenspinors(base, 1, 1), lambda: eigenspinors(base, 2, -1),
+                 lambda: normalization_report(0, flipped)):
+        with pytest.raises(ValueError, match="padi spinors are built at charge_sign"):
+            call()
+    assert np.all(np.isfinite(anomalous_kernel(1, 1, [[0.3j]], [[0.2]], flipped)))

@@ -82,13 +82,16 @@ def test_zonal_df_phase_identity():
 
 
 def test_zone_zero_kernel_matches_spectral_sum():
+    # at charge_sign -1 the closed form takes its sign from the pairing and the
+    # spectral sum from the zone basis, two independent places
     rng = np.random.default_rng(14)
     X = rng.uniform(-1, 1, (4, 1)) + 1j * rng.uniform(-1, 1, (4, 1))
     Z = rng.uniform(-1, 1, (4, 1)) + 1j * rng.uniform(-1, 1, (4, 1))
-    for sigma in (1, 1j):
-        ref = zonal_kernel(sigma, 0, 0.5, X, Z, PAR)
+    for params, sigma in itertools.product((PAR, PhysParams(lam=1.0, k=2, charge_sign=-1)),
+                                           (1, 1j)):
+        ref = zonal_kernel(sigma, 0, 0.5, X, Z, params)
         for pmax, tol in ((10, 1e-4), (25, 1e-10), (40, 1e-13)):
-            got = zonal_kernel_spectral(sigma, 0, 0.5, X, Z, PAR, pmax=pmax)
+            got = zonal_kernel_spectral(sigma, 0, 0.5, X, Z, params, pmax=pmax)
             err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
             assert err < tol
 
@@ -166,6 +169,25 @@ def test_evolve_agrees_with_kernel_convolution_zone_zero():
         ref = to_standard(evolve(f, sigma, 0.4, PAR))(X)
         got = evolve_by_convolution(f, sigma, 0.4, PAR, X, order=64)
         assert np.max(np.abs(got - ref)) < 1e-6 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+def test_evolve_matches_the_spectral_kernel(charge_sign):
+    # the spectral kernel applied to a zone-1 state by Hermite quadrature, exact for
+    # these degrees, is the evolved state
+    from zonekit.special import flat_hermite_grid, tensor_points
+    params = PhysParams(lam=0.8, k=2, charge_sign=charge_sign)
+    rng = np.random.default_rng(18)
+    f = sum((complex(rng.normal(), rng.normal()) * v for v in zone_basis(1, 4, params)),
+            ZonePolynomial({}, params))
+    X = rng.uniform(-0.7, 0.7, (4, 1)) + 1j * rng.uniform(-0.7, 0.7, (4, 1))
+    axes, w = flat_hermite_grid(32, params.lam, params.k)
+    Z = tensor_points(axes)
+    for sigma in (1, 1j):
+        K = zonal_kernel_spectral(sigma, 1, 0.4, X[:, None, :], Z[None, :, :], params, pmax=8)
+        got = K @ (w * to_standard(f)(Z))
+        ref = to_standard(evolve(f, sigma, 0.4, params))(X)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _dense_convolution(f, sigma, t, params, X, order):

@@ -15,19 +15,25 @@ from zonekit.zones import (kernel_basis_residual, pairing, project_to_zone, zone
 
 PAR = PhysParams(lam=1.0, k=2)
 PAR4 = PhysParams(lam=1.0, k=4)
+FLIPPED = PhysParams(lam=1.0, k=2, charge_sign=-1)
+
+# one coordinate's zone degree at each charge sign, written out here rather than taken
+# from algebra.grades, so the oracle below does not share it with zone_basis
+ZONE_DEGREE = {1: lambda p, v: v, -1: lambda p, v: p}
 
 
 @pytest.mark.parametrize("field_term", [False, True])
 @pytest.mark.parametrize("k", [2, 4])
 @pytest.mark.parametrize("lam", [0.4, 2.5])
 def test_zeeman_eigenvalue_matches_operator(lam, k, field_term):
-    params = PhysParams(lam=lam, k=k)
-    for a in range(3):
-        for vec in zone_basis(a, a + 3, params):
-            mu = params.zeeman_eigenvalue(vec.holomorphic_degree(), field_term)
-            image = apply_zeeman(vec, field_term)
-            assert inner_product(image, vec) == pytest.approx(mu, rel=1e-12)
-            assert norm(image - mu * vec) <= 1e-12 * mu
+    for charge_sign in (1, -1):
+        params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+        for a in range(3):
+            for vec in zone_basis(a, a + 3, params):
+                mu = params.zeeman_eigenvalue(vec.zeeman_degree(), field_term)
+                image = apply_zeeman(vec, field_term)
+                assert inner_product(image, vec) == pytest.approx(mu, rel=1e-12)
+                assert norm(image - mu * vec) <= 1e-12 * mu
 
 
 def test_holomorphic_zone_norms():
@@ -51,25 +57,27 @@ def test_zone_one_structure():
     assert norm(basis[1] - (1.0 / norm(eig)) * eig) < 1e-12
 
 
-def _gram_schmidt_basis(a, max_degree, params):
+def _gram_schmidt_basis(a, max_degree, params, zone):
     """Reference zone basis: modified Gram-Schmidt over the exact inner product.
 
-    Monomials of different angular classes (p_j - v_j) are orthogonal, so each class
-    is orthogonalized alone, along its chain ordered by antiholomorphic degree |V|,
-    then total degree, then key; the elements whose pivot has |V| = a form the zone.
+    `zone(p, v)` is one coordinate's zone degree, and p + v - zone(p, v) its Zeeman
+    grade.  Monomials of different angular classes (grade - zone in each coordinate)
+    are orthogonal, so each class is orthogonalized alone, along its chain ordered by
+    zone degree, then total degree, then key; the elements whose pivot has zone
+    degree a form the zone, ordered by their grades.
     """
-    m, budget = params.m, max_degree - a
-    classes = {tuple(p - v for p, v in zip(P, V))
-               for V in itertools.product(range(a + 1), repeat=m) if sum(V) == a
-               for P in itertools.product(range(budget + 1), repeat=m) if sum(P) <= budget}
+    def split(key):  # per-coordinate (grade, zone degree)
+        return [(p + v - zone(p, v), zone(p, v)) for p, v in key]
+
+    chains = {}
+    for key in itertools.product(itertools.product(range(max_degree + 1), repeat=2),
+                                 repeat=params.m):
+        if sum(p + v for p, v in key) <= max_degree and sum(z for _, z in split(key)) <= a:
+            chains.setdefault(tuple(g - z for g, z in split(key)), []).append(key)
     basis = []
-    for mclass in sorted(classes):
-        chain = []
-        for V in itertools.product(*(range(max(0, -mu), a + 1) for mu in mclass)):
-            key = tuple((v + mu, v) for v, mu in zip(V, mclass))
-            if sum(V) <= a and sum(p + v for p, v in key) <= max_degree:
-                chain.append(key)
-        chain.sort(key=lambda key: (sum(v for _, v in key), sum(p + v for p, v in key), key))
+    for mclass in sorted(chains):
+        chain = sorted(chains[mclass], key=lambda key: (
+            sum(z for _, z in split(key)), sum(p + v for p, v in key), key))
         done = []
         for key in chain:
             vec = ZonePolynomial.monomial(key, params)
@@ -77,28 +85,35 @@ def _gram_schmidt_basis(a, max_degree, params):
                 vec = vec - inner_product(vec, e) * e
             vec = (1.0 / norm(vec)) * vec
             done.append(vec)
-            if sum(v for _, v in key) == a:
+            if sum(z for _, z in split(key)) == a:
                 basis.append((key, vec))
-    basis.sort(key=lambda kv: (sum(p for p, _ in kv[0]), tuple(p for p, _ in kv[0])))
+    basis.sort(key=lambda kv: (sum(g for g, _ in split(kv[0])),
+                               tuple(g for g, _ in split(kv[0]))))
     return basis
 
 
 @pytest.mark.parametrize("lam, k, max_degree", [(0.4, 2, 12), (1.3, 2, 12), (2.5, 2, 12),
                                                  (1.0, 4, 9)])
 def test_closed_form_basis_matches_gram_schmidt(lam, k, max_degree):
-    params = PhysParams(lam=lam, k=k)
-    for a in range(4):
-        got = zone_basis_with_pivots(a, max_degree, params)
-        ref = _gram_schmidt_basis(a, max_degree, params)
-        assert [key for key, _ in got] == [key for key, _ in ref]
-        for (_, vec), (_, want) in zip(got, ref):
-            scale = max(abs(c) for c in want.coefficients.values())
-            diff = vec - want
-            assert max(map(abs, diff.coefficients.values()), default=0.0) <= 1e-12 * scale
+    for charge_sign, zone in ZONE_DEGREE.items():
+        params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+        for a in range(4):
+            got = zone_basis_with_pivots(a, max_degree, params)
+            ref = _gram_schmidt_basis(a, max_degree, params, zone)
+            assert [key for key, _ in got] == [key for key, _ in ref]
+            for (_, vec), (_, want) in zip(got, ref):
+                scale = max(abs(c) for c in want.coefficients.values())
+                diff = vec - want
+                assert max(map(abs, diff.coefficients.values()), default=0.0) <= 1e-12 * scale
+
+
+def _both_signs():
+    return (PhysParams(lam=lam, k=k, charge_sign=s)
+            for lam in (0.4, 1.0, 2.5) for k in (2, 4) for s in (1, -1))
 
 
 def test_cross_zone_orthogonality():
-    for params in (PhysParams(lam=lam, k=k) for lam in (0.4, 1.0, 2.5) for k in (2, 4)):
+    for params in _both_signs():
         b0 = zone_basis(0, 3, params)
         b1 = zone_basis(1, 3, params)
         b2 = zone_basis(2, 3, params)
@@ -111,7 +126,7 @@ def test_cross_zone_orthogonality():
 
 
 def test_orthonormality():
-    for params in (PhysParams(lam=lam, k=k) for lam in (0.4, 1.0, 2.5) for k in (2, 4)):
+    for params in _both_signs():
         basis = zone_basis(1, 4, params)
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
@@ -124,14 +139,29 @@ def test_truncation_guard():
         zone_basis(3, 2, PAR)
 
 
-def test_zone_construction_refuses_charge_sign_minus_one():
-    flipped = PhysParams(lam=1.0, k=2, charge_sign=-1)
-    with pytest.raises(ValueError, match="own complex structure"):
-        zone_basis(0, 2, flipped)
-    with pytest.raises(ValueError, match="own complex structure"):
-        project_to_zone(ZonePolynomial.zbar(flipped), 0)
-    with pytest.raises(ValueError, match="own complex structure"):
-        infer_zone(ZonePolynomial.z(flipped) + ZonePolynomial.zbar(flipped))
+def test_zones_at_charge_sign_minus_one_are_the_conjugates():
+    # the Zeeman grade is |V| at -1: zbar^n spans zone 0, z lies in zone 1
+    z, zb = ZonePolynomial.z(FLIPPED), ZonePolynomial.zbar(FLIPPED)
+    for n, vec in enumerate(zone_basis(0, 5, FLIPPED)):
+        mono = ZonePolynomial.monomial([(0, n)], FLIPPED)
+        assert norm(vec - (1.0 / norm(mono)) * mono) < 1e-12
+    assert norm(project_to_zone(zb, 0) - zb) < 1e-13
+    assert project_to_zone(z, 0).is_zero()
+    assert infer_zone(z) == 1 and infer_zone(zb) == 0
+    with pytest.raises(ValueError, match="single zone"):
+        infer_zone(z + zb)
+    # element i of zone a at -1 is the conjugate of element i at +1 (H_{v,p} = conj H_{p,v})
+    for k in (2, 4):
+        for a in range(3):
+            plus = zone_basis(a, a + 3, PhysParams(lam=0.7, k=k))
+            minus = zone_basis(a, a + 3, PhysParams(lam=0.7, k=k, charge_sign=-1))
+            assert len(plus) == len(minus)
+            for vp, vm in zip(plus, minus):
+                mirror = {tuple((v, p) for p, v in key): c.conjugate()
+                          for key, c in vp.coefficients.items()}
+                assert mirror.keys() == vm.coefficients.keys()
+                assert all(abs(vm.coefficients[key] - c) <= 1e-14 * abs(c)
+                           for key, c in mirror.items())
 
 
 def test_projection_examples():
@@ -230,17 +260,18 @@ def test_kernel_hermitian_symmetry():
 
 
 def test_kernel_basis_residual_small_and_monotone():
+    # at -1 the closed form conjugates its pairing and the basis its polynomials
     rng = np.random.default_rng(10)
     Z = rng.uniform(-0.7, 0.7, (6, 1)) + 1j * rng.uniform(-0.7, 0.7, (6, 1))
     W = rng.uniform(-0.7, 0.7, (6, 1)) + 1j * rng.uniform(-0.7, 0.7, (6, 1))
-    for a in (0, 1, 2):
-        res25 = kernel_basis_residual(a, 25, Z, W, PAR)
+    for params, a in itertools.product((PAR, FLIPPED), (0, 1, 2)):
+        res25 = kernel_basis_residual(a, 25, Z, W, params)
         assert res25 < 1e-8
-        res0 = kernel_basis_residual(a, 0, Z, W, PAR)
-        assert res0 == pytest.approx(float(np.max(np.abs(zone_kernel(a, Z, W, PAR)))))
+        res0 = kernel_basis_residual(a, 0, Z, W, params)
+        assert res0 == pytest.approx(float(np.max(np.abs(zone_kernel(a, Z, W, params)))))
         last = res0
         for n in (5, 10, 15, 20, 25):
-            cur = kernel_basis_residual(a, n, Z, W, PAR)
+            cur = kernel_basis_residual(a, n, Z, W, params)
             assert cur <= last + 1e-15
             last = cur
 
