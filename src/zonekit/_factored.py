@@ -6,22 +6,26 @@ Every closed-form kernel in zonekit has the form
          * prod_r exp(A (x1^2 + x2^2) + B (y1^2 + y2^2) + C (x1 y1 + x2 y2)
                       + D s (x2 y1 - x1 y2)),
 
-with r over the k/2 complex coordinates X_r = x1 + i x2, Y_r = y1 + i y2 and
-s the charge sign.  On a tensor grid, given as one node array per real axis
-(real and imaginary part of each coordinate adjacent, the last axis varying
-fastest as in `special.tensor_points`), the exponential is a product of n x n
-one-axis tables and the Laguerre factor is a polynomial in one-axis squared
-distances.  So a kernel is applied to a grid function (a single point being a
-grid of one node per axis) or summed along its diagonal without ever forming
-the N x N kernel matrix.  From a one-node source a coordinate is an outer
-product of tables, and into a one-node destination it is two vector
+with alpha = k/2 - 1, r over the k/2 complex coordinates X_r = x1 + i x2,
+Y_r = y1 + i y2 and s the charge sign.  On a tensor grid, given as one node
+array per real axis (real and imaginary part of each coordinate adjacent, the
+last axis varying fastest as in `special.tensor_points`), the exponential is a
+product of n x n one-axis tables.  So is each term of the Laguerre factor, by
+the addition formula L_n^(al+be+1)(x + y) = sum_i L_i^(al)(x) L_(n-i)^(be)(y)
+(Abramowitz & Stegun 22.12) taken over the one-axis squared distances e_i:
+
+    L_a^(k/2-1)(lam sum_i e_i) = sum_{|j| = a} prod_i L_(j_i)^(-1/2)(lam e_i),
+
+C(a+k-1, k-1) products.  So a kernel is applied to a grid function (a single
+point being a grid of one node per axis) or summed along its diagonal without
+ever forming the N x N kernel matrix.  From a one-node source a coordinate is
+an outer product of tables, and into a one-node destination it is two vector
 products with no temporary of the size of the grid.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +38,6 @@ class KernelForm(NamedTuple):
 
     pref: complex
     a: int
-    alpha: float
     A: complex
     B: complex
     C: complex
@@ -45,17 +48,10 @@ class KernelForm(NamedTuple):
         return self._replace(A=self.B, B=self.A, D=-self.D)
 
 
-def _laguerre_terms(form: KernelForm, lam: float, k: int):
-    """Pairs (c, m) with L_a(lam sum_i e_i) = sum c prod_i e_i^m_i over the k real axes."""
-    a, alpha = form.a, form.alpha
-    power = [laguerre(a, alpha, 0.0)]
-    for j in range(a):
-        power.append(-power[-1] * lam * (a - j) / ((j + 1) * (alpha + j + 1)))
-    for m in itertools.product(range(a + 1), repeat=k):
-        j = sum(m)
-        if j <= a:
-            multinomial = math.factorial(j) / math.prod(map(math.factorial, m))
-            yield power[j] * multinomial, m
+def _laguerre_terms(a: int, k: int):
+    """The degree tuples j over the k real axes with |j| = a, one per product of
+    the addition formula."""
+    return [j for j in itertools.product(range(a + 1), repeat=k) if sum(j) == a]
 
 
 def _coordinate(f: np.ndarray, r: int, P, Q, R, S) -> np.ndarray:
@@ -90,24 +86,25 @@ def transfer(f: np.ndarray, form: KernelForm, params, src, dst) -> np.ndarray:
 
     `src` and `dst` hold one node array per real axis; `f` has the shape
     (len(src[0]), ..., len(src[k-1])) and g the matching shape of `dst`.
-    The coordinates are applied one after another; for a > 0 each separable
-    term of the Laguerre expansion is one more pass.
+    The coordinates are applied one after another, once per product of the
+    addition formula: C(a+k-1, k-1) passes, one at a = 0.
     """
     A, B, C, D = form.A, form.B, form.C, form.D
-    s = params.charge_sign
+    s, lam = params.charge_sign, params.lam
     tables = []
     for r in range(params.m):
         u1, u2 = src[2 * r][:, None], src[2 * r + 1][:, None]
         v1, v2 = dst[2 * r][None, :], dst[2 * r + 1][None, :]
         tables.append((np.exp(A * u1 * u1 + B * v1 * v1 + C * u1 * v1), np.exp(D * s * u2 * v1),
                        np.exp(A * u2 * u2 + B * v2 * v2 + C * u2 * v2), np.exp(-D * s * u1 * v2),
-                       (u1 - v1) ** 2, (u2 - v2) ** 2))
+                       [laguerre(j, -0.5, lam * (u1 - v1) ** 2) for j in range(form.a + 1)],
+                       [laguerre(j, -0.5, lam * (u2 - v2) ** 2) for j in range(form.a + 1)]))
     g = 0.0
-    for c, m in _laguerre_terms(form, params.lam, params.k):
+    for j in _laguerre_terms(form.a, params.k):
         h = f
-        for r, (P, Q, R, S, e1, e2) in enumerate(tables):
-            h = _coordinate(h, r, P * e1 ** m[2 * r], Q, R * e2 ** m[2 * r + 1], S)
-        g = g + c * h
+        for r, (P, Q, R, S, L1, L2) in enumerate(tables):
+            h = _coordinate(h, r, P * L1[j[2 * r]], Q, R * L2[j[2 * r + 1]], S)
+        g = g + h
     return form.pref * g
 
 
@@ -132,10 +129,10 @@ def chain(x, y, grids, forms, params) -> complex:
 def diagonal_sum(form: KernelForm, nodes, weights) -> complex:
     """sum_X w(X) K(X, X) over the tensor grid with per-axis `nodes` and `weights`.
 
-    On the diagonal the D term vanishes and the Laguerre factor is L_a(0), so
-    the sum is pref L_a(0) prod_i sum_j w_ij exp((A + B + C) x_ij^2).
+    On the diagonal the D term vanishes and the Laguerre factor is L_a^(k/2-1)(0),
+    k = len(nodes), so the sum is pref L_a(0) prod_i sum_j w_ij exp((A + B + C) x_ij^2).
     """
-    total = form.pref * laguerre(form.a, form.alpha, 0.0)
+    total = form.pref * laguerre(form.a, len(nodes) / 2 - 1, 0.0)
     for x, w in zip(nodes, weights):
         total = total * np.sum(w * np.exp((form.A + form.B + form.C) * x * x))
     return complex(total)

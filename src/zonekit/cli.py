@@ -262,7 +262,8 @@ def cmd_evolve(args) -> int:
     _finite(args, "t")
     with open(args.state) as fh:
         f = ZonePolynomial.from_json(fh.read(), params)
-    out = evolve(f, _sigma(args), args.t, params, include_field_term=args.field_term)
+    with np.errstate(all="ignore"):  # a nan or inf is refused by name below
+        out = evolve(f, _sigma(args), args.t, params, include_field_term=args.field_term)
     for i, record in enumerate(out.to_records(), 1):
         for part in ("re", "im"):
             if not math.isfinite(record[part]):

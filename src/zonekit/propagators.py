@@ -81,7 +81,7 @@ def _global_form(sigma: complex, t: float, params: PhysParams) -> KernelForm:
     coth = 1.0 / np.tanh(u)
     # phase sign fixed by the spectral oracle: the long-time limit must project
     # onto the lowest-energy (antiholomorphic) modes
-    return KernelForm(pref, 0, k / 2 - 1, -0.5 * lam * coth, -0.5 * lam * coth, lam * coth,
+    return KernelForm(pref, 0, -0.5 * lam * coth, -0.5 * lam * coth, lam * coth,
                       -1j * lam)
 
 
@@ -104,7 +104,7 @@ def _zonal_form(sigma: complex, a: int, t: float, params: PhysParams) -> KernelF
     lam, k = params.lam, params.k
     q = np.exp(-2.0 * sigma * lam * t)
     pref = (lam * np.exp(-sigma * lam * t) / np.pi) ** (k / 2)
-    return KernelForm(pref, a, k / 2 - 1, -0.5 * lam, -0.5 * lam, lam * q, 1j * lam * q)
+    return KernelForm(pref, a, -0.5 * lam, -0.5 * lam, lam * q, 1j * lam * q)
 
 
 def zonal_kernel_spectral(sigma: complex, a: int, t: float, X: np.ndarray, Z: np.ndarray,

@@ -2,15 +2,17 @@
 pointwise closed forms."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
+from zonekit import _factored
 from zonekit._factored import diagonal_sum, point_axes, transfer
 from zonekit.params import PhysParams
 from zonekit.path_measure import _chain_form, cylinder_measure
 from zonekit.propagators import global_kernel, zonal_kernel
-from zonekit.special import gauss_legendre, tensor_points
+from zonekit.special import flat_hermite_grid, gauss_legendre, tensor_points
 from zonekit.zones import zone_kernel
 
 POINTWISE = {
@@ -69,6 +71,37 @@ def test_factored_matches_dense(kind, a, lam, charge_sign, k):
     ref = np.sum(functools.reduce(np.multiply.outer, w).ravel()
                  * POINTWISE[kind](a, DT, U, U, params))
     assert abs(diagonal_sum(form, src, w) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("lam", [0.4, 1.0])
+@pytest.mark.parametrize("kind", ["zonal_wk", "zonal_df", "spread_amplitude"])
+@pytest.mark.parametrize("a", [12, 20])
+def test_high_zone_on_hermite_grid_matches_dense(a, kind, lam):
+    # lam (u - v)^2 reaches 203 on this grid, where a power series in it loses digits
+    params = PhysParams(lam=lam, k=2)
+    form = _chain_form(kind, a, params)(DT)
+    grid = flat_hermite_grid(32, lam, 2)[0]
+    U = tensor_points(grid)
+    f = np.random.default_rng(a).normal(size=len(U)) + 0j
+    got = transfer(f.reshape(32, 32), form, params, grid, grid)
+    assert close(got.ravel(), f @ dense(kind, a, params, U, U))
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("a", [0, 2, 5])
+def test_transfer_makes_one_pass_per_addition_formula_term(k, a, monkeypatch):
+    # C(a+k-1, k-1) products over the k real axes, each one contraction per complex coordinate
+    calls, coordinate = [], _factored._coordinate
+
+    def counted(*args):
+        calls.append(args[1])
+        return coordinate(*args)
+
+    monkeypatch.setattr(_factored, "_coordinate", counted)
+    params = PhysParams(lam=0.9, k=k)
+    src, dst = axes(SIZES[k][0], -1.6, 1.3), axes(SIZES[k][1], -1.2, 1.7)
+    transfer(np.ones(SIZES[k][0]), _chain_form("zonal_wk", a, params)(DT), params, src, dst)
+    assert len(calls) == k // 2 * math.comb(a + k - 1, k - 1)
 
 
 # one node on every axis (a point), or on one complex coordinate next to a grid on the other;

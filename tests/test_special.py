@@ -1,5 +1,6 @@
 """Special-function layer: recurrences against series oracles, quadrature exactness."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -53,6 +54,19 @@ def test_value_at_zero_is_binomial():
         for alpha in (0, 1, 4):
             assert laguerre(a, float(alpha), 0.0) == pytest.approx(
                 math.comb(a + alpha, a), rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_addition_formula_over_real_axes(k):
+    # L_a^(k/2-1)(sum_i t_i) = sum_{|j|=a} prod_i L_(j_i)^(-1/2)(t_i) (A&S 22.12), with t_i
+    # spanning lam (u - v)^2 on an order-64 Hermite grid
+    t = np.random.default_rng(k).uniform(0.0, 500.0, (k, 200))
+    axis = [[laguerre(j, -0.5, ti) for j in range(21)] for ti in t]
+    for a in range(21):
+        terms = [np.prod([table[ji] for ji, table in zip(j, axis)], axis=0)
+                 for j in itertools.product(range(a + 1), repeat=k) if sum(j) == a]
+        err = np.abs(np.sum(terms, axis=0) - laguerre(a, k / 2 - 1, t.sum(axis=0)))
+        assert np.all(err <= 1e-12 * np.sum(np.abs(terms), axis=0)), a
 
 
 def test_vectorized_evaluation():
