@@ -191,14 +191,14 @@ def grades(key: Key, params: PhysParams) -> tuple[int, int]:
 # ---- inner product ---------------------------------------------------------
 
 
-def _moment(p: int, v: int, q: int, w: int, lam: float) -> float:
-    # single-coordinate Gaussian moment of z^p zbar^v conj(z^q zbar^w);
-    # angular selection leaves the radial factorial moment pi (p+w)!/lam^(p+w+1)
+def _moment(p: int, v: int, q: int, w: int, lam: float, s: float) -> float:
+    # single-coordinate Gaussian moment of z^p zbar^v conj(z^q zbar^w) against r^{2s-2};
+    # angular selection leaves the radial moment pi Gamma(n+s)/lam^(n+s), n = p+w
     if p - v != q - w:
         return 0.0
     n = p + w
-    try:  # the factorial, the power and their quotient may each leave the float range
-        moment = math.pi * math.factorial(n) / lam ** (n + 1)
+    try:  # the gamma, the power and their quotient may each leave the float range
+        moment = math.pi * math.gamma(n + s) / lam ** (n + s)
     except (OverflowError, ZeroDivisionError):
         moment = math.inf
     if not 0.0 < moment < math.inf:
@@ -206,8 +206,9 @@ def _moment(p: int, v: int, q: int, w: int, lam: float) -> float:
     return moment
 
 
-def inner_product(f: ZonePolynomial, g: ZonePolynomial) -> complex:
-    """Exact Gaussian-weighted inner product <f, g> = int f conj(g) e^{-lam|X|^2} dX."""
+def _moment_sum(f: ZonePolynomial, g: ZonePolynomial, s: float) -> complex:
+    """sum over monomial pairs of c_f conj(c_g) times the product of their `_moment`s;
+    s = 1 is the inner product and s = 1/2 adds a factor 1/r (k = 2)."""
     f._check_same_params(g)
     lam = f.params.lam
     total = 0.0 + 0.0j
@@ -215,12 +216,17 @@ def inner_product(f: ZonePolynomial, g: ZonePolynomial) -> complex:
         for kg, cg in g.coefficients.items():
             prod = 1.0
             for (p, v), (q, w) in zip(kf, kg):
-                prod *= _moment(p, v, q, w, lam)
+                prod *= _moment(p, v, q, w, lam, s)
                 if prod == 0.0:
                     break
             if prod:
                 total += cf * np.conj(cg) * prod
     return complex(total)
+
+
+def inner_product(f: ZonePolynomial, g: ZonePolynomial) -> complex:
+    """Exact Gaussian-weighted inner product <f, g> = int f conj(g) e^{-lam|X|^2} dX."""
+    return _moment_sum(f, g, 1)
 
 
 def norm(f: ZonePolynomial) -> float:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .algebra import ZonePolynomial
+from .algebra import ZonePolynomial, _moment_sum
 from .params import PhysParams
 from .zones import zone_basis
 
@@ -57,29 +55,13 @@ def coulomb_inner_product(f: ZonePolynomial, g: ZonePolynomial, Q: float) -> com
 
     with n = (p + v + q + w) / 2; the substitution u = lam r^2 turns it into
     Euler's integral for Gamma(n + 1/2), so it is exact up to the rounding of
-    math.gamma and the power.  A radial factor beyond the float range raises
-    OverflowError.
+    math.gamma and the power.  This is the inner product's moment sum with
+    s = 1/2 in place of 1 (`algebra._moment`); a moment beyond the float range
+    raises OverflowError.
     """
-    par = f.params
-    if par.k != 2:
+    if f.params.k != 2:
         raise ValueError("the zonal Coulomb operator is built on the plane (k = 2)")
-    lam = par.lam
-    total = 0.0 + 0.0j
-    for kf, cf in f.coefficients.items():
-        (p, v), = kf
-        for kg, cg in g.coefficients.items():
-            (q, w), = kg
-            if p - v != q - w:
-                continue
-            n = (p + v + q + w) // 2
-            try:  # each factor, and the product, may leave the float range
-                radial = math.pi / lam ** (n + 0.5) * math.gamma(n + 0.5)
-            except (OverflowError, ZeroDivisionError):
-                radial = math.inf
-            if not math.isfinite(radial):
-                raise OverflowError(f"Coulomb radial integral at n={n} overflows at lam={lam}")
-            total += cf * np.conj(cg) * radial
-    return complex(Q * total)
+    return Q * _moment_sum(f, g, 0.5)
 
 
 def zonal_coulomb_matrix(a: int, Q: float, basis_size: int, params: PhysParams):

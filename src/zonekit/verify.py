@@ -19,7 +19,7 @@ from . import extensions, padi, path_measure, thermo
 from .algebra import (ZonePolynomial, apply_rep, apply_zeeman, inner_product, norm,
                       to_standard)
 from .params import PhysParams
-from .propagators import (_convolve, _global_form, evolve, field_term_multiplier,
+from .propagators import (_convolve, _global_form, _zonal_form, evolve, field_term_multiplier,
                           global_kernel, partition_function, partition_function_trace,
                           semigroup_residual, zonal_kernel, zonal_kernel_spectral)
 from .special import flat_hermite_grid, hermite_axis, laguerre, tensor_points
@@ -202,17 +202,14 @@ def _heisenberg(params):
 @check("reproducing_property", "zones",
        "zones: quadrature of the kernel against zone functions reproduces them to 1e-6")
 def _reproducing(params):
-    axes, w = flat_hermite_grid(64, params.lam, params.k)
-    zpts = tensor_points(axes)
     rng = np.random.default_rng(2)
     samples = _points(rng, (5, 1), 0.9)
     worst = 0.0
     for a in (0, 1, 2):
-        ker = zone_kernel(a, samples[:, None, :], zpts[None, :, :], params)
+        form = _zonal_form(1, a, 0.0, params)  # the zone kernel is the t = 0 zonal kernel
         for vec in zone_basis(a, a + 2, params):
-            psi = to_standard(vec)
-            got = ker @ (w * psi(zpts))
-            ref = psi(samples)
+            got = _convolve(form, vec, params, params.lam, 64, samples)
+            ref = to_standard(vec)(samples)
             worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0))))
     return worst, 1e-6
 

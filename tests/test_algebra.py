@@ -7,6 +7,7 @@ import pytest
 
 from zonekit.algebra import (ZonePolynomial, apply_angular_momentum, apply_rep, apply_zeeman,
                              inner_product, norm, to_standard)
+from zonekit.extensions import coulomb_inner_product
 from zonekit.params import PhysParams
 from zonekit.special import hermite_axis, tensor_points
 
@@ -72,6 +73,8 @@ def test_parameter_mismatch_rejected():
     g = ZonePolynomial.one(PhysParams(lam=2.0, k=2))
     with pytest.raises(ValueError):
         inner_product(f, g)
+    with pytest.raises(ValueError):
+        coulomb_inner_product(f, g, 1.0)
 
 
 def test_to_standard_gaussian_ground_state():

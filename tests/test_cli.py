@@ -301,11 +301,11 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
              "error: lam must be finite and positive, got inf\n"),
             (["spectrum", "--lambda", "inf"], "spectrum.csv",
              "error: lam must be finite and positive, got inf\n"),
-            # and whose Coulomb radial integral overflows one
+            # and whose Coulomb moment pi Gamma(n + 1/2)/lam^(n + 1/2) overflows one
             (["coulomb", "--basis-size", "175"], "coulomb_spectrum.csv",
-             "error: Coulomb radial integral at n=171 overflows at lam=1.0\n"),
+             "error: Gaussian moment of degree 171 leaves the float range at lam=1.0\n"),
             (["coulomb", "--lambda", "0.4", "--basis-size", "150"], "coulomb_spectrum.csv",
-             "error: Coulomb radial integral at n=145 overflows at lam=0.4\n"),
+             "error: Gaussian moment of degree 145 leaves the float range at lam=0.4\n"),
             (["thermo", "--kappa", "0", "--T-grid", "1:2:1"], "thermo.csv",
              "error: --kappa must be positive, got 0.0\n"),
             (["thermo", "--h", "0", "--T-grid", "1:2:1"], "thermo.csv",

@@ -95,6 +95,21 @@ def test_coulomb_inner_product_matches_hermite_moments(lam):
             assert got == pytest.approx(math.pi * np.sum(w * x ** (2 * (p + wd))), rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.4, 1.0, 2.5])
+def test_inner_product_matches_factorial_moments(lam):
+    # the same moment sum with s = 1: pi (p + w)!/lam^(p + w + 1) on the angular class
+    # p - v = q - w, up to degree 40, past math.gamma's exact factorial table at 22
+    par = PhysParams(lam=lam, k=2)
+    for p, v, w in itertools.product(range(21), repeat=3):
+        f = ZonePolynomial({((p, v),): 1.0}, par)
+        q = p - v + w
+        if q >= 0:
+            got = inner_product(f, ZonePolynomial({((q, w),): 1.0}, par))
+            n = p + w
+            assert got == pytest.approx(math.pi * math.factorial(n) / lam ** (n + 1), rel=2e-15)
+        assert inner_product(f, ZonePolynomial({((max(q, 0) + 1, w),): 1.0}, par)) == 0.0
+
+
 def test_coulomb_matrix_is_finite_beyond_the_old_quadrature_overflow():
     # degree 125 and up overflowed the radial quadrature to inf entries
     out = zonal_coulomb_matrix(0, -1.0, 130, PhysParams())
