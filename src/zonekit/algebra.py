@@ -260,34 +260,25 @@ def apply_zeeman(f: ZonePolynomial, include_field_term: bool = False) -> ZonePol
         H = -2 sum_j d/dz_j d/dzbar_j + 2 lam sum_j z_j d/dz_j + (k/2) lam
             [+ 2 k lam^2 when the field term is included],
 
-    obtained by conjugating the standard-space operator with the half-Gaussian, at
-    charge_sign +1 (z <-> zbar at -1).  Monomials z^P zbar^V with min(p_j, v_j) = 0
-    in every coordinate are exact eigenvectors with eigenvalue (2g + k/2) lam
-    (+ 2 k lam^2), g their Zeeman grade (`grades`); mixed monomials additionally
-    shed the -2 p_j v_j cross terms, and the orthogonal zone basis diagonalizes it exactly.
+    obtained by conjugating the standard-space operator with the half-Gaussian, for
+    charge sign +1 (z <-> zbar at -1).  It is built from the Heisenberg generators as
+    H = 2 sum_j rho(z_j) rho(zbar_j) + (k/2) lam [+ 2 k lam^2] (`apply_rep`).  Monomials
+    z^P zbar^V with min(p_j, v_j) = 0 in every coordinate are exact eigenvectors with
+    eigenvalue (2g + k/2) lam (+ 2 k lam^2), g their Zeeman grade (`grades`); mixed
+    monomials additionally shed the -2 p_j v_j cross terms, and the orthogonal zone
+    basis diagonalizes it exactly.
     """
-    par = f.params
-    lam, m = par.lam, par.m
-    const = par.zeeman_eigenvalue(0, include_field_term)
-    out: dict[Key, complex] = {}
-
-    def add(key: Key, c: complex) -> None:
-        out[key] = out.get(key, 0.0) + c
-
-    for key, c in f.coefficients.items():
-        add(key, (2.0 * grades(key, par)[0] * lam + const) * c)
-        for j in range(m):
-            p, v = key[j]
-            if p and v:
-                lower = tuple((p - 1, v - 1) if i == j else key[i] for i in range(m))
-                add(lower, -2.0 * p * v * c)
-    return ZonePolynomial(out, par)
+    out = f.params.zeeman_eigenvalue(0, include_field_term) * f
+    for i in range(f.params.m):
+        out = out + 2.0 * apply_rep("z", apply_rep("zbar", f, i), i)
+    return out
 
 
 def apply_angular_momentum(f: ZonePolynomial) -> ZonePolynomial:
     """Magnetic-moment term of the Hamiltonian; monomials are eigenvectors.
 
-    The monomial z^P zbar^V is multiplied by charge_sign lam (|P| - |V|) = lam (grade - zone).
+    The monomial z^P zbar^V is multiplied by the charge sign times lam (|P| - |V|),
+    that is lam (grade - zone).
     """
     par = f.params
     out = {}
@@ -305,27 +296,26 @@ def apply_rep(generator: str, f: ZonePolynomial, i: int = 0) -> ZonePolynomial:
     generator "z":    rho(z_i) f   = (-d/dzbar_i + lam z_i) f
     generator "zbar": rho(zbar_i) f = d/dz_i f
 
-    These satisfy [rho(zbar_i), rho(z_j)] = lam delta_ij on polynomials.
+    for charge sign +1; at -1 z_i and zbar_i trade places, rho(z_i) = lam zbar_i - d/dz_i
+    and rho(zbar_i) = d/dzbar_i.  The sign is read through `grades`: coordinate i's
+    exponents go to (grade, zone), the +1 rule acts there, and `grades` maps the result
+    back.  These satisfy [rho(zbar_i), rho(z_j)] = lam delta_ij on polynomials, and
+    map each zone into itself.
     """
     par = f.params
-    m = par.m
-    if not 0 <= i < m:
+    if not 0 <= i < par.m:
         raise IndexError(f"coordinate index {i} out of range for k={par.k}")
+    if generator not in ("z", "zbar"):
+        raise ValueError(f"unknown generator {generator!r}; expected 'z' or 'zbar'")
     out: dict[Key, complex] = {}
-
-    def add(key: Key, c: complex) -> None:
-        if c != 0:
-            out[key] = out.get(key, 0.0) + c
-
     for key, c in f.coefficients.items():
-        p, v = key[i]
+        g, a = grades(key[i:i + 1], par)
         if generator == "zbar":
-            if p:
-                add(tuple((p - 1, v) if j == i else key[j] for j in range(m)), p * c)
-        elif generator == "z":
-            if v:
-                add(tuple((p, v - 1) if j == i else key[j] for j in range(m)), -v * c)
-            add(tuple((p + 1, v) if j == i else key[j] for j in range(m)), par.lam * c)
+            terms = [((g - 1, a), g * c)] if g else []
         else:
-            raise ValueError(f"unknown generator {generator!r}; expected 'z' or 'zbar'")
+            terms = [((g, a - 1), -a * c)] if a else []
+            terms.append(((g + 1, a), par.lam * c))
+        for ga, d in terms:
+            new = key[:i] + (grades((ga,), par),) + key[i + 1:]
+            out[new] = out.get(new, 0.0) + d
     return ZonePolynomial(out, par)

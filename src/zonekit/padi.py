@@ -1,12 +1,14 @@
 """Pauli-Dirac operator on 2-component spinors over the plane.
 
-Spinor components are weighted-space polynomials at k = 2 and charge_sign +1 (at -1
-the square identity below fails).  The operator is built from the component rewrites
+Spinor components are weighted-space polynomials at k = 2, of either charge sign.
+The operator is built from the Heisenberg generators (`algebra.apply_rep`), which
+read the sign; at charge_sign +1 the component rewrites are
 
     D1 = (1 + i) (d/dzbar - lam z .)        (up   <- down)
     D2 = (-1 + i) d/dz                      (down <- up)
 
-normalized so that the square is exactly the Pauli form H_Z - lam sigma0.
+(z <-> zbar at -1), normalized so that the square is exactly the Pauli form
+H_Z - lam sigma0 at either sign.
 The raw canonically-conjugate component operators carry an extra sqrt(2);
 `d1`/`d2` expose those directly.
 """
@@ -51,8 +53,6 @@ class SpinorField:
             raise ValueError("spinor components carry different parameters")
         if self.up.params.k != 2:
             raise ValueError("spinor algebra is built on the plane (k = 2)")
-        if self.up.params.charge_sign != 1:
-            raise ValueError("padi spinors are built at charge_sign +1 only")
 
     @property
     def params(self) -> PhysParams:
@@ -84,12 +84,14 @@ def spinor_norm(phi: SpinorField) -> float:
 
 
 def d1(f: ZonePolynomial) -> ZonePolynomial:
-    """Raw component operator sqrt(2)(1+i)(d/dzbar - lam z .) on the weighted space."""
+    """Raw component operator -sqrt(2)(1+i) rho(z) on the weighted space:
+    sqrt(2)(1+i)(d/dzbar - lam z .) at charge_sign +1, with z <-> zbar at -1."""
     return (-SQRT2 * (1.0 + 1j)) * apply_rep("z", f)
 
 
 def d2(f: ZonePolynomial) -> ZonePolynomial:
-    """Raw component operator sqrt(2)(-1+i) d/dz on the weighted space."""
+    """Raw component operator sqrt(2)(-1+i) rho(zbar) on the weighted space:
+    sqrt(2)(-1+i) d/dz at charge_sign +1, with z <-> zbar at -1."""
     return (SQRT2 * (-1.0 + 1j)) * apply_rep("zbar", f)
 
 

@@ -316,8 +316,9 @@ class KernelGrid:
         forked children write blocks 1.. to ``<path>.part<j>`` while this
         process writes the header and block 0 to ``<path>.part0``, then each
         part is appended to part 0 in order and deleted, and part 0 is renamed
-        onto `path`.  With one usable CPU or one X row nothing is forked.  An
-        OSError in a child (a full disk, say) is raised here, as in block 0.
+        onto `path`.  With one usable CPU, one X row or no ``os.copy_file_range``
+        nothing is forked.  An OSError in a child (a full disk, say) is raised
+        here, as in block 0.
         On any failure no part and no `path` is left behind (an existing
         `path` is kept as it was).
         """
@@ -334,7 +335,8 @@ class KernelGrid:
         suffixes = [f"{y},{sig},{float(self.t)!r},{a}," for y in coords(self.points_Y)]
         xs = coords(self.points_X)
         rows = len(xs) if suffixes else 0  # an empty Y grid has no rows, not bare X prefixes
-        n = max(1, min(_usable_cpus(), rows))
+        # the parts are joined by os.copy_file_range, which Python has only on Linux
+        n = max(1, min(_usable_cpus(), rows)) if hasattr(os, "copy_file_range") else 1
         cut = [rows * j // n for j in range(n + 1)]
         parts = [f"{path}.part{j}" for j in range(n)]
         procs, pipes = [], []

@@ -13,6 +13,7 @@ from zonekit.special import hermite_axis, tensor_points
 
 PAR = PhysParams(lam=1.0, k=2)
 PAR4 = PhysParams(lam=1.0, k=4)
+FLIPPED = PhysParams(lam=1.3, k=2, charge_sign=-1)
 
 
 def disk_quadrature(fun, lam, order=120, rmax=9.0):
@@ -230,25 +231,30 @@ def test_angular_momentum_matches_finite_differences():
 
 
 def test_rep_generators():
-    z = ZonePolynomial.z(PAR)
-    one = ZonePolynomial.one(PAR)
-    assert norm(apply_rep("zbar", z) - one) == 0.0
-    assert norm(apply_rep("z", one) - PAR.lam * z) == 0.0
-    with pytest.raises(IndexError):
-        apply_rep("z", one, i=1)
-    with pytest.raises(ValueError):
-        apply_rep("w", one)
+    # at charge_sign -1 z and zbar trade places: rho(zbar) = d/dzbar, rho(z) = lam zbar - d/dz
+    for par, hol, anti in ((PAR, ZonePolynomial.z, ZonePolynomial.zbar),
+                           (FLIPPED, ZonePolynomial.zbar, ZonePolynomial.z)):
+        z, zb, one = hol(par), anti(par), ZonePolynomial.one(par)
+        assert norm(apply_rep("zbar", z) - one) == 0.0
+        assert norm(apply_rep("z", one) - par.lam * z) == 0.0
+        assert norm(apply_rep("z", zb) - (par.lam * z * zb - one)) == 0.0
+        assert apply_rep("zbar", zb).is_zero()
+        with pytest.raises(IndexError):
+            apply_rep("z", one, i=1)
+        with pytest.raises(ValueError):
+            apply_rep("w", one)
 
 
 def test_rep_commutator_is_scalar():
-    f = ZonePolynomial.monomial([(2, 1)], PAR)       # z^2 zbar
-    comm = apply_rep("zbar", apply_rep("z", f)) - apply_rep("z", apply_rep("zbar", f))
-    assert norm(comm - PAR.lam * f) < 1e-14
-    for p in range(5):
-        for v in range(5):
-            g = ZonePolynomial.monomial([(p, v)], PAR)
-            comm = apply_rep("zbar", apply_rep("z", g)) - apply_rep("z", apply_rep("zbar", g))
-            assert norm(comm - PAR.lam * g) <= 1e-12 * norm(g)
+    for par in (PAR, FLIPPED):
+        f = ZonePolynomial.monomial([(2, 1)], par)       # z^2 zbar
+        comm = apply_rep("zbar", apply_rep("z", f)) - apply_rep("z", apply_rep("zbar", f))
+        assert norm(comm - par.lam * f) < 1e-14
+        for p in range(5):
+            for v in range(5):
+                g = ZonePolynomial.monomial([(p, v)], par)
+                comm = apply_rep("zbar", apply_rep("z", g)) - apply_rep("z", apply_rep("zbar", g))
+                assert norm(comm - par.lam * g) <= 1e-12 * norm(g)
 
 
 def test_params_validation():

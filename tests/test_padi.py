@@ -56,14 +56,14 @@ def test_padi_field_variant_adds_diagonal():
         apply_padi(phi, "X")
 
 
-def random_spinor(rng, max_degree=5):
+def random_spinor(rng, max_degree=5, params=PAR):
     def poly():
         coeffs = {}
         for _ in range(4):
             p = int(rng.integers(0, max_degree + 1))
             v = int(rng.integers(0, max_degree + 1 - p))
             coeffs[((p, v),)] = complex(rng.normal(), rng.normal())
-        return ZonePolynomial(coeffs, PAR)
+        return ZonePolynomial(coeffs, params)
     return SpinorField(poly(), poly())
 
 
@@ -217,17 +217,35 @@ def test_spinor_requires_plane():
         SpinorField(ZonePolynomial.one(par4), ZonePolynomial.one(par4))
 
 
-def test_padi_refuses_charge_sign_minus_one():
-    # the square identity fails at -1 (a relative residual of order 1 on a random
-    # degree-5 spinor), so every spinor entry point refuses it; the anomalous kernels
-    # stay open
+def test_padi_at_charge_sign_minus_one():
+    # the generators read the sign, so the square identity, the eigenspinors and the
+    # normalization constants carry over to -1 unchanged
     flipped = PhysParams(lam=1.0, k=2, charge_sign=-1)
-    z, zb = ZonePolynomial.z(flipped), ZonePolynomial.zbar(flipped)
-    base = zone_basis(0, 2, flipped)[1]
-    for call in (lambda: SpinorField(z, zb), lambda: apply_padi(SpinorField(z, zb)),
-                 lambda: padi_square_residual(SpinorField(z, zb)),
-                 lambda: eigenspinors(base, 1, 1), lambda: eigenspinors(base, 2, -1),
-                 lambda: normalization_report(0, flipped)):
-        with pytest.raises(ValueError, match="padi spinors are built at charge_sign"):
-            call()
+    rng = np.random.default_rng(30)
+    for variant in ("Z", "Zf"):
+        for _ in range(6):
+            phi = random_spinor(rng, params=flipped)
+            assert padi_square_residual(phi, variant) <= 1e-12 * spinor_norm(phi)
+    for a in (0, 1):
+        for vec, plus in zip(zone_basis(a, a + 3, flipped), zone_basis(a, a + 3, PAR)):
+            for j in (1, 2):
+                for sign in (1, -1):
+                    psi, ev = eigenspinors(vec, j, sign)
+                    psi_plus, ev_plus = eigenspinors(plus, j, sign)
+                    assert psi.is_zero() == psi_plus.is_zero()
+                    assert ev == pytest.approx(ev_plus, rel=1e-13, abs=1e-13)
+                    if not psi.is_zero():
+                        assert spinor_norm(psi) == pytest.approx(1.0, abs=1e-12)
+                        assert spinor_norm(apply_padi(psi) - ev * psi) < 1e-10
+        # the bottom level of zone a is the zero mode
+        ground = zone_basis(a, a, flipped)[0]
+        assert eigenspinors(ground, 1, +1)[1] == 0.0
+        assert eigenspinors(ground, 1, -1)[0].is_zero()
+    for lam in (0.4, 1.3):
+        for a in (0, 1):
+            rows = normalization_report(a, PhysParams(lam=lam, k=2, charge_sign=-1))["rows"]
+            ref = normalization_report(a, PhysParams(lam=lam, k=2))["rows"]
+            assert len(rows) == len(ref)
+            for row, want in zip(rows, ref):
+                assert row == pytest.approx(want, rel=1e-13)
     assert np.all(np.isfinite(anomalous_kernel(1, 1, [[0.3j]], [[0.2]], flipped)))

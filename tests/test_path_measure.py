@@ -323,10 +323,10 @@ def test_verify_never_fills_a_dense_step(monkeypatch):
 
 
 def test_sweep_checks_every_slice_count():
-    with pytest.raises(ValueError):
-        feynman_kac_sweep(1, 0, X0, Y0, 0.5, (2, 0), PAR, order=8)
-    with pytest.raises(ValueError):
-        feynman_kac_sweep(1, 0, X0, Y0, 0.5, (), PAR, order=8)
+    for run in (feynman_kac_sweep, path_measure._sliced_chain):
+        for counts in ((2, 0), ()):
+            with pytest.raises(ValueError, match="need slice counts of at least one slice"):
+                run(1, 0, X0, Y0, 0.5, counts, PAR, order=8)
     # the two 48^4 x 48^4 matrices are refused before anything is allocated
     with pytest.raises(ValueError, match=r"^sliced quadrature at order 48 \(5308416 nodes\)"):
         feynman_kac_sweep(1, 0, np.zeros(2), np.zeros(2), 0.5, (1, 2), PhysParams(k=4),

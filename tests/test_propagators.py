@@ -344,16 +344,16 @@ def _csv_writer_bytes(grid):
     return buf.getvalue().encode()
 
 
-def _use_cpus(monkeypatch, n):
-    """Make write_csv see `n` usable CPUs; with one, forking is an error."""
+def _use_cpus(monkeypatch, n, fork=True):
+    """Make write_csv see `n` usable CPUs; with one, or `fork` false, forking is an error."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    if n == 1:
+    if n == 1 or not fork:
         def no_fork():
-            raise AssertionError("forked with one usable CPU")
+            raise AssertionError(f"forked with {n} usable CPUs")
         monkeypatch.setattr(os, "fork", no_fork)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7, "3_without_copy_file_range"])
 @pytest.mark.parametrize("case", ["zonal_k2", "global_k4", "edge_values", "empty_x",
                                   "empty_y"])
 def test_kernel_grid_csv_bytes(tmp_path, monkeypatch, case, cpus):
@@ -375,7 +375,12 @@ def test_kernel_grid_csv_bytes(tmp_path, monkeypatch, case, cpus):
         pts = np.array([[0.5 + 0.25j], [-0.5 - 1.0j]])
         X, Y = (pts[:0], pts) if case == "empty_x" else (pts, pts[:0])
         grid = KernelGrid(1j, 1, X, Y, np.empty((len(X), len(Y)), complex), PAR, a=3)
-    _use_cpus(monkeypatch, cpus)
+    if cpus == "3_without_copy_file_range":
+        # the parts are joined by os.copy_file_range (Linux only): without it one writer
+        monkeypatch.delattr(os, "copy_file_range", raising=False)
+        _use_cpus(monkeypatch, 3, fork=False)
+    else:
+        _use_cpus(monkeypatch, cpus)
     path = tmp_path / "grid.csv"
     grid.write_csv(str(path))
     assert path.read_bytes() == _csv_writer_bytes(grid)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm, to_standard
+from zonekit.algebra import (ZonePolynomial, apply_rep, apply_zeeman, inner_product, norm,
+                             to_standard)
 from zonekit.params import PhysParams
 from zonekit.propagators import infer_zone
 from zonekit.special import flat_hermite_grid, laguerre, tensor_points
@@ -162,6 +163,21 @@ def test_zones_at_charge_sign_minus_one_are_the_conjugates():
                 assert mirror.keys() == vm.coefficients.keys()
                 assert all(abs(vm.coefficients[key] - c) <= 1e-14 * abs(c)
                            for key, c in mirror.items())
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("lam", [0.4, 1.3, 2.5])
+def test_zones_are_invariant_under_the_heisenberg_generators(lam, k, charge_sign):
+    # rho(z_i) and rho(zbar_i) map each zone into itself at either charge sign
+    par = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+    for a in range(3):
+        for vec in zone_basis(a, a + 3, par):
+            for gen in ("z", "zbar"):
+                for i in range(par.m):
+                    out = apply_rep(gen, vec, i)
+                    if not out.is_zero():
+                        assert norm(out - project_to_zone(out, a)) <= 1e-12 * norm(out)
 
 
 def test_projection_examples():
