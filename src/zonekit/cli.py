@@ -187,12 +187,11 @@ def _write_csv(args, header, rows, name: str | None = None) -> None:
 def _write_curve(args, header, points, row, name: str | None = None) -> None:
     """CSV of row(p) over the points, leaving out singular ones and counting them on stderr."""
     rows, skipped = [], 0
-    with np.errstate(all="ignore"):  # `_write_csv` refuses a nan or inf by name
-        for p in points:
-            try:
-                rows.append(row(p))
-            except SingularTimeError:
-                skipped += 1
+    for p in points:
+        try:
+            rows.append(row(p))
+        except SingularTimeError:
+            skipped += 1
     _write_csv(args, header, rows, name)
     if skipped:
         print(f"{name or args.output}: skipped {skipped} singular points", file=sys.stderr)
@@ -214,8 +213,7 @@ def cmd_kernel(args) -> int:
     n = len(axes[0]) ** params.k  # grid points, before building them
     _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
     pts = tensor_points(axes)
-    with np.errstate(all="ignore"):  # a nan or inf is refused by name below
-        grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
+    grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
     path = _output(args)
     for i, row in enumerate(grid.values):  # one X row at a time: no grid-sized temporary
         bad = np.flatnonzero(~np.isfinite(row))
@@ -262,8 +260,7 @@ def cmd_evolve(args) -> int:
     _finite(args, "t")
     with open(args.state) as fh:
         f = ZonePolynomial.from_json(fh.read(), params)
-    with np.errstate(all="ignore"):  # a nan or inf is refused by name below
-        out = evolve(f, _sigma(args), args.t, params, include_field_term=args.field_term)
+    out = evolve(f, _sigma(args), args.t, params, include_field_term=args.field_term)
     for i, record in enumerate(out.to_records(), 1):
         for part in ("re", "im"):
             if not math.isfinite(record[part]):
@@ -528,8 +525,9 @@ def main(argv=None) -> int:
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        _apply_config(args)
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # a nan or inf result is refused by name
+            _apply_config(args)
+            return args.fn(args)
     # OSError: a path that cannot be opened; OverflowError: a number beyond the float range
     except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,85 +158,85 @@ def whole_space_box(params: PhysParams, radius: float | None = None):
 # ---- discretized Feynman-Kac ----------------------------------------------------
 
 
+def _slice_counts(slice_counts) -> tuple[int, ...]:
+    """The slice counts as a tuple, refused unless each has at least one slice."""
+    counts = tuple(slice_counts)
+    if not counts or min(counts) < 1:
+        raise ValueError(f"need slice counts of at least one slice, got {counts}")
+    return counts
+
+
 def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
                       params: PhysParams, order: int = 48) -> list[complex]:
     """Time-sliced spread-amplitude reconstruction of the zonal kernel at each
     of `slice_counts`, in the given order.
 
     At n slices, chains n + 1 zone kernels through n interior points at
-    uniform times and weights by e^{-sigma (kT/2 + 2 lam^2 S)} with S the
-    Riemann sum of |omega|^2 along the sliced path: one term per interval,
-    with the two path factors taken at consecutive slice times,
-    dt * omega(t_i).conj(omega(t_{i+1})).  The chain's Gaussian prefactor is
-    then exact and the value converges to the closed-form zonal kernel on the
-    holomorphic zone, at first order in 1/n (relative error about 4.6e-3,
-    2.5e-3, 1.7e-3 at n = 4, 8, 12 for `zonekit path`'s defaults).
+    uniform times, weighted by e^{-sigma (kT/2 + 2 lam^2 S)}, S the Riemann
+    sum of dt * omega(t_i).conj(omega(t_{i+1})) over the intervals.  The
+    value converges to the closed-form zonal kernel on the holomorphic zone
+    at first order in 1/n (relative error 4.6e-3, 2.5e-3, 1.7e-3 at n = 4, 8,
+    12 for `zonekit path`'s defaults).
 
-    Evaluated by sequential Gauss-Hermite sweeps (never a full 2n-dim
-    tensor product).  Only the scalar c = 2 sigma lam^2 T/(n+1) depends on
-    n, so the grid, the end vectors and the zone-kernel matrix over
-    N = order^k nodes are built once and shared; each
-    n refills one N x N step buffer in place, recomputing the pairing block
-    by block instead of storing it.  The Hermite nodes are odd under index
-    reversal, m[N-1-i] == -m[i] exactly, and every operation building K and
-    the step is invariant under (Z, W) -> (-Z, -W) to the last bit, so
-    step[N-1-i, N-1-j] == step[i, j]: only the top ceil(N/2) rows of K and
-    of the step are needed, and the bottom rows of the step are the top
-    ones reversed in both axes.  The grid is also symmetric under complex
-    conjugation: reversing every imaginary-part axis maps m to conj(m), and
-    K, and the step whenever c is real (sigma = 1),
-    satisfy A[ci][:, ci] == conj(A) for that index map ci.  So of the top
-    half, K always and the step when sigma = 1 compute only the rows whose
-    first real index is below order // 2 and whose first imaginary index is
-    below ceil(order / 2), plus the top half of the middle slab at odd
-    orders, and take the rest as conjugates of the mirrored rows; a sigma = i
-    step computes its whole top half.  The mirrored matrices equal a full
-    fill value for value; only the sign of an exactly-zero imaginary part
-    can differ, and the sweep's values keep every bit.  The fills run in
-    row blocks on every usable CPU (`_fill_rows`), element by element as
-    one whole-matrix expression would, so the values do not depend on the
-    CPU count.  One N x N and one ceil(N/2) x N complex array are live at
-    once, and an order whose two, with the Hermite rule and the grid, exceed
-    physical memory raises ValueError before anything is allocated, at any
-    slice count.
+    The Gauss-Hermite grid over N = order^k nodes, the end vectors and the
+    zone-kernel matrix K serve every n; each n refills one N x N step in
+    place.  Grid parity gives step[N-1-i, N-1-j] == step[i, j], and grid
+    conjugation (ci reverses every imaginary-part axis) gives A[ci][:, ci]
+    == conj(A) for K and the sigma = 1 step, value for value.  K is held
+    only on its conjugation quarter: first real index below order // 2 and
+    first imaginary index below ceil(order / 2), plus the top half of an odd
+    order's middle slab.  The step's top half is filled on that quarter and
+    conjugated at sigma = 1, filled whole at sigma = i (reading
+    conj(K[ci][:, ci]) off the quarter), and mirrored to the bottom half.
+    The fills run in row blocks on every usable CPU (`_fill_rows`) and keep
+    every bit of a one-thread fill.  An order whose step, K quarter, Hermite
+    rule and grid exceed physical memory raises ValueError before anything
+    is allocated.
     """
     sigma = _check_sigma(sigma)
-    slice_counts = tuple(slice_counts)
-    if not slice_counts or min(slice_counts) < 1:
-        raise ValueError(f"need slice counts of at least one slice, got {slice_counts}")
+    slice_counts = _slice_counts(slice_counts)
     lam, k = params.lam, params.k
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     chained = max(slice_counts) > 1  # else no step matrix is needed
-    nodes = order**k
+    N = order**k
+    half = (N + 1) // 2  # the parity half; the middle row of an odd N is its own mirror
+    # the conjugation quarter, and the conjugate rows that complete the parity half
+    slab, lo = N // order, (order + 1) // 2 * (N // order**2)
+    quarter = [(r * slab, r * slab + lo) for r in range(order // 2)] \
+        + [(order // 2 * slab, half)]
+    mirrored = [(r * slab + lo, (r + 1) * slab) for r in range(order // 2)]
+    qrows = sum(stop - start for start, stop in quarter)
     # complex N-vectors: the grid points and four end vectors, and with a chain the
-    # top half of K and the step buffer; real: the Hermite rule's order x order
+    # quarter of K and the step buffer; real: the Hermite rule's order x order
     # companion matrix and the grid weights
-    vectors = params.m + 4 + ((nodes + 1) // 2 + nodes if chained else 0)
-    _require_memory(np.dtype(complex).itemsize * vectors * nodes
-                    + np.dtype(float).itemsize * (order * order + nodes),
-                    f"sliced quadrature at order {order} ({nodes} nodes)")
+    vectors = params.m + 4 + (qrows + N if chained else 0)
+    _require_memory(np.dtype(complex).itemsize * vectors * N
+                    + np.dtype(float).itemsize * (order * order + N),
+                    f"sliced quadrature at order {order} ({N} nodes)")
     axes, w = flat_hermite_grid(order, lam, k)
     m = tensor_points(axes)
     xs, ys = np.broadcast_to(x, m.shape), np.broadcast_to(y, m.shape)
     ker_x, ker_y = zone_kernel(a, xs, m, params), zone_kernel(a, m, ys, params)
     act_x, act_y = pairing(xs, m, params), pairing(m, ys, params)
-    N = len(m)
-    half = (N + 1) // 2  # the parity half; the middle row of an odd N is its own mirror
-    # the conjugation quarter: first real index below order // 2 and first imaginary
-    # index below ceil(order / 2), then the top half of an odd order's middle slab
-    slab, lo = N // order, (order + 1) // 2 * (N // order**2)
-    quarter = [(r * slab, r * slab + lo) for r in range(order // 2)] \
-        + [(order // 2 * slab, half)]
     if chained:
-        K = np.empty((half, N), dtype=complex)
+        K = np.empty((qrows, N), dtype=complex)
         step = np.empty((N, N), dtype=complex)
+        ci = np.flip(np.arange(N).reshape((order,) * k), tuple(range(1, k, 2))).ravel()
+
+        def krow(i):  # the row of K holding grid row i of the quarter
+            return i // slab * lo + i % slab
+
+        def kernel_rows(rows):  # K on a row block that lies within one fill range
+            if rows.start % slab < lo:  # on the quarter: a view
+                start = krow(rows.start)
+                return K[start:start + rows.stop - rows.start]
+            return np.conjugate(K[krow(ci[rows])][:, ci])
 
         def fill_kernel(rows):
-            K[rows] = zone_kernel(a, m[rows, None, :], m[None, :, :], params)
+            kernel_rows(rows)[...] = zone_kernel(a, m[rows, None, :], m[None, :, :], params)
 
         _fill_rows(fill_kernel, quarter, N)
-        _conjugate_rows(K, order, k)
     vals = []
     for n in slice_counts:
         c = 2.0 * sigma * lam**2 * (T / (n + 1))
@@ -246,11 +246,11 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
             out = step[rows]
             np.multiply(-c, pairing(m[rows, None, :], m[None, :, :], params), out=out)
             np.exp(out, out=out)
-            np.multiply(K[rows], out, out=out)
+            np.multiply(kernel_rows(rows), out, out=out)
 
         if n > 1:
             real = c.imag == 0  # then the step is conjugation symmetric like K
-            _fill_rows(fill_step, quarter if real else [(0, half)], N)
+            _fill_rows(fill_step, quarter if real else quarter + mirrored, N)
             if real:
                 _conjugate_rows(step, order, k)
             step[half:] = step[:N - half][::-1, ::-1]
@@ -276,9 +276,7 @@ def _sliced_chain(sigma: complex, a: int, x, y, T: float, slice_counts,
     memory raises ValueError before anything is allocated.
     """
     sigma = _check_sigma(sigma)
-    slice_counts = tuple(slice_counts)
-    if not slice_counts or min(slice_counts) < 1:
-        raise ValueError(f"need slice counts of at least one slice, got {slice_counts}")
+    slice_counts = _slice_counts(slice_counts)
     lam, k = params.lam, params.k
     nodes = order**k
     # complex: the grid function, its weighted copy, the running sum over Laguerre
@@ -310,7 +308,8 @@ def _fill_rows(fill, ranges, n_cols: int) -> None:
 
     The blocks of all ranges go through one pool map, on one thread per
     usable CPU (numpy releases the GIL in the element-wise work), or inline
-    with one usable CPU or one block.
+    with one usable CPU or one block.  Every block runs under the caller's
+    numpy error state, which does not follow a thread by itself.
     """
     size = max(1, _BLOCK_ELEMENTS // n_cols)
     blocks = [slice(i, min(i + size, stop)) for start, stop in ranges
@@ -320,20 +319,21 @@ def _fill_rows(fill, ranges, n_cols: int) -> None:
         for rows in blocks:
             fill(rows)
         return
+    err = np.geterr()
+
+    def fill_block(rows):
+        with np.errstate(**err):
+            fill(rows)
+
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(fill, blocks):  # re-raises a block's exception here
+        for _ in pool.map(fill_block, blocks):  # re-raises a block's exception here
             pass
 
 
 def _conjugate_rows(A, order: int, k: int) -> None:
     """Write the rows of A whose first real index is below order // 2 and whose
-    first imaginary index is at least ceil(order / 2) as the complex conjugates
-    of their conjugation mirrors: the same point with every imaginary-part
-    axis reversed, in the rows and in the columns of the tensor grid.
-
-    One first-real-index slab at a time, so the source and the target rows
-    lie in disjoint memory and numpy needs no temporary copy.
-    """
+    first imaginary index is at least ceil(order / 2) as the conjugates of their
+    conjugation mirrors, one slab at a time so that numpy needs no temporary."""
     h = order // 2
     slabs = A[:h * order**(k - 1)].reshape((h,) + (order,) * (2 * k - 1))
     for slab in slabs:

@@ -562,12 +562,12 @@ def test_oversized_table_is_refused_before_its_first_row(tmp_path, capsys, monke
 
 
 def test_oversized_path_sweep_is_refused_before_allocating(tmp_path, capsys):
-    # k=4 at order 32: 32^4 nodes, the top half of K and the whole step, about
-    # 2.6e13 bytes of complex values
+    # k=4 at order 32: 32^4 nodes, the conjugation quarter of K and the whole
+    # step, about 2.2e13 bytes of complex values
     assert run(tmp_path, "path", "--k", "4", "--order", "32", "--n-slices", "2",
                "--x=0.3+0.2j,0.1", "--y=-0.3+0.1j,0.2j") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 2.64e+04 GB")
+    assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 2.2e+04 GB")
     assert not (tmp_path / "path.csv").exists()
 
 
@@ -609,19 +609,30 @@ def test_non_finite_value_fails_and_writes_no_table(tmp_path_factory, tmp_path, 
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("argv", [["kernel", "--t", "1e-310", "--grid", "0:1:1"],
-                                  ["thermo", "--T-grid", "1e-300:1e-300:1"],
-                                  ["evolve", "--t=-1000", "--state", "STATE"]],
-                         ids=["kernel", "thermo", "evolve"])
-def test_non_finite_failure_prints_only_its_error_line(tmp_path, tmp_path_factory, argv):
+NAN_ROW = r"error: [^\n]* is nan in (row|record) 1\n"
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["kernel", "--t", "1e-310", "--grid", "0:1:1"], 1, NAN_ROW),
+    (["thermo", "--T-grid", "1e-300:1e-300:1"], 1, NAN_ROW),
+    (["evolve", "--t=-1000", "--state", "STATE"], 1, NAN_ROW),
+    # the dense sweep's step overflows, partly in its fill threads
+    (["path", "--lambda", "1e3"], 1, NAN_ROW),
+    (["path", "--sigma", "i", "--T", "1e5"], 1, NAN_ROW),
+    # the Gaussian moment sum overflows before its guard names the degree
+    (["padi", "--lambda", "1e200", "--zones", "0..1", "--pmax", "2"], 2,
+     r"error: Gaussian moment of degree 1 leaves the float range at lam=1e\+200\n"),
+], ids=["kernel", "thermo", "evolve", "path_lambda", "path_sigma_i", "padi"])
+def test_non_finite_failure_prints_only_its_error_line(tmp_path, tmp_path_factory, argv, code,
+                                                       stderr):
     # numpy's overflow warnings would only repeat what the error line says
     state = tmp_path_factory.mktemp("state") / "z1.json"
     state.write_text('[{"degrees": [[1, 0]], "re": 1.0, "im": 0.0}]')
     argv = [str(state) if arg == "STATE" else arg for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "zonekit", *argv, "--outdir", str(tmp_path)],
                           env=_src_env(), capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1
-    assert re.fullmatch(r"error: [^\n]* is nan in (row|record) 1\n", proc.stderr), proc.stderr
+    assert proc.returncode == code
+    assert re.fullmatch(stderr, proc.stderr), proc.stderr
 
 
 def test_kernel_grid_names_the_first_non_finite_value(tmp_path, capsys, monkeypatch):

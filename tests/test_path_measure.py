@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,9 +334,10 @@ def test_sweep_checks_every_slice_count():
                           order=48)
 
 
-def test_sweep_memory_guard_counts_the_top_half_of_k_and_the_step(monkeypatch):
-    # one N x N step and the ceil(N/2) x N top of K, complex: N = 36 at order 6,
-    # and N = 81 (odd, its middle row counted once) at order 9
+def test_sweep_memory_guard_counts_the_quarter_of_k_and_the_step(monkeypatch):
+    # one N x N step and the conjugation quarter of K, complex: N = 36 at order 6
+    # (3 slabs of 3 rows), and N = 81 at order 9 (4 slabs of 5 rows and the top
+    # 5 rows of the middle slab)
     asked = []
     monkeypatch.setattr(path_measure, "_require_memory",
                         lambda need, what: asked.append((need, what)))
@@ -345,9 +347,42 @@ def test_sweep_memory_guard_counts_the_top_half_of_k_and_the_step(monkeypatch):
     # every call also counts the order x order Hermite companion matrix and the
     # grid: its real weights, its complex points (k/2 = 1 per node) and four end vectors
     grid = {6: 16 * 5 * 36 + 8 * (36 + 36), 9: 16 * 5 * 81 + 8 * (81 + 81)}
-    assert asked == [(grid[6] + 16 * (18 + 36) * 36, "sliced quadrature at order 6 (36 nodes)"),
-                     (grid[9] + 16 * (41 + 81) * 81, "sliced quadrature at order 9 (81 nodes)"),
+    assert asked == [(grid[6] + 16 * (9 + 36) * 36, "sliced quadrature at order 6 (36 nodes)"),
+                     (grid[9] + 16 * (25 + 81) * 81, "sliced quadrature at order 9 (81 nodes)"),
                      (grid[6], "sliced quadrature at order 6 (36 nodes)")]
+
+
+@pytest.mark.parametrize("sigma", [1, 1j])
+def test_sweep_holds_only_the_step_and_the_quarter_of_k(monkeypatch, sigma):
+    # order 40: the 1600 x 1600 step is 41 MB and K's 400-row quarter 10.2 MB
+    # (its 800-row parity half would be 20.5 MB).  On two CPUs each worker holds
+    # at most three block-sized complex temporaries, and the grid and end
+    # vectors are a few dozen complex N-vectors
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    n = 40**2
+    step, quarter = 16 * n * n, 16 * 400 * n
+    blocks, vectors = 2 * 3 * 16 * path_measure._BLOCK_ELEMENTS, 16 * 16 * n
+    tracemalloc.start()
+    try:
+        feynman_kac_sweep(sigma, 0, X0, Y0, 0.5, (1, 2, 3), PAR, order=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step + quarter < peak < step + quarter + blocks + vectors
+
+
+@pytest.mark.parametrize("k, order", [(2, 12), (2, 11), (4, 5)])
+def test_sweep_is_exact_when_blocks_split_the_fill_ranges(monkeypatch, k, order):
+    # three-row blocks: most quarter and mirrored ranges span several blocks, so
+    # blocks start inside a range, where the K row and its mirror are offsets
+    monkeypatch.setattr(path_measure, "_BLOCK_ELEMENTS", 3 * order**k)
+    counts = (3, 1, 2)
+    x = np.array([0.35 + 0.2j, -0.1 + 0.25j][:k // 2])
+    y = np.array([-0.3 + 0.1j, 0.2 - 0.15j][:k // 2])
+    params = PhysParams(lam=0.4, k=k)
+    for sigma in (1, 1j):
+        assert feynman_kac_sweep(sigma, 1, x, y, 0.5, counts, params, order=order) == \
+            [_seed_feynman_kac(sigma, 1, x, y, 0.5, n, params, order) for n in counts]
 
 
 def test_sigma_branches_share_measure_factors():
