@@ -28,19 +28,25 @@ class ZonePolynomial:
 
     def __init__(self, coefficients: Mapping[Key, complex], params: PhysParams):
         params.require_algebra_dim()
-        clean = {}
-        for key, c in coefficients.items():
-            c = complex(c)
-            if c == 0:
-                continue
+        coefficients = {tuple(tuple(e) for e in key): c for key, c in coefficients.items()}
+        for key in coefficients:
             if len(key) != params.m:
                 raise ValueError(f"monomial key {key} does not match k={params.k}")
             for p, v in key:
                 if p < 0 or v < 0:
                     raise ValueError(f"negative exponent in key {key}")
-            clean[tuple(tuple(e) for e in key)] = c
-        self.coefficients = clean
+        self.coefficients = self._of_valid_keys(coefficients, params).coefficients
         self.params = params
+
+    @classmethod
+    def _of_valid_keys(cls, coefficients: Mapping[Key, complex],
+                       params: PhysParams) -> "ZonePolynomial":
+        """The polynomial on keys already valid for `params`, such as the keys of an
+        arithmetic result: zero coefficients are dropped, the rest made complex."""
+        poly = cls.__new__(cls)
+        poly.coefficients = {key: c for key, v in coefficients.items() if (c := complex(v)) != 0}
+        poly.params = params
+        return poly
 
     # ---- constructors -------------------------------------------------
 
@@ -75,13 +81,14 @@ class ZonePolynomial:
         out = dict(self.coefficients)
         for key, c in other.coefficients.items():
             out[key] = out.get(key, 0.0) + c
-        return ZonePolynomial(out, self.params)
+        return ZonePolynomial._of_valid_keys(out, self.params)
 
     def __sub__(self, other: "ZonePolynomial") -> "ZonePolynomial":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "ZonePolynomial":
-        return ZonePolynomial({k: scalar * c for k, c in self.coefficients.items()}, self.params)
+        return ZonePolynomial._of_valid_keys({k: scalar * c for k, c in self.coefficients.items()},
+                                             self.params)
 
     def __mul__(self, other):
         if isinstance(other, ZonePolynomial):
@@ -91,7 +98,7 @@ class ZonePolynomial:
                 for k2, c2 in other.coefficients.items():
                     key = tuple((p1 + p2, v1 + v2) for (p1, v1), (p2, v2) in zip(k1, k2))
                     out[key] = out.get(key, 0.0) + c1 * c2
-            return ZonePolynomial(out, self.params)
+            return ZonePolynomial._of_valid_keys(out, self.params)
         return other * self
 
     def __neg__(self) -> "ZonePolynomial":
@@ -284,10 +291,8 @@ def apply_angular_momentum(f: ZonePolynomial) -> ZonePolynomial:
     out = {}
     for key, c in f.coefficients.items():
         grade, zone = grades(key, par)
-        val = par.lam * (grade - zone) * c
-        if val != 0:
-            out[key] = val
-    return ZonePolynomial(out, par)
+        out[key] = par.lam * (grade - zone) * c
+    return ZonePolynomial._of_valid_keys(out, par)
 
 
 def apply_rep(generator: str, f: ZonePolynomial, i: int = 0) -> ZonePolynomial:
@@ -318,4 +323,4 @@ def apply_rep(generator: str, f: ZonePolynomial, i: int = 0) -> ZonePolynomial:
         for ga, d in terms:
             new = key[:i] + (grades((ga,), par),) + key[i + 1:]
             out[new] = out.get(new, 0.0) + d
-    return ZonePolynomial(out, par)
+    return ZonePolynomial._of_valid_keys(out, par)

@@ -1,7 +1,8 @@
 """Named verification checks, one per module invariant, with a JSON report.
 
-Each check maps one `PhysParams` case to a measured scalar and its tolerance;
-it runs on every case of its own table, and its report row is the worst case.
+Each check measures one case, a `(PhysParams, kwargs)` record, as a scalar and its
+tolerance; it runs on every record of its own table (`_table`, the product of its
+parameter and keyword axes), and its report row is the worst case under `_worst`.
 Two checks document known discrepancies between closed-form claims and the
 actual analysis (the low-temperature rate limit and the a >= 1 spectral
 comparison); they are reported honestly rather than loosened.  See the README.
@@ -9,9 +10,11 @@ comparison); they are reported honestly rather than loosened.  See the README.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +31,24 @@ from .zones import kernel_basis_residual, project_to_zone, zone_basis, zone_kern
 CHECKS = []
 
 
+def _table(params: tuple = (PhysParams(),), **axes) -> tuple:
+    """The `(PhysParams, kwargs)` records of the product of `params` and the keyword
+    axes: params is the outer loop, then each axis in the order given."""
+    return tuple((p, dict(zip(axes, values)))
+                 for p in params for values in itertools.product(*axes.values()))
+
+
+def _worst(results):
+    """The worst of `(measured, tol)` results: the first whose measured is not finite,
+    else the largest.  max() alone would drop a nan that follows a number."""
+    results = list(results)
+    lost = [r for r in results if not math.isfinite(r[0])]
+    return lost[0] if lost else max(results)
+
+
 def check(name: str, suite: str, invariant: str, expected: str = "pass",
-          cases: tuple = (PhysParams(),)):
-    """Register `fn(params) -> (measured, tol)`, run once per case of `cases`."""
+          cases: tuple = _table()):
+    """Register `fn(params, **kw) -> (measured, tol)`, run once per record of `cases`."""
     def wrap(fn):
         CHECKS.append({"name": name, "suite": suite, "invariant": invariant,
                        "expected": expected, "cases": cases, "fn": fn})
@@ -62,54 +80,49 @@ def _random_poly(rng, params, max_degree):
     return ZonePolynomial(coeffs, params)
 
 
+# quadrature rules shared by the cases of a table, built once per process
+_hermite_axis = lru_cache(maxsize=None)(hermite_axis)
+_flat_hermite_grid = lru_cache(maxsize=None)(flat_hermite_grid)
+
+
 # ---- special functions --------------------------------------------------------
 
 
 @check("laguerre_recurrence_vs_series", "special",
-       "special_functions: recurrence agrees with the power-series oracle to 1e-10")
-def _laguerre_series(params):
+       "special_functions: recurrence agrees with the power-series oracle to 1e-10",
+       cases=_table(a=(0, 1, 2, 5, 12, 30), alpha=(0.0, 1.0, 0.5),
+                    t=(-50.0, -3.2, 0.0, 0.7, 14.0, 50.0)))
+def _laguerre_series(params, a, alpha, t):
     # the raw float series cancels catastrophically near |t| = 50, a = 30, so the
     # oracle is evaluated in exact rational arithmetic
     from fractions import Fraction
-    worst = 0.0
-    for a in (0, 1, 2, 5, 12, 30):
-        for alpha2 in (0, 2, 1):            # alpha = alpha2 / 2 covers 0, 1, 1/2
-            for t in (-50.0, -3.2, 0.0, 0.7, 14.0, 50.0):
-                tf = Fraction(t).limit_denominator(10**9)
-                ref = Fraction(0)
-                for j in range(a + 1):
-                    binom = Fraction(1)
-                    for i in range(a - j):
-                        binom *= Fraction(alpha2 + 2 * (j + 1 + i), 2 * (i + 1))
-                    ref += binom * (-tf) ** j / math.factorial(j)
-                got = laguerre(a, alpha2 / 2.0, float(tf))
-                scale = max(1.0, abs(float(ref)))
-                worst = max(worst, abs(got - float(ref)) / scale)
-    return worst, 1e-10
+    alpha2 = int(2 * alpha)             # alpha is a multiple of 1/2
+    tf = Fraction(t).limit_denominator(10**9)
+    ref = Fraction(0)
+    for j in range(a + 1):
+        binom = Fraction(1)
+        for i in range(a - j):
+            binom *= Fraction(alpha2 + 2 * (j + 1 + i), 2 * (i + 1))
+        ref += binom * (-tf) ** j / math.factorial(j)
+    scale = max(1.0, abs(float(ref)))
+    return abs(laguerre(a, alpha, float(tf)) - float(ref)) / scale, 1e-10
 
 
 @check("laguerre_value_at_zero", "special",
-       "special_functions: L_a^(alpha)(0) equals binomial(a+alpha, a)")
-def _laguerre_zero(params):
-    worst = 0.0
-    for a in range(12):
-        for alpha in (0, 1, 2, 5):
-            got = laguerre(a, float(alpha), 0.0)
-            ref = math.comb(a + alpha, a)
-            worst = max(worst, abs(got - ref) / ref)
-    return worst, 1e-12
+       "special_functions: L_a^(alpha)(0) equals binomial(a+alpha, a)",
+       cases=_table(a=range(12), alpha=(0, 1, 2, 5)))
+def _laguerre_zero(params, a, alpha):
+    ref = math.comb(a + alpha, a)
+    return abs(laguerre(a, float(alpha), 0.0) - ref) / ref, 1e-12
 
 
 @check("hermite_rule_moments", "special",
-       "special_functions: Gauss-Hermite integrates e^{-x^2} x^{2m} exactly below its degree")
-def _hermite_moments(params):
-    nodes, weights = hermite_axis(24, 1.0)
-    worst = 0.0
-    for m in range(0, 20):
-        got = float(np.sum(weights * nodes ** (2 * m)))
-        ref = math.gamma(m + 0.5)
-        worst = max(worst, abs(got - ref) / ref)
-    return worst, 1e-12
+       "special_functions: Gauss-Hermite integrates e^{-x^2} x^{2m} exactly below its degree",
+       cases=_table(m=range(20)))
+def _hermite_moments(params, m):
+    nodes, weights = _hermite_axis(24, 1.0)
+    ref = math.gamma(m + 0.5)
+    return abs(float(np.sum(weights * nodes ** (2 * m))) - ref) / ref, 1e-12
 
 
 # ---- gaussian algebra -----------------------------------------------------------
@@ -117,27 +130,20 @@ def _hermite_moments(params):
 
 @check("zeeman_zone_invariance", "algebra",
        "gaussian_algebra: the Zeeman operator maps every truncated zone into itself",
-       cases=_K2_K4)
-def _zone_invariance(params):
-    worst = 0.0
-    for a in range(3):
-        for vec in zone_basis(a, a + 3, params):
-            h = apply_zeeman(vec)
-            back = project_to_zone(h, a)
-            worst = max(worst, norm(h - back) / max(norm(h), 1e-300))
-    return worst, 1e-12
+       cases=_table(_K2_K4, a=range(3)))
+def _zone_invariance(params, a):
+    hs = [apply_zeeman(vec) for vec in zone_basis(a, a + 3, params)]
+    return _worst((norm(h - project_to_zone(h, a)) / max(norm(h), 1e-300), 1e-12) for h in hs)
 
 
 @check("zeeman_eigenvalue_law", "algebra",
        "gaussian_algebra: zone eigenfunctions carry eigenvalue (2p + k/2) lam + 2 k lam^2",
-       cases=tuple(PhysParams(lam=lam, k=k) for k in (2, 4) for lam in (0.5, 1.0, 2.0)))
-def _eigenvalue_law(params):
-    worst = 0.0
-    for a in range(3):
-        for vec in zone_basis(a, a + 3, params):
-            mu = params.zeeman_eigenvalue(vec.zeeman_degree(), True)
-            worst = max(worst, norm(apply_zeeman(vec, True) - mu * vec))
-    return worst, 1e-11
+       cases=_table(tuple(PhysParams(lam=lam, k=k) for k in (2, 4) for lam in (0.5, 1.0, 2.0)),
+                    a=range(3)))
+def _eigenvalue_law(params, a):
+    mu = params.zeeman_eigenvalue
+    return _worst((norm(apply_zeeman(vec, True) - mu(vec.zeeman_degree(), True) * vec), 1e-11)
+                  for vec in zone_basis(a, a + 3, params))
 
 
 @check("zeeman_finite_difference", "algebra",
@@ -147,7 +153,7 @@ def _zeeman_fd(params):
     pts = _points(rng, (6, 1), 1)
     h = 1e-3
     lam, s = params.lam, params.charge_sign
-    worst = 0.0
+    errs = []
     for _ in range(4):
         f = _random_poly(rng, params, 3)
         psi = to_standard(f)
@@ -163,72 +169,65 @@ def _zeeman_fd(params):
         r2 = np.abs(pts[..., 0]) ** 2
         fd = -0.5 * lap - 1j * lam * s * ddot + 0.5 * lam**2 * r2 * ev(0, 0)
         alg = to_standard(apply_zeeman(f))(pts)
-        worst = max(worst, float(np.max(np.abs(alg - fd)) / np.max(np.abs(alg))))
-    return worst, 1e-6
+        errs.append(float(np.max(np.abs(alg - fd)) / np.max(np.abs(alg))))
+    return _worst((e, 1e-6) for e in errs)
 
 
 @check("zeeman_hermiticity", "algebra",
        "gaussian_algebra: <H f, g> = <f, H g> for random low-degree states",
-       cases=(PhysParams(lam=1.3, k=2), PhysParams(lam=1.3, k=4)))
+       cases=_table((PhysParams(lam=1.3, k=2), PhysParams(lam=1.3, k=4))))
 def _hermiticity(params):
     rng = np.random.default_rng(5)
-    worst = 0.0
+    errs = []
     for _ in range(6):
         f = _random_poly(rng, params, 4)
         g = _random_poly(rng, params, 4)
         lhs = inner_product(apply_zeeman(f), g)
         rhs = inner_product(f, apply_zeeman(g))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    return worst, 1e-12
+        errs.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
+    return _worst((e, 1e-12) for e in errs)
 
 
 @check("heisenberg_commutator", "algebra",
        "gaussian_algebra: [rho(zbar), rho(z)] = lam * identity on monomials of degree <= 10",
-       cases=(PhysParams(lam=0.7, k=2), PhysParams(lam=0.7, k=4)))
+       cases=_table((PhysParams(lam=0.7, k=2), PhysParams(lam=0.7, k=4))))
 def _heisenberg(params):
-    worst = 0.0
-    for p in range(0, 6):
-        for v in range(0, 11 - p):
-            degs = [(p, v)] + [(0, 0)] * (params.m - 1)
-            f = ZonePolynomial.monomial(degs, params)
-            comm = apply_rep("zbar", apply_rep("z", f)) - apply_rep("z", apply_rep("zbar", f))
-            worst = max(worst, norm(comm - params.lam * f) / (params.lam * norm(f)))
-    return worst, 1e-12
+    def defect(p, v):
+        f = ZonePolynomial.monomial([(p, v)] + [(0, 0)] * (params.m - 1), params)
+        comm = apply_rep("zbar", apply_rep("z", f)) - apply_rep("z", apply_rep("zbar", f))
+        return norm(comm - params.lam * f) / (params.lam * norm(f))
+    return _worst((defect(p, v), 1e-12) for p in range(0, 6) for v in range(0, 11 - p))
 
 
 # ---- zones ----------------------------------------------------------------------
 
 
 @check("reproducing_property", "zones",
-       "zones: quadrature of the kernel against zone functions reproduces them to 1e-6")
-def _reproducing(params):
-    rng = np.random.default_rng(2)
-    samples = _points(rng, (5, 1), 0.9)
-    worst = 0.0
-    for a in (0, 1, 2):
-        form = _zonal_form(1, a, 0.0, params)  # the zone kernel is the t = 0 zonal kernel
-        for vec in zone_basis(a, a + 2, params):
-            got = _convolve(form, vec, params, params.lam, 64, samples)
-            ref = to_standard(vec)(samples)
-            worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0))))
-    return worst, 1e-6
+       "zones: quadrature of the kernel against zone functions reproduces them to 1e-6",
+       cases=_table(a=(0, 1, 2)))
+def _reproducing(params, a):
+    samples = _points(np.random.default_rng(2), (5, 1), 0.9)
+    form = _zonal_form(1, a, 0.0, params)  # the zone kernel is the t = 0 zonal kernel
+
+    def error(vec):
+        got = _convolve(form, vec, params, params.lam, 64, samples)
+        ref = to_standard(vec)(samples)
+        return float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)))
+    return _worst((error(vec), 1e-6) for vec in zone_basis(a, a + 2, params))
 
 
 @check("projection_algebra", "zones",
        "zones: projections are idempotent and mutually annihilating (exact)",
-       cases=_K2_K4)
-def _projection_algebra(params):
+       cases=_table(_K2_K4, a=(0, 1, 2)))
+def _projection_algebra(params, a):
     rng = np.random.default_rng(7)
-    worst = 0.0
+    errs = []
     for _ in range(4):
         f = _random_poly(rng, params, 5)
-        for a in (0, 1, 2):
-            pa = project_to_zone(f, a)
-            worst = max(worst, norm(project_to_zone(pa, a) - pa) / max(norm(f), 1e-300))
-            for b in (0, 1, 2):
-                if b != a:
-                    worst = max(worst, norm(project_to_zone(pa, b)) / max(norm(f), 1e-300))
-    return worst, 1e-10
+        pa = project_to_zone(f, a)
+        errs.append(norm(project_to_zone(pa, a) - pa) / max(norm(f), 1e-300))
+        errs += [norm(project_to_zone(pa, b)) / max(norm(f), 1e-300) for b in (0, 1, 2) if b != a]
+    return _worst((e, 1e-10) for e in errs)
 
 
 @check("kernel_concentration", "zones",
@@ -246,12 +245,12 @@ def _concentration(params):
 
 
 @check("kernel_vs_basis_sum", "zones",
-       "zones: closed-form kernel equals the Gram-Schmidt basis sum, residual < 1e-8 at N=25")
-def _kernel_basis(params):
+       "zones: closed-form kernel equals the Gram-Schmidt basis sum, residual < 1e-8 at N=25",
+       cases=_table(a=(0, 1, 2)))
+def _kernel_basis(params, a):
     rng = np.random.default_rng(3)
     Z, W = (_points(rng, (8, 1), 0.7) for _ in range(2))
-    worst = max(kernel_basis_residual(a, 25, Z, W, params) for a in (0, 1, 2))
-    return worst, 1e-8
+    return kernel_basis_residual(a, 25, Z, W, params), 1e-8
 
 
 # ---- propagators ----------------------------------------------------------------
@@ -271,7 +270,7 @@ def _decomposition_residual(params: PhysParams, sigma: complex, lam_eff: float,
 
 @check("global_flow_zonal_decomposition_wk", "propagators",
        "propagators: the global heat flow on a zone-finite state equals the sum of zonal flows",
-       cases=_K2_K4)
+       cases=_table(_K2_K4))
 def _zonal_decomposition_wk(params):
     return _decomposition_residual(params, 1, 1.4, 64 if params.k == 2 else 36), 1e-8
 
@@ -284,15 +283,10 @@ def _zonal_decomposition_df(params):
 
 @check("trace_identity", "propagators",
        "propagators: quadrature trace of the zonal heat kernel matches the closed form",
-       cases=_K2_K4)
-def _trace(params):
-    worst = 0.0
-    for a in (0, 1, 2):
-        for t in (0.25, 0.5, 1.0):
-            ref = partition_function(1, a, t, params)
-            got = partition_function_trace(1, a, t, params, order=32)
-            worst = max(worst, abs(got - ref) / abs(ref))
-    return worst, 1e-6
+       cases=_table(_K2_K4, a=(0, 1, 2), t=(0.25, 0.5, 1.0)))
+def _trace(params, a, t):
+    ref = partition_function(1, a, t, params)
+    return abs(partition_function_trace(1, a, t, params, order=32) - ref) / abs(ref), 1e-6
 
 
 def _semigroup(params: PhysParams, sigma: complex, seed: int) -> float:
@@ -315,10 +309,10 @@ def _semigroup_df(params):
 
 @check("df_flow_unitarity", "propagators",
        "propagators: the zonal Schrodinger flow preserves inner products to 1e-9",
-       cases=_K2_K4)
+       cases=_table(_K2_K4))
 def _unitarity(params):
     rng = np.random.default_rng(23)
-    worst = 0.0
+    errs = []
     for a in (0, 1):
         basis = zone_basis(a, a + 6, params)
         cf = [complex(rng.normal(), rng.normal()) for _ in basis]
@@ -330,35 +324,29 @@ def _unitarity(params):
             g = g + c2 * vec
         before = inner_product(f, g)
         after = inner_product(evolve(f, 1j, 0.8, params), evolve(g, 1j, 0.8, params))
-        worst = max(worst, abs(after - before) / abs(before))
-    return worst, 1e-9
+        errs.append(abs(after - before) / abs(before))
+    return _worst((e, 1e-9) for e in errs)
 
 
 @check("heat_diagonal_positivity", "propagators",
        "propagators: the zonal heat kernel is positive on the diagonal",
-       cases=_K2_K4)
-def _positivity(params):
+       cases=_table(_K2_K4, a=(0, 1, 2), t=(0.1, 0.6, 2.0)))
+def _positivity(params, a, t):
     X = _points(np.random.default_rng(29), (20, params.m), 2)
-    worst = 0.0
-    for a in (0, 1, 2):
-        for t in (0.1, 0.6, 2.0):
-            vals = zonal_kernel(1, a, t, X, X, params)
-            worst = max(worst, float(-min(np.min(vals.real), 0.0)))
-            worst = max(worst, float(np.max(np.abs(vals.imag))))
-    return worst, 1e-12
+    vals = zonal_kernel(1, a, t, X, X, params)
+    return _worst([(float(-min(np.min(vals.real), 0.0)), 1e-12),
+                   (float(np.max(np.abs(vals.imag))), 1e-12)])
 
 
 @check("zonal_kernel_spectral_sum_zone0", "propagators",
-       "propagators: the holomorphic-zone closed form matches its truncated spectral sum")
-def _spectral_zone0(params):
+       "propagators: the holomorphic-zone closed form matches its truncated spectral sum",
+       cases=_table(sigma=(1, 1j)))
+def _spectral_zone0(params, sigma):
     rng = np.random.default_rng(67)
     X, Z = (_points(rng, (4, 1), 0.8) for _ in range(2))
-    worst = 0.0
-    for sigma in (1, 1j):
-        ref = zonal_kernel(sigma, 0, 0.5, X, Z, params)
-        got = zonal_kernel_spectral(sigma, 0, 0.5, X, Z, params, pmax=40)
-        worst = max(worst, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
-    return worst, 1e-10
+    ref = zonal_kernel(sigma, 0, 0.5, X, Z, params)
+    got = zonal_kernel_spectral(sigma, 0, 0.5, X, Z, params, pmax=40)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))), 1e-10
 
 
 @check("zonal_kernel_closed_vs_spectral_higher_zones", "propagators",
@@ -376,59 +364,50 @@ def _spectral_higher(params):
 @check("field_term_sign", "propagators",
        "propagators: the field-augmented kernel equals exp(-2 k lam^2 sigma t) times the bare one "
        "(sign fixed by the spectral oracle, opposite to the printed remark)",
-       cases=(PhysParams(lam=0.8),))
-def _field_term(params):
+       cases=_table((PhysParams(lam=0.8),), sigma=(1, 1j)))
+def _field_term(params, sigma):
     rng = np.random.default_rng(31)
     X, Z = (_points(rng, (4, 1), 0.7) for _ in range(2))
-    worst = 0.0
-    for sigma in (1, 1j):
-        bare = zonal_kernel_spectral(sigma, 0, 0.45, X, Z, params, pmax=40)
-        aug = zonal_kernel_spectral(sigma, 0, 0.45, X, Z, params, pmax=40,
-                                    include_field_term=True)
-        mult = field_term_multiplier(sigma, 0.45, params)
-        worst = max(worst, float(np.max(np.abs(aug - mult * bare)) / np.max(np.abs(aug))))
-    return worst, 1e-10
+    bare = zonal_kernel_spectral(sigma, 0, 0.45, X, Z, params, pmax=40)
+    aug = zonal_kernel_spectral(sigma, 0, 0.45, X, Z, params, pmax=40,
+                                include_field_term=True)
+    mult = field_term_multiplier(sigma, 0.45, params)
+    return float(np.max(np.abs(aug - mult * bare)) / np.max(np.abs(aug))), 1e-10
 
 
 # ---- thermo ---------------------------------------------------------------------
 
 
 @check("partition_log_derivative", "thermo",
-       "thermo: -(2 pi mu/lam) d/dt Z_1(h t /(2 pi mu)) = Z_1 * (average energy), rel err 1e-8")
-def _log_derivative(params):
+       "thermo: -(2 pi mu/lam) d/dt Z_1(h t /(2 pi mu)) = Z_1 * (average energy), rel err 1e-8",
+       cases=_table(t=(0.4, 1.0, 2.5)))
+def _log_derivative(params, t):
     kappa = thermo.default_kappa(params)
     h = 1.0
-    worst = 0.0
-    for t in (0.4, 1.0, 2.5):
-        dt = 1e-6
-        s_of = lambda tt: h * tt / (2 * math.pi)
-        dZ = (partition_function(1, 0, s_of(t + dt), params)
-              - partition_function(1, 0, s_of(t - dt), params)).real / (2 * dt)
-        lhs = -(2 * math.pi / params.lam) * dZ
-        Z = partition_function(1, 0, s_of(t), params).real
-        rhs = Z * thermo.average_energy(1, 1.0 / t, kappa, h).real
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst, 1e-8
+    dt = 1e-6
+    s_of = lambda tt: h * tt / (2 * math.pi)
+    dZ = (partition_function(1, 0, s_of(t + dt), params)
+          - partition_function(1, 0, s_of(t - dt), params)).real / (2 * dt)
+    lhs = -(2 * math.pi / params.lam) * dZ
+    Z = partition_function(1, 0, s_of(t), params).real
+    rhs = Z * thermo.average_energy(1, 1.0 / t, kappa, h).real
+    return abs(lhs - rhs) / abs(rhs), 1e-8
 
 
 @check("df_periodicity", "thermo",
        "thermo: DF partition function and average energy repeat over the closed-form period",
-       cases=(PhysParams(lam=1.3),))
-def _periodicity(params):
+       cases=(_table((PhysParams(lam=1.3),), of=("partition",), t=(0.31, 0.77, 1.3))
+              + _table((PhysParams(lam=1.3),), of=("energy",), t=(0.4, 1.1))))
+def _periodicity(params, of, t):
     kappa = thermo.default_kappa(params)
     h = 1.0
-    worst = 0.0
-    P = thermo.period(params, "kernel")
-    for t in (0.31, 0.77, 1.3):
-        z1 = partition_function(1j, 1, t, params)
-        z2 = partition_function(1j, 1, t + P, params)
-        worst = max(worst, abs(z1 - z2) / abs(z1))
-    PE = thermo.period_density("energy_density", 1, params, kappa=kappa, h=h)[0]
-    for t in (0.4, 1.1):
-        e1 = thermo.average_energy_of_time(t, kappa, h)
-        e2 = thermo.average_energy_of_time(t + PE, kappa, h)
-        worst = max(worst, abs(e1 - e2) / abs(e1))
-    return worst, 1e-10
+    if of == "partition":
+        P = thermo.period(params, "kernel")
+        f = lambda s: partition_function(1j, 1, s, params)
+    else:
+        P = thermo.period_density("energy_density", 1, params, kappa=kappa, h=h)[0]
+        f = lambda s: thermo.average_energy_of_time(s, kappa, h)
+    return abs(f(t) - f(t + P)) / abs(f(t)), 1e-10
 
 
 @check("specific_heat_shape", "thermo",
@@ -450,48 +429,40 @@ def _heat_shape(params):
        "thermo: DF density extrema sit at the end/mid/quarter points of the period")
 def _extrema(params):
     P = thermo.period(params)               # pi/lam, the |.|^2 period
-    worst = 0.0
     ext = thermo.find_period_extrema("partition_density", 0, params, n_samples=2001)
     mins = [t for t, kind in ext if kind == "min"]
-    worst = max(worst, min(abs(t - 0.5 * P) for t in mins) / P)
+    errs = [min(abs(t - 0.5 * P) for t in mins) / P]
     X = np.array([0.7 + 0.2j])
     ext = thermo.find_period_extrema("diagonal_density", 1, params, X=X, n_samples=2001)
     mins = [t for t, kind in ext if kind == "min"]
     maxs = [t for t, kind in ext if kind == "max"]
-    worst = max(worst, min(abs(t - 0.5 * P) for t in mins) / P)
+    errs.append(min(abs(t - 0.5 * P) for t in mins) / P)
     if maxs:
-        worst = max(worst, min(min(abs(t - 0.0), abs(t - P)) for t in maxs) / P)
-    return worst, 1e-6
+        errs.append(min(min(abs(t - 0.0), abs(t - P)) for t in maxs) / P)
+    return _worst((e, 1e-6) for e in errs)
 
 
 @check("stable_spread_identity", "thermo",
-       "thermo: the DF kernel at quarter times equals -+i e^{-2 lam X.Zbar} delta^(a)")
-def _stable_spread(params):
+       "thermo: the DF kernel at quarter times equals -+i e^{-2 lam X.Zbar} delta^(a)",
+       cases=_table(a=(0, 1, 2), quarter=(1, 3)))
+def _stable_spread(params, a, quarter):
     rng = np.random.default_rng(37)
     X, Z = (_points(rng, (6, 1), 0.8) for _ in range(2))
-    worst = 0.0
-    for a in (0, 1, 2):
-        for quarter in (1, 3):
-            t = thermo.quarter_time(quarter, params)
-            dk = zonal_kernel(1j, a, t, X, Z, params)
-            sp = thermo.stable_spread(a, quarter, X, Z, params)
-            worst = max(worst, float(np.max(np.abs(dk - sp))))
-    return worst, 1e-10
+    dk = zonal_kernel(1j, a, thermo.quarter_time(quarter, params), X, Z, params)
+    sp = thermo.stable_spread(a, quarter, X, Z, params)
+    return float(np.max(np.abs(dk - sp))), 1e-10
 
 
 @check("tension_vs_finite_difference", "thermo",
-       "thermo: analytic tension matches centered differences of the DF diagonal")
-def _tension_fd(params):
+       "thermo: analytic tension matches centered differences of the DF diagonal",
+       cases=_table(a=(0, 1), t=(0.2, 0.9, 2.0)))
+def _tension_fd(params, a, t):
     X = np.array([0.5 - 0.3j])
-    worst = 0.0
     h = 1e-6
-    for a in (0, 1):
-        for t in (0.2, 0.9, 2.0):
-            fd = (thermo.diagonal_kernel(1j, a, t + h, X, params)
-                  - thermo.diagonal_kernel(1j, a, t - h, X, params)) / (2 * h)
-            an = thermo.tension(a, t, X, params)
-            worst = max(worst, abs(fd - an) / abs(an))
-    return worst, 1e-6
+    fd = (thermo.diagonal_kernel(1j, a, t + h, X, params)
+          - thermo.diagonal_kernel(1j, a, t - h, X, params)) / (2 * h)
+    an = thermo.tension(a, t, X, params)
+    return abs(fd - an) / abs(an), 1e-6
 
 
 @check("tension_minimum_at_quarter", "thermo",
@@ -503,7 +474,8 @@ def _tension_quarter(params):
     vals = np.abs(thermo.tension(1, ts, X, params))
     tmin = ts[np.argmin(vals)]
     dist = min(abs(tmin - P / 4), abs(tmin - 3 * P / 4)) / P
-    return dist, 1e-3
+    # argmin takes a nan for the minimum, which could sit at the quarter point
+    return (dist if np.all(np.isfinite(vals)) else math.nan), 1e-3
 
 
 def _df_rate_deviation(params: PhysParams, scale: float) -> float:
@@ -534,27 +506,30 @@ def _df_rate_low(params):
 
 @check("cylinder_total_measure", "path",
        "path_measure: whole-space cylinder integrals reproduce the closed-form kernels to 1e-5 "
-       "for every kind with a convergent whole-space limit")
-def _cylinder(params):
+       "for every kind with a convergent whole-space limit",
+       # (kind, zone, cylinder times, horizon, time of the closed form); the zone-1
+       # Dirac-Feynman case is the degenerate horizon check: one slice at t -> 0
+       # reproduces the spread
+       cases=_table(cylinder=(("global_wk", None, (0.2, 0.35), 0.5, 0.5),
+                              ("zonal_wk", 0, (0.2, 0.35), 0.5, 0.5),
+                              ("zonal_df", 0, (0.2, 0.35), 0.5, 0.5),
+                              ("zonal_df", 1, (1e-9,), 2e-9, 0.0),
+                              ("spread_amplitude", 1, (0.2, 0.35), 0.5, None))))
+def _cylinder(params, cylinder):
+    kind, a, times, horizon, t = cylinder
     x = np.array([0.3 + 0.2j])
     y = np.array([-0.4 + 0.1j])
-    box = path_measure.whole_space_box(params, radius=4.5)
-    T = 0.5
-    times = (0.2, 0.35)
     X, Y = x[None, :], y[None, :]
-    worst = 0.0
-    # (kind, zone, cylinder times, horizon, closed form); the zone-1 Dirac-Feynman row is
-    # the degenerate horizon check: one slice at t -> 0 reproduces the spread
-    cases = [("global_wk", None, times, T, global_kernel(1, T, X, Y, params)[0]),
-             ("zonal_wk", 0, times, T, zonal_kernel(1, 0, T, X, Y, params)[0]),
-             ("zonal_df", 0, times, T, zonal_kernel(1j, 0, T, X, Y, params)[0]),
-             ("zonal_df", 1, (1e-9,), 2e-9, zonal_kernel(1j, 1, 0.0, X, Y, params)[0]),
-             ("spread_amplitude", 1, times, T, zone_kernel(1, X, Y, params)[0])]
-    for kind, a, tt, horizon, ref in cases:
-        got = path_measure.cylinder_measure(kind, tt, [box] * len(tt), x, y, horizon,
-                                            params, a=a, order=48)
-        worst = max(worst, abs(got - ref) / abs(ref))
-    return worst, 1e-5
+    if kind == "global_wk":
+        ref = global_kernel(1, t, X, Y, params)[0]
+    elif kind == "spread_amplitude":
+        ref = zone_kernel(a, X, Y, params)[0]
+    else:
+        ref = zonal_kernel(1 if kind == "zonal_wk" else 1j, a, t, X, Y, params)[0]
+    box = path_measure.whole_space_box(params, radius=4.5)
+    got = path_measure.cylinder_measure(kind, times, [box] * len(times), x, y, horizon,
+                                        params, a=a, order=48)
+    return abs(got - ref) / abs(ref), 1e-5
 
 
 @check("global_feynman_divergence", "path",
@@ -573,7 +548,7 @@ def _global_df_divergence(params):
         vals.append(path_measure.cylinder_measure("global_df", times, [box, box],
                                                   x, y, T, params, order=order))
     # measured: by how much the truncations still disagree with the closed form
-    return float(max(abs(v - ref) / abs(ref) for v in vals)), float("inf")
+    return _worst((float(abs(v - ref) / abs(ref)), float("inf")) for v in vals)
 
 
 @check("approximating_measure_bounded", "path",
@@ -590,14 +565,14 @@ def _bounded(params):
                                             params, a=0, order=28)
         totals.append(abs(val))
     bound = abs(zone_kernel(0, x[None, :], y[None, :], params)[0]) * 3.0
-    return max(totals), bound
+    return _worst((total, bound) for total in totals)
 
 
 @check("radon_nikodym_chain_rule", "path",
        "path_measure: the three density kinds compose multiplicatively (float identity)")
 def _chain_rule(params):
     rng = np.random.default_rng(41)
-    worst = 0.0
+    errs = []
     for _ in range(8):
         n = int(rng.integers(1, 5))
         mids = [_points(rng, 1, 1) for _ in range(n)]
@@ -607,10 +582,9 @@ def _chain_rule(params):
         lhs = path_measure.radon_nikodym_density("feynman_over_nu", path) \
             * path_measure.radon_nikodym_density("nu_over_wk", path)
         rhs = path_measure.radon_nikodym_density("feynman_over_wk", path)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        phase = path_measure.stopwatch_phase(path)
-        worst = max(worst, abs(abs(phase) - 1.0))
-    return worst, 1e-12
+        errs.append(abs(lhs - rhs) / abs(rhs))
+        errs.append(abs(abs(path_measure.stopwatch_phase(path)) - 1.0))
+    return _worst((e, 1e-12) for e in errs)
 
 
 @check("feynman_kac_convergence", "path",
@@ -629,13 +603,13 @@ def _fk(params):
 
 @check("probability_conservation", "path",
        "path_measure: total arrival probability is T-independent (constant lam^{k/2}, reported)",
-       cases=(PhysParams(lam=1.5),))
+       cases=_table((PhysParams(lam=1.5),)))
 def _conservation(params):
     x = np.array([0.4 + 0.3j])
-    masses = [path_measure.probability_total_mass(0, x, T, params, order=64)
-              for T in (0.3, 0.8, 1.7)]
-    spread = (max(masses) - min(masses)) / max(masses)
-    return spread, 1e-6
+    masses = np.array([path_measure.probability_total_mass(0, x, T, params, order=64)
+                       for T in (0.3, 0.8, 1.7)])
+    # numpy's max and min keep a nan, where the builtins would drop it
+    return float(np.ptp(masses) / np.max(masses)), 1e-6
 
 
 # ---- padi -----------------------------------------------------------------------
@@ -646,132 +620,113 @@ def _conservation(params):
 def _spin(params):
     s1, s2, s0 = padi.spin_matrices()
     eye = np.eye(2)
-    worst = float(np.max(np.abs(s1 @ s1 - eye)))
-    worst = max(worst, float(np.max(np.abs(s2 @ s2 - eye))))
-    worst = max(worst, float(np.max(np.abs(s1 @ s2 + s2 @ s1))))
-    worst = max(worst, float(np.max(np.abs(s2 - np.conj(s1)))))
-    worst = max(worst, float(np.max(np.abs(s0 @ s0 - eye))))
-    return worst, 1e-15
+    return _worst((float(np.max(np.abs(d))), 1e-15)
+                  for d in (s1 @ s1 - eye, s2 @ s2 - eye, s1 @ s2 + s2 @ s1,
+                            s2 - np.conj(s1), s0 @ s0 - eye))
 
 
 @check("padi_square_identity", "padi",
        "padi: PD_Z^2 = H_Z - lam sigma0 on random degree-5 spinors (exact)")
 def _square(params):
     rng = np.random.default_rng(43)
-    worst = 0.0
+    errs = []
     for variant in ("Z", "Zf"):
         for _ in range(6):
             phi = padi.SpinorField(_random_poly(rng, params, 5), _random_poly(rng, params, 5))
-            worst = max(worst, padi.padi_square_residual(phi, variant)
-                        / padi.spinor_norm(phi))
-    return worst, 1e-12
+            errs.append(padi.padi_square_residual(phi, variant) / padi.spinor_norm(phi))
+    return _worst((e, 1e-12) for e in errs)
 
 
 @check("eigenspinor_residual", "padi",
-       "padi: PD psi = +-sqrt(mu) psi with unit norm; the zero mode is reproduced")
-def _eigenspinors(params):
-    worst = 0.0
-    for a in (0, 1):
-        basis = zone_basis(a, a + 3, params)
-        for vec in basis:
-            for j in (1, 2):
-                for sign in (1, -1):
-                    psi, ev = padi.eigenspinors(vec, j, sign)
-                    if psi.is_zero():
-                        continue
-                    res = padi.spinor_norm(padi.apply_padi(psi) - ev * psi)
-                    worst = max(worst, res)
-                    worst = max(worst, abs(padi.spinor_norm(psi) - 1.0))
-    # zero mode: bottom scalar level of any zone
-    ground = zone_basis(1, 1, params)[0]
-    psi_plus, ev = padi.eigenspinors(ground, 1, +1)
-    worst = max(worst, abs(ev))
-    psi_minus, _ = padi.eigenspinors(ground, 1, -1)
-    worst = max(worst, padi.spinor_norm(psi_minus))
-    return worst, 1e-10
+       "padi: PD psi = +-sqrt(mu) psi with unit norm; the zero mode is reproduced",
+       cases=_table(a=(0, 1), j=(1, 2)))
+def _eigenspinors(params, a, j):
+    errs = []
+    for vec in zone_basis(a, a + 3, params):
+        for sign in (1, -1):
+            psi, ev = padi.eigenspinors(vec, j, sign)
+            if not psi.is_zero():
+                errs.append(padi.spinor_norm(padi.apply_padi(psi) - ev * psi))
+                errs.append(abs(padi.spinor_norm(psi) - 1.0))
+    if (a, j) == (1, 1):
+        # the zero mode: the bottom scalar level of zone 1
+        ground = zone_basis(1, 1, params)[0]
+        errs.append(abs(padi.eigenspinors(ground, 1, +1)[1]))
+        errs.append(padi.spinor_norm(padi.eigenspinors(ground, 1, -1)[0]))
+    return _worst((e, 1e-10) for e in errs)
 
 
 @check("anomalous_component_relations", "padi",
        "padi: off-diagonals vanish; j-sum 11 equals twice 22; zone 0's 22 is half the "
-       "holomorphic point spread")
-def _anomalous_components(params):
+       "holomorphic point spread",
+       cases=_table(a=(0, 1, 2)))
+def _anomalous_components(params, a):
     rng = np.random.default_rng(47)
     X, Y = (_points(rng, (6, 1), 0.8) for _ in range(2))
-    worst = 0.0
-    for a in (0, 1, 2):
-        q1 = padi.anomalous_kernel(a, 1, X, Y, params)
-        q2 = padi.anomalous_kernel(a, 2, X, Y, params)
-        worst = max(worst, float(np.max(np.abs(q1[..., 0, 1]))),
-                    float(np.max(np.abs(q1[..., 1, 0]))))
-        worst = max(worst, float(np.max(np.abs(
-            q1[..., 0, 0] + q2[..., 0, 0] - 2 * q1[..., 1, 1]))))
-    q0 = padi.anomalous_kernel(0, 1, X, Y, params)
-    bergman = zone_kernel(0, X, Y, params)
-    worst = max(worst, float(np.max(np.abs(q0[..., 1, 1] - 0.5 * bergman))))
-    return worst, 1e-12
+    q1 = padi.anomalous_kernel(a, 1, X, Y, params)
+    q2 = padi.anomalous_kernel(a, 2, X, Y, params)
+    gaps = [q1[..., 0, 1], q1[..., 1, 0], q1[..., 0, 0] + q2[..., 0, 0] - 2 * q1[..., 1, 1]]
+    if a == 0:
+        gaps.append(q1[..., 1, 1] - 0.5 * zone_kernel(0, X, Y, params))
+    return _worst((float(np.max(np.abs(g))), 1e-12) for g in gaps)
 
 
 @check("anomalous_idempotency", "padi",
-       "padi: the anomalous zone projection composes to itself under quadrature")
-def _anomalous_idem(params):
-    axes, w = flat_hermite_grid(64, params.lam, params.k)
+       "padi: the anomalous zone projection composes to itself under quadrature",
+       cases=_table(a=(0, 1, 2)))
+def _anomalous_idem(params, a):
+    axes, w = _flat_hermite_grid(64, params.lam, params.k)
     m = tensor_points(axes)
     rng = np.random.default_rng(53)
     X, Y = (_points(rng, (4, 1), 0.7) for _ in range(2))
-    worst = 0.0
-    for a in (0, 1, 2):
-        for x0, y0 in zip(X, Y):
-            left = padi.anomalous_zone_kernel(a, np.broadcast_to(x0, m.shape), m, params)
-            right = padi.anomalous_zone_kernel(a, m, np.broadcast_to(y0, m.shape), params)
-            comp = np.einsum("q,qij,qjk->ik", w, left, right)
-            direct = padi.anomalous_zone_kernel(a, x0[None, :], y0[None, :], params)[0]
-            worst = max(worst, float(np.max(np.abs(comp - direct)) /
-                                     max(float(np.max(np.abs(direct))), 1e-12)))
-    return worst, 1e-6
+
+    def error(x0, y0):
+        left = padi.anomalous_zone_kernel(a, np.broadcast_to(x0, m.shape), m, params)
+        right = padi.anomalous_zone_kernel(a, m, np.broadcast_to(y0, m.shape), params)
+        comp = np.einsum("q,qij,qjk->ik", w, left, right)
+        direct = padi.anomalous_zone_kernel(a, x0[None, :], y0[None, :], params)[0]
+        return float(np.max(np.abs(comp - direct)) / max(float(np.max(np.abs(direct))), 1e-12))
+    return _worst((error(x0, y0), 1e-6) for x0, y0 in zip(X, Y))
 
 
 @check("anomalous_hermitian_symmetry", "padi",
-       "padi: Q^(a)_(j)(X,Y) equals the conjugate transpose of Q^(a)_(j)(Y,X)")
-def _anomalous_herm(params):
+       "padi: Q^(a)_(j)(X,Y) equals the conjugate transpose of Q^(a)_(j)(Y,X)",
+       cases=_table(a=(0, 1, 2), j=(1, 2)))
+def _anomalous_herm(params, a, j):
     rng = np.random.default_rng(59)
     X, Y = (_points(rng, (5, 1), 1) for _ in range(2))
-    worst = 0.0
-    for a in (0, 1, 2):
-        for j in (1, 2):
-            q_xy = padi.anomalous_kernel(a, j, X, Y, params)
-            q_yx = padi.anomalous_kernel(a, j, Y, X, params)
-            worst = max(worst, float(np.max(np.abs(
-                q_xy - np.conj(np.swapaxes(q_yx, -1, -2))))))
-    return worst, 1e-12
+    q_xy = padi.anomalous_kernel(a, j, X, Y, params)
+    q_yx = padi.anomalous_kernel(a, j, Y, X, params)
+    return float(np.max(np.abs(q_xy - np.conj(np.swapaxes(q_yx, -1, -2))))), 1e-12
 
 
 @check("momentum_states_inside_position_states", "padi",
-       "padi: every j=2 eigenspinor lies in the span of the j=1 eigenspinors")
-def _s2_in_s1(params):
-    worst = 0.0
-    for a in (0, 1):
-        s1_vecs = []
-        for vec in zone_basis(a, a + 4, params):
-            for sign in (1, -1):
-                psi, _ = padi.eigenspinors(vec, 1, sign)
-                if not psi.is_zero():
-                    s1_vecs.append(psi)
-        # orthonormalize the spanning set
-        ortho = []
-        for v in s1_vecs:
+       "padi: every j=2 eigenspinor lies in the span of the j=1 eigenspinors",
+       cases=_table(a=(0, 1)))
+def _s2_in_s1(params, a):
+    s1_vecs = []
+    for vec in zone_basis(a, a + 4, params):
+        for sign in (1, -1):
+            psi, _ = padi.eigenspinors(vec, 1, sign)
+            if not psi.is_zero():
+                s1_vecs.append(psi)
+    # orthonormalize the spanning set
+    ortho = []
+    for v in s1_vecs:
+        for e in ortho:
+            v = v - padi.spinor_inner_product(v, e) * e
+        n = padi.spinor_norm(v)
+        if n > 1e-12:
+            ortho.append((1.0 / n) * v)
+    resids = []
+    for vec in zone_basis(a, a + 3, params):
+        for sign in (1, -1):
+            psi, _ = padi.eigenspinors(vec, 2, sign)
+            resid = psi
             for e in ortho:
-                v = v - padi.spinor_inner_product(v, e) * e
-            n = padi.spinor_norm(v)
-            if n > 1e-12:
-                ortho.append((1.0 / n) * v)
-        for vec in zone_basis(a, a + 3, params):
-            for sign in (1, -1):
-                psi, _ = padi.eigenspinors(vec, 2, sign)
-                resid = psi
-                for e in ortho:
-                    resid = resid - padi.spinor_inner_product(psi, e) * e
-                worst = max(worst, padi.spinor_norm(resid))
-    return worst, 1e-8
+                resid = resid - padi.spinor_inner_product(psi, e) * e
+            resids.append(padi.spinor_norm(resid))
+    return _worst((r, 1e-8) for r in resids)
 
 
 # ---- extensions -----------------------------------------------------------------
@@ -796,21 +751,21 @@ def _cliff(params):
 
 @check("subzone_split", "extensions",
        "extensions: bosonic/fermionic sub-zones are orthogonal, sum back, and commute with H",
-       cases=(PhysParams(k=4),))
+       cases=_table((PhysParams(k=4),)))
 def _subzones(params):
     rng = np.random.default_rng(61)
-    worst = 0.0
+    errs = []
     for _ in range(5):
         f = _random_poly(rng, params, 4)
         b = extensions.symmetrize_subzone(f, "bosonic")
         fm = extensions.symmetrize_subzone(f, "fermionic")
-        worst = max(worst, abs(inner_product(b, fm)) / max(norm(f) ** 2, 1e-300))
-        worst = max(worst, norm(b + fm - f) / max(norm(f), 1e-300))
+        errs.append(abs(inner_product(b, fm)) / max(norm(f) ** 2, 1e-300))
+        errs.append(norm(b + fm - f) / max(norm(f), 1e-300))
         for kind in ("bosonic", "fermionic"):
             lhs = extensions.symmetrize_subzone(apply_zeeman(f), kind)
             rhs = apply_zeeman(extensions.symmetrize_subzone(f, kind))
-            worst = max(worst, norm(lhs - rhs) / max(norm(f), 1e-300))
-    return worst, 1e-12
+            errs.append(norm(lhs - rhs) / max(norm(f), 1e-300))
+    return _worst((e, 1e-12) for e in errs)
 
 
 @check("coulomb_hermitian", "extensions",
@@ -853,15 +808,12 @@ def _coulomb_report(params):
 
 
 def _run_check(entry: dict) -> dict:
-    """Run one CHECKS entry on each of its cases, in table order, and return the
-    report row of the worst case: the first whose `measured` is not finite,
-    which fails the row, else the largest `measured`."""
+    """Run one CHECKS entry on each record of its table, in table order, and return
+    the report row of the worst case (`_worst`); a case that is not finite fails the row."""
     t0 = time.perf_counter()
     try:
-        results = [entry["fn"](params) for params in entry["cases"]]
-        # max() would drop a nan that follows a number
-        lost = [r for r in results if not math.isfinite(r[0])]
-        measured, tol = lost[0] if lost else max(results)
+        measured, tol = _worst(entry["fn"](params, **kw) for params, kw in entry["cases"])
+        lost = not math.isfinite(measured)
         status = "fail" if lost or not measured <= tol else "pass"
         if entry["expected"] == "report" and not lost:
             status = "report"

@@ -69,6 +69,19 @@ def random_poly(rng, params, max_degree=4, n_terms=4):
     return ZonePolynomial(coeffs, params)
 
 
+def test_constructor_refuses_malformed_keys_and_every_result_drops_zeros():
+    with pytest.raises(ValueError, match="does not match k=2"):
+        ZonePolynomial({((1, 0), (0, 1)): 1.0}, PAR)
+    with pytest.raises(ValueError, match="negative exponent"):
+        ZonePolynomial({((0, -1),): 1.0}, PAR)
+    f = ZonePolynomial({((1, 0),): 2, ((0, 1),): 0}, PAR)
+    assert f.coefficients == {((1, 0),): 2} and type(f.coefficients[((1, 0),)]) is complex
+    # sums, scalings and products hold their coefficients the same way
+    assert (f - f).coefficients == {} and (0 * f).coefficients == {}
+    for g in (f + f, 3 * f, f * f, apply_rep("zbar", f)):
+        assert all(type(c) is complex and c != 0 for c in g.coefficients.values())
+
+
 def test_parameter_mismatch_rejected():
     f = ZonePolynomial.one(PAR)
     g = ZonePolynomial.one(PhysParams(lam=2.0, k=2))

@@ -223,10 +223,12 @@ def test_sweep_matches_per_slice_reference_exactly(k, order, charge_sign):
 
 @pytest.mark.parametrize("k, order, lam", [(2, 20, 0.4), (4, 5, 2.5)])
 def test_sweep_row_block_fill_is_exact_on_any_cpu_count(monkeypatch, k, order, lam):
-    # N = 400 and 625 nodes.  sigma = i fills the top 200 and 313 rows: several
-    # row blocks, the last one short.  sigma = 1 fills order // 2 slabs of
-    # ceil(order / 2) order^(k-2) rows (10 and 75), plus the top half of an odd
-    # order's middle slab: 10 and 3 ranges, each one block
+    # N = 400 and 625 nodes.  Every fill range, a slab's quarter or mirrored rows
+    # at either sigma, has at most ceil(order / 2) order^(k-2) rows (10 and 75)
+    # and fits in one row block.  So this checks the pool, not block splitting:
+    # with 2 or 3 usable CPUs the fill runs on a pool of 2 to that many threads,
+    # with 1 it starts none, and the values equal the seed's exactly at each CPU
+    # count.  test_sweep_is_exact_when_blocks_split_the_fill_ranges splits ranges
     n = order ** k
     half = (n + 1) // 2
     rows = path_measure._BLOCK_ELEMENTS // n

@@ -7,7 +7,10 @@ import math
 import pathlib
 import time
 
-from zonekit import verify
+import numpy as np
+import pytest
+
+from zonekit import thermo, verify
 from zonekit.params import PhysParams
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,49 +28,87 @@ def test_rows_in_declaration_order_and_seconds_within_wall_time():
 
 
 def test_row_reports_the_worst_case_of_its_table(monkeypatch):
-    # one synthetic check over two cases: the second measures more and fails
+    # one synthetic check over a table of (PhysParams, kwargs) records with one
+    # keyword axis n: the case lam 2, n 1 measures the most and fails
     seen = []
-    measured = {1.0: (1e-9, 1e-6), 2.0: (1e-3, 1e-6)}
+    measured = {(1.0, 0): (1e-9, 1e-6), (1.0, 1): (1e-8, 1e-6),
+                (2.0, 0): (1e-10, 1e-6), (2.0, 1): (1e-3, 1e-6)}
 
-    def fn(params):
-        seen.append(params.lam)
+    def fn(params, n):
+        seen.append((params.lam, n))
         if params.lam == 3.0:
             raise ValueError("case refused")
-        return measured[params.lam]
+        return measured[params.lam, n]
 
-    cases = (PhysParams(lam=1.0), PhysParams(lam=2.0))
-    entry = {"name": "synthetic", "suite": "special", "invariant": "two cases",
-             "expected": "pass", "cases": cases, "fn": fn}
+    lams = (PhysParams(lam=1.0), PhysParams(lam=2.0))
+    entry = {"name": "synthetic", "suite": "special", "invariant": "a table of cases",
+             "expected": "pass", "cases": verify._table(lams, n=(0, 1)), "fn": fn}
     monkeypatch.setattr(verify, "CHECKS", [entry])
     [row] = verify.run_suite(None)
-    assert seen == [1.0, 2.0]
+    # params is the outer loop of the table
+    assert seen == [(1.0, 0), (1.0, 1), (2.0, 0), (2.0, 1)]
     assert (row["measured"], row["tolerance"], row["status"]) == (1e-3, 1e-6, "fail")
     # the worst case decides the status even when it comes first
     seen.clear()
-    entry["cases"] = cases[::-1]
-    measured[2.0] = (1e-7, 1e-6)
+    entry["cases"] = verify._table(lams[::-1], n=(1, 0))
+    measured[2.0, 1] = (1e-7, 1e-6)
     [row] = verify.run_suite(None)
-    assert seen == [2.0, 1.0]
+    assert seen == [(2.0, 1), (2.0, 0), (1.0, 1), (1.0, 0)]
     assert (row["measured"], row["status"]) == (1e-7, "pass")
     # a nan from any case fails the row and is the value it reports: max() alone would
-    # keep the finite first case
+    # keep the finite cases before it
     seen.clear()
-    measured[4.0] = (float("nan"), 1e-6)
-    entry["cases"] = (cases[0], PhysParams(lam=4.0), cases[1])
+    measured[4.0, 0] = (float("nan"), 1e-6)
+    measured[4.0, 1] = (1e-9, 1e-6)
+    entry["cases"] = verify._table((lams[0], PhysParams(lam=4.0), lams[1]), n=(0, 1))
     [row] = verify.run_suite(None)
-    assert seen == [1.0, 4.0, 2.0]
+    assert seen == [(1.0, 0), (1.0, 1), (4.0, 0), (4.0, 1), (2.0, 0), (2.0, 1)]
     assert row["status"] == "fail" and math.isnan(row["measured"]) and row["tolerance"] == 1e-6
     # so does an inf, also against an infinite tolerance and in a report row
-    measured[4.0] = (float("inf"), float("inf"))
+    measured[4.0, 0] = (float("inf"), float("inf"))
     entry["expected"] = "report"
     [row] = verify.run_suite(None)
     assert (row["measured"], row["status"]) == (float("inf"), "fail")
     entry["expected"] = "pass"
     # a case that raises makes the whole row an error
-    entry["cases"] = (*cases, PhysParams(lam=3.0))
+    entry["cases"] = verify._table((*lams, PhysParams(lam=3.0)), n=(0, 1))
     [row] = verify.run_suite(None)
     assert row["status"] == "error: case refused"
     assert math.isnan(row["measured"]) and math.isnan(row["tolerance"])
+
+
+@pytest.mark.parametrize("name, target, zone", [
+    ("trace_identity", "partition_function_trace", 1),
+    ("heat_diagonal_positivity", "zonal_kernel", 2),
+])
+def test_a_nan_in_one_sub_case_fails_its_row(monkeypatch, name, target, zone):
+    # the closed form turns nan at one zone only; every other case of the row
+    # still measures a small finite number
+    real = getattr(verify, target)
+
+    def at_one_zone(sigma, a, *args, **kwargs):
+        value = real(sigma, a, *args, **kwargs)
+        return value * math.nan if a == zone else value
+
+    monkeypatch.setattr(verify, target, at_one_zone)
+    monkeypatch.setattr(verify, "CHECKS", [e for e in verify.CHECKS if e["name"] == name])
+    [row] = verify.run_suite(None)
+    assert row["status"] == "fail" and math.isnan(row["measured"])
+
+
+def test_a_nan_at_the_quarter_point_fails_the_tension_row(monkeypatch):
+    # argmin would pick the nan as the smallest |tension|, right at P / 4
+    real = thermo.tension
+
+    def nan_at_quarter(a, t, X, params):
+        value = real(a, t, X, params)
+        return np.where(np.arange(np.size(t)) == 1000, math.nan, value) if np.ndim(t) else value
+
+    monkeypatch.setattr(thermo, "tension", nan_at_quarter)
+    monkeypatch.setattr(verify, "CHECKS", [e for e in verify.CHECKS
+                                           if e["name"] == "tension_minimum_at_quarter"])
+    [row] = verify.run_suite(None)
+    assert row["status"] == "fail" and math.isnan(row["measured"])
 
 
 def _perfbench_oracle():
