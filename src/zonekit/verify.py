@@ -80,9 +80,10 @@ def _random_poly(rng, params, max_degree):
     return ZonePolynomial(coeffs, params)
 
 
-# quadrature rules shared by the cases of a table, built once per process
-_hermite_axis = lru_cache(maxsize=None)(hermite_axis)
-_flat_hermite_grid = lru_cache(maxsize=None)(flat_hermite_grid)
+@lru_cache(maxsize=None)
+def _grid64(lam: float, k: int):
+    """The order-64 flat Hermite grid, built once per process for all cases that share it."""
+    return flat_hermite_grid(64, lam, k)
 
 
 # ---- special functions --------------------------------------------------------
@@ -109,18 +110,19 @@ def _laguerre_series(params, a, alpha, t):
 
 
 @check("laguerre_value_at_zero", "special",
-       "special_functions: L_a^(alpha)(0) equals binomial(a+alpha, a)",
-       cases=_table(a=range(12), alpha=(0, 1, 2, 5)))
-def _laguerre_zero(params, a, alpha):
-    ref = math.comb(a + alpha, a)
-    return abs(laguerre(a, float(alpha), 0.0) - ref) / ref, 1e-12
+       "special_functions: L_a^(alpha)(0) equals binomial(a+alpha, a)")
+def _laguerre_zero(params):
+    def error(a, alpha):
+        ref = math.comb(a + alpha, a)
+        return abs(laguerre(a, float(alpha), 0.0) - ref) / ref, 1e-12
+    return _worst(error(a, alpha) for a in range(12) for alpha in (0, 1, 2, 5))
 
 
 @check("hermite_rule_moments", "special",
        "special_functions: Gauss-Hermite integrates e^{-x^2} x^{2m} exactly below its degree",
        cases=_table(m=range(20)))
 def _hermite_moments(params, m):
-    nodes, weights = _hermite_axis(24, 1.0)
+    nodes, weights = hermite_axis(24, 1.0)
     ref = math.gamma(m + 0.5)
     return abs(float(np.sum(weights * nodes ** (2 * m))) - ref) / ref, 1e-12
 
@@ -396,18 +398,19 @@ def _log_derivative(params, t):
 
 @check("df_periodicity", "thermo",
        "thermo: DF partition function and average energy repeat over the closed-form period",
-       cases=(_table((PhysParams(lam=1.3),), of=("partition",), t=(0.31, 0.77, 1.3))
-              + _table((PhysParams(lam=1.3),), of=("energy",), t=(0.4, 1.1))))
-def _periodicity(params, of, t):
+       cases=_table((PhysParams(lam=1.3),)))
+def _periodicity(params):
     kappa = thermo.default_kappa(params)
     h = 1.0
-    if of == "partition":
-        P = thermo.period(params, "kernel")
-        f = lambda s: partition_function(1j, 1, s, params)
-    else:
-        P = thermo.period_density("energy_density", 1, params, kappa=kappa, h=h)[0]
-        f = lambda s: thermo.average_energy_of_time(s, kappa, h)
-    return abs(f(t) - f(t + P)) / abs(f(t)), 1e-10
+
+    def gap(f, P, t):
+        f1 = f(t)
+        return abs(f1 - f(t + P)) / abs(f1), 1e-10
+    P = thermo.period(params, "kernel")
+    gaps = [gap(lambda s: partition_function(1j, 1, s, params), P, t) for t in (0.31, 0.77, 1.3)]
+    PE = thermo.period_density("energy_density", 1, params, kappa=kappa, h=h)[0]
+    gaps += [gap(lambda s: thermo.average_energy_of_time(s, kappa, h), PE, t) for t in (0.4, 1.1)]
+    return _worst(gaps)
 
 
 @check("specific_heat_shape", "thermo",
@@ -675,7 +678,7 @@ def _anomalous_components(params, a):
        "padi: the anomalous zone projection composes to itself under quadrature",
        cases=_table(a=(0, 1, 2)))
 def _anomalous_idem(params, a):
-    axes, w = _flat_hermite_grid(64, params.lam, params.k)
+    axes, w = _grid64(params.lam, params.k)
     m = tensor_points(axes)
     rng = np.random.default_rng(53)
     X, Y = (_points(rng, (4, 1), 0.7) for _ in range(2))
