@@ -20,7 +20,10 @@ C(a+k-1, k-1) products.  So a kernel is applied to a grid function (a single
 point being a grid of one node per axis) or summed along its diagonal without
 ever forming the N x N kernel matrix.  From a one-node source a coordinate is
 an outer product of tables, and into a one-node destination it is two vector
-products with no temporary of the size of the grid.
+products with no temporary of the size of the grid.  A source that is a sum of
+rank-one grid functions, each one table per complex coordinate (the monomials of
+a polynomial state), goes to a point one table at a time (`rank_one_to_point`):
+per coordinate a few scalars, and no grid function at all.
 """
 
 from __future__ import annotations
@@ -89,6 +92,20 @@ def transfer(f: np.ndarray, form: KernelForm, params, src, dst) -> np.ndarray:
     The coordinates are applied one after another, once per product of the
     addition formula: C(a+k-1, k-1) passes, one at a = 0.
     """
+    tables = _tables(form, params, src, dst)
+    g = 0.0
+    for j in _laguerre_terms(form.a, params.k):
+        h = f
+        for r, (P, Q, R, S, L1, L2) in enumerate(tables):
+            h = _coordinate(h, r, P * L1[j[2 * r]], Q, R * L2[j[2 * r + 1]], S)
+        g = g + h
+    return form.pref * g
+
+
+def _tables(form: KernelForm, params, src, dst):
+    """The one-axis tables of each complex coordinate r between the grids `src` and
+    `dst`: P(x1,y1), Q(x2,y1), R(x2,y2), S(x1,y2) of the exponential and the Laguerre
+    factors L_j^(-1/2)(lam (x1-y1)^2) and L_j^(-1/2)(lam (x2-y2)^2), j = 0..a."""
     A, B, C, D = form.A, form.B, form.C, form.D
     s, lam = params.charge_sign, params.lam
     tables = []
@@ -99,13 +116,29 @@ def transfer(f: np.ndarray, form: KernelForm, params, src, dst) -> np.ndarray:
                        np.exp(A * u2 * u2 + B * v2 * v2 + C * u2 * v2), np.exp(-D * s * u1 * v2),
                        [laguerre(j, -0.5, lam * (u1 - v1) ** 2) for j in range(form.a + 1)],
                        [laguerre(j, -0.5, lam * (u2 - v2) ** 2) for j in range(form.a + 1)]))
-    g = 0.0
+    return tables
+
+
+def rank_one_to_point(factors, form: KernelForm, params, src, y) -> complex:
+    """sum_X f(X) K(X, y) over the tensor grid `src` into the point y (complex
+    coordinates), for f(X) = sum_n prod_r factors[r][n](x_(2r), x_(2r+1)), each
+    `factors[r]` of shape (terms, len(src[2r]), len(src[2r+1])).  Each table meets
+    only coordinate r of the kernel, in elementwise sums with no BLAS call, and the
+    scalars multiply over the coordinates: nothing of the size of the grid is formed.
+    """
+    y = point_axes(y)
+    degrees = []
+    for F, (P, Q, R, S, L1, L2) in zip(factors, _tables(form, params, src, y)):
+        left = np.array([P[:, 0] * L[:, 0] * S[:, 0] for L in L1])
+        right = np.array([Q[:, 0] * (R[:, 0] * L[:, 0]) for L in L2])
+        degrees.append(np.einsum("tjv,iv->tji", np.einsum("tuv,ju->tjv", F, left), right))
+    total = 0.0
     for j in _laguerre_terms(form.a, params.k):
-        h = f
-        for r, (P, Q, R, S, L1, L2) in enumerate(tables):
-            h = _coordinate(h, r, P * L1[j[2 * r]], Q, R * L2[j[2 * r + 1]], S)
-        g = g + h
-    return form.pref * g
+        term = 1.0
+        for r, d in enumerate(degrees):
+            term = term * d[:, j[2 * r], j[2 * r + 1]]
+        total = total + term
+    return complex(form.pref * np.sum(total))
 
 
 def point_axes(x) -> list[np.ndarray]:

@@ -129,15 +129,10 @@ class ZonePolynomial:
         coordinates.  Returns an array of shape (...).
         """
         zpts = np.atleast_2d(np.asarray(zpts, dtype=complex))
-        return self._eval_coordinates([zpts[..., j] for j in range(self.params.m)])
-
-    def _eval_coordinates(self, zs) -> np.ndarray:
-        """The polynomial at the m complex coordinate arrays `zs`, which broadcast
-        against each other; the value has their broadcast shape."""
-        out = np.zeros(np.broadcast_shapes(*(np.shape(z) for z in zs)), dtype=complex)
+        out = np.zeros(zpts.shape[:-1], dtype=complex)
         for key, c in self.coefficients.items():
             term = c
-            for z, (p, v) in zip(zs, key):
+            for z, (p, v) in zip(np.moveaxis(zpts, -1, 0), key):
                 if p:
                     term = term * z ** p
                 if v:

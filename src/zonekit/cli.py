@@ -28,9 +28,9 @@ from .extensions import clifford_dimension, unprojected_coulomb_matrix, zonal_co
 from .padi import anomalous_kernel, eigenspinors, normalization_report
 from .params import PhysParams
 from .path_measure import feynman_kac_sweep
-from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError,
-                          _require_memory, evolve, partition_function, zonal_kernel)
-from .special import tensor_points
+from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
+                          partition_function, zonal_kernel)
+from .special import _require_memory, tensor_points
 from .zones import zone_basis
 
 EXIT_OK = 0

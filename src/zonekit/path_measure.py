@@ -17,9 +17,8 @@ import numpy as np
 
 from ._factored import chain, point_axes, transfer
 from .params import PhysParams
-from .propagators import (_check_sigma, _global_form, _require_memory, _usable_cpus,
-                          _zonal_form, zonal_kernel)
-from .special import flat_hermite_grid, gauss_legendre, tensor_points
+from .propagators import _check_sigma, _global_form, _usable_cpus, _zonal_form, zonal_kernel
+from .special import _require_memory, flat_hermite_grid, gauss_legendre, tensor_points
 from .zones import pairing, zone_kernel
 
 

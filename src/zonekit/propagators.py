@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._factored import KernelForm, chain, diagonal_sum, point_axes, transfer
+from ._factored import KernelForm, chain, diagonal_sum, rank_one_to_point
 from .algebra import ZonePolynomial, inner_product, norm
 from .params import PhysParams
 from .special import flat_hermite_grid, hermite_axis, multiplicity_factor
@@ -229,26 +229,27 @@ def evolve_by_convolution(f: ZonePolynomial, sigma: complex, t: float,
 def _convolve(form: KernelForm, f: ZonePolynomial, params: PhysParams, grid_lam: float,
               order: int, X: np.ndarray) -> np.ndarray:
     """int K(X, Z) psi(Z) dZ at each complex coordinate row of `X`, with psi the
-    standard-space wave function of `f` (`to_standard`), on the Hermite grid
-    `flat_hermite_grid(order, grid_lam, k)`.
+    standard-space wave function of `f` (`to_standard`), on the tensor grid of
+    `hermite_axis(order, grid_lam)` with the Gaussian divided back out.
 
-    psi is built on the tensor grid from one-coordinate (order x order) tables,
-    which `ZonePolynomial._eval_coordinates` broadcasts into outer products over the
-    k/2 coordinates, times the separable half-Gaussian.
+    psi and the weights are a sum of rank-one grid functions, one per monomial
+    c z^P zbar^V: coordinate r is the order x order table z_r^p_r zbar_r^v_r
+    e^(-lam |z_r|^2 / 2) w_i w_j e^(grid_lam (x_i^2 + x_j^2)), the first one times c.
+    `_factored.rank_one_to_point` contracts each table against its coordinate of the
+    kernel, so no grid function of order^k nodes is formed.
     """
-    k = params.k
-    axes, weights = flat_hermite_grid(order, grid_lam, k)
-    # coordinate r as an order x order table on axes 2r and 2r + 1 of the tensor grid
-    zs = [(axes[2 * r][:, None] + 1j * axes[2 * r + 1]).reshape(
-        (1,) * (2 * r) + (order, order) + (1,) * (k - 2 * r - 2)) for r in range(params.m)]
-    psi = f._eval_coordinates(zs)
-    for z in zs:
-        psi *= np.exp(-0.5 * f.params.lam * np.abs(z) ** 2)
-    g = weights.reshape(psi.shape) * psi
-    # transfer sums over its first argument, so Z goes first: K'(Z, X) = K(X, Z)
-    form = form.swapped()
-    return np.array([transfer(g, form, params, axes, point_axes(x)).item()
-                     for x in np.atleast_2d(np.asarray(X, dtype=complex))])
+    x, w = hermite_axis(order, grid_lam)
+    z = x[:, None] + 1j * x
+    half = np.multiply.outer(w, w) * np.exp((grid_lam - 0.5 * f.params.lam)
+                                            * np.add.outer(x * x, x * x))
+    keys = list(f.coefficients)
+    factors = [np.array([z ** key[r][0] * np.conj(z) ** key[r][1] * half for key in keys])
+               for r in range(params.m)]
+    factors[0] *= np.array(list(f.coefficients.values()))[:, None, None]
+    # the contraction sums over its first argument, so Z goes first: K'(Z, X) = K(X, Z)
+    form, axes = form.swapped(), [x] * params.k
+    return np.array([rank_one_to_point(factors, form, params, axes, y)
+                     for y in np.atleast_2d(np.asarray(X, dtype=complex))])
 
 
 def semigroup_residual(sigma: complex, a: int, s: float, t: float,
@@ -384,14 +385,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _require_memory(need_bytes: int, what: str) -> None:
-    """Refuse, before allocating, a request larger than physical memory."""
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need_bytes > have:
-        raise ValueError(f"{what} needs {need_bytes / 1e9:.3g} GB, more than the "
-                         f"{have / 1e9:.3g} GB of physical memory")
 
 
 def _write_rows(fh, xs, values, suffixes) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from functools import reduce
 
 import numpy as np
@@ -67,6 +68,14 @@ def hermite_axis(order: int, lam: float):
     return nodes / math.sqrt(lam), weights / math.sqrt(lam)
 
 
+def _require_memory(need_bytes: int, what: str) -> None:
+    """Refuse, before allocating, a request larger than physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need_bytes > have:
+        raise ValueError(f"{what} needs {need_bytes / 1e9:.3g} GB, more than the "
+                         f"{have / 1e9:.3g} GB of physical memory")
+
+
 def flat_hermite_grid(order: int, lam: float, dim: int):
     """Tensor grid of `hermite_axis` on R^dim with the Gaussian divided back out.
 
@@ -75,8 +84,13 @@ def flat_hermite_grid(order: int, lam: float, dim: int):
     of `tensor_points(axes)`.  Suitable for plain Lebesgue integrals
     int f(X) dX of integrands that decay at least like e^{-lam |X|^2}; the
     weights are w_i e^{+lam |x_i|^2}, both factors built as outer products of
-    one-axis tables.
+    one-axis tables.  An order whose grid (four real order**dim arrays while it is
+    built, and the Hermite rule's order x order companion matrix) exceeds physical
+    memory raises ValueError before anything is allocated.
     """
+    nodes = order**dim
+    _require_memory(np.dtype(float).itemsize * (4 * nodes + order * order),
+                    f"Hermite grid at order {order} ({nodes} nodes)")
     x, w = hermite_axis(order, lam)
     weights = reduce(np.multiply.outer, [w] * dim).ravel()
     return [x] * dim, weights * np.exp(lam * reduce(np.add.outer, [x**2] * dim).ravel())

@@ -9,7 +9,7 @@ from zonekit.algebra import (ZonePolynomial, apply_angular_momentum, apply_rep, 
                              inner_product, norm, to_standard)
 from zonekit.extensions import coulomb_inner_product
 from zonekit.params import PhysParams
-from zonekit.special import hermite_axis, tensor_points
+from zonekit.special import hermite_axis
 
 PAR = PhysParams(lam=1.0, k=2)
 PAR4 = PhysParams(lam=1.0, k=4)
@@ -109,26 +109,6 @@ def test_to_standard_norm_agreement():
     w2 = np.outer(wx, wx).ravel()
     std_norm2 = float(np.sum(w2 * vals))
     assert std_norm2 == pytest.approx(norm(f) ** 2, rel=1e-10)
-
-
-@pytest.mark.parametrize("k", [2, 4])
-def test_eval_on_coordinate_tables_matches_eval_on_points_bit_for_bit(k):
-    # one-coordinate n x n tables that broadcast into the tensor grid, as the
-    # convolution quadrature builds psi, against eval at the grid's stacked points
-    params = PhysParams(lam=0.7, k=k)
-    rng = np.random.default_rng(23)
-    n = 5
-    axes = [rng.normal(size=n) for _ in range(k)]
-    zs = [(axes[2 * r][:, None] + 1j * axes[2 * r + 1]).reshape(
-        (1,) * (2 * r) + (n, n) + (1,) * (k - 2 * r - 2)) for r in range(params.m)]
-    pts = tensor_points(axes)
-    polys = [ZonePolynomial({}, params), (0.3 - 1.2j) * ZonePolynomial.one(params),
-             *(random_poly(rng, params, max_degree=6, n_terms=6) for _ in range(4))]
-    for f in polys:
-        got = f._eval_coordinates(zs)
-        ref = f.eval(pts).reshape((n,) * k)
-        assert got.shape == ref.shape
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_serialization_round_trip():

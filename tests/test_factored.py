@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zonekit import _factored
-from zonekit._factored import diagonal_sum, point_axes, transfer
+from zonekit._factored import diagonal_sum, point_axes, rank_one_to_point, transfer
 from zonekit.params import PhysParams
 from zonekit.path_measure import _chain_form, cylinder_measure
 from zonekit.propagators import global_kernel, zonal_kernel
@@ -71,6 +71,13 @@ def test_factored_matches_dense(kind, a, lam, charge_sign, k):
     ref = np.sum(functools.reduce(np.multiply.outer, w).ravel()
                  * POINTWISE[kind](a, DT, U, U, params))
     assert abs(diagonal_sum(form, src, w) - ref) <= 1e-12 * abs(ref)
+
+    # a sum of rank-one grid functions, one table per complex coordinate, into each point
+    factors = [rng.normal(size=(3, len(src[2 * r]), len(src[2 * r + 1]))) + 0j
+               for r in range(k // 2)]
+    g = sum(functools.reduce(np.multiply.outer, [F[n] for F in factors]) for n in range(3))
+    assert close(np.array([rank_one_to_point(factors, form, params, src, x) for x in X]),
+                 g.ravel() @ dense(kind, a, params, U, X))
 
 
 @pytest.mark.parametrize("lam", [0.4, 1.0])

@@ -5,16 +5,19 @@ import itertools
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_algebra import random_poly
 
 from zonekit import propagators
+from zonekit._factored import point_axes, transfer
 from zonekit.algebra import ZonePolynomial, apply_zeeman, inner_product, norm, to_standard
 from zonekit.params import PhysParams
-from zonekit.propagators import (KernelGrid, SingularTimeError, evolve, evolve_by_convolution,
-                                 field_term_multiplier, global_kernel, infer_zone,
-                                 partition_function, partition_function_trace,
+from zonekit.propagators import (KernelGrid, SingularTimeError, _convolve, _zonal_form, evolve,
+                                 evolve_by_convolution, field_term_multiplier, global_kernel,
+                                 infer_zone, partition_function, partition_function_trace,
                                  semigroup_residual, zonal_kernel, zonal_kernel_spectral)
 from zonekit.zones import pairing, zone_basis, zone_kernel
 
@@ -218,6 +221,59 @@ def test_evolve_by_convolution_matches_dense_quadrature(k, order, a):
             if a == 0:
                 flow = to_standard(evolve(f, sigma, 0.4, params))(X)
                 assert np.max(np.abs(got - flow)) < 1e-10 * np.max(np.abs(flow)), lam
+
+
+@pytest.mark.parametrize("k, order", [(2, 24), (4, 8)])
+@pytest.mark.parametrize("a", [0, 1, 2])
+@pytest.mark.parametrize("charge_sign", [1, -1])
+@pytest.mark.parametrize("lam", [0.4, 2.5])
+def test_convolve_matches_transfer_of_the_materialised_state(lam, charge_sign, a, k, order):
+    # the oracle is the grid path the rank-one contraction replaced: the wave function times
+    # the flat weights, materialised on all order^k nodes of the tensor grid, taken to each
+    # point by `transfer`; gated relative to the magnitudes of the quadrature's terms
+    from zonekit.special import flat_hermite_grid, tensor_points
+    params = PhysParams(lam=lam, k=k, charge_sign=charge_sign)
+    rng = np.random.default_rng(30 + a)
+    f = random_poly(rng, params, n_terms=5)
+    X = rng.uniform(-0.8, 0.8, (3, k // 2)) + 1j * rng.uniform(-0.8, 0.8, (3, k // 2))
+    grid_lam = 1.4 * lam
+    axes, weights = flat_hermite_grid(order, grid_lam, k)
+    Z = tensor_points(axes)
+    g = weights * to_standard(f)(Z)
+    for sigma in (1, 1j):
+        form = _zonal_form(sigma, a, 0.3, params)
+        ref = [transfer(g.reshape((order,) * k), form.swapped(), params, axes,
+                        point_axes(x)).item() for x in X]
+        magnitude = np.abs(zonal_kernel(sigma, a, 0.3, X[:, None, :], Z[None, :, :],
+                                        params)) @ np.abs(g)
+        got = _convolve(form, f, params, grid_lam, order, X)
+        assert np.all(np.abs(got - ref) <= 1e-12 * magnitude)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called after the refusal")
+
+
+@pytest.mark.parametrize("charge_sign", [1, -1])
+def test_evolve_by_convolution_at_k4_and_the_default_order(charge_sign, monkeypatch):
+    # one order x order table per coordinate and monomial: no grid function of the
+    # 64^4 = 16.8M nodes is formed, so a few MB suffice
+    monkeypatch.setattr(propagators, "flat_hermite_grid", _never_called)
+    params = PhysParams(lam=1.0, k=4, charge_sign=charge_sign)
+    rng = np.random.default_rng(21)
+    f = sum((complex(rng.normal(), rng.normal()) * v for v in zone_basis(0, 2, params)),
+            ZonePolynomial({}, params))
+    X = rng.uniform(-0.7, 0.7, (3, 2)) + 1j * rng.uniform(-0.7, 0.7, (3, 2))
+    for sigma in (1, 1j):
+        ref = to_standard(evolve(f, sigma, 0.4, params))(X)
+        tracemalloc.start()
+        try:
+            got = evolve_by_convolution(f, sigma, 0.4, params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert peak < 4e6, peak
 
 
 def test_infer_zone_rejects_mixtures():

@@ -7,6 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zonekit import special
+from zonekit.params import PhysParams
+from zonekit.path_measure import probability_total_mass
+from zonekit.propagators import semigroup_residual
 from zonekit.special import (flat_hermite_grid, gauss_legendre, hermite_axis, laguerre,
                              multiplicity_factor, tensor_points)
 
@@ -151,3 +155,22 @@ def test_hermite_nodes_are_odd_under_index_reversal(k, orders, lam):
         assert np.array_equal(m, -m[::-1])
         ci = np.flip(np.arange(order**k).reshape((order,) * k), tuple(range(1, k, 2))).ravel()
         assert np.array_equal(m[ci], np.conj(m))
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called after the refusal")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: flat_hermite_grid(100000, 1.0, 4),
+    lambda: semigroup_residual(1, 0, 0.3, 0.3, [(np.zeros(2), np.zeros(2))], PhysParams(k=4),
+                               order=100000),
+    lambda: probability_total_mass(0, np.zeros(2), 0.5, PhysParams(k=4), order=100000)],
+    ids=["flat_hermite_grid", "semigroup_residual", "probability_total_mass"])
+def test_hermite_grid_beyond_memory_is_refused_before_allocating(build, monkeypatch):
+    # 10^20 nodes: refused, naming the order and the node count, before the Hermite rule
+    # (an order x order companion matrix) or any grid array is built
+    monkeypatch.setattr(special, "hermite_axis", _never_called)
+    with pytest.raises(ValueError, match=r"^Hermite grid at order 100000 "
+                       r"\(100000000000000000000 nodes\) needs 3\.2e\+12 GB, more than the "):
+        build()
