@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,9 +51,18 @@ def multiplicity_factor(a: int, k: int) -> int:
     return math.comb(a + k // 2 - 1, a)
 
 
+@lru_cache(maxsize=None)
+def _gauss_rule(rule, order: int):
+    """numpy's raw (nodes, weights) of the Gauss rule `rule` at `order`, built once per
+    order and process and read-only; the public rules return scaled copies."""
+    nodes, weights = rule(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre(order: int, a: float = -1.0, b: float = 1.0):
     """(nodes, weights) for int_a^b f(x) dx."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_rule(np.polynomial.legendre.leggauss, order)
     half = 0.5 * (b - a)
     return half * nodes + 0.5 * (a + b), half * weights
 
@@ -64,7 +73,7 @@ def hermite_axis(order: int, lam: float):
     The weights absorb the Jacobian of the node rescaling and the density, so
     sum_i w_i f(x_i) ~ int f(x) e^{-lam x^2} dx.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = _gauss_rule(np.polynomial.hermite.hermgauss, order)
     return nodes / math.sqrt(lam), weights / math.sqrt(lam)
 
 

@@ -89,6 +89,17 @@ def _grid64(lam: float, k: int):
 # ---- special functions --------------------------------------------------------
 
 
+def _laguerre_exact(a, alpha, t):
+    """L_a^(alpha)(t) exactly, for `Fraction` alpha and t, by the power series
+    sum_j C(a+alpha, a-j) (-t)^j / j!.  The sum runs from j = a down, where the
+    binomial is 1, and each step takes C(a+alpha, a-j+1) = C(a+alpha, a-j) (alpha+j) / (a-j+1)."""
+    binom, ref = 1, 0
+    for j in range(a, -1, -1):
+        ref += binom * (-t) ** j / math.factorial(j)
+        binom *= (alpha + j) / (a - j + 1)
+    return ref
+
+
 @check("laguerre_recurrence_vs_series", "special",
        "special_functions: recurrence agrees with the power-series oracle to 1e-10",
        cases=_table(a=(0, 1, 2, 5, 12, 30), alpha=(0.0, 1.0, 0.5),
@@ -97,14 +108,8 @@ def _laguerre_series(params, a, alpha, t):
     # the raw float series cancels catastrophically near |t| = 50, a = 30, so the
     # oracle is evaluated in exact rational arithmetic
     from fractions import Fraction
-    alpha2 = int(2 * alpha)             # alpha is a multiple of 1/2
     tf = Fraction(t).limit_denominator(10**9)
-    ref = Fraction(0)
-    for j in range(a + 1):
-        binom = Fraction(1)
-        for i in range(a - j):
-            binom *= Fraction(alpha2 + 2 * (j + 1 + i), 2 * (i + 1))
-        ref += binom * (-tf) ** j / math.factorial(j)
+    ref = _laguerre_exact(a, Fraction(alpha), tf)
     scale = max(1.0, abs(float(ref)))
     return abs(laguerre(a, alpha, float(tf)) - float(ref)) / scale, 1e-10
 

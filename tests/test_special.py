@@ -1,5 +1,6 @@
 """Special-function layer: recurrences against series oracles, quadrature exactness."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -116,6 +117,63 @@ def test_legendre_rule_polynomials_exact():
         ref = 2.0 ** (deg + 1) / (deg + 1)
         got = float(np.sum(weights * nodes ** deg))
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.fixture
+def rule_builds(monkeypatch):
+    """Counts numpy's Gauss rule builds by (numpy function, order), from an empty rule cache."""
+    builds = collections.Counter()
+    for module, name in ((np.polynomial.hermite, "hermgauss"),
+                         (np.polynomial.legendre, "leggauss")):
+        def counted(order, build=getattr(module, name), name=name):
+            builds[name, order] += 1
+            return build(order)
+        monkeypatch.setattr(module, name, counted)
+    special._gauss_rule.cache_clear()
+    yield builds
+    special._gauss_rule.cache_clear()
+
+
+def test_each_gauss_rule_is_built_once_per_order(rule_builds):
+    for _ in range(3):
+        for lam in (0.4, 1.0, 2.5):
+            hermite_axis(24, lam)
+            hermite_axis(64, lam)
+        flat_hermite_grid(24, 1.4, 2)
+        gauss_legendre(28)
+        gauss_legendre(28, 0.0, 2.0)
+        gauss_legendre(48, -3.0, 1.0)
+    assert rule_builds == {("hermgauss", 24): 1, ("hermgauss", 64): 1,
+                           ("leggauss", 28): 1, ("leggauss", 48): 1}
+
+
+@pytest.mark.parametrize("order", [1, 5, 24, 64])
+def test_gauss_rules_equal_numpy_rules_scaled_directly(order, rule_builds):
+    # the first pass builds each rule, the second reads it from the cache
+    x, w = np.polynomial.hermite.hermgauss(order)
+    u, v = np.polynomial.legendre.leggauss(order)
+    bits = lambda arrays: [a.view(np.uint64) for a in arrays]
+    for _ in range(2):
+        for lam in (0.4, 1.0, 2.5):
+            assert np.array_equal(bits(hermite_axis(order, lam)),
+                                  bits((x / math.sqrt(lam), w / math.sqrt(lam))))
+        for lo, hi in ((-1.0, 1.0), (0.0, 2.0), (0.0, 2 * math.pi)):
+            half = 0.5 * (hi - lo)
+            assert np.array_equal(bits(gauss_legendre(order, lo, hi)),
+                                  bits((half * u + 0.5 * (lo + hi), half * v)))
+
+
+@pytest.mark.parametrize("build", [lambda: hermite_axis(24, 1.0),
+                                   lambda: hermite_axis(24, 2.5),
+                                   lambda: gauss_legendre(28),
+                                   lambda: gauss_legendre(28, 0.0, 2.0)],
+                         ids=["hermite_lam1", "hermite_lam2.5", "legendre_unit", "legendre_0_2"])
+def test_writing_into_a_returned_rule_leaves_the_next_call_unchanged(build):
+    ref = [a.copy() for a in build()]
+    for a in build():
+        a *= 3.0
+        a[0] = np.nan
+    assert all(np.array_equal(got, r) for got, r in zip(build(), ref))
 
 
 @pytest.mark.parametrize("dim, orders", [(2, (5, 17, 64)), (4, (5, 12, 36)), (6, (5, 9))])

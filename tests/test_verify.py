@@ -5,7 +5,10 @@ import importlib.util
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,3 +132,32 @@ def test_full_report_matches_the_benchmark_reference():
             for r in json.loads(verify.report_to_json(rows))]
     assert _perfbench_oracle().mismatch({"exit_code": verify.exit_code(rows), "verify": seen},
                                         expected) is None
+
+
+def test_exact_laguerre_oracle_satisfies_the_recurrence_and_its_value_at_zero():
+    # properties the series does not use, over the check's own table: the three-term
+    # recurrence (n+1) L_{n+1} = (2n+1+alpha-t) L_n - (n+alpha) L_{n-1} exactly, and
+    # L_a(0) = C(a+alpha, a), for alpha = 1/2 the central binomial (2a+1) C(2a, a) / 4^a
+    [entry] = [e for e in verify.CHECKS if e["name"] == "laguerre_recurrence_vs_series"]
+    cases = [kw for _, kw in entry["cases"]]
+    top = max(kw["a"] for kw in cases)
+    assert top == 30
+    for alpha in sorted({kw["alpha"] for kw in cases}):
+        af = Fraction(alpha)
+        for t in sorted({kw["t"] for kw in cases}):
+            tf = Fraction(t).limit_denominator(10**9)
+            L = [verify._laguerre_exact(n, af, tf) for n in range(top + 1)]
+            assert L[0] == 1 and L[1] == 1 + af - tf
+            for n in range(1, top):
+                assert (n + 1) * L[n + 1] == (2 * n + 1 + af - tf) * L[n] - (n + af) * L[n - 1]
+        for a in range(top + 1):
+            ref = (math.comb(a + int(af), a) if af.denominator == 1
+                   else Fraction((2 * a + 1) * math.comb(2 * a, a), 4**a))
+            assert verify._laguerre_exact(a, af, Fraction(0)) == ref
+
+
+def test_benchmark_harness_selftest_passes():
+    # the harness's own tests of its tracing hooks and output oracle
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
