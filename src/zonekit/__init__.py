@@ -8,7 +8,7 @@ from .padi import (SpinorField, anomalous_kernel, anomalous_zone_kernel, apply_p
                    spinor_norm)
 from .params import PhysParams
 from .path_measure import (PathDiscretization, cylinder_measure, probability_total_mass,
-                           radon_nikodym_density, stopwatch_phase)
+                           radon_nikodym_density)
 from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
                           global_kernel, partition_function, partition_function_trace,
                           semigroup_residual, zonal_kernel, zonal_kernel_spectral)
@@ -27,7 +27,7 @@ __all__ = [
     "global_kernel", "zonal_kernel", "zonal_kernel_spectral", "partition_function",
     "partition_function_trace", "evolve", "semigroup_residual",
     "average_energy", "specific_heat", "tension", "stable_spread", "find_period_extrema",
-    "stopwatch_phase", "radon_nikodym_density", "cylinder_measure", "probability_total_mass",
+    "radon_nikodym_density", "cylinder_measure", "probability_total_mass",
     "spin_matrices", "apply_padi", "padi_square_residual", "eigenspinors",
     "anomalous_kernel", "anomalous_zone_kernel", "spinor_inner_product", "spinor_norm",
     "clifford_dimension", "symmetrize_subzone", "zonal_coulomb_matrix",

@@ -13,6 +13,7 @@ you want.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -28,8 +29,8 @@ from .extensions import clifford_dimension, unprojected_coulomb_matrix, zonal_co
 from .padi import anomalous_kernel, eigenspinors, normalization_report
 from .params import PhysParams
 from .path_measure import feynman_kac_sweep
-from .propagators import (KernelGrid, QuadratureConvergenceError, SingularTimeError, evolve,
-                          partition_function, zonal_kernel)
+from .propagators import (_SIGMAS, KernelGrid, QuadratureConvergenceError, SingularTimeError,
+                          evolve, partition_function, zonal_kernel)
 from .special import _require_memory, tensor_points
 from .zones import zone_basis
 
@@ -55,24 +56,24 @@ _ROW_BYTES = {"spectrum": 350, "thermo": 820, "partition": 450, "anomalous_kerne
 # the most decimal digits of a clifford n_r, Python's default int-to-string limit
 _CLIFFORD_DIGITS = 4300
 
-# config key -> (argument it defaults, its type, its value when neither sets it)
-_CONFIG_KEYS = {"lambda": ("lam", float, 1.0), "k": ("k", int, 2)}
+# config key -> (argument it sets where no flag does, its type); PhysParams holds the defaults
+_CONFIG_KEYS = {"lambda": ("lam", float), "k": ("k", int)}
 
 
 def _apply_config(args) -> None:
-    """Fill --lambda and --k that were not given from the --config file, else the defaults.
+    """Fill --lambda and --k that were not given from the --config file.
 
     verify runs each check on its own parameter table, so it refuses both flags and
     both config keys.
     """
     if args.fn is cmd_verify:
-        for key, (dest, _, _) in _CONFIG_KEYS.items():
+        for key, (dest, _) in _CONFIG_KEYS.items():
             if getattr(args, dest) is not None:
                 raise UsageError(f"verify does not take --{key}: each check runs on its own "
                                  "parameter table")
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config) as fh, _parsing("--config", "key=value text", args.config):
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -86,17 +87,20 @@ def _apply_config(args) -> None:
     if args.fn is cmd_verify and cfg:
         raise UsageError(f"verify does not take {next(iter(cfg))} from {args.config}: each "
                          "check runs on its own parameter table")
-    for key, (dest, kind, default) in _CONFIG_KEYS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, kind(cfg[key]) if key in cfg else default)
+    for key, (dest, kind) in _CONFIG_KEYS.items():
+        if key in cfg and getattr(args, dest) is None:
+            with _parsing(f"config key {key!r} in {args.config}", kind.__name__, cfg[key]):
+                setattr(args, dest, kind(cfg[key]))
 
 
 def _params(args) -> PhysParams:
-    return PhysParams(lam=args.lam, k=args.k)
+    """PhysParams of the --lambda and --k that a flag or the config file set."""
+    return PhysParams(**{dest: getattr(args, dest) for dest, _ in _CONFIG_KEYS.values()
+                         if getattr(args, dest) is not None})
 
 
 def _sigma(args) -> complex:
-    return 1j if args.sigma == "i" else 1
+    return _SIGMAS[args.sigma]
 
 
 def _output(args, name: str | None = None) -> str:
@@ -106,14 +110,25 @@ def _output(args, name: str | None = None) -> str:
     return os.path.join(out, name or args.output)
 
 
-def _parse_grid(text: str, row_bytes: int = 0):
+@contextlib.contextmanager
+def _parsing(flag: str, form: str, text: str):
+    """Refuse a ValueError raised while parsing `text` as a usage error that names its flag
+    (or config key) and the form it expects."""
+    try:
+        yield
+    except ValueError:
+        raise UsageError(f"{flag} must be {form}, got {text!r}") from None
+
+
+def _parse_grid(text: str, flag: str, row_bytes: int = 0):
     """lo:hi:step for one real axis; the step must divide hi - lo to 1e-9 relative.
 
     A step so large that hi - lo rounds to no step at all does not divide it either:
     only lo:lo:step is a one-point grid.  Memory is checked for the points and for
     one table row of `row_bytes` per point.
     """
-    lo, hi, step = (float(p) for p in text.split(":"))
+    with _parsing(flag, "lo:hi:step, three numbers", text):
+        lo, hi, step = (float(p) for p in text.split(":"))
     if step == 0:
         raise UsageError(f"grid step must be nonzero, got {text!r}")
     if (hi - lo) * step < 0:
@@ -130,7 +145,8 @@ def _parse_grid(text: str, row_bytes: int = 0):
 
 def _point(text: str, params: PhysParams, flag: str) -> np.ndarray:
     """Comma-separated complex coordinates of one point, exactly k/2 of them."""
-    pt = np.array([complex(c) for c in text.split(",")])
+    with _parsing(flag, "comma-separated complex coordinates", text):
+        pt = np.array([complex(c) for c in text.split(",")])
     if len(pt) != params.m:
         raise UsageError(f"{flag} needs one complex coordinate per particle, k/2 = {params.m} "
                          f"at k={params.k}; got {len(pt)} in {text!r}")
@@ -141,7 +157,8 @@ def _point(text: str, params: PhysParams, flag: str) -> np.ndarray:
 
 def _parse_range(text: str, flag: str, least: int):
     """Either 'a..b' with least <= a <= b, or a single integer of at least least."""
-    lo, hi = (int(p) for p in text.split("..")) if ".." in text else (int(text),) * 2
+    with _parsing(flag, "an integer or a..b", text):
+        lo, hi = (int(p) for p in text.split("..")) if ".." in text else (int(text),) * 2
     if hi < lo:
         raise UsageError(f"range {text!r} is empty")
     if lo < least:
@@ -209,7 +226,7 @@ def cmd_kernel(args) -> int:
     a = None if args.a < 0 else args.a
     _finite(args, "t", positive=a is None)
     _at_least(args, "t", 0)
-    axes = [_parse_grid(args.grid)] * params.k
+    axes = [_parse_grid(args.grid, "--grid")] * params.k
     n = len(axes[0]) ** params.k  # grid points, before building them
     _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
     pts = tensor_points(axes)
@@ -258,8 +275,9 @@ def cmd_zones(args) -> int:
 def cmd_evolve(args) -> int:
     params = _params(args)
     _finite(args, "t")
-    with open(args.state) as fh:
-        f = ZonePolynomial.from_json(fh.read(), params)
+    with open(args.state) as fh, _parsing("--state", "a JSON file of state records", args.state):
+        records = json.load(fh)
+    f = ZonePolynomial.from_records(records, params)
     out = evolve(f, _sigma(args), args.t, params, include_field_term=args.field_term)
     for i, record in enumerate(out.to_records(), 1):
         for part in ("re", "im"):
@@ -278,8 +296,8 @@ def cmd_thermo(args) -> int:
     kappa = args.kappa if args.kappa is not None else thermo.default_kappa(params)
     h = args.h
     sigma = _sigma(args)
-    Ts = _parse_grid(args.T_grid, _ROW_BYTES["thermo"])
-    ts = _parse_grid(args.partition_t_grid, _ROW_BYTES["partition"]) \
+    Ts = _parse_grid(args.T_grid, "--T-grid", _ROW_BYTES["thermo"])
+    ts = _parse_grid(args.partition_t_grid, "--partition-t-grid", _ROW_BYTES["partition"]) \
         if args.partition_t_grid else None
     for flag, grid in (("--T-grid", Ts), ("--partition-t-grid", ts)):
         if grid is not None and not grid.min() > 0:
@@ -344,7 +362,7 @@ def cmd_padi(args) -> int:
     zones = _parse_range(args.zones, "--zones", 0)
     pts = None
     if args.kernel_grid:
-        axis = _parse_grid(args.kernel_grid)
+        axis = _parse_grid(args.kernel_grid, "--kernel-grid")
         n = len(zones) * 2 * len(axis) ** params.k * 2  # zone, j, grid point, component
         _require_memory(_ROW_BYTES["anomalous_kernel"] * n, f"anomalous_kernel.csv of {n} rows")
         pts = tensor_points([axis] * params.k)
@@ -429,41 +447,37 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--outdir", help="output directory (or ZONEKIT_OUTDIR)")
     common.add_argument("--lambda", dest="lam", type=float, help="magnetic coupling, > 0")
     common.add_argument("--k", type=int, help="real configuration dimension, even")
+    branch = argparse.ArgumentParser(add_help=False)
+    branch.add_argument("--sigma", choices=list(_SIGMAS), default="1")
     sub = ap.add_subparsers(dest="command")
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def command(fn, output: str, help: str, sigma: bool = False):
+        """The subcommand cmd_<name> runs, its --output defaulting to `output`."""
+        p = sub.add_parser(fn.__name__.removeprefix("cmd_"), help=help,
+                           parents=[common, branch] if sigma else [common])
+        p.set_defaults(fn=fn, output=output)
+        return p
 
-    p = add_parser("kernel", help="sample a propagator kernel on a grid")
-    p.add_argument("--sigma", choices=["1", "i"], default="1")
+    p = command(cmd_kernel, "kernel.csv", "sample a propagator kernel on a grid", sigma=True)
     p.add_argument("--a", type=int, default=-1, help="zone index; negative for global")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:step for each real axis")
-    p.add_argument("--output", default="kernel.csv")
-    p.set_defaults(fn=cmd_kernel)
 
-    p = add_parser("spectrum", help="tabulate zone spectra")
+    p = command(cmd_spectrum, "spectrum.csv", "tabulate zone spectra")
     p.add_argument("--zones", default="0..3")
     p.add_argument("--pmax", type=int, default=5)
-    p.add_argument("--output", default="spectrum.csv")
-    p.set_defaults(fn=cmd_spectrum)
 
-    p = add_parser("zones", help="dump orthonormal zone bases as JSON state records")
+    p = command(cmd_zones, "zones.csv", "dump orthonormal zone bases as JSON state records")
     p.add_argument("--zones", default="0..2")
     p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--output", default="zones.csv")
-    p.set_defaults(fn=cmd_zones)
 
-    p = add_parser("evolve", help="propagate a serialized state spectrally")
-    p.add_argument("--sigma", choices=["1", "i"], default="1")
+    p = command(cmd_evolve, "evolved.json", "propagate a serialized state spectrally",
+                sigma=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--state", required=True, help="JSON state file")
     p.add_argument("--field-term", action="store_true")
-    p.add_argument("--output", default="evolved.json")
-    p.set_defaults(fn=cmd_evolve)
 
-    p = add_parser("thermo", help="energy and specific-heat curves")
-    p.add_argument("--sigma", choices=["1", "i"], default="1")
+    p = command(cmd_thermo, "thermo.csv", "energy and specific-heat curves", sigma=True)
     p.add_argument("--kappa", type=float, help="default 2 pi mu / lambda with mu = 1")
     p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--T-grid", default="0.05:10:0.05")
@@ -474,47 +488,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump a one-period density scan and its extrema")
     p.add_argument("--scan-point", default="0.7+0.2j",
                    help="base point for diagonal_density scans")
-    p.add_argument("--output", default="thermo.csv")
-    p.set_defaults(fn=cmd_thermo)
 
-    p = add_parser("path", help="sliced Feynman-Kac reconstruction table")
-    p.add_argument("--sigma", choices=["1", "i"], default="1")
+    p = command(cmd_path, "path.csv", "sliced Feynman-Kac reconstruction table", sigma=True)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--T", type=float, default=0.5)
     p.add_argument("--x", default="0.3+0.2j")
     p.add_argument("--y", default="-0.3+0.1j")
     p.add_argument("--n-slices", type=int, default=4)
     p.add_argument("--order", type=int, default=40)
-    p.add_argument("--output", default="path.csv")
-    p.set_defaults(fn=cmd_path)
 
-    p = add_parser("padi", help="spinor spectrum tables and anomalous kernels")
+    p = command(cmd_padi, "padi_spectrum.csv", "spinor spectrum tables and anomalous kernels")
     p.add_argument("--zones", default="0..2")
     p.add_argument("--pmax", type=int, default=4)
     p.add_argument("--kernel-grid", help="lo:hi:step to also dump kernel components")
     p.add_argument("--normalization-report", action="store_true")
-    p.add_argument("--output", default="padi_spectrum.csv")
-    p.set_defaults(fn=cmd_padi)
 
-    p = add_parser("coulomb", help="zone-compressed Coulomb spectra")
+    p = command(cmd_coulomb, "coulomb_spectrum.csv", "zone-compressed Coulomb spectra")
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--Q", type=float, default=-1.0)
     p.add_argument("--basis-size", type=int, default=12)
     p.add_argument("--cross-zone", action="store_true")
     p.add_argument("--max-zone", type=int, default=2)
-    p.add_argument("--output", default="coulomb_spectrum.csv")
-    p.set_defaults(fn=cmd_coulomb)
 
-    p = add_parser("clifford", help="minimal module dimension table")
+    p = command(cmd_clifford, "clifford.csv", "minimal module dimension table")
     p.add_argument("--r", default="1..12")
-    p.add_argument("--output", default="clifford.csv")
-    p.set_defaults(fn=cmd_clifford)
 
-    p = add_parser("verify", help="run the invariant suite and emit a JSON report")
+    p = command(cmd_verify, "verify_report.json", "run the invariant suite and emit a JSON report")
     p.add_argument("--suite", help="comma-separated subset of suites")
-    p.add_argument("--output", default="verify_report.json")
-    p.set_defaults(fn=cmd_verify)
 
+    for p in sub.choices.values():  # --output ends each usage line; command() set its default
+        p.add_argument("--output")
     return ap
 
 

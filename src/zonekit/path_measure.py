@@ -74,17 +74,12 @@ def action_functional(path: PathDiscretization) -> float:
     return path.k * path.T / 2.0 + 2.0 * integral
 
 
-def stopwatch_phase(path: PathDiscretization) -> complex:
-    """Unit complex path weight e^{-i action}."""
-    return complex(np.exp(-1j * action_functional(path)))
-
-
 def radon_nikodym_density(kind: str, path: PathDiscretization) -> complex:
     """Pointwise density between the three path measures.
 
     kind: "nu_over_wk" -> e^{+A}, "feynman_over_wk" -> e^{(1-i) A},
-    "feynman_over_nu" -> e^{-i A}, with A the path action.  The three kinds
-    satisfy the multiplicative chain rule exactly.
+    "feynman_over_nu" -> e^{-i A}, the unit stopwatch phase, with A the path action.
+    The three kinds satisfy the multiplicative chain rule exactly.
     """
     A = action_functional(path)
     if kind == "nu_over_wk":

@@ -34,9 +34,13 @@ class QuadratureConvergenceError(RuntimeError):
     """Doubling the quadrature order moved the result beyond the tolerance."""
 
 
+# each branch by its name on the command line and in KernelGrid's sigma column
+_SIGMAS = {"1": 1, "i": 1j}
+
+
 def _check_sigma(sigma: complex) -> complex:
     sigma = complex(sigma)
-    if sigma not in (1 + 0j, 1j):
+    if sigma not in _SIGMAS.values():
         raise ValueError(f"sigma must be 1 (Wiener-Kac) or 1j (Dirac-Feynman), got {sigma}")
     return sigma
 
@@ -326,7 +330,7 @@ class KernelGrid:
         m = self.params.m
         header = [f"{p}_{z}{j+1}" for z in "zw" for j in range(m) for p in ("re", "im")]
         header += ["sigma", "t", "a", "kernel_re", "kernel_im"]
-        sig = "i" if self.sigma == 1j else "1"
+        sig = next(name for name, value in _SIGMAS.items() if value == self.sigma)
         a = "" if self.a is None else self.a
 
         def coords(points):

@@ -45,7 +45,8 @@ def average_energy(sigma: complex, T, kappa: float, h: float):
 def specific_heat(sigma: complex, T, kappa: float, h: float):
     """Temperature derivative of the average energy (Einstein form at sigma=1)."""
     sigma, x = _boltzmann(sigma, T, kappa, h)
-    return _per_time((2.0 * h) ** 2 * sigma * x / (kappa * T * T * (1.0 - x) ** 2), T)
+    two_h = 2.0 * h  # squared as a product, which overflows to inf where ** would raise
+    return _per_time(two_h * two_h * sigma * x / (kappa * T * T * (1.0 - x) ** 2), T)
 
 
 def average_energy_of_time(t, kappa: float, h: float):

@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import time
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,12 +77,6 @@ def _random_poly(rng, params, max_degree):
             key.append((p, v))
         coeffs[tuple(key)] = complex(rng.normal(), rng.normal())
     return ZonePolynomial(coeffs, params)
-
-
-@lru_cache(maxsize=None)
-def _grid64(lam: float, k: int):
-    """The order-64 flat Hermite grid, built once per process for all cases that share it."""
-    return flat_hermite_grid(64, lam, k)
 
 
 # ---- special functions --------------------------------------------------------
@@ -587,11 +580,11 @@ def _chain_rule(params):
         path = path_measure.PathDiscretization.uniform(
             _points(rng, 1, 1),
             _points(rng, 1, 1), 1.2, mids)
-        lhs = path_measure.radon_nikodym_density("feynman_over_nu", path) \
-            * path_measure.radon_nikodym_density("nu_over_wk", path)
+        phase = path_measure.radon_nikodym_density("feynman_over_nu", path)
+        lhs = phase * path_measure.radon_nikodym_density("nu_over_wk", path)
         rhs = path_measure.radon_nikodym_density("feynman_over_wk", path)
         errs.append(abs(lhs - rhs) / abs(rhs))
-        errs.append(abs(abs(path_measure.stopwatch_phase(path)) - 1.0))
+        errs.append(abs(abs(phase) - 1.0))
     return _worst((e, 1e-12) for e in errs)
 
 
@@ -683,7 +676,7 @@ def _anomalous_components(params, a):
        "padi: the anomalous zone projection composes to itself under quadrature",
        cases=_table(a=(0, 1, 2)))
 def _anomalous_idem(params, a):
-    axes, w = _grid64(params.lam, params.k)
+    axes, w = flat_hermite_grid(64, params.lam, params.k)
     m = tensor_points(axes)
     rng = np.random.default_rng(53)
     X, Y = (_points(rng, (4, 1), 0.7) for _ in range(2))

@@ -1,7 +1,9 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -93,6 +95,12 @@ def test_readme_cli_examples_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
         assert args.command == argv[0]
+
+
+def test_package_exports_as_many_names_as_the_readme_states():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        counts = re.findall(r"The package exports (\d+) names", fh.read())
+    assert counts == [str(len(zonekit.__all__))]
 
 
 def test_thermo_curve(tmp_path):
@@ -240,6 +248,13 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                               '[{"degrees": [[1, 0]], "re": NaN, "im": 0.0}]')):
         shapes[text] = tmp_path / f"shape{i}.json"
         shapes[text].write_text(text)
+    badcfg = {"lambda": tmp_path / "bad_lambda.cfg", "k": tmp_path / "bad_k.cfg"}
+    badcfg["lambda"].write_text("lambda = abc\n")
+    badcfg["k"].write_text("k = 2.5\n")
+    bincfg = tmp_path / "bin.cfg"
+    bincfg.write_bytes(b"k = 2\n\x81\n")
+    notjson = tmp_path / "state.txt"
+    notjson.write_text("z^2\n")
     for argv, output, message in (
             (["spectrum", "--pmax", "-1"], "spectrum.csv",
              "error: --pmax must be at least 0, got -1\n"),
@@ -368,6 +383,34 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                f"error: verify does not take {key} from {conf}: each check runs on its own "
                "parameter table\n")
               for key, conf in vcfg.items()),
+            # malformed flag text is refused by its flag and the form it expects
+            (["kernel", "--t", "0.25", "--grid=1:2"], "kernel.csv",
+             "error: --grid must be lo:hi:step, three numbers, got '1:2'\n"),
+            (["thermo", "--T-grid=a:b:c"], "thermo.csv",
+             "error: --T-grid must be lo:hi:step, three numbers, got 'a:b:c'\n"),
+            (["thermo", "--T-grid", "1:2:1", "--partition-t-grid=0.1:x:0.1"], "thermo.csv",
+             "error: --partition-t-grid must be lo:hi:step, three numbers, got '0.1:x:0.1'\n"),
+            (["padi", "--kernel-grid=0:1:1:1"], "padi_spectrum.csv",
+             "error: --kernel-grid must be lo:hi:step, three numbers, got '0:1:1:1'\n"),
+            *((["spectrum", "--zones", text], "spectrum.csv",
+               f"error: --zones must be an integer or a..b, got {text!r}\n")
+              for text in ("1..2..3", "x", "")),
+            (["clifford", "--r", "1..x"], "clifford.csv",
+             "error: --r must be an integer or a..b, got '1..x'\n"),
+            (["path", "--x=abc"], "path.csv",
+             "error: --x must be comma-separated complex coordinates, got 'abc'\n"),
+            (["path", "--k", "4", "--x=0.1,0.2", "--y=0.3,,0.1"], "path.csv",
+             "error: --y must be comma-separated complex coordinates, got '0.3,,0.1'\n"),
+            (["thermo", "--scan", "diagonal_density", "--scan-point=1+"], "thermo.csv",
+             "error: --scan-point must be comma-separated complex coordinates, got '1+'\n"),
+            *((["spectrum", "--config", str(conf)], "spectrum.csv",
+               f"error: config key {key!r} in {conf} must be {kind}, got {value!r}\n")
+              for (key, conf), kind, value in zip(badcfg.items(), ("float", "int"),
+                                                  ("abc", "2.5"))),
+            (["spectrum", "--config", str(bincfg)], "spectrum.csv",
+             f"error: --config must be key=value text, got {str(bincfg)!r}\n"),
+            (["evolve", "--state", str(notjson), "--t", "0.1"], "evolved.json",
+             f"error: --state must be a JSON file of state records, got {str(notjson)!r}\n"),
             # n_r of more than 4300 digits, which Python would refuse to print
             *((["clifford", "--r", r], "clifford.csv",
                f"error: --r {r.split('..')[-1]} gives an n_r of more than 4300 digits\n")
@@ -467,6 +510,41 @@ def test_outputs_match_recorded_digests(tmp_path, capsys, argv, digests):
     assert sorted(os.listdir(tmp_path)) == sorted(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# the arguments each subcommand requires, to parse it at all
+REQUIRED = {"kernel": ["--t", "1", "--grid", "0:1:1"], "evolve": ["--t", "1", "--state", "s"]}
+# the first file of each digest case is its command's --output; evolve and verify have none
+DEFAULT_OUTPUTS = {argv[0]: next(iter(digests))
+                   for argv, digests in (getattr(case, "values", case) for case in
+                                         RECORDED_DIGESTS)} \
+    | {"evolve": "evolved.json", "verify": "verify_report.json"}
+
+
+def test_parser_shape():
+    # every subcommand answers --help, has the --output its digest case expects, and
+    # only the four that take a branch have --sigma
+    parser = build_parser()
+    assert sorted(DEFAULT_OUTPUTS) == sorted(
+        ["kernel", "spectrum", "zones", "evolve", "thermo", "path", "padi", "coulomb",
+         "clifford", "verify"])
+    for command, output in DEFAULT_OUTPUTS.items():
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0, command
+        required = REQUIRED.get(command, [])
+        args = parser.parse_args([command, *required])
+        assert args.output == output, command
+        if command in ("kernel", "evolve", "thermo", "path"):
+            assert args.sigma == "1"
+            assert parser.parse_args([command, "--sigma", "i", *required]).sigma == "i"
+            bad = ["--sigma", "2"]
+        else:
+            assert not hasattr(args, "sigma"), command
+            bad = ["--sigma", "1"]
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            parser.parse_args([command, *bad, *required])
+        assert exc.value.code == 2, command
 
 
 @pytest.mark.parametrize("argv", [
@@ -590,12 +668,14 @@ def test_path_with_vanishing_target_is_usage_error(tmp_path, capsys, monkeypatch
     # the Mehler kernel's coth and prefactor overflow to nan this close to t = 0
     (["kernel", "--t", "1e-310", "--grid", "0:1:1"], "kernel.csv", "kernel_re is nan in row 1"),
     (["thermo", "--T-grid", "1e-300:1e-300:1"], "thermo.csv", "heat_re is nan in row 1"),
+    # (2h)^2 overflows to inf, which a float power would raise as a usage error
+    (["thermo", "--h", "1e300", "--T-grid", "1:2:1"], "thermo.csv", "heat_re is nan in row 1"),
     # the field term 2 k lam^2 overflows while the bare eigenvalue does not
     (["spectrum", "--lambda", "1e200"], "spectrum.csv",
      "eigenvalue_with_field_term is inf in row 1"),
     # e^{1000 mu} overflows; the JSON state is refused as a table is
     (["evolve", "--t=-1000", "--state", "STATE"], "evolved.json", "re is nan in record 1"),
-], ids=["kernel", "thermo", "spectrum", "evolve"])
+], ids=["kernel", "thermo", "thermo_h", "spectrum", "evolve"])
 def test_non_finite_value_fails_and_writes_no_table(tmp_path_factory, tmp_path, capsys, argv,
                                                     output, message):
     state = tmp_path_factory.mktemp("state") / "z1.json"

@@ -13,7 +13,7 @@ from zonekit.params import PhysParams
 from zonekit.path_measure import (PathDiscretization, action_functional, cylinder_measure,
                                   feynman_kac_sweep,
                                   probability_density, probability_total_mass,
-                                  radon_nikodym_density, stopwatch_phase, whole_space_box)
+                                  radon_nikodym_density, whole_space_box)
 from zonekit.propagators import global_kernel, zonal_kernel
 from zonekit.zones import zone_kernel
 
@@ -61,10 +61,11 @@ def test_stopwatch_phase_properties():
     mids = [rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1) for _ in range(3)]
     path = PathDiscretization.uniform(rng.uniform(-1, 1, 1) + 0j,
                                       rng.uniform(-1, 1, 1) + 0j, T, mids)
-    ph = stopwatch_phase(path)
+    phase = functools.partial(radon_nikodym_density, "feynman_over_nu")  # e^{-i action}
+    ph = phase(path)
     assert abs(abs(ph) - 1.0) < 1e-14
     rest = PathDiscretization.uniform([0j], [0j], T, [[0j]])
-    assert stopwatch_phase(rest) == pytest.approx(np.exp(-1j * PAR.k * T / 2), rel=1e-13)
+    assert phase(rest) == pytest.approx(np.exp(-1j * PAR.k * T / 2), rel=1e-13)
 
 
 def test_stopwatch_concatenation_multiplies():
@@ -74,8 +75,8 @@ def test_stopwatch_concatenation_multiplies():
     whole = PathDiscretization(1.0, (0.3, 0.6, 0.8),
                                (0j,), (0j,),
                                ((0.25 + 0j,), (0.5 + 0j,), (0.25 + 0j,)))
-    assert stopwatch_phase(a) * stopwatch_phase(b) == pytest.approx(
-        stopwatch_phase(whole), rel=1e-12)
+    phase = functools.partial(radon_nikodym_density, "feynman_over_nu")
+    assert phase(a) * phase(b) == pytest.approx(phase(whole), rel=1e-12)
 
 
 def test_radon_nikodym_chain_rule_and_moduli():

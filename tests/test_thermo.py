@@ -35,6 +35,19 @@ def test_specific_heat_limits():
     assert specific_heat(1, T, KAPPA, H).real == pytest.approx(KAPPA, rel=1e-2)
 
 
+def test_specific_heat_square_overflows_to_a_non_finite_value():
+    # (2h)^2 leaves the float range at h = 1e300: a nan or inf heat, not an OverflowError
+    for sigma in (1, 1j):
+        c = specific_heat(sigma, np.array([1.0, 2.0]), KAPPA, 1e300)
+        assert not np.isfinite(c).any()
+    # at h = 1 the square is exact, and the heat keeps the bits of the float power
+    T = np.linspace(0.05, 10.0, 200)
+    for sigma in (1, 1j):
+        x = np.exp(-2.0 * H * complex(sigma) / (KAPPA * T))
+        ref = (2.0 * H) ** 2 * complex(sigma) * x / (KAPPA * T * T * (1.0 - x) ** 2)
+        assert specific_heat(sigma, T, KAPPA, H).tobytes() == ref.tobytes()
+
+
 def test_df_resonance_pole_guard():
     # e^{-2hi/(kappa T)} = 1 at T = h/(pi kappa n)
     T_pole = 2 * H / (KAPPA * 2 * math.pi)
