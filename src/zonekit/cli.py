@@ -29,8 +29,8 @@ from .extensions import clifford_dimension, unprojected_coulomb_matrix, zonal_co
 from .padi import anomalous_kernel, eigenspinors, normalization_report
 from .params import PhysParams
 from .path_measure import feynman_kac_sweep
-from .propagators import (_SIGMAS, KernelGrid, QuadratureConvergenceError, SingularTimeError,
-                          evolve, partition_function, zonal_kernel)
+from .propagators import (_SIGMAS, KernelGrid, NonFiniteOutput, QuadratureConvergenceError,
+                          SingularTimeError, evolve, partition_function, zonal_kernel)
 from .special import _require_memory, tensor_points
 from .zones import zone_basis
 
@@ -41,10 +41,6 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     pass
-
-
-class NonFiniteOutput(Exception):
-    """A computed table value is nan or inf: a failed result, not data (exit 1)."""
 
 
 # Peak bytes per row of each table over its whole command, by tracemalloc at the smaller
@@ -120,12 +116,13 @@ def _parsing(flag: str, form: str, text: str):
         raise UsageError(f"{flag} must be {form}, got {text!r}") from None
 
 
-def _parse_grid(text: str, flag: str, row_bytes: int = 0):
+def _parse_grid(text: str, flag: str, row_bytes: int = 0, refuse=None):
     """lo:hi:step for one real axis; the step must divide hi - lo to 1e-9 relative.
 
     A step so large that hi - lo rounds to no step at all does not divide it either:
     only lo:lo:step is a one-point grid.  Memory is checked for the points and for
-    one table row of `row_bytes` per point.
+    one table row of `row_bytes` per point, and then `refuse(n)`, if given, may
+    refuse the n points, all before the axis is built.
     """
     with _parsing(flag, "lo:hi:step, three numbers", text):
         lo, hi, step = (float(p) for p in text.split(":"))
@@ -140,6 +137,8 @@ def _parse_grid(text: str, flag: str, row_bytes: int = 0):
     if abs(steps - (n - 1)) > 1e-9 * max(abs(steps), 1.0) or (n == 1 and hi != lo):
         raise UsageError(f"grid step must divide hi - lo, got {text!r}")
     _require_memory((np.dtype(float).itemsize + row_bytes) * n, f"grid {text!r} of {n} points")
+    if refuse is not None:
+        refuse(n)
     return np.linspace(lo, hi, n)
 
 
@@ -226,19 +225,14 @@ def cmd_kernel(args) -> int:
     a = None if args.a < 0 else args.a
     _finite(args, "t", positive=a is None)
     _at_least(args, "t", 0)
-    axes = [_parse_grid(args.grid, "--grid")] * params.k
-    n = len(axes[0]) ** params.k  # grid points, before building them
-    _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
-    pts = tensor_points(axes)
+
+    def refuse(count):
+        n = count ** params.k  # grid points, before building them
+        _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
+
+    pts = tensor_points([_parse_grid(args.grid, "--grid", refuse=refuse)] * params.k)
     grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
     path = _output(args)
-    for i, row in enumerate(grid.values):  # one X row at a time: no grid-sized temporary
-        bad = np.flatnonzero(~np.isfinite(row))
-        if bad.size:
-            j = bad[0]
-            column, x = ("kernel_im", row[j].imag) if math.isfinite(row[j].real) \
-                else ("kernel_re", row[j].real)
-            raise NonFiniteOutput(f"{path}: {column} is {_fmt(x)} in row {i * len(row) + j + 1}")
     grid.write_csv(path)
     print(path)
     return EXIT_OK
@@ -430,7 +424,7 @@ def cmd_clifford(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = args.suite.split(",") if args.suite else None
+    suites = args.suite.split(",") if args.suite is not None else None
     report = verify.run_suite(suites)
     _write(args, verify.report_to_json(report))
     for row in report:

@@ -24,6 +24,9 @@ from .zones import _basis_sum, _laguerre_gauss, pairing, project_to_zone, zone_b
 
 SINGULAR_TIME_TOL = 1e-9
 DEFAULT_ORDER = 64
+# the fewest CSV rows a forked KernelGrid writer gets: forking and joining one took
+# about 3.5 ms on a 2-vCPU VM, where one CPU evaluates and formats 1,200-1,700 rows
+_WRITER_ROWS = 1 << 15
 
 
 class SingularTimeError(ValueError):
@@ -32,6 +35,10 @@ class SingularTimeError(ValueError):
 
 class QuadratureConvergenceError(RuntimeError):
     """Doubling the quadrature order moved the result beyond the tolerance."""
+
+
+class NonFiniteOutput(Exception):
+    """A computed table value is nan or inf: a failed result, not data (exit 1)."""
 
 
 # each branch by its name on the command line and in KernelGrid's sigma column
@@ -280,13 +287,19 @@ def semigroup_residual(sigma: complex, a: int, s: float, t: float,
 
 @dataclass
 class KernelGrid:
-    """Sampled complex kernel values over a rectangular X x Y grid."""
+    """Complex kernel values over a rectangular X x Y grid, read one X row at a time.
+
+    A grid from `sample` holds only its rule (sigma, t, a, params) and the two
+    point sets, and `row(i)` evaluates the kernel of X point i against every Y
+    point each time it is read, so no X x Y array is ever formed.  A grid built
+    with explicit `values` (an X x Y array) returns its stored rows.
+    """
 
     sigma: complex
     t: float
     points_X: np.ndarray
     points_Y: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | None
     params: PhysParams
     a: int | None = None
 
@@ -294,8 +307,15 @@ class KernelGrid:
         self.sigma = _check_sigma(self.sigma)
         nx = np.atleast_2d(self.points_X).shape[0]
         ny = np.atleast_2d(self.points_Y).shape[0]
-        if self.values.size != nx * ny:
-            raise ValueError("values length must equal |points_X| * |points_Y|")
+        if self.values is None:
+            # the errors of the rule alone (t, a singular time) come up here, before any row
+            if self.a is None:
+                _global_form(self.sigma, self.t, self.params)
+            else:
+                _zonal_form(self.sigma, self.a, self.t, self.params)
+        elif np.shape(self.values) != (nx, ny):
+            raise ValueError(f"values must be a |points_X| x |points_Y| = {nx} x {ny} array, "
+                             f"got shape {np.shape(self.values)}")
         if (self.a is None and self.sigma == 1j
                 and abs(math.sin(self.params.lam * self.t)) < SINGULAR_TIME_TOL):
             raise SingularTimeError(f"global grid at singular time t={self.t}")
@@ -303,27 +323,37 @@ class KernelGrid:
     @classmethod
     def sample(cls, sigma: complex, t: float, points_X: np.ndarray, points_Y: np.ndarray,
                params: PhysParams, a: int | None = None) -> "KernelGrid":
+        """The grid of the global kernel (a None) or of zone a, evaluated row by row
+        as it is read; an invalid sigma, t or singular time raises here."""
         X = np.atleast_2d(np.asarray(points_X, dtype=complex))
         Y = np.atleast_2d(np.asarray(points_Y, dtype=complex))
-        vals = np.empty((X.shape[0], Y.shape[0]), dtype=complex)
-        for i, x in enumerate(X):
-            if a is None:
-                vals[i] = global_kernel(sigma, t, np.broadcast_to(x, Y.shape), Y, params)
-            else:
-                vals[i] = zonal_kernel(sigma, a, t, np.broadcast_to(x, Y.shape), Y, params)
-        return cls(sigma, t, X, Y, vals, params, a)
+        return cls(sigma, t, X, Y, None, params, a)
+
+    def row(self, i: int) -> np.ndarray:
+        """The values of X point i against every Y point."""
+        if self.values is not None:
+            return self.values[i]
+        Y = self.points_Y
+        X = np.broadcast_to(self.points_X[i], Y.shape)
+        if self.a is None:
+            return global_kernel(self.sigma, self.t, X, Y, self.params)
+        return zonal_kernel(self.sigma, self.a, self.t, X, Y, self.params)
 
     def write_csv(self, path: str) -> None:
         """One CSV row per (X, Y) pair, every number as ``repr(float)``, CRLF lines.
 
-        Each grid point is formatted once and rows are streamed one X row at a
-        time.  The X rows are split into one contiguous block per usable CPU:
-        forked children write blocks 1.. to ``<path>.part<j>`` while this
-        process writes the header and block 0 to ``<path>.part0``, then each
-        part is appended to part 0 in order and deleted, and part 0 is renamed
-        onto `path`.  With one usable CPU, one X row or no ``os.copy_file_range``
-        nothing is forked.  An OSError in a child (a full disk, say) is raised
-        here, as in block 0.
+        Each grid point is formatted once, and each X row is read through `row`
+        just before it is formatted, so no writer holds more than one X row of
+        values.  A row with a nan or inf value raises NonFiniteOutput naming
+        `path`, the column and the row number, and nothing is written.  The X
+        rows are split into one contiguous block per usable CPU, at least
+        ``_WRITER_ROWS`` CSV rows each: forked children read and write blocks
+        1.. to ``<path>.part<j>`` while this process writes the header and
+        block 0 to ``<path>.part0``, then each part is appended to part 0 in
+        order and deleted, and part 0 is renamed onto `path`.  With one usable
+        CPU, one X row, fewer than 2 * ``_WRITER_ROWS`` CSV rows or no
+        ``os.copy_file_range`` nothing is forked.  An OSError or NonFiniteOutput
+        in a child is raised here, the first in block order, as in block 0.
         On any failure no part and no `path` is left behind (an existing
         `path` is kept as it was).
         """
@@ -341,30 +371,30 @@ class KernelGrid:
         xs = coords(self.points_X)
         rows = len(xs) if suffixes else 0  # an empty Y grid has no rows, not bare X prefixes
         # the parts are joined by os.copy_file_range, which Python has only on Linux
-        n = max(1, min(_usable_cpus(), rows)) if hasattr(os, "copy_file_range") else 1
-        cut = [rows * j // n for j in range(n + 1)]
+        n = max(1, min(_usable_cpus(), rows, rows * len(suffixes) // _WRITER_ROWS)) \
+            if hasattr(os, "copy_file_range") else 1
+        blocks = [range(rows * j // n, rows * (j + 1) // n) for j in range(n)]
         parts = [f"{path}.part{j}" for j in range(n)]
         procs, pipes = [], []
         try:
             with open(parts[0], "w", newline="") as fh:
                 fh.write(",".join(header) + "\r\n")
                 fh.flush()  # a forked child must not inherit the buffered header
-                # the children only format and write; the other threads of this
-                # process (BLAS workers) hold no lock they need
+                # the children only evaluate, format and write; the other threads of
+                # this process (BLAS workers) hold no lock they need
                 ctx = multiprocessing.get_context("fork")
-                for j, part in enumerate(parts[1:], 1):
+                for part, block in zip(parts[1:], blocks[1:]):
                     pipes.append(ctx.Pipe(duplex=False))
                     proc = ctx.Process(target=_write_part, daemon=True,
-                                       args=(part, xs[cut[j]:cut[j + 1]],
-                                             self.values[cut[j]:cut[j + 1]], suffixes,
+                                       args=(part, self, block, xs, suffixes, path,
                                              pipes[-1][1]))
                     proc.start()
                     procs.append(proc)
-                _write_rows(fh, xs[:cut[1]], self.values[:cut[1]], suffixes)
+                _write_rows(fh, self, blocks[0], xs, suffixes, path)
                 fh.flush()
                 for proc, part, (error, _) in zip(procs, parts[1:], pipes):
                     proc.join()
-                    if error.poll():  # the child sent the OSError it stopped at
+                    if error.poll():  # the child sent the error it stopped at
                         raise error.recv()
                     if proc.exitcode != 0:
                         raise RuntimeError(f"writer of {part} exited with code {proc.exitcode}")
@@ -391,22 +421,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_rows(fh, xs, values, suffixes) -> None:
-    """The CSV rows of X points `xs` (formatted) against every Y suffix."""
-    for x, row in zip(xs, values):
-        x += ","
+def _write_rows(fh, grid: KernelGrid, block: range, xs, suffixes, path: str) -> None:
+    """The CSV rows of the X rows `block` of `grid` (`xs` formatted) against every Y
+    suffix; a row with a nan or inf value raises NonFiniteOutput naming `path`."""
+    for i in block:
+        values = grid.row(i)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            j = bad[0]
+            column, v = ("kernel_im", values[j].imag) if math.isfinite(values[j].real) \
+                else ("kernel_re", values[j].real)
+            raise NonFiniteOutput(f"{path}: {column} is {float(v)!r} in row "
+                                  f"{i * len(values) + j + 1}")
+        x = xs[i] + ","
         fh.write(x + ("\r\n" + x).join(map("{}{},{}".format, suffixes,
-                                           map(repr, row.real.tolist()),
-                                           map(repr, row.imag.tolist()))) + "\r\n")
+                                           map(repr, values.real.tolist()),
+                                           map(repr, values.imag.tolist()))) + "\r\n")
 
 
-def _write_part(path, xs, values, suffixes, error) -> None:
-    """Write one block to `path` in a child; an OSError goes back through the
-    pipe end `error` for the parent to raise, not to this child's stderr."""
+def _write_part(part, grid, block, xs, suffixes, path, error) -> None:
+    """Write one block to `part` in a child; an OSError or NonFiniteOutput goes back
+    through the pipe end `error` for the parent to raise, not to this child's stderr."""
     try:
-        with open(path, "w", newline="") as fh:
-            _write_rows(fh, xs, values, suffixes)
-    except OSError as exc:
+        with open(part, "w", newline="") as fh:
+            _write_rows(fh, grid, block, xs, suffixes, path)
+    except (OSError, NonFiniteOutput) as exc:
         error.send(exc)
 
 

@@ -9,8 +9,10 @@ import math
 import os
 import re
 import shlex
+import multiprocessing
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +24,8 @@ from zonekit.cli import build_parser, main
 from zonekit.params import PhysParams
 from zonekit.propagators import KernelGrid, partition_function, zonal_kernel
 from zonekit.verify import CHECKS
+
+from test_propagators import _use_cpus
 
 
 def run(tmp_path, *argv):
@@ -383,6 +387,10 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                f"error: verify does not take {key} from {conf}: each check runs on its own "
                "parameter table\n")
               for key, conf in vcfg.items()),
+            # an empty --suite names one empty suite, as --suite , names two
+            (["verify", "--suite="], "verify_report.json",
+             "error: unknown suite '' (known: algebra, extensions, padi, path, propagators, "
+             "special, thermo, zones)\n"),
             # malformed flag text is refused by its flag and the form it expects
             (["kernel", "--t", "0.25", "--grid=1:2"], "kernel.csv",
              "error: --grid must be lo:hi:step, three numbers, got '1:2'\n"),
@@ -572,6 +580,50 @@ def test_small_lambda_high_degree_zone_has_no_empty_state(tmp_path):
     assert all(json.loads(row["state_json"]) for row in rows)
 
 
+def test_kernel_grid_is_refused_from_its_point_count_before_the_axis_is_built(
+        tmp_path, capsys, monkeypatch):
+    # 1,000,000,001 axis points (8 GB) pass the axis guard on a 9 GiB host, and their
+    # 1e18 kernel points are refused before np.linspace would build the axis
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 9 * 2**18 if name == "SC_PHYS_PAGES"
+                        else 4096 if name == "SC_PAGE_SIZE" else sysconf(name))
+
+    def linspace(*args, **kwargs):
+        raise AssertionError("the axis was built")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "kernel", "--t", "0.25", "--grid=0:1:1e-9") == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel grid of 1000000002000000001 points needs ") \
+        and err.count("\n") == 1, err
+    assert peak < 1e6, peak
+    assert os.listdir(tmp_path) == []
+
+
+def test_kernel_memory_grows_with_the_points_not_their_pairs(tmp_path, monkeypatch):
+    # at one CPU the rows are evaluated and written one at a time: 441 points would be
+    # 3.1 MB of pair values, and the whole command stays under 1 MB; 3.6 times the
+    # points (13 times the pairs) take less than 4 times the memory
+    _use_cpus(monkeypatch, 1)
+    peaks = {}
+    for step, points in (("1", 9), ("0.2", 121), ("0.1", 441)):  # the first run warms up
+        tracemalloc.start()
+        try:
+            assert run(tmp_path, "kernel", "--sigma", "i", "--a", "1", "--t", "0.25",
+                       f"--grid=-1:1:{step}", "--output", f"kernel{points}.csv") == 0
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with open(tmp_path / f"kernel{points}.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == points * points + 1
+    assert peaks[441] < 1e6 and peaks[441] < 4 * peaks[121], peaks
+
+
 def test_oversized_kernel_grid_is_refused_before_allocating(tmp_path, capsys):
     # k=4 squares the grid: 41^4 points, about 1.3e14 bytes of kernel values
     assert run(tmp_path, "kernel", "--k", "4", "--sigma", "i", "--a", "1", "--t", "0.25",
@@ -715,18 +767,24 @@ def test_non_finite_failure_prints_only_its_error_line(tmp_path, tmp_path_factor
     assert re.fullmatch(stderr, proc.stderr), proc.stderr
 
 
-def test_kernel_grid_names_the_first_non_finite_value(tmp_path, capsys, monkeypatch):
-    # the first bad value is an imaginary part, in the second X row
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_kernel_grid_names_the_first_non_finite_value(tmp_path, capfd, monkeypatch, cpus):
+    # the first bad value is an imaginary part, in the second X row; the third X row is
+    # bad too, so at 3 CPUs two children stop and the parent names the first block's value
     def sample(sigma, t, X, Y, params, a=None):
-        pts = np.array([[0j], [1j]])
-        values = np.array([[1.0, 2.0], [complex(3.0, math.inf), math.nan]])
-        return KernelGrid(sigma, t, pts, pts, values, params, a)
+        pts = np.array([[0j], [1j], [2j]])
+        values = np.array([[1.0, 2.0], [complex(3.0, math.inf), math.nan],
+                           [math.nan, 4.0]])
+        return KernelGrid(sigma, t, pts, pts[:2], values, params, a)
 
+    _use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(KernelGrid, "sample", staticmethod(sample))
     assert run(tmp_path, "kernel", "--a", "0", "--t", "0.5", "--grid", "0:1:1") == 1
-    assert capsys.readouterr().err == \
+    # one line, from the parent: no child printed a traceback of its own
+    assert capfd.readouterr().err == \
         f"error: {tmp_path / 'kernel.csv'}: kernel_im is inf in row 3\n"
     assert os.listdir(tmp_path) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_quadrature_convergence_error_exits_1(tmp_path, capsys, monkeypatch):

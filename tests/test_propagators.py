@@ -392,17 +392,18 @@ def _csv_writer_bytes(grid):
                 + ["sigma", "t", "a", "kernel_re", "kernel_im"])
     sig = "i" if grid.sigma == 1j else "1"
     for i, x in enumerate(grid.points_X):
-        for jj, y in enumerate(grid.points_Y):
+        for y, v in zip(grid.points_Y, grid.row(i)):
             row = [repr(float(f(c))) for c in (*x, *y) for f in (np.real, np.imag)]
-            v = grid.values[i, jj]
             wr.writerow(row + [sig, repr(float(grid.t)), "" if grid.a is None else grid.a,
                                repr(float(v.real)), repr(float(v.imag))])
     return buf.getvalue().encode()
 
 
 def _use_cpus(monkeypatch, n, fork=True):
-    """Make write_csv see `n` usable CPUs; with one, or `fork` false, forking is an error."""
+    """Make write_csv see `n` usable CPUs and give a writer as few as one CSV row; with
+    one CPU, or `fork` false, forking is an error."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(propagators, "_WRITER_ROWS", 1)
     if n == 1 or not fork:
         def no_fork():
             raise AssertionError(f"forked with {n} usable CPUs")
@@ -443,6 +444,13 @@ def test_kernel_grid_csv_bytes(tmp_path, monkeypatch, case, cpus):
     assert os.listdir(tmp_path) == ["grid.csv"]
     if case.startswith("empty"):
         assert path.read_bytes().count(b"\r\n") == 1
+    if grid.values is None:
+        # a grid evaluated as it is written and one built from its rows: the same bytes
+        rows = np.array([grid.row(i) for i in range(len(grid.points_X))])
+        stored = tmp_path / "stored.csv"
+        KernelGrid(grid.sigma, grid.t, grid.points_X, grid.points_Y, rows, grid.params,
+                   grid.a).write_csv(str(stored))
+        assert stored.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("fault",
@@ -450,18 +458,19 @@ def test_kernel_grid_csv_bytes(tmp_path, monkeypatch, case, cpus):
 def test_kernel_grid_csv_failure_leaves_no_process_or_part(tmp_path, monkeypatch, capfd, fault):
     pts = np.array([[-2.0 + 0.0j], [0.5 + 0.25j], [-0.5 - 1.0j], [0.1 + 2.0j]])
     grid = KernelGrid.sample(1j, 0.25, pts, pts, PAR, a=1)
+    first_row = grid.row(0)
     _use_cpus(monkeypatch, 3)
     write_rows = propagators._write_rows
 
-    def failing_rows(fh, xs, values, suffixes):
+    def failing_rows(fh, grid, block, xs, suffixes, path):
         # blocks of 4 X rows on 3 CPUs: the parent writes row 0, children 1 and 2-3
-        if fault == "child_raises" and len(xs) == 2:
+        if fault == "child_raises" and len(block) == 2:
             raise ValueError("formatting failed")
-        if fault == "child_oserror" and len(xs) == 2:
+        if fault == "child_oserror" and len(block) == 2:
             raise OSError(errno.ENOSPC, "No space left on device")
-        if fault == "parent_interrupted" and np.array_equal(values, grid.values[:1]):
+        if fault == "parent_interrupted" and np.array_equal(grid.row(block[0]), first_row):
             raise KeyboardInterrupt
-        write_rows(fh, xs, values, suffixes)
+        write_rows(fh, grid, block, xs, suffixes, path)
 
     def failing_copy(*args):
         raise OSError(errno.EXDEV, "copy_file_range failed")
@@ -509,13 +518,20 @@ def test_trace_raises_when_order_doubling_moves_it(params, order):
         partition_function_trace(1j, 0, 0.3, params, order=order)
 
 
+def test_kernel_grid_values_must_be_an_x_by_y_array():
+    # a flat array of the right size used to pass and then fail inside write_csv
+    X = np.array([[0j], [1j]])
+    with pytest.raises(ValueError, match=r"2 x 2 array, got shape \(4,\)"):
+        KernelGrid(1j, 1, X, X, np.ones(4, complex), PAR, a=0)
+
+
 def test_kernel_grid_singular_time_guard():
     pts = np.array([[0.1 + 0.1j]])
     with pytest.raises(SingularTimeError):
         KernelGrid.sample(1j, math.pi / PAR.lam, pts, pts, PAR, a=None)
     # zonal grids have no singular times
     grid = KernelGrid.sample(1j, math.pi / PAR.lam, pts, pts, PAR, a=0)
-    assert grid.values.shape == (1, 1)
+    assert grid.row(0).shape == (1,)
 
 
 def test_evolve_field_term_is_constant_factor():
