@@ -116,13 +116,13 @@ def _parsing(flag: str, form: str, text: str):
         raise UsageError(f"{flag} must be {form}, got {text!r}") from None
 
 
-def _parse_grid(text: str, flag: str, row_bytes: int = 0, refuse=None):
-    """lo:hi:step for one real axis; the step must divide hi - lo to 1e-9 relative.
+def _grid_points(text: str, flag: str, row_bytes: int = 0) -> tuple[float, float, int]:
+    """lo, hi and the point count n of lo:hi:step for one real axis; the step must
+    divide hi - lo to 1e-9 relative.
 
     A step so large that hi - lo rounds to no step at all does not divide it either:
     only lo:lo:step is a one-point grid.  Memory is checked for the points and for
-    one table row of `row_bytes` per point, and then `refuse(n)`, if given, may
-    refuse the n points, all before the axis is built.
+    one table row of `row_bytes` per point.
     """
     with _parsing(flag, "lo:hi:step, three numbers", text):
         lo, hi, step = (float(p) for p in text.split(":"))
@@ -137,9 +137,12 @@ def _parse_grid(text: str, flag: str, row_bytes: int = 0, refuse=None):
     if abs(steps - (n - 1)) > 1e-9 * max(abs(steps), 1.0) or (n == 1 and hi != lo):
         raise UsageError(f"grid step must divide hi - lo, got {text!r}")
     _require_memory((np.dtype(float).itemsize + row_bytes) * n, f"grid {text!r} of {n} points")
-    if refuse is not None:
-        refuse(n)
-    return np.linspace(lo, hi, n)
+    return lo, hi, n
+
+
+def _parse_grid(text: str, flag: str, row_bytes: int = 0) -> np.ndarray:
+    """The axis of lo:hi:step, checked by `_grid_points`."""
+    return np.linspace(*_grid_points(text, flag, row_bytes))
 
 
 def _point(text: str, params: PhysParams, flag: str) -> np.ndarray:
@@ -225,12 +228,10 @@ def cmd_kernel(args) -> int:
     a = None if args.a < 0 else args.a
     _finite(args, "t", positive=a is None)
     _at_least(args, "t", 0)
-
-    def refuse(count):
-        n = count ** params.k  # grid points, before building them
-        _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
-
-    pts = tensor_points([_parse_grid(args.grid, "--grid", refuse=refuse)] * params.k)
+    lo, hi, count = _grid_points(args.grid, "--grid")
+    n = count ** params.k  # grid points, before building them or their axis
+    _require_memory(np.dtype(complex).itemsize * n * n, f"kernel grid of {n} points")
+    pts = tensor_points([np.linspace(lo, hi, count)] * params.k)
     grid = KernelGrid.sample(_sigma(args), args.t, pts, pts, params, a=a)
     path = _output(args)
     grid.write_csv(path)

@@ -24,9 +24,10 @@ from .zones import _basis_sum, _laguerre_gauss, pairing, project_to_zone, zone_b
 
 SINGULAR_TIME_TOL = 1e-9
 DEFAULT_ORDER = 64
-# the fewest CSV rows a forked KernelGrid writer gets: forking and joining one took
-# about 3.5 ms on a 2-vCPU VM, where one CPU evaluates and formats 1,200-1,700 rows
-_WRITER_ROWS = 1 << 15
+# the fewest CSV rows a KernelGrid writer gets.  On a 2-vCPU VM a forked writer cost
+# about 8 ms, and `zonekit kernel` took as long with 2 writers as with 1 at 6,561
+# rows, was faster with 2 from 10,000 rows on and slower below 4,096 rows
+_WRITER_ROWS = 1 << 12
 
 
 class SingularTimeError(ValueError):
