@@ -178,10 +178,6 @@ class ZonePolynomial:
     def to_json(self) -> str:
         return json.dumps(self.to_records())
 
-    @classmethod
-    def from_json(cls, text: str, params: PhysParams) -> "ZonePolynomial":
-        return cls.from_records(json.loads(text), params)
-
 
 def grades(key: Key, params: PhysParams) -> tuple[int, int]:
     """(Zeeman grade, zone index) of the monomial z^P zbar^V with `key`: (|P|, |V|) at
@@ -274,20 +270,6 @@ def apply_zeeman(f: ZonePolynomial, include_field_term: bool = False) -> ZonePol
     for i in range(f.params.m):
         out = out + 2.0 * apply_rep("z", apply_rep("zbar", f, i), i)
     return out
-
-
-def apply_angular_momentum(f: ZonePolynomial) -> ZonePolynomial:
-    """Magnetic-moment term of the Hamiltonian; monomials are eigenvectors.
-
-    The monomial z^P zbar^V is multiplied by the charge sign times lam (|P| - |V|),
-    that is lam (grade - zone).
-    """
-    par = f.params
-    out = {}
-    for key, c in f.coefficients.items():
-        grade, zone = grades(key, par)
-        out[key] = par.lam * (grade - zone) * c
-    return ZonePolynomial._of_valid_keys(out, par)
 
 
 def apply_rep(generator: str, f: ZonePolynomial, i: int = 0) -> ZonePolynomial:

@@ -45,9 +45,9 @@ class UsageError(Exception):
 
 # Peak bytes per row of each table over its whole command, by tracemalloc at the smaller
 # of two sizes (Python 3.11, numpy 2.4); anomalous_kernel rows carry their grid points,
-# and clifford rows are measured at the top of the r range, where n_r has the most digits.
+# clifford rows are taken where n_r has the most digits, and path rows at order 1.
 _ROW_BYTES = {"spectrum": 350, "thermo": 820, "partition": 450, "anomalous_kernel": 610,
-              "clifford": 11010}
+              "clifford": 11010, "path": 1080}
 
 # the most decimal digits of a clifford n_r, Python's default int-to-string limit
 _CLIFFORD_DIGITS = 4300
@@ -328,6 +328,8 @@ def cmd_thermo(args) -> int:
 def cmd_path(args) -> int:
     params = _params(args)
     _at_least(args, "n_slices", 1)
+    _require_memory(_ROW_BYTES["path"] * args.n_slices,
+                    f"{args.output} of {args.n_slices} rows")
     _at_least(args, "order", 1)
     _at_least(args, "a", 0)
     _finite(args, "T")

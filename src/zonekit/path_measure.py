@@ -17,7 +17,7 @@ import numpy as np
 
 from ._factored import chain, point_axes, transfer
 from .params import PhysParams
-from .propagators import _check_sigma, _global_form, _usable_cpus, _zonal_form, zonal_kernel
+from .propagators import _check_sigma, _global_form, _usable_cpus, _zonal_form
 from .special import _require_memory, flat_hermite_grid, gauss_legendre, tensor_points
 from .zones import pairing, zone_kernel
 
@@ -195,12 +195,8 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     chained = max(slice_counts) > 1  # else no step matrix is needed
     N = order**k
     half = (N + 1) // 2  # the parity half; the middle row of an odd N is its own mirror
-    # the conjugation quarter, and the conjugate rows that complete the parity half
     slab, lo = N // order, (order + 1) // 2 * (N // order**2)
-    quarter = [(r * slab, r * slab + lo) for r in range(order // 2)] \
-        + [(order // 2 * slab, half)]
-    mirrored = [(r * slab + lo, (r + 1) * slab) for r in range(order // 2)]
-    qrows = sum(stop - start for start, stop in quarter)
+    qrows = order // 2 * lo + half - order // 2 * slab  # the rows of `quarter` below
     # complex N-vectors: the grid points and four end vectors, and with a chain the
     # quarter of K and the step buffer; real: the Hermite rule's order x order
     # companion matrix and the grid weights
@@ -208,6 +204,10 @@ def feynman_kac_sweep(sigma: complex, a: int, x, y, T: float, slice_counts,
     _require_memory(np.dtype(complex).itemsize * vectors * N
                     + np.dtype(float).itemsize * (order * order + N),
                     f"sliced quadrature at order {order} ({N} nodes)")
+    # the conjugation quarter, and the conjugate rows that complete the parity half
+    quarter = [(r * slab, r * slab + lo) for r in range(order // 2)] \
+        + [(order // 2 * slab, half)]
+    mirrored = [(r * slab + lo, (r + 1) * slab) for r in range(order // 2)]
     axes, w = flat_hermite_grid(order, lam, k)
     m = tensor_points(axes)
     xs, ys = np.broadcast_to(x, m.shape), np.broadcast_to(y, m.shape)
@@ -335,22 +335,9 @@ def _conjugate_rows(A, order: int, k: int) -> None:
         np.conjugate(np.flip(slab[:h], tuple(range(0, 2 * k - 1, 2))), out=slab[order - h:])
 
 
-# ---- probability density ---------------------------------------------------------
-
-
-def probability_density(a: int, x, y, T: float, params: PhysParams) -> float:
-    """Zonal arrival density pi^{k/2} |d_i^(a)(T, x, y)|^2; nonnegative."""
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    val = zonal_kernel(1j, a, T, x[None, :], y[None, :], params)[0]
-    return float(np.pi ** (params.k / 2) * abs(val) ** 2)
-
-
 def probability_total_mass(a: int, x, T: float, params: PhysParams,
                            order: int = 64) -> float:
-    """Quadrature of the arrival density over all of R^k.
+    """Quadrature over Y in R^k of the zonal arrival density pi^{k/2} |d_i^(a)(T, x, Y)|^2.
 
     Independent of the horizon T on the holomorphic zone (conservation); the
     constant equals lam^{k/2} rather than 1, which the verification suite

@@ -290,36 +290,25 @@ def semigroup_residual(sigma: complex, a: int, s: float, t: float,
 class KernelGrid:
     """Complex kernel values over a rectangular X x Y grid, read one X row at a time.
 
-    A grid from `sample` holds only its rule (sigma, t, a, params) and the two
-    point sets, and `row(i)` evaluates the kernel of X point i against every Y
-    point each time it is read, so no X x Y array is ever formed.  A grid built
-    with explicit `values` (an X x Y array) returns its stored rows.
+    The grid holds only its rule (sigma, t, a, params) and the two point sets, and
+    `row(i)` evaluates the kernel of X point i against every Y point each time it
+    is read, so no X x Y array is ever formed.
     """
 
     sigma: complex
     t: float
     points_X: np.ndarray
     points_Y: np.ndarray
-    values: np.ndarray | None
     params: PhysParams
     a: int | None = None
 
     def __post_init__(self) -> None:
         self.sigma = _check_sigma(self.sigma)
-        nx = np.atleast_2d(self.points_X).shape[0]
-        ny = np.atleast_2d(self.points_Y).shape[0]
-        if self.values is None:
-            # the errors of the rule alone (t, a singular time) come up here, before any row
-            if self.a is None:
-                _global_form(self.sigma, self.t, self.params)
-            else:
-                _zonal_form(self.sigma, self.a, self.t, self.params)
-        elif np.shape(self.values) != (nx, ny):
-            raise ValueError(f"values must be a |points_X| x |points_Y| = {nx} x {ny} array, "
-                             f"got shape {np.shape(self.values)}")
-        if (self.a is None and self.sigma == 1j
-                and abs(math.sin(self.params.lam * self.t)) < SINGULAR_TIME_TOL):
-            raise SingularTimeError(f"global grid at singular time t={self.t}")
+        # the errors of the rule alone (t, a singular time) come up here, before any row
+        if self.a is None:
+            _global_form(self.sigma, self.t, self.params)
+        else:
+            _zonal_form(self.sigma, self.a, self.t, self.params)
 
     @classmethod
     def sample(cls, sigma: complex, t: float, points_X: np.ndarray, points_Y: np.ndarray,
@@ -328,12 +317,10 @@ class KernelGrid:
         as it is read; an invalid sigma, t or singular time raises here."""
         X = np.atleast_2d(np.asarray(points_X, dtype=complex))
         Y = np.atleast_2d(np.asarray(points_Y, dtype=complex))
-        return cls(sigma, t, X, Y, None, params, a)
+        return cls(sigma, t, X, Y, params, a)
 
     def row(self, i: int) -> np.ndarray:
         """The values of X point i against every Y point."""
-        if self.values is not None:
-            return self.values[i]
         Y = self.points_Y
         X = np.broadcast_to(self.points_X[i], Y.shape)
         if self.a is None:

@@ -20,9 +20,12 @@ import numpy as np
 
 from .algebra import ZonePolynomial, grades
 from .params import PhysParams
-from .special import laguerre
+from .special import _require_memory, laguerre
 
 _LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+# the fewest bytes a basis element holds, by tracemalloc over zone 0 to degree 60 at
+# k = 2 (Python 3.11); elements of higher zones have more terms
+_ELEMENT_BYTES = 460
 
 
 def _hermite_product(key, log_scale: float, lam: float) -> dict:
@@ -44,14 +47,19 @@ def _hermite_product(key, log_scale: float, lam: float) -> dict:
     return coeffs
 
 
+def _compositions(total: int, m: int) -> list:
+    """The m-tuples of nonnegative integers that sum to `total`."""
+    if m == 1:
+        return [(total,)]
+    return [(j, *rest) for j in range(total + 1) for rest in _compositions(total - j, m - 1)]
+
+
 @lru_cache(maxsize=None)
 def _zone_basis_cached(a: int, max_degree: int, params: PhysParams):
     m, budget, lam = params.m, max_degree - a, params.lam
-    pivots = [(P, V) for P in itertools.product(range(budget + 1), repeat=m) if sum(P) <= budget
-              for V in itertools.product(range(a + 1), repeat=m) if sum(V) == a]
+    Vs = _compositions(a, m)[::-1]  # P comes graded-lex, and P - V ascends for each P
     basis = []
-    for P, V in sorted(pivots, key=lambda PV: (sum(PV[0]), PV[0],
-                                               tuple(p - v for p, v in zip(*PV)))):
+    for P, V in ((P, V) for s in range(budget + 1) for P in _compositions(s, m) for V in Vs):
         # the pivot with grades (P, V): zip(V, P) at -1, as H_{v,p} = conj H_{p,v}
         key = tuple(grades((gv,), params) for gv in zip(P, V))
         log_norm = 0.5 * sum(math.log(math.pi) + math.lgamma(p + 1) + math.lgamma(v + 1)
@@ -61,11 +69,15 @@ def _zone_basis_cached(a: int, max_degree: int, params: PhysParams):
 
 
 def zone_basis_with_pivots(a: int, max_degree: int, params: PhysParams):
-    """Pairs (pivot monomial key, orthonormal element) for the truncated zone."""
+    """Pairs (pivot monomial key, orthonormal element) for the truncated zone; a zone
+    whose elements would not fit in physical memory raises ValueError before any is built."""
     if a < 0:
         raise ValueError(f"zone index must be nonnegative, got {a}")
     if max_degree < a:
         raise ValueError(f"max_degree={max_degree} truncates zone {a} to nothing")
+    m = params.m
+    n = math.comb(max_degree - a + m, m) * math.comb(a + m - 1, m - 1)  # the pivots
+    _require_memory(_ELEMENT_BYTES * n, f"zone {a} to degree {max_degree} ({n} elements)")
     return _zone_basis_cached(a, max_degree, params)
 
 

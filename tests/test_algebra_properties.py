@@ -3,6 +3,8 @@
 Derandomized, so every run draws the same examples.
 """
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,5 +87,5 @@ def test_heisenberg_commutator(drawn):
 @given(params_and_polys(1))
 def test_json_round_trip_is_exact(drawn):
     params, f = drawn
-    back = ZonePolynomial.from_json(f.to_json(), params)
+    back = ZonePolynomial.from_records(json.loads(f.to_json()), params)
     assert back.coefficients == f.coefficients

@@ -25,7 +25,7 @@ from zonekit.params import PhysParams
 from zonekit.propagators import KernelGrid, partition_function, zonal_kernel
 from zonekit.verify import CHECKS
 
-from test_propagators import _use_cpus
+from test_propagators import _use_cpus, _use_rows
 
 
 def run(tmp_path, *argv):
@@ -656,15 +656,17 @@ def test_table_memory_is_counted_from_rows_before_building(tmp_path, monkeypatch
     assert run(tmp_path, "thermo", "--T-grid", "1:3:1", "--partition-t-grid", "0.1:0.3:0.1") == 0
     assert run(tmp_path, "padi", "--zones", "0..1", "--pmax", "0", "--kernel-grid", "0:1:0.5") == 0
     assert run(tmp_path, "clifford", "--r", "3..9") == 0
+    assert run(tmp_path, "path", "--order", "4", "--n-slices", "3") == 0
     row = cli._ROW_BYTES
     assert asked == [(15 * row["spectrum"], "spectrum.csv of 15 rows"),
                      (3 * (8 + row["thermo"]), "grid '1:3:1' of 3 points"),
                      (3 * (8 + row["partition"]), "grid '0.1:0.3:0.1' of 3 points"),
                      (3 * 8, "grid '0:1:0.5' of 3 points"),
                      (72 * row["anomalous_kernel"], "anomalous_kernel.csv of 72 rows"),
-                     (7 * row["clifford"], "--r '3..9' table of 7 rows")]
+                     (7 * row["clifford"], "--r '3..9' table of 7 rows"),
+                     (3 * row["path"], "path.csv of 3 rows")]
     for name, rows in (("spectrum.csv", 15), ("thermo.csv", 3), ("partition.csv", 3),
-                       ("anomalous_kernel.csv", 72), ("clifford.csv", 7)):
+                       ("anomalous_kernel.csv", 72), ("clifford.csv", 7), ("path.csv", 3)):
         with open(tmp_path / name) as fh:
             assert len(fh.readlines()) == rows + 1, name
 
@@ -699,6 +701,46 @@ def test_oversized_path_sweep_is_refused_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: sliced quadrature at order 32 (1048576 nodes) needs 2.2e+04 GB")
     assert not (tmp_path / "path.csv").exists()
+
+
+# zonekit in a child that sees an 8 GiB host and caps its own address space at 1 GiB, so
+# a guard that lets a request through ends in a MemoryError traceback there, not in
+# gigabytes allocated here
+CAPPED = """
+import os, resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+host = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}
+os.sysconf = lambda name, sysconf=os.sysconf: host.get(name) or sysconf(name)
+runpy.run_module("zonekit", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each zone basis is refused from its pivot count, before it is enumerated
+    (["zones", "--zones", "0", "--max-degree", "100000000"],
+     "zone 0 to degree 100000000 (100000001 elements) needs 46 GB"),
+    (["zones", "--zones", "0", "--max-degree", "100000000", "--k", "4"],
+     "zone 0 to degree 100000000 (5000000150000001 elements) needs 2.3e+09 GB"),
+    (["coulomb", "--basis-size", "100000000"],
+     "zone 0 to degree 99999999 (100000000 elements) needs 46 GB"),
+    # one element, whose normalization leaves the float range
+    (["coulomb", "--a", "100000000", "--basis-size", "1"],
+     "complex Hermite product ((0, 100000000),) at lam=1.0 has a coefficient"),
+    (["padi", "--zones", "0", "--pmax", "100000000"],
+     "zone 0 to degree 100000000 (100000001 elements) needs 46 GB"),
+    (["path", "--order", "100000000"],
+     "sliced quadrature at order 100000000 (10000000000000000 nodes) needs 2e+24 GB"),
+    (["path", "--order", "4", "--n-slices", "100000000"],
+     "path.csv of 100000000 rows needs 108 GB"),
+], ids=["zones", "zones_k4", "coulomb_basis", "coulomb_a", "padi", "path_order",
+        "path_slices"])
+def test_oversized_size_flag_is_refused_before_allocating(tmp_path, argv, message):
+    proc = subprocess.run([sys.executable, "-c", CAPPED, *argv, "--outdir", str(tmp_path)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1, \
+        proc.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_path_with_vanishing_target_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -771,14 +813,11 @@ def test_non_finite_failure_prints_only_its_error_line(tmp_path, tmp_path_factor
 def test_kernel_grid_names_the_first_non_finite_value(tmp_path, capfd, monkeypatch, cpus):
     # the first bad value is an imaginary part, in the second X row; the third X row is
     # bad too, so at 3 CPUs two children stop and the parent names the first block's value
-    def sample(sigma, t, X, Y, params, a=None):
-        pts = np.array([[0j], [1j], [2j]])
-        values = np.array([[1.0, 2.0], [complex(3.0, math.inf), math.nan],
-                           [math.nan, 4.0]])
-        return KernelGrid(sigma, t, pts, pts[:2], values, params, a)
-
+    pts, sample = np.array([[0j], [1j], [2j]]), KernelGrid.sample
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(KernelGrid, "sample", staticmethod(sample))
+    monkeypatch.setattr(KernelGrid, "sample", staticmethod(
+        lambda sigma, t, X, Y, params, a=None: sample(sigma, t, pts, pts[:2], params, a)))
+    _use_rows(monkeypatch, [[1.0, 2.0], [complex(3.0, math.inf), math.nan], [math.nan, 4.0]])
     assert run(tmp_path, "kernel", "--a", "0", "--t", "0.5", "--grid", "0:1:1") == 1
     # one line, from the parent: no child printed a traceback of its own
     assert capfd.readouterr().err == \

@@ -11,8 +11,7 @@ import pytest
 import zonekit.path_measure as path_measure
 from zonekit.params import PhysParams
 from zonekit.path_measure import (PathDiscretization, action_functional, cylinder_measure,
-                                  feynman_kac_sweep,
-                                  probability_density, probability_total_mass,
+                                  feynman_kac_sweep, probability_total_mass,
                                   radon_nikodym_density, whole_space_box)
 from zonekit.propagators import global_kernel, zonal_kernel
 from zonekit.zones import zone_kernel
@@ -414,22 +413,6 @@ def test_sigma_branches_share_measure_factors():
             * np.exp(-sigma * PAR.k * PAR.lam * T / 2)
         got = feynman_kac_sweep(sigma, 0, X0, Y0, T, (n,), PAR, order=40)[0]
         assert got == pytest.approx(complex(val), rel=1e-12)
-
-
-def test_probability_density_nonnegative_and_laguerre_ratio():
-    rng = np.random.default_rng(25)
-    for _ in range(5):
-        x = rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1)
-        y = rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1)
-        T = float(rng.uniform(0.2, 2.0))
-        rho0 = probability_density(0, x, y, T, PAR)
-        assert rho0 >= 0
-        # zone dependence enters only through the Laguerre modulus
-        from zonekit.special import laguerre
-        u = PAR.lam * float(np.sum(np.abs(x - y) ** 2))
-        for a in (1, 2, 3):
-            rho_a = probability_density(a, x, y, T, PAR)
-            assert rho_a == pytest.approx(rho0 * laguerre(a, 0.0, u) ** 2, rel=1e-10)
 
 
 @pytest.mark.parametrize("charge_sign", [1, -1])

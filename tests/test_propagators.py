@@ -410,6 +410,13 @@ def _use_cpus(monkeypatch, n, fork=True):
         monkeypatch.setattr(os, "fork", no_fork)
 
 
+def _use_rows(monkeypatch, rows):
+    """Make every KernelGrid return row i of `rows` (an X x Y table) as its values; a
+    forked writer inherits the patch."""
+    rows = np.asarray(rows, dtype=complex)
+    monkeypatch.setattr(KernelGrid, "row", lambda grid, i: rows[i])
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 7, "3_without_copy_file_range"])
 @pytest.mark.parametrize("case", ["zonal_k2", "global_k4", "edge_values", "empty_x",
                                   "empty_y"])
@@ -425,13 +432,14 @@ def test_kernel_grid_csv_bytes(tmp_path, monkeypatch, case, cpus):
     elif case == "edge_values":
         X = np.array([[-2.0 - 0.0j], [1e-20 + 3.0j]])
         Y = np.array([[complex(-0.0, -0.0)], [2.0 + 1e300j], [-1e-320 + 0.1j]])
-        vals = np.array([[complex(-0.0, 1e-20), 1e-20 - 0.0j, 2.0 + 0.0j],
-                         [complex(0.0, -0.0), -2.0 + 5e-324j, 1.5e200 - 3.0j]])
-        grid = KernelGrid(1j, 1, X, Y, vals, PAR, a=3)
+        grid = KernelGrid.sample(1j, 1, X, Y, PAR, a=3)
+        _use_rows(monkeypatch, [[complex(-0.0, 1e-20), 1e-20 - 0.0j, 2.0 + 0.0j],
+                                [complex(0.0, -0.0), -2.0 + 5e-324j, 1.5e200 - 3.0j]])
     else:
         pts = np.array([[0.5 + 0.25j], [-0.5 - 1.0j]])
         X, Y = (pts[:0], pts) if case == "empty_x" else (pts, pts[:0])
-        grid = KernelGrid(1j, 1, X, Y, np.empty((len(X), len(Y)), complex), PAR, a=3)
+        grid = KernelGrid.sample(1j, 1, X, Y, PAR, a=3)
+        _use_rows(monkeypatch, np.empty((len(X), len(Y)), complex))
     if cpus == "3_without_copy_file_range":
         # the parts are joined by os.copy_file_range (Linux only): without it one writer
         monkeypatch.delattr(os, "copy_file_range", raising=False)
@@ -444,13 +452,11 @@ def test_kernel_grid_csv_bytes(tmp_path, monkeypatch, case, cpus):
     assert os.listdir(tmp_path) == ["grid.csv"]
     if case.startswith("empty"):
         assert path.read_bytes().count(b"\r\n") == 1
-    if grid.values is None:
-        # a grid evaluated as it is written and one built from its rows: the same bytes
-        rows = np.array([grid.row(i) for i in range(len(grid.points_X))])
-        stored = tmp_path / "stored.csv"
-        KernelGrid(grid.sigma, grid.t, grid.points_X, grid.points_Y, rows, grid.params,
-                   grid.a).write_csv(str(stored))
-        assert stored.read_bytes() == path.read_bytes()
+    # a grid evaluated as it is written and one that returns stored rows: the same bytes
+    _use_rows(monkeypatch, [grid.row(i) for i in range(len(grid.points_X))])
+    stored = tmp_path / "stored.csv"
+    grid.write_csv(str(stored))
+    assert stored.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("rows", [4_096, 10_000])
@@ -458,7 +464,8 @@ def test_kernel_grid_forks_a_writer_only_where_it_pays(tmp_path, monkeypatch, ro
     # on a 2-vCPU VM `zonekit kernel` was slower with 2 writers than with 1 at 4,096
     # CSV rows and faster at 10,000: the committed _WRITER_ROWS forks only for the latter
     X = (np.arange(rows) * 1e-3 + 0.5j)[:, None]
-    grid = KernelGrid(1j, 1, X, X[:1], (np.arange(rows) - 2.5j)[:, None], PAR, a=3)
+    grid = KernelGrid.sample(1j, 1, X, X[:1], PAR, a=3)
+    _use_rows(monkeypatch, (np.arange(rows) - 2.5j)[:, None])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -532,13 +539,6 @@ def test_trace_raises_when_order_doubling_moves_it(params, order):
     from zonekit.propagators import QuadratureConvergenceError
     with pytest.raises(QuadratureConvergenceError, match="on order doubling"):
         partition_function_trace(1j, 0, 0.3, params, order=order)
-
-
-def test_kernel_grid_values_must_be_an_x_by_y_array():
-    # a flat array of the right size used to pass and then fail inside write_csv
-    X = np.array([[0j], [1j]])
-    with pytest.raises(ValueError, match=r"2 x 2 array, got shape \(4,\)"):
-        KernelGrid(1j, 1, X, X, np.ones(4, complex), PAR, a=0)
 
 
 def test_kernel_grid_singular_time_guard():
