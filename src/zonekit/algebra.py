@@ -130,13 +130,21 @@ class ZonePolynomial:
         """
         zpts = np.atleast_2d(np.asarray(zpts, dtype=complex))
         out = np.zeros(zpts.shape[:-1], dtype=complex)
+        coords = np.moveaxis(zpts, -1, 0)
+        powers: dict[tuple[int, int, int], np.ndarray] = {}  # (coordinate, conj, exponent)
+
+        def power(r: int, conj: int, n: int) -> np.ndarray:
+            if (r, conj, n) not in powers:
+                powers[r, conj, n] = (np.conj(coords[r]) if conj else coords[r]) ** n
+            return powers[r, conj, n]
+
         for key, c in self.coefficients.items():
             term = c
-            for z, (p, v) in zip(np.moveaxis(zpts, -1, 0), key):
+            for r, (p, v) in enumerate(key):
                 if p:
-                    term = term * z ** p
+                    term = term * power(r, 0, p)
                 if v:
-                    term = term * np.conj(z) ** v
+                    term = term * power(r, 1, v)
             out += term
         return out
 
@@ -179,6 +187,22 @@ class ZonePolynomial:
         return json.dumps(self.to_records())
 
 
+def _linear_combination(terms: Iterable[tuple[complex, ZonePolynomial]],
+                        params: PhysParams) -> ZonePolynomial:
+    """sum of c * vec over the pairs (c, vec) of `terms`, all on `params`, with the bits
+    and the key order of the repeated sum `out = out + c * vec` from the zero polynomial:
+    a product that is 0 is skipped, and a key whose running sum reaches 0 is dropped."""
+    out: dict[Key, complex] = {}
+    for scalar, vec in terms:
+        for key, c in vec.coefficients.items():
+            if (prod := complex(scalar * c)) != 0:
+                if (total := complex(out.get(key, 0.0) + prod)) != 0:
+                    out[key] = total
+                else:
+                    del out[key]
+    return ZonePolynomial._of_valid_keys(out, params)
+
+
 def grades(key: Key, params: PhysParams) -> tuple[int, int]:
     """(Zeeman grade, zone index) of the monomial z^P zbar^V with `key`: (|P|, |V|) at
     charge_sign +1 and (|V|, |P|) at -1.  The swap is its own inverse."""
@@ -189,12 +213,9 @@ def grades(key: Key, params: PhysParams) -> tuple[int, int]:
 # ---- inner product ---------------------------------------------------------
 
 
-def _moment(p: int, v: int, q: int, w: int, lam: float, s: float) -> float:
-    # single-coordinate Gaussian moment of z^p zbar^v conj(z^q zbar^w) against r^{2s-2};
-    # angular selection leaves the radial moment pi Gamma(n+s)/lam^(n+s), n = p+w
-    if p - v != q - w:
-        return 0.0
-    n = p + w
+def _moment(n: int, lam: float, s: float) -> float:
+    # pi Gamma(n+s)/lam^(n+s): the single-coordinate Gaussian moment of z^p zbar^v
+    # conj(z^q zbar^w) against r^{2s-2} when p - v = q - w, n = p + w; it is 0 otherwise
     try:  # the gamma, the power and their quotient may each leave the float range
         moment = math.pi * math.gamma(n + s) / lam ** (n + s)
     except (OverflowError, ZeroDivisionError):
@@ -204,21 +225,44 @@ def _moment(p: int, v: int, q: int, w: int, lam: float, s: float) -> float:
     return moment
 
 
+def _angular_class(key: Key):
+    """The angular class (p_r - v_r)_r of a monomial key, by unpacking the algebra's one
+    or two coordinates (several times faster than a generator over them)."""
+    if len(key) == 1:
+        (p, v), = key
+        return p - v
+    (p1, v1), (p2, v2) = key
+    return p1 - v1, p2 - v2
+
+
 def _moment_sum(f: ZonePolynomial, g: ZonePolynomial, s: float) -> complex:
-    """sum over monomial pairs of c_f conj(c_g) times the product of their `_moment`s;
-    s = 1 is the inner product and s = 1/2 adds a factor 1/r (k = 2)."""
+    """sum over monomial pairs of c_f conj(c_g) times the product of their coordinates'
+    `_moment`s; s = 1 is the inner product and s = 1/2 adds a factor 1/r (k = 2).
+
+    Angular selection zeroes every pair whose `_angular_class`es differ, so each
+    monomial of f meets only g's monomials of its own class, in g's order: the terms
+    that remain are added in the all-pairs order, and no moment of a pair that
+    contributes 0 is taken.
+    """
     f._check_same_params(g)
     lam = f.params.lam
+    by_class: dict = {}
+    for kg, cg in g.coefficients.items():
+        by_class.setdefault(_angular_class(kg), []).append((kg, np.conj(cg)))
+    moments: dict[int, float] = {}  # by n = p + w: s and lam are fixed here
     total = 0.0 + 0.0j
     for kf, cf in f.coefficients.items():
-        for kg, cg in g.coefficients.items():
+        for kg, conj_cg in by_class.get(_angular_class(kf), ()):
             prod = 1.0
-            for (p, v), (q, w) in zip(kf, kg):
-                prod *= _moment(p, v, q, w, lam, s)
+            for (p, _), (_, w) in zip(kf, kg):
+                moment = moments.get(p + w)
+                if moment is None:
+                    moment = moments[p + w] = _moment(p + w, lam, s)
+                prod *= moment
                 if prod == 0.0:
                     break
             if prod:
-                total += cf * np.conj(cg) * prod
+                total += cf * conj_cg * prod
     return complex(total)
 
 
@@ -279,25 +323,26 @@ def apply_rep(generator: str, f: ZonePolynomial, i: int = 0) -> ZonePolynomial:
     generator "zbar": rho(zbar_i) f = d/dz_i f
 
     for charge sign +1; at -1 z_i and zbar_i trade places, rho(z_i) = lam zbar_i - d/dz_i
-    and rho(zbar_i) = d/dzbar_i.  The sign is read through `grades`: coordinate i's
-    exponents go to (grade, zone), the +1 rule acts there, and `grades` maps the result
-    back.  These satisfy [rho(zbar_i), rho(z_j)] = lam delta_ij on polynomials, and
-    map each zone into itself.
+    and rho(zbar_i) = d/dzbar_i.  So coordinate i's exponents are read as (grade, zone),
+    (p, v) at +1 and (v, p) at -1 as in `grades`, the +1 rule acts there, and the result
+    is written back the same way.  These satisfy [rho(zbar_i), rho(z_j)] = lam delta_ij
+    on polynomials, and map each zone into itself.
     """
     par = f.params
     if not 0 <= i < par.m:
         raise IndexError(f"coordinate index {i} out of range for k={par.k}")
     if generator not in ("z", "zbar"):
         raise ValueError(f"unknown generator {generator!r}; expected 'z' or 'zbar'")
+    swap = par.charge_sign != 1
     out: dict[Key, complex] = {}
     for key, c in f.coefficients.items():
-        g, a = grades(key[i:i + 1], par)
+        g, a = key[i][::-1] if swap else key[i]
         if generator == "zbar":
             terms = [((g - 1, a), g * c)] if g else []
         else:
             terms = [((g, a - 1), -a * c)] if a else []
             terms.append(((g + 1, a), par.lam * c))
         for ga, d in terms:
-            new = key[:i] + (grades((ga,), par),) + key[i + 1:]
+            new = key[:i] + (ga[::-1] if swap else ga,) + key[i + 1:]
             out[new] = out.get(new, 0.0) + d
     return ZonePolynomial._of_valid_keys(out, par)

@@ -52,6 +52,11 @@ _ROW_BYTES = {"spectrum": 350, "thermo": 820, "partition": 450, "anomalous_kerne
 # the most decimal digits of a clifford n_r, Python's default int-to-string limit
 _CLIFFORD_DIGITS = 4300
 
+# the largest zone index of a sampled kernel (`kernel`, `path`): its Laguerre factor takes
+# one recurrence step per degree on every point, so the work grows with --a, and
+# 10^4 steps cost about 0.3 s on a 9-point kernel grid
+_MAX_ZONE = 10**4
+
 # config key -> (argument it sets where no flag does, its type); PhysParams holds the defaults
 _CONFIG_KEYS = {"lambda": ("lam", float), "k": ("k", int)}
 
@@ -177,16 +182,19 @@ def _finite(args, dest: str, positive: bool = False) -> None:
         raise UsageError(f"--{dest} must be positive, got {value}")
 
 
-def _at_least(args, dest: str, least) -> None:
-    """Refuse a flag value below least (or nan), naming the flag."""
+def _at_least(args, dest: str, least, most=None) -> None:
+    """Refuse a flag value below least (or nan), or above most, naming the flag."""
     value = getattr(args, dest)
     if not value >= least:
         raise UsageError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise UsageError(f"--{dest.replace('_', '-')} must be at most {most}, got {value}")
 
 
 def _write(args, text: str, name: str | None = None) -> None:
-    """Write one output file and print its path."""
+    """Write one output file and print its path; `main` removes it if the command fails."""
     path = _output(args, name)
+    args.written.append(path)
     with open(path, "w", newline="") as fh:
         fh.write(text)
     print(path)
@@ -225,6 +233,7 @@ def _fmt(x: float) -> str:
 
 def cmd_kernel(args) -> int:
     params = _params(args)
+    _at_least(args, "a", -math.inf, _MAX_ZONE)
     a = None if args.a < 0 else args.a
     _finite(args, "t", positive=a is None)
     _at_least(args, "t", 0)
@@ -331,7 +340,7 @@ def cmd_path(args) -> int:
     _require_memory(_ROW_BYTES["path"] * args.n_slices,
                     f"{args.output} of {args.n_slices} rows")
     _at_least(args, "order", 1)
-    _at_least(args, "a", 0)
+    _at_least(args, "a", 0, _MAX_ZONE)
     _finite(args, "T")
     _at_least(args, "T", 0)
     sigma = _sigma(args)
@@ -524,17 +533,21 @@ def main(argv=None) -> int:
     if not getattr(args, "fn", None):
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
+    args.written = []  # the files `_write` wrote, removed again if a later step fails
     try:
         with np.errstate(all="ignore"):  # a nan or inf result is refused by name
             _apply_config(args)
             return args.fn(args)
     # OSError: a path that cannot be opened; OverflowError: a number beyond the float range
     except (UsageError, ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
     except (QuadratureConvergenceError, NonFiniteOutput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        code, message = EXIT_CHECK_FAILED, str(exc)
+    for path in args.written:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,14 +10,13 @@ take a 1-D array of times and return one value per time.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._factored import KernelForm, chain, diagonal_sum, rank_one_to_point
-from .algebra import ZonePolynomial, inner_product, norm
+from .algebra import ZonePolynomial, _linear_combination, inner_product, norm
 from .params import PhysParams
 from .special import flat_hermite_grid, hermite_axis, multiplicity_factor
 from .zones import _basis_sum, _laguerre_gauss, pairing, project_to_zone, zone_basis
@@ -214,16 +213,13 @@ def evolve(f: ZonePolynomial, sigma: complex, t: float, params: PhysParams,
     sigma = _check_sigma(sigma)
     if params != f.params:
         raise ValueError("parameter mismatch between state and request")
-    a = infer_zone(f)
-    deg = f.max_degree()
-    out = ZonePolynomial({}, params)
-    for vec in zone_basis(a, deg, params):
+    terms = []
+    for vec in zone_basis(infer_zone(f), f.max_degree(), params):
         c = inner_product(f, vec)
-        if c == 0:
-            continue
-        mu = params.zeeman_eigenvalue(vec.zeeman_degree(), include_field_term)
-        out = out + (c * np.exp(-sigma * t * mu)) * vec
-    return out
+        if c != 0:
+            mu = params.zeeman_eigenvalue(vec.zeeman_degree(), include_field_term)
+            terms.append((c * np.exp(-sigma * t * mu), vec))
+    return _linear_combination(terms, params)
 
 
 def evolve_by_convolution(f: ZonePolynomial, sigma: complex, t: float,
@@ -369,7 +365,9 @@ class KernelGrid:
                 fh.write(",".join(header) + "\r\n")
                 fh.flush()  # a forked child must not inherit the buffered header
                 # the children only evaluate, format and write; the other threads of
-                # this process (BLAS workers) hold no lock they need
+                # this process (BLAS workers) hold no lock they need.  Imported here, its
+                # one use, so that no other command loads multiprocessing
+                import multiprocessing
                 ctx = multiprocessing.get_context("fork")
                 for part, block in zip(parts[1:], blocks[1:]):
                     pipes.append(ctx.Pipe(duplex=False))

@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from . import extensions, padi, path_measure, thermo
-from .algebra import (ZonePolynomial, apply_rep, apply_zeeman, inner_product, norm,
-                      to_standard)
+from .algebra import (ZonePolynomial, _linear_combination, apply_rep, apply_zeeman,
+                      inner_product, norm, to_standard)
 from .params import PhysParams
 from .propagators import (_convolve, _global_form, _zonal_form, evolve, field_term_multiplier,
                           global_kernel, partition_function, partition_function_trace,
@@ -317,11 +317,8 @@ def _unitarity(params):
         basis = zone_basis(a, a + 6, params)
         cf = [complex(rng.normal(), rng.normal()) for _ in basis]
         cg = [complex(rng.normal(), rng.normal()) for _ in basis]
-        f = ZonePolynomial({}, params)
-        g = ZonePolynomial({}, params)
-        for c1, c2, vec in zip(cf, cg, basis):
-            f = f + c1 * vec
-            g = g + c2 * vec
+        f = _linear_combination(zip(cf, basis), params)
+        g = _linear_combination(zip(cg, basis), params)
         before = inner_product(f, g)
         after = inner_product(evolve(f, 1j, 0.8, params), evolve(g, 1j, 0.8, params))
         errs.append(abs(after - before) / abs(before))

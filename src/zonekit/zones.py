@@ -23,9 +23,10 @@ from .params import PhysParams
 from .special import _require_memory, laguerre
 
 _LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
-# the fewest bytes a basis element holds, by tracemalloc over zone 0 to degree 60 at
-# k = 2 (Python 3.11); elements of higher zones have more terms
-_ELEMENT_BYTES = 460
+# the bytes a basis element holds for its first term, by tracemalloc over zone 0 to
+# degree 60 at k = 2, and for each further term, from zone 10 to degree 80 against 120
+# at k = 4 (Python 3.11)
+_ELEMENT_BYTES, _TERM_BYTES = 460, 240
 
 
 def _hermite_product(key, log_scale: float, lam: float) -> dict:
@@ -70,14 +71,25 @@ def _zone_basis_cached(a: int, max_degree: int, params: PhysParams):
 
 def zone_basis_with_pivots(a: int, max_degree: int, params: PhysParams):
     """Pairs (pivot monomial key, orthonormal element) for the truncated zone; a zone
-    whose elements would not fit in physical memory raises ValueError before any is built."""
+    whose elements would not fit in physical memory raises ValueError before any is built.
+
+    The element with grades P and zone split V (|V| = a) has prod_r (min(P_r, V_r) + 1)
+    terms.  They are counted as at most prod_r (P_r + 1) where |P| <= a and at most
+    prod_r (V_r + 1) above; summed over the |P| = s and the V, these are
+    C(s + 2m - 1, 2m - 1) C(a + m - 1, m - 1) and C(a + 2m - 1, 2m - 1) C(s + m - 1, m - 1).
+    The count is exact at k = 2.
+    """
     if a < 0:
         raise ValueError(f"zone index must be nonnegative, got {a}")
     if max_degree < a:
         raise ValueError(f"max_degree={max_degree} truncates zone {a} to nothing")
-    m = params.m
-    n = math.comb(max_degree - a + m, m) * math.comb(a + m - 1, m - 1)  # the pivots
-    _require_memory(_ELEMENT_BYTES * n, f"zone {a} to degree {max_degree} ({n} elements)")
+    m, budget = params.m, max_degree - a
+    splits, low = math.comb(a + m - 1, m - 1), min(a, budget)
+    n = math.comb(budget + m, m) * splits  # the pivots
+    terms = (math.comb(low + 2 * m, 2 * m) * splits + math.comb(a + 2 * m - 1, 2 * m - 1)
+             * (math.comb(budget + m, m) - math.comb(low + m, m)))
+    _require_memory(_ELEMENT_BYTES * n + _TERM_BYTES * (terms - n),
+                    f"zone {a} to degree {max_degree} ({n} elements)")
     return _zone_basis_cached(a, max_degree, params)
 
 

@@ -235,3 +235,168 @@ def test_params_validation():
     assert par6.m == 3
     with pytest.raises(ValueError):
         par6.require_algebra_dim()
+
+
+# ---- bit-for-bit references ----------------------------------------------------
+# The all-pairs moment sum and the repeated `+` accumulation that the class-indexed
+# `_moment_sum` and `_linear_combination` replace: every result must keep their bits,
+# terms in the same order, keys in the same order and signed zeros as they were.
+
+BIT_PARAMS = [PhysParams(lam=lam, k=k, charge_sign=s)
+              for k in (2, 4) for lam in (0.4, 1.0, 2.5) for s in (1, -1)]
+
+
+def _reference_moment_sum(f, g, s):
+    total = 0.0 + 0.0j
+    for kf, cf in f.coefficients.items():
+        for kg, cg in g.coefficients.items():
+            prod = 1.0
+            for (p, v), (q, w) in zip(kf, kg):
+                prod *= (math.pi * math.gamma(p + w + s) / f.params.lam ** (p + w + s)
+                         if p - v == q - w else 0.0)
+                if prod == 0.0:
+                    break
+            if prod:
+                total += cf * np.conj(cg) * prod
+    return complex(total)
+
+
+def _reference_sum(terms, params):
+    out = ZonePolynomial({}, params)
+    for c, vec in terms:
+        out = out + c * vec
+    return out
+
+
+def _reference_evolve(f, sigma, t, params, include_field_term=False):
+    from zonekit.propagators import infer_zone
+    from zonekit.zones import zone_basis
+    sigma, out = complex(sigma), ZonePolynomial({}, params)  # as `evolve` checks it
+    for vec in zone_basis(infer_zone(f), f.max_degree(), params):
+        c = _reference_moment_sum(f, vec, 1)
+        if c == 0:
+            continue
+        mu = params.zeeman_eigenvalue(vec.zeeman_degree(), include_field_term)
+        out = out + (c * np.exp(-sigma * t * mu)) * vec
+    return out
+
+
+def _reference_apply_rep(generator, f, i):
+    from zonekit.algebra import grades
+    par, out = f.params, {}
+    for key, c in f.coefficients.items():
+        g, a = grades(key[i:i + 1], par)
+        if generator == "zbar":
+            terms = [((g - 1, a), g * c)] if g else []
+        else:
+            terms = [((g, a - 1), -a * c)] if a else []
+            terms.append(((g + 1, a), par.lam * c))
+        for ga, d in terms:
+            new = key[:i] + (grades((ga,), par),) + key[i + 1:]
+            out[new] = out.get(new, 0.0) + d
+    return ZonePolynomial._of_valid_keys(out, par)
+
+
+def _bits(c: complex):
+    return complex(c).real.hex(), complex(c).imag.hex()
+
+
+def assert_same_bits(got, want):
+    if isinstance(got, ZonePolynomial):
+        assert list(got.coefficients) == list(want.coefficients)  # the same keys, in order
+        for key, c in got.coefficients.items():
+            assert _bits(c) == _bits(want.coefficients[key]), key
+    else:
+        assert got == want and _bits(got) == _bits(want)
+
+
+def _bit_poly(rng, params, n_terms=14, max_degree=7):
+    """Keys in random order, crowded into few angular classes so that each class has
+    several members; coefficients of mixed magnitude, some real with a -0.0 imaginary
+    part and some the negatives of earlier ones, so that partial sums cancel."""
+    coeffs = {}
+    while len(coeffs) < n_terms:
+        key = []
+        for _ in range(params.m):
+            v = int(rng.integers(0, max_degree // params.m))
+            key.append((max(v + int(rng.integers(-1, 2)), 0), v))
+        kind = rng.integers(4)
+        if kind == 0 and coeffs:
+            c = -list(coeffs.values())[int(rng.integers(len(coeffs)))]
+        elif kind == 1:
+            c = complex(rng.normal() * 10.0 ** rng.integers(-3, 4), -0.0)
+        else:
+            c = complex(rng.normal(), rng.normal()) * 10.0 ** rng.integers(-3, 4)
+        coeffs.setdefault(tuple(key), c)
+    return ZonePolynomial(coeffs, params)
+
+
+@pytest.mark.parametrize("params", BIT_PARAMS, ids=str)
+def test_moment_sums_keep_the_all_pairs_bits(params):
+    from zonekit.algebra import _moment_sum
+    rng = np.random.default_rng([params.k, int(10 * params.lam), params.charge_sign + 1])
+    for _ in range(12):
+        f, g = _bit_poly(rng, params), _bit_poly(rng, params)
+        assert_same_bits(inner_product(f, g), _reference_moment_sum(f, g, 1))
+        assert_same_bits(inner_product(f, f), _reference_moment_sum(f, f, 1))
+        want = math.sqrt(max(_reference_moment_sum(f, f, 1).real, 0.0))
+        assert norm(f).hex() == want.hex()
+        if params.k == 2:  # the Coulomb moments, s = 1/2
+            assert_same_bits(_moment_sum(f, g, 0.5), _reference_moment_sum(f, g, 0.5))
+
+
+@pytest.mark.parametrize("params", BIT_PARAMS, ids=str)
+def test_linear_combination_keeps_the_repeated_sum_bits(params):
+    from zonekit.algebra import _linear_combination
+    rng = np.random.default_rng(7 + params.k)
+    for _ in range(8):
+        vecs = [_bit_poly(rng, params, n_terms=6) for _ in range(4)]
+        # scalars that undo earlier terms, so running sums reach 0 and keys come back
+        terms = [(complex(rng.normal(), rng.normal()), vec) for vec in vecs]
+        terms += [(-c, vec) for c, vec in terms[:2]] + terms[:1]
+        terms += [(complex(1.0, -0.0), vecs[3]), (0.0, vecs[2]), (-1.0, vecs[3]), (1.0, vecs[3])]
+        # keys met once, by a product with a -0.0 imaginary part: the sum from zero makes
+        # it +0.0
+        fresh = ZonePolynomial({((20, 20),) * params.m: complex(2.0, -0.0),
+                                ((21, 20),) * params.m: complex(-3.0, -0.0)}, params)
+        terms.append((complex(1.0, -0.0), fresh))
+        assert_same_bits(_linear_combination(terms, params), _reference_sum(terms, params))
+        assert _linear_combination([], params).is_zero()
+
+
+@pytest.mark.parametrize("params", BIT_PARAMS, ids=str)
+def test_evolve_and_generators_keep_their_bits(params):
+    from zonekit.propagators import evolve
+    from zonekit.zones import zone_basis
+    rng = np.random.default_rng(11 + params.k)
+    for a in (0, 1, 2):
+        basis = zone_basis(a, a + 3, params)
+        picks = rng.choice(len(basis), size=min(4, len(basis)), replace=False)
+        f = _reference_sum([(complex(rng.normal(), rng.normal()), basis[i]) for i in picks],
+                           params)
+        for sigma, t in ((1, 0.3), (1j, 0.8), (1j, 0.0)):
+            for field in (False, True):
+                assert_same_bits(evolve(f, sigma, t, params, include_field_term=field),
+                                 _reference_evolve(f, sigma, t, params, field))
+    g = _bit_poly(rng, params)
+    for i in range(params.m):
+        for generator in ("z", "zbar"):
+            assert_same_bits(apply_rep(generator, g, i), _reference_apply_rep(generator, g, i))
+
+
+@pytest.mark.parametrize("params", BIT_PARAMS[:2] + BIT_PARAMS[6:8], ids=str)
+def test_eval_keeps_the_per_monomial_bits(params):
+    rng = np.random.default_rng(3)
+    f = _bit_poly(rng, params)
+    pts = rng.normal(size=(5, 3, params.m)) + 1j * rng.normal(size=(5, 3, params.m))
+    want = np.zeros(pts.shape[:-1], dtype=complex)
+    for key, c in f.coefficients.items():
+        term = c
+        for z, (p, v) in zip(np.moveaxis(pts, -1, 0), key):
+            if p:
+                term = term * z ** p
+            if v:
+                term = term * np.conj(z) ** v
+        want += term
+    got = f.eval(pts)
+    assert got.tobytes() == want.tobytes()

@@ -226,13 +226,23 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
                           "padi_spectrum.csv"),
                          (["spectrum", "--zones", "3..1"], "spectrum.csv"),
                          (["path", "--n-slices", "0"], "path.csv"),
-                         (["path", "--n-slices", "-2"], "path.csv")):
+                         (["path", "--n-slices", "-2"], "path.csv"),
+                         # zone indices whose Laguerre recurrence would run for minutes
+                         (["kernel", "--t", "0.25", "--grid", "0:1:0.5", "--a", "10001"],
+                          "kernel.csv"),
+                         (["path", "--a", "100000000"], "path.csv")):
         capsys.readouterr()
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / output).exists()
     assert not (tmp_path / "padi_normalization.json").exists()
+    # a failure after the command wrote its first tables leaves none of them behind
+    capsys.readouterr()
+    assert run(tmp_path, "coulomb", "--cross-zone", "--lambda=1e-300", "--basis-size=1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: complex Hermite product") and err.count("\n") == 1, err
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("coulomb")]
     # a config key other than lambda and k, grid steps that do not divide hi - lo
     # (1e300 leaves hi - lo within 1e-9 of no step at all), and grids without a
     # finite step count (1e308 steps overflow to inf)
@@ -721,6 +731,9 @@ runpy.run_module("zonekit", run_name="__main__")
      "zone 0 to degree 100000000 (100000001 elements) needs 46 GB"),
     (["zones", "--zones", "0", "--max-degree", "100000000", "--k", "4"],
      "zone 0 to degree 100000000 (5000000150000001 elements) needs 2.3e+09 GB"),
+    # priced per term: a zone-10 element at k = 4 holds up to 36 terms, not zone 0's one
+    (["zones", "--k", "4", "--zones", "10", "--max-degree", "600"],
+     "zone 10 to degree 600 (1924296 elements) needs 12.4 GB"),
     (["coulomb", "--basis-size", "100000000"],
      "zone 0 to degree 99999999 (100000000 elements) needs 46 GB"),
     # one element, whose normalization leaves the float range
@@ -732,8 +745,8 @@ runpy.run_module("zonekit", run_name="__main__")
      "sliced quadrature at order 100000000 (10000000000000000 nodes) needs 2e+24 GB"),
     (["path", "--order", "4", "--n-slices", "100000000"],
      "path.csv of 100000000 rows needs 108 GB"),
-], ids=["zones", "zones_k4", "coulomb_basis", "coulomb_a", "padi", "path_order",
-        "path_slices"])
+], ids=["zones", "zones_k4", "zones_k4_zone10", "coulomb_basis", "coulomb_a", "padi",
+        "path_order", "path_slices"])
 def test_oversized_size_flag_is_refused_before_allocating(tmp_path, argv, message):
     proc = subprocess.run([sys.executable, "-c", CAPPED, *argv, "--outdir", str(tmp_path)],
                           env=_src_env(), capture_output=True, text=True, timeout=120)

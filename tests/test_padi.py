@@ -114,6 +114,10 @@ def test_eigenspinor_input_validation():
     not_eigen = ZonePolynomial.z(PAR) + ZonePolynomial.zbar(PAR)
     with pytest.raises(ValueError):
         eigenspinors(not_eigen, 1, +1)
+    # two zone-0 elements of eigenvalues lam and 3 lam: no eigenfunction at any scale
+    e0, e1 = zone_basis(0, 1, PAR)
+    with pytest.raises(ValueError, match="not an eigenfunction"):
+        eigenspinors(e0 + e1, 1, +1)
     with pytest.raises(ValueError):
         eigenspinors(ZonePolynomial.z(PAR), 3, +1)
 
@@ -249,3 +253,13 @@ def test_padi_at_charge_sign_minus_one():
             for row, want in zip(rows, ref):
                 assert row == pytest.approx(want, rel=1e-13)
     assert np.all(np.isfinite(anomalous_kernel(1, 1, [[0.3j]], [[0.2]], flipped)))
+
+
+@pytest.mark.parametrize("zone", [15, 20])
+def test_padi_accepts_high_zones(tmp_path, zone):
+    # the rounding of a closed-form element grows with its eigenvalue: relative to |b| it
+    # is 1.7e-10 at zone 15 and 4.1e-10 at zone 20, beyond a fixed 1e-10 |b|
+    from zonekit.cli import main
+    assert main(["padi", "--zones", str(zone), "--outdir", str(tmp_path)]) == 0
+    rows = (tmp_path / "padi_spectrum.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5 * 4  # pmax 4: five elements, two slots and two signs each
