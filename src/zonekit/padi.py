@@ -135,9 +135,9 @@ def eigenspinors(base: ZonePolynomial, j: int, sign: int):
     """Eigenspinors psi_{j,+-} of the bare operator PD_Z, built from a scalar eigenfunction.
 
     `base` must be an eigenfunction of the scalar operator: |H b - nu b| is validated
-    to 1e-10 |H b|, the scale of the terms that cancel in it, since the rounding of a
-    closed-form element grows with its eigenvalue.  j=1 places it in the up slot, j=2
-    in the down slot.  Returns (SpinorField, eigenvalue) with
+    to 1e-10 |nu| |b| (|H b| for an eigenfunction), the scale of the terms that cancel
+    in it, since the rounding of a closed-form element grows with its eigenvalue.  j=1
+    places it in the up slot, j=2 in the down slot.  Returns (SpinorField, eigenvalue) with
     PD(psi) = sign * sqrt(mu_j) * psi and ||psi|| = 1.  The zero mode (j=1 on the bottom scalar level) returns the
     bare spinor for sign=+1 and the zero field for sign=-1.
     """
@@ -153,7 +153,7 @@ def eigenspinors(base: ZonePolynomial, j: int, sign: int):
     if nb == 0.0:
         raise ValueError("base state is zero")
     nu = inner_product(hb, base) / nb**2
-    if norm(hb - nu * base) > tol * norm(hb):
+    if norm(hb - nu * base) > tol * abs(nu) * nb:
         raise ValueError("base state is not an eigenfunction of the scalar operator")
     nu = nu.real
     mu = nu - lam if j == 1 else nu + lam
